@@ -8,7 +8,6 @@ largest per-layer perturbation magnitude that still certifies.
 """
 
 from prunecert.linalg import (
-    PowerIterationError,
     SingularMatrixError,
     damped_inverse,
     frobenius_norm,
@@ -17,13 +16,11 @@ from prunecert.linalg import (
 )
 from prunecert.policy import (
     ActivationKind,
-    ForwardTrace,
     Layer,
     MlpPolicy,
     apply_activation,
     forward,
     forward_batch,
-    forward_trace,
     lipschitz_upper,
     load_policy,
     save_policy,

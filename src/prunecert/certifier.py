@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from prunecert import linalg
+from prunecert.linalg import _frozen
 from prunecert.policy import MlpPolicy, forward_batch
 from prunecert.pruner import PrunePlan
 
@@ -38,12 +39,6 @@ __all__ = [
 
 # absolute slack absorbing float rounding; anything larger is a real violation
 AUDIT_SLACK = 1e-9
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +120,11 @@ class AuditSummary:
 
     @property
     def holds(self) -> bool:
-        return self.max_dev <= self.budget + AUDIT_SLACK * max(self.budget, 1.0)
+        """Max deviation within the budget and no per-state violation."""
+        return (
+            self.max_dev <= self.budget + AUDIT_SLACK * max(self.budget, 1.0)
+            and self.violations == 0
+        )
 
 
 @dataclass(frozen=True, eq=False)

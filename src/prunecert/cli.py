@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -443,7 +444,39 @@ def cmd_prune(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _certify(cfg: RunConfig) -> tuple[Certificate, MlpPolicy, MlpPolicy]:
+def _print_certificate(cert: Certificate) -> None:
+    for r in cert.rows:
+        print(
+            f"layer {r.layer}: c_max={r.c_max:.6g} "
+            f"|delta|={r.delta_spectral:.6g} contribution={r.contribution:.6g}"
+        )
+    a = cert.audit
+    print(f"budget={cert.budget:.6g} radius={cert.radius:.6g} ({cert.radius_source})")
+    print(
+        f"audit: samples={a.samples} max_dev={a.max_dev:.6g} "
+        f"violations={a.violations} tightness={a.tightness:.6g}"
+    )
+    print(f"holds: {cert.holds}")
+
+
+def _verify_report(cert: Certificate) -> dict:
+    a = cert.audit
+    return {
+        "samples": a.samples,
+        "max_dev": a.max_dev,
+        "mean_dev": a.mean_dev,
+        "violations": a.violations,
+        "budget": cert.budget,
+        "tightness": a.tightness,
+        "seed": a.seed,
+        "holds": cert.holds,
+        "timestamp": _timestamp(),
+    }
+
+
+def _certify_and_write(cfg: RunConfig, artifact: str, to_dict) -> int:
+    """Body shared by certify and verify: budget the (original, pruned) pair,
+    audit it, write ``to_dict(cert)`` to ``artifact`` and exit by ``holds``."""
     original = _load_policy_file(cfg.model)
     if cfg.pruned is None:
         raise UsageError("certification needs --pruned (the pruned model file)")
@@ -462,53 +495,20 @@ def _certify(cfg: RunConfig) -> tuple[Certificate, MlpPolicy, MlpPolicy]:
         n=cfg.samples,
         seed=derive_seed(cfg.seed, STREAM_AUDIT),
     )
-    return cert.with_audit(summary), original, pruned
-
-
-def _print_certificate(cert: Certificate) -> None:
-    for r in cert.rows:
-        print(
-            f"layer {r.layer}: c_max={r.c_max:.6g} "
-            f"|delta|={r.delta_spectral:.6g} contribution={r.contribution:.6g}"
-        )
-    a = cert.audit
-    print(f"budget={cert.budget:.6g} radius={cert.radius:.6g} ({cert.radius_source})")
-    print(
-        f"audit: samples={a.samples} max_dev={a.max_dev:.6g} "
-        f"violations={a.violations} tightness={a.tightness:.6g}"
-    )
-    print(f"holds: {cert.holds}")
-
-
-def cmd_certify(cfg: RunConfig) -> int:
-    cert, _, _ = _certify(cfg)
+    cert = cert.with_audit(summary)
     out = _outdir(cfg)
-    _write_json(out / "certificate.json", certificate_to_dict(cert))
+    _write_json(out / artifact, to_dict(cert))
     _print_certificate(cert)
-    print(f"wrote {out / 'certificate.json'}")
+    print(f"wrote {out / artifact}")
     return EXIT_OK if cert.holds else EXIT_VIOLATION
 
 
+def cmd_certify(cfg: RunConfig) -> int:
+    return _certify_and_write(cfg, "certificate.json", certificate_to_dict)
+
+
 def cmd_verify(cfg: RunConfig) -> int:
-    cert, _, _ = _certify(cfg)
-    a = cert.audit
-    out = _outdir(cfg)
-    _write_json(
-        out / "verify_report.json",
-        {
-            "samples": a.samples,
-            "max_dev": a.max_dev,
-            "mean_dev": a.mean_dev,
-            "violations": a.violations,
-            "budget": cert.budget,
-            "tightness": a.tightness,
-            "seed": a.seed,
-            "holds": cert.holds,
-            "timestamp": _timestamp(),
-        },
-    )
-    _print_certificate(cert)
-    return EXIT_OK if cert.holds and a.violations == 0 else EXIT_VIOLATION
+    return _certify_and_write(cfg, "verify_report.json", _verify_report)
 
 
 def _dynamics(cfg: RunConfig):
@@ -688,6 +688,12 @@ def cmd_report(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any "-<digit>" or "-.<digit>" token is a value, as in Python 3.13,
+        # so comma lists such as "--x0 -0.5,0" parse like the lone "-0.5"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # map argparse's default exit(2) onto exit 1
         raise UsageError(message)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from prunecert import linalg
+from prunecert.linalg import _frozen
 from prunecert.certifier import AUDIT_SLACK, Certificate, per_state_bounds
 from prunecert.policy import MlpPolicy, forward, forward_batch
 
@@ -30,12 +31,6 @@ __all__ = [
     "rollout",
     "deviation_audit",
 ]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
 
 
 class BlowUpError(RuntimeError):

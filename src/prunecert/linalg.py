@@ -1,9 +1,8 @@
 """Dense matrix and vector primitives shared by the whole toolkit.
 
-Spectral norms come from power iteration on the Gram matrix with a
-deterministic seeded start, so repeated runs produce identical numbers.
-The symmetric inverse accepts Tikhonov damping for rank-deficient
-curvature blocks.
+Spectral norms are exact eigenvalue computations rounded outward, so every
+norm that feeds a certificate is a guaranteed upper bound.  The symmetric
+inverse accepts Tikhonov damping for rank-deficient curvature blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "PowerIterationError",
     "SingularMatrixError",
     "as_matrix",
     "as_vector",
@@ -24,31 +22,21 @@ __all__ = [
     "damped_inverse",
 ]
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
-
-# fixed start seed; callers may override to retry pathological cases
-_START_SEED = 0x5EED
+_EPS = float(np.finfo(float).eps)
 
 # rcond below this is treated as singular (cond ~ 1e13 at float64)
 _RCOND_FLOOR = 1e-13
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration ran out of iterations before converging.
-
-    Carries the last singular-value estimate and iterate so the caller can
-    inspect the stall or retry with a different start ``seed``.
-    """
-
-    def __init__(self, message: str, last_estimate: float, last_vector: np.ndarray):
-        super().__init__(message)
-        self.last_estimate = float(last_estimate)
-        self.last_vector = last_vector
-
-
 class SingularMatrixError(ValueError):
     """Inversion hit an exactly or numerically singular matrix."""
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only copy, so frozen dataclasses cannot be mutated through arrays."""
+    out = a.copy()
+    out.setflags(write=False)
+    return out
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -71,63 +59,74 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def spectral_norm(
-    m,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = _START_SEED,
-) -> float:
-    """Largest singular value, estimated by power iteration.
+def _norm_allowance(shape) -> float:
+    """Coefficient ``c`` of the rounding allowance in ``spectral_norm``.
 
-    Iterates ``x <- Bx / ||Bx||`` with ``B`` the smaller of ``A^T A`` and
-    ``A A^T`` and reads the singular value off the Rayleigh quotient.
-    Convergence is declared once the estimate moves by at most ``tol``
-    (relative, floored at 1) on two consecutive iterations.  The criterion
-    watches the norm estimate rather than the iterate, so matrices with
-    repeated top singular values still converge.
+    For an ``m x n`` input with ``k = max(m, n)`` and ``n' = min(m, n)`` it is
+    ``(k + 4 n'^2) * eps``.  ``spectral_norm`` returns at least ``sigma``
+    and, since the computed eigenvalue errs by at most half of ``c * F2``
+    either way, at most ``sqrt(sigma^2 + 2 c F2) * (1 + 8 eps)``, where
+    ``F2 = ||A||_F^2``.
+    """
+    k, n = max(shape), min(shape)
+    return (k + 4.0 * n * n) * _EPS
 
-    Returns 0.0 for the all-zero matrix.  Raises ``PowerIterationError``
-    when ``max_iter`` is exhausted; the error carries the last estimate so
-    callers can retry with another ``seed``.
+
+def spectral_norm(m) -> float:
+    """Guaranteed upper bound on the largest singular value.
+
+    ``sqrt(lambda_max)`` of the smaller Gram matrix ``G`` of ``A``, taken
+    from the symmetric eigensolver and rounded outward.  Write ``u = eps/2``
+    for the unit roundoff, ``k`` for the longer side of ``A`` (the Gram's
+    inner dimension) and ``n`` for the shorter one (the Gram's order).
+
+    1. When the largest entry lies outside ``2^+-400``, ``A`` is first
+       scaled by a power of two so that entry lies in [1/2, 1); that is
+       exact (underflow of tiny entries aside, below).  Either way the Gram
+       can neither overflow nor underflow to zero, and in the common case
+       no scaled copy of ``A`` is made.
+    2. The computed Gram is ``G + dG`` with ``|dG| <= gamma_k |A|^T |A|``
+       entrywise, ``gamma_k = k u / (1 - k u)``, for any summation order,
+       fused multiply-add included (Higham, *Accuracy and Stability of
+       Numerical Algorithms*, sec. 3.5).  So ``||dG||_2 <= gamma_k ||A||_F^2``.
+    3. The eigensolver (Householder tridiagonalisation, then a tridiagonal
+       solver) is backward stable: its largest eigenvalue is exact for
+       ``G + dG + E``, and worst-case analyses bound ``||E||_2`` by a small
+       multiple of ``n^2 u ||G + dG||_F`` (Higham sec. 19.3; Golub & Van Loan
+       sec. 8.3).  We take ``4 n^2 u (1 + gamma_k) ||A||_F^2``.
+    4. By Weyl, ``sigma^2 <= lam + (gamma_k + 4 n^2 u (1 + gamma_k)) F2``,
+       where ``lam`` is the computed eigenvalue and ``F2 = ||A||_F^2``.  The
+       computed trace ``t`` of the Gram satisfies
+       ``F2 <= t / ((1 - gamma_k)(1 - gamma_n))``.  For any array that fits
+       in memory the whole coefficient is below ``1.01 (k + 4 n^2) u``, half
+       of ``_norm_allowance``, and the spare half covers rounding that product.
+    5. The remaining add, square root and multiply lose at most ``3u``
+       relative, which the final factor ``1 + 4 eps`` restores.  Underflow
+       in step 1 or 2 perturbs ``lam`` by at most about ``k n 2^-1074``
+       absolute, far inside that factor since ``lam >= 2^-802``.
+
+    Relative to the exact norm the result is high by at most about
+    ``_norm_allowance(shape) * F2 / sigma^2 + 8 eps``, and ``F2 / sigma^2``
+    is at most the rank.  Returns 0.0 for the all-zero matrix.
     """
     a = as_matrix(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not a.any():
+    # max/min instead of abs(): no temporary the size of the input
+    peak = max(float(a.max()), -float(a.min()))
+    if peak == 0.0:
         return 0.0
-    # normalize so the Gram matrix can neither underflow nor overflow
-    scale = float(np.abs(a).max())
-    a = a / scale
-    b = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(b.shape[0])
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    steady = 0
-    for _ in range(max_iter):
-        y = b @ x
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            # start vector landed in the null space; draw a fresh one
-            x = rng.standard_normal(b.shape[0])
-            x /= np.linalg.norm(x)
-            sigma, steady = 0.0, 0
-            continue
-        est = math.sqrt(max(float(x @ y), 0.0))
-        if abs(est - sigma) <= tol * max(est, 1.0):
-            steady += 1
-            if steady >= 2:
-                return est * scale
-        else:
-            steady = 0
-        sigma = est
-        x = y / ny
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last estimate {sigma * scale:.17g}); retry with a different seed",
-        last_estimate=sigma * scale,
-        last_vector=x,
-    )
+    exp = math.frexp(peak)[1]
+    if -400 < exp < 400:
+        exp = 0  # the Gram stays in range; skip the copy (peak memory)
+    else:
+        a = np.ldexp(a, -exp)
+    coef = _norm_allowance(a.shape)
+    g = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
+    lam = max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
+    bound = math.sqrt(lam + coef * float(np.trace(g))) * (1.0 + 4.0 * _EPS)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        out = float(np.ldexp(bound, exp))
+    # scaling back into the subnormal range rounds; step one ulp outward
+    return math.nextafter(out, math.inf) if out < np.finfo(float).tiny else out
 
 
 def frobenius_norm(m) -> float:

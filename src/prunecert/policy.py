@@ -16,17 +16,16 @@ from functools import cached_property
 import numpy as np
 
 from prunecert import linalg
+from prunecert.linalg import _frozen
 
 __all__ = [
     "CERTIFIED_KINDS",
     "ActivationKind",
     "Layer",
     "MlpPolicy",
-    "ForwardTrace",
     "apply_activation",
     "forward",
     "forward_batch",
-    "forward_trace",
     "lipschitz_upper",
     "policy_to_dict",
     "policy_from_dict",
@@ -37,12 +36,6 @@ __all__ = [
 # Each kind satisfies phi(0) = 0 and |phi(a) - phi(b)| <= |a - b| for
 # alpha in (0, 1]; only these may feed the certifier.
 CERTIFIED_KINDS = ("relu", "leaky_relu", "prelu", "elu", "identity")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -148,35 +141,25 @@ class MlpPolicy:
         return tuple(float(np.linalg.norm(layer.bias)) for layer in self.layers)
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardTrace:
-    """Forward pass with all intermediate activations and their norms."""
-
-    input: np.ndarray
-    post_activations: tuple[np.ndarray, ...]
-    pre_activation_norms: tuple[float, ...]
-    post_activation_norms: tuple[float, ...]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.post_activations[-1]
-
-
-def _check_state(p: MlpPolicy, s) -> np.ndarray:
-    x = linalg.as_vector(s, "state")
-    if x.shape[0] != p.input_dim:
-        raise ValueError(
-            f"state has dim {x.shape[0]} but policy expects {p.input_dim}"
-        )
+def _propagate(p: MlpPolicy, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """The one layer loop: push a state (vector) or a batch (columns) through
+    every layer, appending each layer's input to ``inputs`` when given."""
+    for layer in p.layers:
+        if inputs is not None:
+            inputs.append(x)
+        bias = layer.bias[:, None] if x.ndim == 2 else layer.bias
+        x = apply_activation(layer.activation, layer.weight @ x + bias)
     return x
 
 
 def forward(p: MlpPolicy, s) -> np.ndarray:
     """Evaluate the policy at one state."""
-    x = _check_state(p, s)
-    for layer in p.layers:
-        x = apply_activation(layer.activation, layer.weight @ x + layer.bias)
-    return x
+    x = linalg.as_vector(s, "state")
+    if x.shape[0] != p.input_dim:
+        raise ValueError(
+            f"state has dim {x.shape[0]} but policy expects {p.input_dim}"
+        )
+    return _propagate(p, x)
 
 
 def forward_batch(p: MlpPolicy, states) -> np.ndarray:
@@ -189,30 +172,7 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
         raise ValueError(
             f"states have dim {x.shape[0]} but policy expects {p.input_dim}"
         )
-    for layer in p.layers:
-        x = apply_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
-    return x
-
-
-def forward_trace(p: MlpPolicy, s) -> ForwardTrace:
-    """Like ``forward`` but records every intermediate vector and norm."""
-    x = _check_state(p, s)
-    posts: list[np.ndarray] = []
-    pre_norms: list[float] = []
-    post_norms: list[float] = []
-    cur = x
-    for layer in p.layers:
-        z = layer.weight @ cur + layer.bias
-        cur = apply_activation(layer.activation, z)
-        posts.append(_frozen(cur))
-        pre_norms.append(float(np.linalg.norm(z)))
-        post_norms.append(float(np.linalg.norm(cur)))
-    return ForwardTrace(
-        input=_frozen(x),
-        post_activations=tuple(posts),
-        pre_activation_norms=tuple(pre_norms),
-        post_activation_norms=tuple(post_norms),
-    )
+    return _propagate(p, x)
 
 
 def lipschitz_upper(p: MlpPolicy) -> float:

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from prunecert import linalg
-from prunecert.policy import Layer, MlpPolicy, apply_activation
+from prunecert.linalg import _frozen
+from prunecert.policy import Layer, MlpPolicy, _propagate
 
 __all__ = [
     "CalibrationBatch",
@@ -30,12 +31,6 @@ __all__ = [
     "apply_plan",
     "prune_to_budget",
 ]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +196,8 @@ def collect_calibration(p: MlpPolicy, states: Iterable) -> CalibrationBatch:
             raise ValueError(
                 f"state has dim {v.shape[0]} but policy expects {p.input_dim}"
             )
-    x = np.stack(vecs, axis=1)
-    mats = []
-    for layer in p.layers:
-        mats.append(x)
-        x = apply_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
+    mats: list[np.ndarray] = []
+    _propagate(p, np.stack(vecs, axis=1), mats)
     return CalibrationBatch(inputs=tuple(mats))
 
 

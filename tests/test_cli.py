@@ -12,6 +12,7 @@ from prunecert.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    build_parser,
     certificate_from_dict,
     derive_seed,
     main,
@@ -226,6 +227,84 @@ class TestCertify:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["radius_source"] == "states"
         assert cert["radius"] > 0
+
+
+class TestHoldsCountsViolations:
+    """Two one-weight identity layers grown from 1 to 1.5.  On the box
+    [0, 0.5] every deviation stays under the budget 1.0, yet every sampled
+    state breaks its own per-state bound, so nothing may report holds."""
+
+    def _pair(self, tmp_path):
+        paths = []
+        for name, w in (("orig.json", 1.0), ("grown.json", 1.5)):
+            layer = Layer(weight=[[w]], bias=[0.0], activation=ActivationKind("identity"))
+            save_policy(MlpPolicy(layers=(layer, layer)), tmp_path / name)
+            paths.append(str(tmp_path / name))
+        return paths
+
+    def test_certify_verify_and_report_agree_with_the_audit(self, tmp_path):
+        orig, grown = self._pair(tmp_path)
+        flags = ["--model", orig, "--pruned", grown, "--radius", "1",
+                 "--box-lo", "0", "--box-hi", "0.5", "--samples", "1000", "--seed", "0"]
+        assert main(["certify", *flags, "--out", str(tmp_path / "c")]) == EXIT_VIOLATION
+        cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        assert cert["audit"]["violations"] == 1000
+        assert cert["audit"]["max_dev"] < cert["budget"]
+        assert cert["holds"] is False
+        assert main(["verify", *flags, "--out", str(tmp_path / "v")]) == EXIT_VIOLATION
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert report["violations"] == 1000 and report["holds"] is False
+        code = main(["report", str(tmp_path / "c" / "certificate.json"),
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_VIOLATION
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["all_hold"] is False and summary["total_violations"] == 1000
+
+
+class TestNegativeCommaLists:
+    def test_every_list_flag_takes_a_leading_minus(self):
+        parser = build_parser()
+        args = parser.parse_args([
+            "prune", "--layers", "-1,0", "--allocation-weights", "-1,2",
+            "--box-lo", "-0.5,-1", "--box-hi", "-.5,1",
+        ])
+        assert (args.layers, args.allocation_weights) == ("-1,0", "-1,2")
+        assert (args.box_lo, args.box_hi) == ("-0.5,-1", "-.5,1")
+        args = parser.parse_args([
+            "simulate", "--x0", "-0.5,0",
+            "--state-box-lo", "-3.2,-8", "--state-box-hi", "-1e-3,8",
+        ])
+        assert (args.x0, args.state_box_lo, args.state_box_hi) == (
+            "-0.5,0", "-3.2,-8", "-1e-3,8"
+        )
+
+    def test_certify_box_space_separated(self, tmp_path):
+        model = str(FIXTURES / "pendulum_policy.json")
+        code = main([
+            "certify", "--model", model, "--pruned", model,
+            "--box-lo", "-0.5,-1", "--box-hi", "0.5,1", "--samples", "50",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["radius"] == float(np.linalg.norm([0.5, 1.0]))
+
+    def test_simulate_x0_space_separated(self, tmp_path):
+        model = str(FIXTURES / "pendulum_policy.json")
+        assert main([
+            "certify", "--model", model, "--pruned", model, "--radius", "3",
+            "--samples", "50", "--out", str(tmp_path / "c"),
+        ]) == EXIT_OK
+        code = main([
+            "simulate", "--model", model, "--pruned", model,
+            "--certificate", str(tmp_path / "c" / "certificate.json"),
+            "--dynamics", "pendulum", "--x0", "-0.5,0", "--horizon", "5",
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == EXIT_OK
+        with open(tmp_path / "s" / "trajectory_original.csv") as fh:
+            first = list(csv.DictReader(fh))[0]
+        assert (float(first["x0"]), float(first["x1"])) == (-0.5, 0.0)
 
 
 class TestVerify:

@@ -13,7 +13,6 @@ from prunecert.policy import (
     apply_activation,
     forward,
     forward_batch,
-    forward_trace,
     lipschitz_upper,
     load_policy,
     policy_from_dict,
@@ -151,44 +150,6 @@ class TestForward:
         batch = forward_batch(p, states)
         for j in range(17):
             np.testing.assert_allclose(batch[:, j], forward(p, states[:, j]), atol=1e-14)
-
-
-class TestForwardTrace:
-    def test_identity_weights_preserve_norms(self):
-        p = MlpPolicy(
-            layers=(
-                Layer(weight=np.eye(2), bias=np.zeros(2), activation=ActivationKind("identity")),
-                Layer(weight=np.eye(2), bias=np.zeros(2), activation=ActivationKind("identity")),
-            )
-        )
-        trace = forward_trace(p, [1.0, 0.0])
-        assert trace.pre_activation_norms == (1.0, 1.0)
-        assert trace.post_activation_norms == (1.0, 1.0)
-
-    def test_post_norms_never_exceed_pre_norms(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            p = random_policy(rng, depth=int(rng.integers(1, 5)), max_width=10)
-            trace = forward_trace(p, rng.normal(size=p.input_dim))
-            for pre, post in zip(trace.pre_activation_norms, trace.post_activation_norms):
-                assert post <= pre + 1e-12
-
-    def test_norms_match_independent_recomputation(self):
-        rng = np.random.default_rng(6)
-        p = random_policy(rng, depth=3, max_width=8)
-        s = rng.normal(size=p.input_dim)
-        trace = forward_trace(p, s)
-        # recompute layer by layer with the naive oracle
-        cur = np.asarray(s, dtype=float)
-        for i, layer in enumerate(p.layers):
-            sub = MlpPolicy(layers=(layer,))
-            nxt = naive_forward(sub, cur)
-            np.testing.assert_allclose(trace.post_activations[i], nxt, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(
-                trace.post_activation_norms[i], np.linalg.norm(nxt), rtol=1e-12
-            )
-            cur = nxt
-        np.testing.assert_array_equal(trace.output, forward(p, s))
 
 
 class TestLipschitzUpper:

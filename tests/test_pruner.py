@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import naive_forward, random_policy
 from prunecert.linalg import SingularMatrixError, gram, spectral_norm
-from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward, forward_trace
+from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward
 from prunecert.pruner import (
     CalibrationBatch,
     PrunePlan,
@@ -50,20 +50,20 @@ class TestCollectCalibration:
         calib = collect_calibration(p, [np.array([1.0]), np.array([2.0])])
         np.testing.assert_array_equal(calib.inputs[0], [[1.0, 2.0]])
 
-    def test_deeper_layers_match_forward_trace(self):
+    def test_deeper_layers_match_naive_forward(self):
         rng = np.random.default_rng(0)
         p = random_policy(rng, depth=3, max_width=6)
         states = [rng.normal(size=p.input_dim) for _ in range(5)]
         calib = collect_calibration(p, states)
         assert calib.num_states == 5
         for j, s in enumerate(states):
-            trace = forward_trace(p, s)
             np.testing.assert_array_equal(calib.inputs[0][:, j], np.asarray(s, dtype=float))
             for k in range(1, p.num_layers):
-                # batch and single-state matmuls accumulate in different orders
+                # layer k's input is layer k-1's output on layer k-1's input
+                sub = MlpPolicy(layers=(p.layers[k - 1],))
                 np.testing.assert_allclose(
                     calib.inputs[k][:, j],
-                    trace.post_activations[k - 1],
+                    naive_forward(sub, calib.inputs[k - 1][:, j]),
                     rtol=1e-12,
                     atol=1e-14,
                 )
