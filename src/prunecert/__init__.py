@@ -28,7 +28,7 @@ from prunecert.policy import (
 from prunecert.pruner import (
     CalibrationBatch,
     PrunePlan,
-    SaliencyEntry,
+    Ranking,
     activation_loss,
     apply_plan,
     collect_calibration,

@@ -40,7 +40,7 @@ from prunecert.controlsim import (
 from prunecert.policy import MlpPolicy, load_policy, save_policy
 from prunecert.pruner import (
     PrunePlan,
-    SaliencyEntry,
+    Ranking,
     apply_plan,
     collect_calibration,
     prune_to_budget,
@@ -236,26 +236,50 @@ class RunConfig:
     paths: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _floats(value, what: str) -> tuple[float, ...] | None:
+def _number(value, kind, what: str):
+    """Convert one value as a flag's ``type=kind`` would; ``None`` passes.
+
+    A config file may give the number itself or its text.  Booleans, and
+    fractional numbers where an integer is wanted, are rejected.
+    """
     if value is None:
         return None
-    if isinstance(value, str):
-        value = value.split(",")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{what}: expected a comma-separated list of numbers") from exc
+    if isinstance(value, str) or (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and (kind is float or isinstance(value, int))
+    ):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise UsageError(f"{what}: expected {noun}, got {value!r}")
 
 
-def _ints(value, what: str) -> tuple[int, ...] | None:
+def _numbers(value, kind, what: str) -> tuple | None:
+    """A comma-separated string or a JSON list, each item as in ``_number``."""
     if value is None:
         return None
-    if isinstance(value, str):
-        value = value.split(",")
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{what}: expected a comma-separated list of integers") from exc
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list):
+        raise UsageError(f"{what}: expected a comma-separated list, got {value!r}")
+    return tuple(_number(v, kind, what) for v in items)
+
+
+def _switch(value, what: str) -> bool:
+    """A boolean flag; a config file must give a JSON ``true`` or ``false``."""
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise UsageError(f"{what}: expected true or false, got {value!r}")
+    return value
+
+
+def _text(value, what: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"{what}: expected a string, got {value!r}")
+    return value
 
 
 def _damping(value) -> float | str:
@@ -266,8 +290,8 @@ def _damping(value) -> float | str:
     if isinstance(value, str) and value.strip() == "auto":
         return "auto"
     try:
-        d = float(value)
-    except (TypeError, ValueError) as exc:
+        d = _number(value, float, "damping")
+    except UsageError as exc:
         raise UsageError("damping: expected a number or 'auto'") from exc
     if d < 0:
         raise UsageError("damping: must be nonnegative")
@@ -288,41 +312,41 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             v = file_cfg.get(key, default)
         return v
 
-    out = get("out")
+    out = _text(get("out"), "out")
     if out is None:
         out = os.environ.get(ENV_OUTDIR, ".")
     return RunConfig(
-        model=get("model"),
-        pruned=get("pruned"),
-        certificate=get("certificate"),
-        calibration=get("calibration"),
-        states=get("states"),
-        layers=_ints(get("layers"), "layers"),
-        sparsity=get("sparsity"),
-        epsilon=get("epsilon"),
-        compensate=bool(get("compensate", False)),
-        diagonal=bool(get("diagonal", False)),
-        reestimate=bool(get("reestimate", False)),
+        model=_text(get("model"), "model"),
+        pruned=_text(get("pruned"), "pruned"),
+        certificate=_text(get("certificate"), "certificate"),
+        calibration=_text(get("calibration"), "calibration"),
+        states=_text(get("states"), "states"),
+        layers=_numbers(get("layers"), int, "layers"),
+        sparsity=_number(get("sparsity"), float, "sparsity"),
+        epsilon=_number(get("epsilon"), float, "epsilon"),
+        compensate=_switch(get("compensate"), "compensate"),
+        diagonal=_switch(get("diagonal"), "diagonal"),
+        reestimate=_switch(get("reestimate"), "reestimate"),
         damping=_damping(get("damping")),
-        allocation=get("allocation", "uniform"),
-        allocation_weights=_floats(get("allocation_weights"), "allocation weights"),
-        radius=get("radius"),
-        box_lo=_floats(get("box_lo"), "box low"),
-        box_hi=_floats(get("box_hi"), "box high"),
-        samples=int(get("samples", 10_000)),
-        seed=int(get("seed", 0)),
-        out=str(out),
-        dynamics=get("dynamics"),
-        system=get("system"),
-        x0=_floats(get("x0"), "x0"),
-        horizon=get("horizon"),
-        dt=get("dt"),
-        gravity=float(get("gravity", 9.81)),
-        length=float(get("length", 1.0)),
-        mass=float(get("mass", 1.0)),
-        action_limit=get("action_limit"),
-        state_box_lo=_floats(get("state_box_lo"), "state box low"),
-        state_box_hi=_floats(get("state_box_hi"), "state box high"),
+        allocation=_text(get("allocation", "uniform"), "allocation"),
+        allocation_weights=_numbers(get("allocation_weights"), float, "allocation weights"),
+        radius=_number(get("radius"), float, "radius"),
+        box_lo=_numbers(get("box_lo"), float, "box low"),
+        box_hi=_numbers(get("box_hi"), float, "box high"),
+        samples=_number(get("samples", 10_000), int, "samples"),
+        seed=_number(get("seed", 0), int, "seed"),
+        out=out,
+        dynamics=_text(get("dynamics"), "dynamics"),
+        system=_text(get("system"), "system"),
+        x0=_numbers(get("x0"), float, "x0"),
+        horizon=_number(get("horizon"), int, "horizon"),
+        dt=_number(get("dt"), float, "dt"),
+        gravity=_number(get("gravity", 9.81), float, "gravity"),
+        length=_number(get("length", 1.0), float, "length"),
+        mass=_number(get("mass", 1.0), float, "mass"),
+        action_limit=_number(get("action_limit"), float, "action limit"),
+        state_box_lo=_numbers(get("state_box_lo"), float, "state box low"),
+        state_box_hi=_numbers(get("state_box_hi"), float, "state box high"),
         paths=tuple(getattr(args, "paths", ()) or ()),
     )
 
@@ -359,19 +383,14 @@ def _outdir(cfg: RunConfig) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def _plan_dict(
-    plan: PrunePlan,
-    selected: dict[int, list[SaliencyEntry]],
-    cfg: RunConfig,
-) -> dict:
+def _plan_dict(plan: PrunePlan, selected: dict[int, Ranking], cfg: RunConfig) -> dict:
     layers = []
     for lp in plan.layers:
-        entries = selected.get(lp.layer, [])
         layers.append(
             {
                 "k": lp.layer,
-                "mask": [[r, c] for r, c in lp.mask],
-                "saliencies": [e.saliency for e in entries],
+                "mask": lp.mask.tolist(),
+                "saliencies": selected[lp.layer].saliency.tolist(),
                 "delta_spectral": lp.delta_spectral_norm,
                 "compensated": lp.compensated,
             }
@@ -387,35 +406,32 @@ def _plan_dict(
 
 
 def cmd_prune(cfg: RunConfig) -> int:
+    if (cfg.sparsity is None) == (cfg.epsilon is None):
+        raise UsageError("set exactly one of --sparsity or --epsilon")
+    if cfg.sparsity is not None and not 0.0 <= cfg.sparsity <= 1.0:
+        raise UsageError("sparsity must lie in [0, 1]")
     p = _load_policy_file(cfg.model)
     if cfg.calibration is None:
         raise UsageError("prune needs --calibration (CSV of states, one per row)")
+    layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
+    space = _state_space(cfg, p.input_dim) if cfg.epsilon is not None else None
     states = _load_states_csv(cfg.calibration, p.input_dim)
     calib = collect_calibration(p, states)
-    layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
-    if (cfg.sparsity is None) == (cfg.epsilon is None):
-        raise UsageError("set exactly one of --sparsity or --epsilon")
     try:
-        entries = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
+        ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
         if cfg.sparsity is not None:
-            if not 0.0 <= cfg.sparsity <= 1.0:
-                raise UsageError("sparsity must lie in [0, 1]")
-            count = int(round(cfg.sparsity * len(entries)))
+            count = int(round(cfg.sparsity * len(ranking)))
             pruned, plan = apply_plan(
                 p,
-                entries,
+                ranking,
                 count,
                 compensate=cfg.compensate,
                 damping=cfg.damping,
                 calib=calib,
                 reestimate=cfg.reestimate,
             )
-            by_layer: dict[int, list[SaliencyEntry]] = {}
-            for e in entries[:count]:
-                by_layer.setdefault(e.layer, []).append(e)
-            selected = by_layer
+            selected = ranking[:count].by_layer()
         else:
-            space = _state_space(cfg, p.input_dim)
             caps = admissible_magnitude(
                 p,
                 layers,
@@ -426,7 +442,7 @@ def cmd_prune(cfg: RunConfig) -> int:
             )
             pruned, plan, selected = prune_to_budget(
                 p,
-                entries,
+                ranking,
                 caps,
                 compensate=cfg.compensate,
                 damping=cfg.damping,

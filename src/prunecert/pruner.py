@@ -2,9 +2,11 @@
 
 Each layer's curvature is the shared block ``2 X X^T`` built from the
 calibration activations of the unpruned policy, so scoring never needs
-gradients or labels.  Plans record exactly which positions were zeroed and
-the spectral norm of the per-layer weight change, which is what the
-certifier consumes.
+gradients or labels.  ``rank_weights`` scores every selected weight at
+once and returns a ``Ranking`` of parallel arrays in removal order; no
+per-weight Python object is built between scoring and the plan.  Plans
+record exactly which positions were zeroed and the spectral norm of the
+per-layer weight change, which is what the certifier consumes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from prunecert.policy import Layer, MlpPolicy, _propagate
 
 __all__ = [
     "CalibrationBatch",
-    "SaliencyEntry",
+    "Ranking",
     "LayerPrune",
     "PrunePlan",
     "collect_calibration",
@@ -57,29 +59,65 @@ class CalibrationBatch:
         return self.inputs[0].shape[1]
 
 
-@dataclass(frozen=True)
-class SaliencyEntry:
-    """Score for one weight; lower saliency means safer to remove."""
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Scored weights in removal order, as parallel 1-D arrays.
 
-    layer: int
-    row: int
-    col: int
-    weight: float
-    saliency: float
+    Entry ``i`` is weight ``(row[i], col[i])`` of layer ``layer[i]``, scored
+    ``saliency[i]``; lower saliency means safer to remove.  Indexing with a
+    slice or a boolean mask gives another ``Ranking`` in the same order.
+    """
+
+    layer: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    saliency: np.ndarray
+
+    def __post_init__(self):
+        arrays = {
+            "layer": np.asarray(self.layer, dtype=np.intp),
+            "row": np.asarray(self.row, dtype=np.intp),
+            "col": np.asarray(self.col, dtype=np.intp),
+            "saliency": np.asarray(self.saliency, dtype=np.float64),
+        }
+        if any(a.ndim != 1 or a.shape != arrays["layer"].shape for a in arrays.values()):
+            raise ValueError("ranking arrays must be 1-D and of one length")
+        for name, a in arrays.items():
+            object.__setattr__(self, name, _frozen(a))
+
+    def __len__(self) -> int:
+        return self.layer.shape[0]
+
+    def __getitem__(self, index) -> "Ranking":
+        return Ranking(self.layer[index], self.row[index], self.col[index], self.saliency[index])
+
+    def by_layer(self) -> dict[int, "Ranking"]:
+        """One sub-ranking per layer present, ascending by layer, order kept."""
+        # bincount rather than np.unique, whose first call imports numpy.ma
+        present = np.flatnonzero(np.bincount(self.layer))
+        return {int(k): self[self.layer == k] for k in present}
 
 
 @dataclass(frozen=True, eq=False)
 class LayerPrune:
     """Weight change applied to one layer: masked positions plus the dense
-    delta ``W_pruned - W_original`` and its spectral norm."""
+    delta ``W_pruned - W_original`` and its spectral norm.
+
+    ``mask`` is an ``(n, 2)`` integer array of zeroed ``(row, col)``
+    positions, in removal order when the plan came from a ranking.
+    """
 
     layer: int
-    mask: tuple[tuple[int, int], ...]
+    mask: np.ndarray
     delta: np.ndarray
     delta_spectral_norm: float
     compensated: bool
 
     def __post_init__(self):
+        mask = np.asarray(self.mask, dtype=np.intp)
+        if mask.ndim != 2 or mask.shape[1] != 2:
+            raise ValueError(f"mask must have shape (n, 2), got {mask.shape}")
+        object.__setattr__(self, "mask", _frozen(mask))
         object.__setattr__(self, "delta", _frozen(linalg.as_matrix(self.delta, "delta")))
 
 
@@ -127,11 +165,10 @@ class PrunePlan:
         layers = []
         for k in sorted(deltas):
             d = linalg.as_matrix(deltas[k], f"delta[{k}]")
-            rows, cols = np.nonzero(d)
             layers.append(
                 LayerPrune(
                     layer=int(k),
-                    mask=tuple(zip(rows.tolist(), cols.tolist())),
+                    mask=np.argwhere(d),
                     delta=d,
                     delta_spectral_norm=linalg.spectral_norm(d),
                     compensated=compensated,
@@ -166,14 +203,12 @@ class PrunePlan:
             if not delta.any():
                 continue
             zeroed = (lo.weight != 0.0) & (lp.weight == 0.0)
-            rows, cols = np.nonzero(zeroed)
-            mask = tuple(zip(rows.tolist(), cols.tolist()))
             off_mask = delta.copy()
             off_mask[zeroed] = 0.0
             layers.append(
                 LayerPrune(
                     layer=k,
-                    mask=mask,
+                    mask=np.argwhere(zeroed),
                     delta=delta,
                     delta_spectral_norm=linalg.spectral_norm(delta),
                     compensated=bool(off_mask.any()),
@@ -242,8 +277,8 @@ def rank_weights(
     layers: Iterable[int],
     damping=0.0,
     diagonal: bool = False,
-) -> list[SaliencyEntry]:
-    """Score every weight in the selected layers, sorted ascending by saliency.
+) -> Ranking:
+    """Score every weight in the selected layers, ascending by saliency.
 
     The score divides each squared weight by the corresponding diagonal of
     the damped inverse curvature block; ``diagonal=True`` swaps in the
@@ -258,7 +293,7 @@ def rank_weights(
         raise ValueError(
             f"calibration has {len(calib.inputs)} layers but policy has {p.num_layers}"
         )
-    entries: list[SaliencyEntry] = []
+    parts = []
     for k in ks:
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
@@ -283,19 +318,12 @@ def rank_weights(
                     f"layer {k}: Hessian inversion produced a nonpositive diagonal"
                 )
             sal = 0.5 * w * w / dinv[None, :]
-        for r in range(w.shape[0]):
-            for c in range(w.shape[1]):
-                entries.append(
-                    SaliencyEntry(
-                        layer=k,
-                        row=r,
-                        col=c,
-                        weight=float(w[r, c]),
-                        saliency=float(sal[r, c]),
-                    )
-                )
-    entries.sort(key=lambda e: (e.saliency, e.layer, e.row, e.col))
-    return entries
+        rows, cols = np.indices(sal.shape).reshape(2, -1)
+        parts.append((np.full(sal.size, k, dtype=np.intp), rows, cols, sal.ravel()))
+    layer, row, col, saliency = (np.concatenate(a) for a in zip(*parts))
+    # lexsort's last key is the primary one: (saliency, layer, row, col)
+    order = np.lexsort((col, row, layer, saliency))
+    return Ranking(layer[order], row[order], col[order], saliency[order])
 
 
 def obs_compensate(row, q: int, h_inv) -> np.ndarray:
@@ -326,33 +354,13 @@ class _LayerWork:
         self.layer = layer
         self.original = weight
         self.work = weight.copy()
-        self.mask: list[tuple[int, int]] = []
         self.h_inv = h_inv
         self.row_h_inv: dict[int, np.ndarray] = {}
-        self.compensated = False
-
-    def snapshot(self, row: int):
-        hinv = self.row_h_inv.get(row)
-        return (
-            len(self.mask),
-            self.work[row].copy(),
-            None if hinv is None else hinv.copy(),
-        )
-
-    def restore(self, row: int, snap) -> None:
-        n_mask, row_vals, hinv = snap
-        del self.mask[n_mask:]
-        self.work[row] = row_vals
-        if hinv is None:
-            self.row_h_inv.pop(row, None)
-        else:
-            self.row_h_inv[row] = hinv
 
     def remove(self, row: int, col: int, compensate: bool, reestimate: bool) -> None:
         if compensate:
             hinv = self.row_h_inv.get(row, self.h_inv) if reestimate else self.h_inv
             self.work[row] = obs_compensate(self.work[row], col, hinv)
-            self.compensated = True
             if reestimate:
                 # fold the removed coordinate out of this row's inverse block;
                 # its row/column go to zero so later updates cannot touch it
@@ -362,16 +370,18 @@ class _LayerWork:
                 self.row_h_inv[row] = updated
         else:
             self.work[row, col] = 0.0
-        self.mask.append((row, col))
 
-    def to_plan(self) -> LayerPrune:
+    def delta_norm(self) -> float:
         delta = self.work - self.original
+        return linalg.spectral_norm(delta) if delta.any() else 0.0
+
+    def to_plan(self, taken: Ranking, compensated: bool) -> LayerPrune:
         return LayerPrune(
             layer=self.layer,
-            mask=tuple(self.mask),
-            delta=delta,
-            delta_spectral_norm=linalg.spectral_norm(delta) if delta.any() else 0.0,
-            compensated=self.compensated,
+            mask=np.column_stack((taken.row, taken.col)),
+            delta=self.work - self.original,
+            delta_spectral_norm=self.delta_norm(),
+            compensated=compensated,
         )
 
 
@@ -409,63 +419,76 @@ def _prepare_works(
 
 def apply_plan(
     p: MlpPolicy,
-    entries: list[SaliencyEntry],
+    ranking: Ranking,
     count: int,
     compensate: bool = False,
     damping=0.0,
     calib: CalibrationBatch | None = None,
     reestimate: bool = False,
 ) -> tuple[MlpPolicy, PrunePlan]:
-    """Prune the first ``count`` entries, returning the new policy and plan.
+    """Prune the first ``count`` ranked weights, returning the new policy and plan.
 
     Zero-only pruning just masks weights.  With ``compensate`` the remaining
-    entries of each touched row absorb the removal, processed in entry order
-    with the curvature held fixed; ``reestimate`` refreshes the row's
+    entries of each touched row absorb the removal, processed in ranking
+    order with the curvature held fixed; ``reestimate`` refreshes the row's
     inverse block after every removal instead.  Biases are never modified.
+    Each layer's mask lists its removals in ranking order.
     """
-    if count < 0 or count > len(entries):
-        raise ValueError(f"count must lie in 0..{len(entries)}, got {count}")
-    selected = entries[:count]
-    works = _prepare_works(p, (e.layer for e in selected), compensate, damping, calib)
-    for e in selected:
-        works[e.layer].remove(e.row, e.col, compensate, reestimate)
-    plan = PrunePlan(layers=tuple(works[k].to_plan() for k in sorted(works)))
+    if count < 0 or count > len(ranking):
+        raise ValueError(f"count must lie in 0..{len(ranking)}, got {count}")
+    selected = ranking[:count].by_layer()
+    works = _prepare_works(p, selected, compensate, damping, calib)
+    for k, taken in selected.items():
+        work = works[k]
+        if compensate:
+            # layers never interact, so ranking order within each layer is
+            # the whole removal order
+            for row, col in zip(taken.row.tolist(), taken.col.tolist()):
+                work.remove(row, col, compensate, reestimate)
+        else:
+            work.work[taken.row, taken.col] = 0.0
+    plan = PrunePlan(
+        layers=tuple(works[k].to_plan(selected[k], compensate) for k in works)
+    )
     return _rebuild(p, works), plan
 
 
 def prune_to_budget(
     p: MlpPolicy,
-    entries: list[SaliencyEntry],
+    ranking: Ranking,
     caps: Mapping[int, float],
     compensate: bool = False,
     damping=0.0,
     calib: CalibrationBatch | None = None,
     reestimate: bool = False,
-) -> tuple[MlpPolicy, PrunePlan, dict[int, list[SaliencyEntry]]]:
+) -> tuple[MlpPolicy, PrunePlan, dict[int, Ranking]]:
     """Prune each capped layer as far as its delta-norm allowance permits.
 
-    Walks the saliency order per layer and stops at the first removal that
-    would push ``||delta||_2`` past the layer's cap.  Returns the pruned
-    policy, the plan, and the entries actually removed per layer.
+    Walks the ranking per layer and stops at the first removal that would
+    push ``||delta||_2`` past the layer's cap.  Returns the pruned policy,
+    the plan, and per capped layer the prefix of its ranking actually
+    removed.
     """
     works = _prepare_works(p, caps.keys(), compensate, damping, calib)
-    taken: dict[int, list[SaliencyEntry]] = {k: [] for k in works}
-    open_caps = {k: float(caps[k]) for k in works}
-    for e in entries:
-        cap = open_caps.get(e.layer)
-        if cap is None or (cap <= 0.0 and not np.isinf(cap)):
-            continue
-        work = works[e.layer]
-        snap = work.snapshot(e.row)
-        work.remove(e.row, e.col, compensate, reestimate)
-        delta = work.work - work.original
-        norm = linalg.spectral_norm(delta) if delta.any() else 0.0
-        if norm > cap:
-            work.restore(e.row, snap)
-            # close the layer: taking later (higher-saliency) entries instead
-            # of this one would reorder the plan nondeterministically
-            open_caps[e.layer] = 0.0
-            continue
-        taken[e.layer].append(e)
-    plan = PrunePlan(layers=tuple(works[k].to_plan() for k in sorted(works)))
-    return _rebuild(p, works), plan, taken
+    per_layer = ranking[np.isin(ranking.layer, list(works))].by_layer()
+    taken: dict[int, Ranking] = {}
+    layers = []
+    for k, work in works.items():
+        cap = float(caps[k])
+        entries = per_layer.get(k, ranking[:0])
+        if cap <= 0.0 and not np.isinf(cap):
+            entries = entries[:0]
+        n = 0
+        for row, col in zip(entries.row.tolist(), entries.col.tolist()):
+            saved = work.work[row].copy()
+            work.remove(row, col, compensate, reestimate)
+            if work.delta_norm() > cap:
+                # close the layer: taking later (higher-saliency) entries instead
+                # of this one would reorder the plan nondeterministically
+                work.work[row] = saved
+                break
+            n += 1
+        taken[k] = entries[:n]
+        # any compensated attempt marks the layer, even one that was undone
+        layers.append(work.to_plan(taken[k], compensate and len(entries) > 0))
+    return _rebuild(p, works), PrunePlan(layers=tuple(layers)), taken

@@ -62,3 +62,37 @@ def naive_forward(p: MlpPolicy, s):
             z.append(acc)
         x = [phi(layer.activation, v) for v in z]
     return np.array(x)
+
+
+def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
+    """Per-weight reference for ``rank_weights``: ``(saliency, layer, row, col)``
+    tuples from the same saliency matrix, ordered by a Python sort key."""
+    from prunecert import linalg
+
+    entries = []
+    for k in sorted(set(layers)):
+        x = calib.inputs[k]
+        w = p.layers[k].weight
+        h = linalg.gram(x)
+        lam = linalg.auto_damping(h) if damping == "auto" else float(damping)
+        if diagonal:
+            hqq = np.diag(h) + lam
+            sal = np.where(hqq > 0.0, 0.5 * w * w * hqq[None, :], 0.0)
+        else:
+            sal = 0.5 * w * w / np.diag(linalg.damped_inverse(h, lam))[None, :]
+        for r in range(w.shape[0]):
+            for c in range(w.shape[1]):
+                entries.append((float(sal[r, c]), k, r, c))
+    return sorted(entries, key=lambda e: (e[0], e[1], e[2], e[3]))
+
+
+def ranking_tuples(ranking):
+    """``(saliency, layer, row, col)`` of each entry of a ``Ranking``, in order."""
+    return list(
+        zip(
+            ranking.saliency.tolist(),
+            ranking.layer.tolist(),
+            ranking.row.tolist(),
+            ranking.col.tolist(),
+        )
+    )

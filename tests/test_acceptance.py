@@ -148,7 +148,8 @@ def test_criterion_4_saliency_matches_exact_loss_ranking():
                 diff = (w - w_hat) @ x
                 brute.append((float((diff * diff).sum()), 0, r, c))
         brute.sort()
-        if [(e.row, e.col) for e in entries] != [(r, c) for _, _, r, c in brute]:
+        ranked = list(zip(entries.row.tolist(), entries.col.tolist()))
+        if ranked != [(r, c) for _, _, r, c in brute]:
             mismatches += 1
     _check(4, "saliency ranking equals brute-force loss ranking", mismatches == 0,
            f"{mismatches} mismatched layers of 20")

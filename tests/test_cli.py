@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import random_policy, reference_ranking
+from prunecert import __version__, cli
 from prunecert.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -17,7 +18,9 @@ from prunecert.cli import (
     derive_seed,
     main,
 )
+from prunecert.linalg import spectral_norm
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy, save_policy
+from prunecert.pruner import collect_calibration
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,6 +128,87 @@ class TestPrune:
         assert code == EXIT_OK
         cert = json.loads((cert_out / "certificate.json").read_text())
         assert cert["budget"] <= epsilon + 1e-9
+
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--sparsity", "1.5"],
+            ["--sparsity", "-0.1"],
+            ["--sparsity", "0.5", "--epsilon", "0.1"],
+            [],
+            ["--epsilon", "0.1"],  # no state space to split the budget over
+        ],
+    )
+    def test_mode_rejected_before_calibration_and_ranking(
+        self, tmp_path, random_model, monkeypatch, mode
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("prune did work before validating its mode")
+
+        monkeypatch.setattr(cli, "collect_calibration", forbidden)
+        monkeypatch.setattr(cli, "rank_weights", forbidden)
+        model, calib = random_model
+        assert main([
+            "prune", "--model", str(model), "--calibration", str(calib),
+            "--out", str(tmp_path / "o"), *mode,
+        ]) == EXIT_USAGE
+
+
+class TestPlanMatchesReference:
+    """prune_plan.json against a plan built entry by entry from the
+    pure-Python reference ranking."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["pendulum_policy.json", "double_integrator_policy.json", None]
+    )
+    def test_sparsity_plan(self, tmp_path, fixture):
+        rng = np.random.default_rng(41)
+        if fixture is None:
+            model = tmp_path / "model.json"
+            save_policy(random_policy(rng, dims=[4, 7, 5, 2]), model)
+        else:
+            model = FIXTURES / fixture
+        p = load_policy(model)
+        calib_csv = tmp_path / "calib.csv"
+        _write_states_csv(calib_csv, rng.uniform(-2.0, 2.0, size=(16, p.input_dim)))
+        out = tmp_path / "out"
+        assert main([
+            "prune", "--model", str(model), "--calibration", str(calib_csv),
+            "--sparsity", "0.5", "--seed", "5", "--out", str(out),
+        ]) == EXIT_OK
+
+        states = np.loadtxt(calib_csv, delimiter=",", ndmin=2)
+        calib = collect_calibration(p, list(states))
+        ranked = reference_ranking(p, calib, range(p.num_layers), damping="auto")
+        count = int(round(0.5 * len(ranked)))
+        layers = []
+        weights = [layer.weight.copy() for layer in p.layers]
+        for k in sorted({e[1] for e in ranked[:count]}):
+            mine = [e for e in ranked[:count] if e[1] == k]
+            for _, _, r, c in mine:
+                weights[k][r, c] = 0.0
+            delta = weights[k] - p.layers[k].weight
+            layers.append({
+                "k": k,
+                "mask": [[r, c] for _, _, r, c in mine],
+                "saliencies": [sal for sal, _, _, _ in mine],
+                "delta_spectral": spectral_norm(delta) if delta.any() else 0.0,
+                "compensated": False,
+            })
+        expected = {
+            "layers": layers,
+            "pruned_weights": count,
+            "damping": "auto",
+            "seed": 5,
+            "tool_version": __version__,
+        }
+        plan = json.loads((out / "prune_plan.json").read_text())
+        plan.pop("timestamp")
+        assert plan == expected
+        pruned = load_policy(out / "pruned_model.json")
+        for k, w in enumerate(weights):
+            np.testing.assert_array_equal(pruned.layers[k].weight, w)
 
 
 class TestCertify:
@@ -350,6 +434,26 @@ class TestSimulate:
         ])
         assert code == EXIT_USAGE
 
+    def test_config_horizon_parses_like_the_flag(self, tmp_path):
+        model, pruned, cert = self._certified_pendulum(tmp_path)
+        cfg = {
+            "model": str(model), "pruned": str(pruned), "certificate": str(cert),
+            "dynamics": "pendulum", "x0": "0.5,0", "horizon": "10",
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main([
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(cert), "--dynamics", "pendulum",
+            "--x0", "0.5,0", "--horizon", "10", "--out", str(tmp_path / "b"),
+        ]) == EXIT_OK
+        assert _strip_timestamp(tmp_path / "a" / "deviation_report.json") == _strip_timestamp(
+            tmp_path / "b" / "deviation_report.json"
+        )
+        path.write_text(json.dumps({**cfg, "horizon": 2.5}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "c")]) == EXIT_USAGE
+
     def test_equilibrium_zero_policy_zero_deviation(self, tmp_path):
         zero = MlpPolicy(
             layers=(
@@ -510,6 +614,65 @@ class TestConfigMerging:
     def test_derive_seed_stable(self):
         assert derive_seed(0, 2) == derive_seed(0, 2)
         assert derive_seed(0, 1) != derive_seed(0, 2)
+
+
+class TestConfigValues:
+    """Config-file values go through the conversions their flags use."""
+
+    def _run(self, tmp_path, command, cfg, *flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        return main([command, "--config", str(path), *flags])
+
+    @pytest.mark.parametrize(
+        "cfg, flags",
+        [
+            (
+                {"sparsity": "0.5", "seed": "7", "layers": "0,1", "damping": "0.01"},
+                ["--sparsity", "0.5", "--seed", "7", "--layers", "0,1", "--damping", "0.01"],
+            ),
+            (
+                {"epsilon": "0.05", "radius": "2.0", "layers": [0, 1], "compensate": True},
+                ["--epsilon", "0.05", "--radius", "2.0", "--layers", "0,1", "--compensate"],
+            ),
+        ],
+    )
+    def test_prune_values_parse_like_flags(self, tmp_path, random_model, cfg, flags):
+        model, calib = random_model
+        base = {"model": str(model), "calibration": str(calib)}
+        assert self._run(tmp_path, "prune", {**base, **cfg}, "--out", str(tmp_path / "a")) == EXIT_OK
+        assert main([
+            "prune", "--model", str(model), "--calibration", str(calib),
+            *flags, "--out", str(tmp_path / "b"),
+        ]) == EXIT_OK
+        for name in ("prune_plan.json", "pruned_model.json"):
+            assert _strip_timestamp(tmp_path / "a" / name) == _strip_timestamp(
+                tmp_path / "b" / name
+            )
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("prune", {"sparsity": "half"}),
+            ("prune", {"sparsity": True}),
+            ("prune", {"sparsity": 0.5, "compensate": "false"}),
+            ("prune", {"sparsity": 0.5, "diagonal": 1}),
+            ("prune", {"sparsity": 0.5, "seed": 1.5}),
+            ("prune", {"sparsity": 0.5, "layers": [0.5]}),
+            ("prune", {"sparsity": 0.5, "damping": True}),
+            ("prune", {"sparsity": 0.5, "model": ["model.json"]}),
+            ("prune", {"epsilon": "0.1x", "radius": 1.0}),
+            ("certify", {"samples": "x", "radius": 1.0}),
+            ("certify", {"samples": 100, "radius": [1.0]}),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, tmp_path, random_model, capsys, command, cfg):
+        model, calib = random_model
+        base = {"model": str(model), "calibration": str(calib), "pruned": str(model)}
+        code = self._run(tmp_path, command, {**base, **cfg}, "--out", str(tmp_path / "o"))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestEntryPoint:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import naive_forward, random_policy
-from prunecert.linalg import SingularMatrixError, gram, spectral_norm
+from conftest import naive_forward, random_policy, ranking_tuples, reference_ranking
+from prunecert.linalg import (
+    SingularMatrixError,
+    auto_damping,
+    damped_inverse,
+    gram,
+    spectral_norm,
+)
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward
 from prunecert.pruner import (
     CalibrationBatch,
@@ -24,6 +30,11 @@ def _diagonal_gram_states(rng, d, n=None, lo=0.5, hi=2.0):
     x = np.zeros((d, n))
     x[:, :d] = np.diag(c)
     return x
+
+
+def _positions(ranking):
+    """(row, col) of each ranked weight, in ranking order."""
+    return list(zip(ranking.row.tolist(), ranking.col.tolist()))
 
 
 def _zero_only_loss(w, r, c, x):
@@ -137,9 +148,9 @@ class TestRankWeights:
             layers=(Layer(weight=[[1.0, 2.0]], bias=[0.0], activation=ActivationKind("relu")),)
         )
         calib = CalibrationBatch(inputs=(np.eye(2),))
-        entries = rank_weights(p, calib, [0])
-        assert [(e.row, e.col) for e in entries] == [(0, 0), (0, 1)]
-        assert entries[0].saliency < entries[1].saliency
+        ranking = rank_weights(p, calib, [0])
+        assert _positions(ranking) == [(0, 0), (0, 1)]
+        assert ranking.saliency[0] < ranking.saliency[1]
 
     def test_all_zero_layer_lexicographic(self):
         p = MlpPolicy(
@@ -148,11 +159,10 @@ class TestRankWeights:
             )
         )
         calib = CalibrationBatch(inputs=(np.eye(2),))
-        entries = rank_weights(p, calib, [0])
-        assert [e.saliency for e in entries] == [0.0] * 4
-        assert [(e.layer, e.row, e.col) for e in entries] == [
-            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)
-        ]
+        ranking = rank_weights(p, calib, [0])
+        assert ranking.saliency.tolist() == [0.0] * 4
+        assert ranking.layer.tolist() == [0] * 4
+        assert _positions(ranking) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_matches_brute_force_ranking_with_diagonal_gram(self):
         rng = np.random.default_rng(1)
@@ -162,7 +172,7 @@ class TestRankWeights:
         )
         x = _diagonal_gram_states(rng, 4)
         calib = CalibrationBatch(inputs=(x,))
-        entries = rank_weights(p, calib, [0], damping=0.0)
+        ranking = rank_weights(p, calib, [0], damping=0.0)
         brute = sorted(
             (
                 (_zero_only_loss(w, r, c, x), 0, r, c)
@@ -170,15 +180,15 @@ class TestRankWeights:
                 for c in range(4)
             )
         )
-        assert [(e.row, e.col) for e in entries] == [(r, c) for _, _, r, c in brute]
+        assert _positions(ranking) == [(r, c) for _, _, r, c in brute]
 
     def test_saliencies_nonnegative(self):
         rng = np.random.default_rng(2)
         p = random_policy(rng, depth=2, max_width=8)
         states = [rng.normal(size=p.input_dim) for _ in range(12)]
         calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, range(p.num_layers), damping="auto")
-        assert all(e.saliency >= 0.0 for e in entries)
+        ranking = rank_weights(p, calib, range(p.num_layers), damping="auto")
+        assert (ranking.saliency >= 0.0).all()
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -187,7 +197,7 @@ class TestRankWeights:
         calib = collect_calibration(p, states)
         a = rank_weights(p, calib, [0, 1], damping="auto")
         b = rank_weights(p, calib, [0, 1], damping="auto")
-        assert a == b
+        assert ranking_tuples(a) == ranking_tuples(b)
 
     def test_singular_hessian_without_damping_raises(self):
         p = MlpPolicy(
@@ -211,9 +221,8 @@ class TestRankWeights:
         calib = CalibrationBatch(inputs=(x,))
         full = rank_weights(p, calib, [0], damping=0.0)
         diag = rank_weights(p, calib, [0], damping=0.0, diagonal=True)
-        assert [(e.row, e.col) for e in full] == [(e.row, e.col) for e in diag]
-        for a, b in zip(full, diag):
-            assert a.saliency == pytest.approx(b.saliency, rel=1e-9)
+        assert _positions(full) == _positions(diag)
+        assert list(full.saliency) == pytest.approx(list(diag.saliency), rel=1e-9)
 
 
 class TestObsCompensate:
@@ -299,11 +308,11 @@ class TestApplyPlan:
         )
 
     def test_loss_additivity_with_orthogonal_calibration_rows(self):
-        _, p, x, _, entries = self._setup()
+        _, p, x, _, ranking = self._setup()
         w = p.layers[0].weight
-        pruned, plan = apply_plan(p, entries, 3)
+        pruned, plan = apply_plan(p, ranking, 3)
         total = activation_loss(w, pruned.layers[0].weight, x)
-        parts = sum(_zero_only_loss(w, e.row, e.col, x) for e in entries[:3])
+        parts = sum(_zero_only_loss(w, r, c, x) for r, c in _positions(ranking[:3]))
         assert total == pytest.approx(parts, rel=1e-12, abs=1e-15)
 
     def test_masked_weights_exactly_zero_biases_untouched(self):
@@ -433,7 +442,7 @@ class TestPrunePlanConstruction:
         assert recovered.pruned_layers == plan.pruned_layers
         for lp_a, lp_b in zip(plan.layers, recovered.layers):
             np.testing.assert_array_equal(lp_a.delta, lp_b.delta)
-            assert sorted(lp_a.mask) == sorted(lp_b.mask)
+            assert sorted(lp_a.mask.tolist()) == sorted(lp_b.mask.tolist())
             assert not lp_b.compensated
 
     def test_scaled_plan(self):
@@ -449,9 +458,9 @@ class TestPruneToBudget:
         p = random_policy(rng, depth=2, max_width=6)
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
         calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, [0], damping="auto")
-        pruned, plan, taken = prune_to_budget(p, entries, {0: 0.0})
-        assert taken[0] == []
+        ranking = rank_weights(p, calib, [0], damping="auto")
+        pruned, plan, taken = prune_to_budget(p, ranking, {0: 0.0})
+        assert len(taken[0]) == 0
         np.testing.assert_array_equal(pruned.layers[0].weight, p.layers[0].weight)
 
     def test_caps_respected(self):
@@ -474,3 +483,126 @@ class TestPruneToBudget:
         pruned, _, taken = prune_to_budget(p, entries, {0: np.inf})
         assert len(taken[0]) == len(entries)
         assert not pruned.layers[0].weight.any()
+
+
+def _tied_policy(rng):
+    """Three layers built for exact saliency ties: layer 0 has an all-zero row
+    and a duplicated column fed by duplicated state coordinates, layer 1 is
+    all zero, and layer 2 repeats one weight value along a row."""
+    w0 = rng.normal(size=(5, 4))
+    w0[2] = 0.0
+    w0[:, 3] = w0[:, 1]
+    w2 = rng.normal(size=(2, 6))
+    w2[1, :] = 0.75
+    relu = ActivationKind("relu")
+    p = MlpPolicy(
+        layers=(
+            Layer(weight=w0, bias=rng.normal(size=5), activation=relu),
+            Layer(weight=np.zeros((6, 5)), bias=rng.uniform(0.1, 1.0, size=6), activation=relu),
+            Layer(weight=w2, bias=np.zeros(2), activation=ActivationKind("identity")),
+        )
+    )
+    states = rng.normal(size=(12, 4))
+    states[:, 3] = states[:, 1]
+    return p, collect_calibration(p, list(states))
+
+
+def _reference_budget(p, entries, caps, calib, damping, compensate, reestimate):
+    """The per-entry loop ``prune_to_budget`` replaces: walk the reference
+    ranking, try each removal in a capped layer, undo and close the layer
+    at the first one whose delta norm exceeds the cap."""
+    work = {k: p.layers[k].weight.copy() for k in caps}
+    h_inv = {}
+    if compensate:
+        for k in caps:
+            h = gram(calib.inputs[k])
+            lam = auto_damping(h) if damping == "auto" else float(damping)
+            h_inv[k] = damped_inverse(h, lam)
+    row_h_inv = {}
+    open_caps = dict(caps)
+    taken = {k: [] for k in caps}
+    for e in entries:
+        _, k, r, c = e
+        if open_caps.get(k, 0.0) <= 0.0:
+            continue
+        saved = work[k][r].copy()
+        if compensate:
+            hi = row_h_inv.get((k, r), h_inv[k]) if reestimate else h_inv[k]
+            work[k][r] = obs_compensate(work[k][r], c, hi)
+            if reestimate:
+                hi = hi - np.outer(hi[:, c], hi[c, :]) / hi[c, c]
+                hi[c, :] = 0.0
+                hi[:, c] = 0.0
+                row_h_inv[(k, r)] = hi
+        else:
+            work[k][r, c] = 0.0
+        delta = work[k] - p.layers[k].weight
+        if (spectral_norm(delta) if delta.any() else 0.0) > caps[k]:
+            work[k][r] = saved
+            open_caps[k] = 0.0
+            continue
+        taken[k].append(e)
+    return work, taken
+
+
+class TestRankingMatchesReference:
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_tied_policy(self, seed, diagonal):
+        p, calib = _tied_policy(np.random.default_rng(seed))
+        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto", diagonal=diagonal)
+        reference = reference_ranking(p, calib, [0, 1, 2], damping="auto", diagonal=diagonal)
+        assert ranking_tuples(ranking) == reference
+        # the ties are real: zero saliency spans two layers, so every key
+        # (layer, row, col) takes part in the order
+        zero_layers = {k for sal, k, _, _ in reference if sal == 0.0}
+        assert zero_layers >= {0, 1}
+        assert len({sal for sal, _, _, _ in reference}) < len(reference)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_random_policies_layer_subsets(self, diagonal):
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            p = random_policy(rng, depth=3, max_width=7)
+            calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(9)])
+            layers = [0, 2]
+            ranking = rank_weights(p, calib, layers, damping=0.05, diagonal=diagonal)
+            assert ranking_tuples(ranking) == reference_ranking(
+                p, calib, layers, damping=0.05, diagonal=diagonal
+            )
+
+    @pytest.mark.parametrize(
+        "compensate, reestimate", [(False, False), (True, False), (True, True)]
+    )
+    def test_prune_to_budget_taken_matches_reference_loop(self, compensate, reestimate):
+        p, calib = _tied_policy(np.random.default_rng(34))
+        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        # layer 1 is ranked but uncapped, so the walk must skip its entries
+        caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in (0, 2)}
+        pruned, plan, taken = prune_to_budget(
+            p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
+            reestimate=reestimate,
+        )
+        work, expected = _reference_budget(
+            p, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps, calib,
+            "auto", compensate, reestimate,
+        )
+        assert sorted(taken) == [0, 2]
+        for lp in plan.layers:
+            k = lp.layer
+            assert ranking_tuples(taken[k]) == expected[k]
+            assert 0 < len(expected[k]) < p.layers[k].weight.size
+            assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
+            assert lp.compensated == compensate
+            np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
+        np.testing.assert_array_equal(pruned.layers[1].weight, p.layers[1].weight)
+
+    def test_closed_layer_records_no_compensation(self):
+        p, calib = _tied_policy(np.random.default_rng(35))
+        ranking = rank_weights(p, calib, [0, 2], damping="auto")
+        _, plan, taken = prune_to_budget(
+            p, ranking, {0: 0.0, 2: np.inf}, compensate=True, damping="auto", calib=calib
+        )
+        closed, wide_open = plan.layers
+        assert (len(taken[0]), closed.mask.shape, closed.compensated) == (0, (0, 2), False)
+        assert (len(taken[2]), wide_open.compensated) == (p.layers[2].weight.size, True)
