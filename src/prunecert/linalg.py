@@ -16,6 +16,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "spectral_norm",
+    "spectral_norm_ceiling",
     "frobenius_norm",
     "gram",
     "auto_damping",
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # rcond below this is treated as singular (cond ~ 1e13 at float64)
 _RCOND_FLOOR = 1e-13
@@ -126,7 +128,26 @@ def spectral_norm(m) -> float:
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         out = float(np.ldexp(bound, exp))
     # scaling back into the subnormal range rounds; step one ulp outward
-    return math.nextafter(out, math.inf) if out < np.finfo(float).tiny else out
+    return math.nextafter(out, math.inf) if out < _TINY else out
+
+
+def spectral_norm_ceiling(sigma: float, shape) -> float:
+    """Largest value ``spectral_norm`` can return for an input of ``shape``
+    whose largest singular value is at most ``sigma``.
+
+    With ``n = min(shape)``, ``||A||_F^2 <= n sigma^2``, so the bound in
+    ``_norm_allowance`` gives at most ``T = sigma sqrt(1 + 2 c n) (1 + 8 eps)``.
+    The factor below is evaluated with ``1 + 16 eps``; its four roundings
+    (the two under the square root count half) lose at most ``3 eps / 2``
+    relative, so the real product ``sigma * factor`` is at least ``T``.  Rounding that product is monotone, so the
+    result is at least ``spectral_norm``'s own (rounded) result; in the
+    subnormal range it is stepped one ulp outward, as ``spectral_norm``
+    steps.  The result is nondecreasing in ``sigma``.
+    """
+    n = min(shape)
+    factor = math.sqrt(1.0 + 2.0 * _norm_allowance(shape) * n) * (1.0 + 16.0 * _EPS)
+    out = sigma * factor
+    return math.nextafter(out, math.inf) if 0.0 < out < _TINY else out
 
 
 def frobenius_norm(m) -> float:

@@ -11,13 +11,14 @@ per-layer weight change, which is what the certifier consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from prunecert import linalg
-from prunecert.linalg import _frozen
+from prunecert.linalg import _EPS, _frozen
 from prunecert.policy import Layer, MlpPolicy, _propagate
 
 __all__ = [
@@ -347,6 +348,24 @@ def obs_compensate(row, q: int, h_inv) -> np.ndarray:
     return out
 
 
+def _row_change_norm(original: np.ndarray, before: np.ndarray, after: np.ndarray) -> float:
+    """Upper bound on the 2-norm of the change one update makes to a row of
+    the computed delta, from ``fl(before - original)`` to ``fl(after - original)``.
+
+    Those rows are rounded exactly as ``_LayerWork.delta_norm`` rounds them.
+    Their difference ``v`` rounds once more, so the exact change is at most
+    ``||v|| / (1 - u)``, ``u = eps/2``.  ``np.linalg.norm(v)`` is
+    ``sqrt(v @ v)``; the dot product errs by at most ``gamma_n ||v||^2`` in
+    any summation order, fused multiply-add included (Higham sec. 3.1), plus
+    ``2^-1075`` per underflowing square, which the ``n 2^-1074`` term under
+    the root restores.  The add, root and multiply lose ``3u`` more, and
+    ``1 + (n + 4) eps`` covers all of it with room to spare.
+    """
+    v = (after - original) - (before - original)
+    n = v.shape[0]
+    return math.sqrt(float(v @ v) + n * 5e-324) * (1.0 + (n + 4) * _EPS)
+
+
 class _LayerWork:
     """Mutable scratch for pruning one layer."""
 
@@ -465,9 +484,20 @@ def prune_to_budget(
     """Prune each capped layer as far as its delta-norm allowance permits.
 
     Walks the ranking per layer and stops at the first removal that would
-    push ``||delta||_2`` past the layer's cap.  Returns the pruned policy,
-    the plan, and per capped layer the prefix of its ranking actually
-    removed.
+    push ``spectral_norm(delta)`` past the layer's cap.  Returns the pruned
+    policy, the plan, and per capped layer the prefix of its ranking
+    actually removed.
+
+    Most removals need no eigen-solve.  Each one changes a single row of
+    ``delta``, a rank-one change ``E`` with ``||E||_2`` the row change's
+    2-norm (``|w_q|`` when only zeroing), so by Weyl ``upper + ||E||_2``
+    stays above ``||delta||_2``; the sum is stepped one ulp outward and the
+    row norm bounded by ``_row_change_norm``.  When
+    ``linalg.spectral_norm_ceiling(upper)``, the largest value the exact norm
+    could return, is within the cap, the exact norm is within it too and the
+    removal is accepted as is.  Otherwise the exact norm decides, as it
+    always did, and becomes the new ``upper``.  So every decision, and with
+    it the plan, is the one an exact norm per removal gives.
     """
     works = _prepare_works(p, caps.keys(), compensate, damping, calib)
     per_layer = ranking[np.isin(ranking.layer, list(works))].by_layer()
@@ -479,14 +509,22 @@ def prune_to_budget(
         if cap <= 0.0 and not np.isinf(cap):
             entries = entries[:0]
         n = 0
+        upper = 0.0  # never below ||delta||_2
         for row, col in zip(entries.row.tolist(), entries.col.tolist()):
             saved = work.work[row].copy()
             work.remove(row, col, compensate, reestimate)
-            if work.delta_norm() > cap:
-                # close the layer: taking later (higher-saliency) entries instead
-                # of this one would reorder the plan nondeterministically
-                work.work[row] = saved
-                break
+            if compensate:
+                grow = _row_change_norm(work.original[row], saved, work.work[row])
+            else:
+                grow = abs(float(saved[col]))
+            upper = math.nextafter(upper + grow, math.inf)
+            if linalg.spectral_norm_ceiling(upper, work.work.shape) > cap:
+                upper = work.delta_norm()
+                if upper > cap:
+                    # close the layer: taking later (higher-saliency) entries
+                    # instead of this one would reorder the plan nondeterministically
+                    work.work[row] = saved
+                    break
             n += 1
         taken[k] = entries[:n]
         # any compensated attempt marks the layer, even one that was undone

@@ -15,6 +15,7 @@ from prunecert.linalg import (
     frobenius_norm,
     gram,
     spectral_norm,
+    spectral_norm_ceiling,
 )
 
 
@@ -93,6 +94,7 @@ class TestSpectralNorm:
             upper = math.sqrt(svd * svd + 2.0 * _norm_allowance(a.shape) * fro2)
             norm = spectral_norm(a)
             assert svd <= norm <= upper * (1.0 + 8.0 * eps), a.shape
+            assert norm <= spectral_norm_ceiling(svd, a.shape), a.shape
 
     def test_extreme_magnitudes_round_outward(self):
         # entries beyond 2^+-400 take the scaled route and keep the bracket

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_forward, random_policy, ranking_tuples, reference_ranking
+from prunecert import linalg
 from prunecert.linalg import (
     SingularMatrixError,
     auto_damping,
@@ -474,15 +479,25 @@ class TestPruneToBudget:
         for lp in plan.layers:
             assert lp.delta_spectral_norm <= caps[lp.layer] + 1e-12
 
-    def test_infinite_cap_prunes_everything(self):
+    def test_infinite_cap_prunes_everything(self, monkeypatch):
         rng = np.random.default_rng(16)
         p = random_policy(rng, depth=1, max_width=5)
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [0], damping="auto")
-        pruned, _, taken = prune_to_budget(p, entries, {0: np.inf})
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return spectral_norm(m)
+
+        monkeypatch.setattr(linalg, "spectral_norm", counted)
+        pruned, plan, taken = prune_to_budget(p, entries, {0: np.inf})
         assert len(taken[0]) == len(entries)
         assert not pruned.layers[0].weight.any()
+        # no removal needs an exact norm; the plan's own norm is the only one
+        assert calls == [p.layers[0].weight.shape]
+        assert plan.layers[0].delta_spectral_norm == spectral_norm(p.layers[0].weight)
 
 
 def _tied_policy(rng):
@@ -577,25 +592,81 @@ class TestRankingMatchesReference:
     def test_prune_to_budget_taken_matches_reference_loop(self, compensate, reestimate):
         p, calib = _tied_policy(np.random.default_rng(34))
         ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        reference = reference_ranking(p, calib, [0, 1, 2], damping="auto")
+
+        def check(caps):
+            pruned, plan, taken = prune_to_budget(
+                p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
+                reestimate=reestimate,
+            )
+            work, expected = _reference_budget(
+                p, reference, caps, calib, "auto", compensate, reestimate
+            )
+            assert sorted(taken) == sorted(caps)
+            for lp in plan.layers:
+                k = lp.layer
+                assert ranking_tuples(taken[k]) == expected[k]
+                assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
+                np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
+            return pruned, plan, expected
+
         # layer 1 is ranked but uncapped, so the walk must skip its entries
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in (0, 2)}
+        pruned, plan, expected = check(caps)
+        for lp in plan.layers:
+            assert 0 < len(expected[lp.layer]) < p.layers[lp.layer].weight.size
+            assert lp.compensated == compensate
+        np.testing.assert_array_equal(pruned.layers[1].weight, p.layers[1].weight)
+
+        # caps on the decision boundary: exactly the exact norm of each prefix's
+        # delta, and one ulp below it, where that removal must be refused
+        stops = 0
+        for k in (0, 2):
+            layer_entries = [e for e in reference if e[1] == k]
+            for j in range(1, len(layer_entries) + 1):
+                work, _ = _reference_budget(
+                    p, layer_entries[:j], {k: math.inf}, calib, "auto", compensate, reestimate
+                )
+                delta = work[k] - p.layers[k].weight
+                norm = spectral_norm(delta) if delta.any() else 0.0
+                at = len(check({k: norm})[2][k])
+                below = len(check({k: math.nextafter(norm, 0.0)})[2][k])
+                stops += norm > 0.0 and at >= j and below == j - 1
+        assert stops >= 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([(False, False), (True, False), (True, True)]),
+        fractions=st.lists(st.one_of(st.none(), st.floats(0.0, 1.5)), min_size=3, max_size=3),
+    )
+    def test_prune_to_budget_matches_reference_on_random_policies(self, seed, mode, fractions):
+        compensate, reestimate = mode
+        rng = np.random.default_rng(seed)
+        p = random_policy(rng, depth=3, max_width=6)
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
+        caps = {
+            k: f * spectral_norm(p.layers[k].weight)
+            for k, f in enumerate(fractions)
+            if f is not None
+        }
         pruned, plan, taken = prune_to_budget(
-            p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
-            reestimate=reestimate,
+            p, rank_weights(p, calib, [0, 1, 2], damping="auto"), caps,
+            compensate=compensate, damping="auto", calib=calib, reestimate=reestimate,
         )
         work, expected = _reference_budget(
             p, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps, calib,
             "auto", compensate, reestimate,
         )
-        assert sorted(taken) == [0, 2]
+        assert sorted(taken) == sorted(caps) == list(plan.pruned_layers)
         for lp in plan.layers:
             k = lp.layer
             assert ranking_tuples(taken[k]) == expected[k]
-            assert 0 < len(expected[k]) < p.layers[k].weight.size
             assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
-            assert lp.compensated == compensate
             np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
-        np.testing.assert_array_equal(pruned.layers[1].weight, p.layers[1].weight)
+            delta = work[k] - p.layers[k].weight
+            assert lp.delta_spectral_norm == (spectral_norm(delta) if delta.any() else 0.0)
+            assert lp.delta_spectral_norm <= caps[k]
 
     def test_closed_layer_records_no_compensation(self):
         p, calib = _tied_policy(np.random.default_rng(35))
