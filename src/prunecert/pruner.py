@@ -527,6 +527,5 @@ def prune_to_budget(
                     break
             n += 1
         taken[k] = entries[:n]
-        # any compensated attempt marks the layer, even one that was undone
-        layers.append(work.to_plan(taken[k], compensate and len(entries) > 0))
+        layers.append(work.to_plan(taken[k], compensate and n > 0))
     return _rebuild(p, works), PrunePlan(layers=tuple(layers)), taken

@@ -664,6 +664,7 @@ class TestRankingMatchesReference:
             assert ranking_tuples(taken[k]) == expected[k]
             assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
             np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
+            assert lp.compensated == (compensate and len(expected[k]) > 0)
             delta = work[k] - p.layers[k].weight
             assert lp.delta_spectral_norm == (spectral_norm(delta) if delta.any() else 0.0)
             assert lp.delta_spectral_norm <= caps[k]
@@ -677,3 +678,11 @@ class TestRankingMatchesReference:
         closed, wide_open = plan.layers
         assert (len(taken[0]), closed.mask.shape, closed.compensated) == (0, (0, 2), False)
         assert (len(taken[2]), wide_open.compensated) == (p.layers[2].weight.size, True)
+        # a cap below the first removal's norm: that compensated removal is
+        # tried and undone, so the layer keeps nothing and is not compensated
+        _, plan, taken = prune_to_budget(
+            p, ranking, {2: 1e-300}, compensate=True, damping="auto", calib=calib
+        )
+        (undone,) = plan.layers
+        assert (len(taken[2]), undone.mask.shape, undone.compensated) == (0, (0, 2), False)
+        assert undone.delta_spectral_norm == 0.0
