@@ -68,7 +68,8 @@ def _norm_allowance(shape) -> float:
     ``(k + 4 n'^2) * eps``.  ``spectral_norm`` returns at least ``sigma``
     and, since the computed eigenvalue errs by at most half of ``c * F2``
     either way, at most ``sqrt(sigma^2 + 2 c F2) * (1 + 8 eps)``, where
-    ``F2 = ||A||_F^2``.
+    ``F2 = ||A||_F^2``; a subnormal result, stepped one ulp outward after
+    rounding, may exceed that by up to two ulps.
     """
     k, n = max(shape), min(shape)
     return (k + 4.0 * n * n) * _EPS
@@ -139,10 +140,11 @@ def spectral_norm_ceiling(sigma: float, shape) -> float:
     ``_norm_allowance`` gives at most ``T = sigma sqrt(1 + 2 c n) (1 + 8 eps)``.
     The factor below is evaluated with ``1 + 16 eps``; its four roundings
     (the two under the square root count half) lose at most ``3 eps / 2``
-    relative, so the real product ``sigma * factor`` is at least ``T``.  Rounding that product is monotone, so the
-    result is at least ``spectral_norm``'s own (rounded) result; in the
-    subnormal range it is stepped one ulp outward, as ``spectral_norm``
-    steps.  The result is nondecreasing in ``sigma``.
+    relative, so the real product ``sigma * factor`` is at least ``T``.
+    Rounding that product is monotone, so the result is at least
+    ``spectral_norm``'s own rounded result; in the subnormal range it is
+    stepped one ulp outward, as ``spectral_norm`` steps.  The result is
+    nondecreasing in ``sigma``.
     """
     n = min(shape)
     factor = math.sqrt(1.0 + 2.0 * _norm_allowance(shape) * n) * (1.0 + 16.0 * _EPS)

@@ -488,16 +488,18 @@ def prune_to_budget(
     policy, the plan, and per capped layer the prefix of its ranking
     actually removed.
 
-    Most removals need no eigen-solve.  Each one changes a single row of
-    ``delta``, a rank-one change ``E`` with ``||E||_2`` the row change's
-    2-norm (``|w_q|`` when only zeroing), so by Weyl ``upper + ||E||_2``
-    stays above ``||delta||_2``; the sum is stepped one ulp outward and the
-    row norm bounded by ``_row_change_norm``.  When
-    ``linalg.spectral_norm_ceiling(upper)``, the largest value the exact norm
-    could return, is within the cap, the exact norm is within it too and the
-    removal is accepted as is.  Otherwise the exact norm decides, as it
-    always did, and becomes the new ``upper``.  So every decision, and with
-    it the plan, is the one an exact norm per removal gives.
+    Most removals need no eigen-solve.  A running ``upper`` starts at 0 and
+    never falls below ``||delta||_2``: each removal changes one row of
+    ``delta``, a rank-one change ``E`` whose ``||E||_2`` is that row
+    change's 2-norm (``|w_q|`` when only zeroing), and by Weyl
+    ``||delta + E||_2 <= upper + ||E||_2``.  The row norm is bounded by
+    ``_row_change_norm`` and the sum stepped one ulp outward, so no rounding
+    breaks the bound.  When ``linalg.spectral_norm_ceiling(upper)``, the
+    largest value the exact norm could return, is within the cap, the exact
+    norm is within it too and the removal is accepted.  Otherwise the exact
+    norm decides, as it always did, and becomes the new ``upper``.  So every
+    decision, and with it the plan, is the one an exact norm per removal
+    gives.
     """
     works = _prepare_works(p, caps.keys(), compensate, damping, calib)
     per_layer = ranking[np.isin(ranking.layer, list(works))].by_layer()
