@@ -560,6 +560,27 @@ def _reference_budget(p, entries, caps, calib, damping, compensate, reestimate):
     return work, taken
 
 
+def _budget_matches_reference(p, calib, ranking, reference, caps, compensate, reestimate):
+    """Run ``prune_to_budget`` and ``_reference_budget`` with the same caps and
+    check that both take, mask and leave the same weights; returns the
+    pruned policy, the plan and the reference's taken entries."""
+    pruned, plan, taken = prune_to_budget(
+        p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
+        reestimate=reestimate,
+    )
+    work, expected = _reference_budget(p, reference, caps, calib, "auto", compensate, reestimate)
+    assert sorted(taken) == sorted(caps) == list(plan.pruned_layers)
+    for lp in plan.layers:
+        k = lp.layer
+        assert ranking_tuples(taken[k]) == expected[k]
+        assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
+        np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
+        assert lp.compensated == (compensate and len(expected[k]) > 0)
+        delta = work[k] - p.layers[k].weight
+        assert lp.delta_spectral_norm == (spectral_norm(delta) if delta.any() else 0.0)
+    return pruned, plan, expected
+
+
 class TestRankingMatchesReference:
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("seed", [30, 31, 32])
@@ -595,20 +616,9 @@ class TestRankingMatchesReference:
         reference = reference_ranking(p, calib, [0, 1, 2], damping="auto")
 
         def check(caps):
-            pruned, plan, taken = prune_to_budget(
-                p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
-                reestimate=reestimate,
+            return _budget_matches_reference(
+                p, calib, ranking, reference, caps, compensate, reestimate
             )
-            work, expected = _reference_budget(
-                p, reference, caps, calib, "auto", compensate, reestimate
-            )
-            assert sorted(taken) == sorted(caps)
-            for lp in plan.layers:
-                k = lp.layer
-                assert ranking_tuples(taken[k]) == expected[k]
-                assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
-                np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
-            return pruned, plan, expected
 
         # layer 1 is ranked but uncapped, so the walk must skip its entries
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in (0, 2)}
@@ -641,7 +651,6 @@ class TestRankingMatchesReference:
         fractions=st.lists(st.one_of(st.none(), st.floats(0.0, 1.5)), min_size=3, max_size=3),
     )
     def test_prune_to_budget_matches_reference_on_random_policies(self, seed, mode, fractions):
-        compensate, reestimate = mode
         rng = np.random.default_rng(seed)
         p = random_policy(rng, depth=3, max_width=6)
         calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
@@ -650,24 +659,12 @@ class TestRankingMatchesReference:
             for k, f in enumerate(fractions)
             if f is not None
         }
-        pruned, plan, taken = prune_to_budget(
-            p, rank_weights(p, calib, [0, 1, 2], damping="auto"), caps,
-            compensate=compensate, damping="auto", calib=calib, reestimate=reestimate,
+        _, plan, _ = _budget_matches_reference(
+            p, calib, rank_weights(p, calib, [0, 1, 2], damping="auto"),
+            reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps, *mode,
         )
-        work, expected = _reference_budget(
-            p, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps, calib,
-            "auto", compensate, reestimate,
-        )
-        assert sorted(taken) == sorted(caps) == list(plan.pruned_layers)
         for lp in plan.layers:
-            k = lp.layer
-            assert ranking_tuples(taken[k]) == expected[k]
-            assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
-            np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
-            assert lp.compensated == (compensate and len(expected[k]) > 0)
-            delta = work[k] - p.layers[k].weight
-            assert lp.delta_spectral_norm == (spectral_norm(delta) if delta.any() else 0.0)
-            assert lp.delta_spectral_norm <= caps[k]
+            assert lp.delta_spectral_norm <= caps[lp.layer]
 
     def test_closed_layer_records_no_compensation(self):
         p, calib = _tied_policy(np.random.default_rng(35))
