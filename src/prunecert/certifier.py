@@ -79,10 +79,6 @@ class StateSpaceSpec:
             object.__setattr__(self, "box", (_frozen(lo), _frozen(hi)))
 
     @classmethod
-    def ball(cls, dim: int, radius: float) -> "StateSpaceSpec":
-        return cls(dim=dim, radius=radius)
-
-    @classmethod
     def from_states(cls, states: Iterable) -> "StateSpaceSpec":
         """Radius taken as the largest norm over a validation set of states."""
         vecs = [linalg.as_vector(s, "state") for s in states]

@@ -34,10 +34,11 @@ from prunecert.controlsim import (
     BlowUpError,
     DoubleIntegrator,
     LinearSystem,
+    LoopAudit,
     Pendulum,
     deviation_audit,
 )
-from prunecert.policy import MlpPolicy, load_policy, save_policy
+from prunecert.policy import MlpPolicy, _write_json, load_policy, save_policy
 from prunecert.pruner import (
     PrunePlan,
     Ranking,
@@ -69,12 +70,6 @@ def derive_seed(seed: int, stream: int) -> int:
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_json(path):
@@ -573,26 +568,32 @@ def _dynamics(cfg: RunConfig):
     )
 
 
-def _write_trajectory_csv(path, rows, state_dim: int, action_dim: int, sentinel_t=None):
+def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
+    """One row per visited state; a blow-up adds a ``blowup`` sentinel row."""
+    state_dim, action_dim = loop.states.shape[1], loop.actions.shape[1]
     header = (
         ["t"]
         + [f"x{i}" for i in range(state_dim)]
         + [f"u{i}" for i in range(action_dim)]
         + ["deviation", "bound", "in_ball"]
     )
+    columns = zip(
+        loop.states.tolist(),
+        loop.actions.tolist(),
+        loop.deviation.tolist(),
+        loop.bound.tolist(),
+        loop.in_ball.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in rows:
+        writer.writerows(
+            [t, *map(repr, x), *map(repr, u), repr(dev), repr(bound), int(inside)]
+            for t, (x, u, dev, bound, inside) in enumerate(columns)
+        )
+        if blowup:
             writer.writerow(
-                [r.t]
-                + [repr(float(v)) for v in r.state]
-                + [repr(float(v)) for v in r.action]
-                + [repr(r.deviation), repr(r.bound), int(r.in_ball)]
-            )
-        if sentinel_t is not None:
-            writer.writerow(
-                [sentinel_t]
+                [len(loop.deviation)]
                 + ["nan"] * (state_dim + action_dim + 2)
                 + ["blowup"]
             )
@@ -616,17 +617,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
-    for label in ("original", "pruned"):
-        rows = [r for r in report.rows if r.trajectory == label]
-        sentinel = None
-        if report.blowup is not None and report.blowup[0] == label:
-            sentinel = len(rows)
+    for loop in report.loops:
         _write_trajectory_csv(
-            out / f"trajectory_{label}.csv",
-            rows,
-            state_dim=d.state_dim,
-            action_dim=original.output_dim,
-            sentinel_t=sentinel,
+            out / f"trajectory_{loop.label}.csv",
+            loop,
+            blowup=report.blowup is not None and report.blowup[0] == loop.label,
         )
     _write_json(
         out / "deviation_report.json",

@@ -25,7 +25,7 @@ __all__ = [
     "Pendulum",
     "LinearSystem",
     "Trajectory",
-    "DeviationRow",
+    "LoopAudit",
     "DeviationReport",
     "step",
     "rollout",
@@ -152,16 +152,21 @@ class LinearSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Closed-loop run: T+1 states and the T actions applied between them."""
+    """Closed-loop run: T+1 states, one per row of ``states`` (T+1, n), and
+    the T actions applied between them, one per row of ``actions`` (T, m)."""
 
-    states: tuple[np.ndarray, ...]
-    actions: tuple[np.ndarray, ...]
+    states: np.ndarray
+    actions: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) != len(self.actions) + 1:
+        states = np.asarray(self.states, dtype=float)
+        actions = np.asarray(self.actions, dtype=float)
+        if states.ndim != 2 or actions.ndim != 2:
+            raise ValueError("trajectory states and actions must be 2-D, one row per step")
+        if len(states) != len(actions) + 1:
             raise ValueError("trajectory needs exactly one more state than actions")
-        object.__setattr__(self, "states", tuple(_frozen(s) for s in self.states))
-        object.__setattr__(self, "actions", tuple(_frozen(u) for u in self.actions))
+        object.__setattr__(self, "states", _frozen(states))
+        object.__setattr__(self, "actions", _frozen(actions))
 
     @property
     def horizon(self) -> int:
@@ -200,8 +205,9 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
         (x < d.state_box[0]).any() or (x > d.state_box[1]).any()
     ):
         raise ValueError("x0 lies outside the state box")
-    states = [x]
-    actions = []
+    states = np.empty((T + 1, x.shape[0]))
+    actions = np.empty((T, p.output_dim))
+    states[0] = x
     for t in range(T):
         u = forward(p, x)
         try:
@@ -210,37 +216,37 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
             raise BlowUpError(
                 f"blow-up at step {t}: {exc}",
                 t=t,
-                partial=Trajectory(states=tuple(states), actions=tuple(actions)),
+                partial=Trajectory(states=states[: t + 1], actions=actions[:t]),
             ) from exc
-        actions.append(u)
-        states.append(x)
-    return Trajectory(states=tuple(states), actions=tuple(actions))
+        actions[t] = u
+        states[t + 1] = x
+    return Trajectory(states=states, actions=actions)
 
 
 @dataclass(frozen=True, eq=False)
-class DeviationRow:
-    """Pointwise audit record at one visited state."""
+class LoopAudit:
+    """Pointwise audit along one closed loop; row t of every array belongs
+    to the loop's t-th visited state."""
 
-    t: int
-    trajectory: str  # which closed loop visited the state
-    state: np.ndarray
-    action: np.ndarray  # what that trajectory's policy commands here
-    deviation: float  # ||pi(x) - pi_hat(x)|| at this state
-    bound: float
-    in_ball: bool
+    label: str  # which closed loop visited the states
+    states: np.ndarray  # (T+1, n)
+    actions: np.ndarray  # (T+1, m): what this loop's policy commands there
+    deviation: np.ndarray  # ||pi(x) - pi_hat(x)|| at each state
+    bound: np.ndarray
+    in_ball: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DeviationReport:
     """Per-state certification along both closed loops.
 
-    Rows outside the certified ball are reported but not counted as
+    States outside the certified ball are reported but not counted as
     certified; ``divergence`` (distance between the two trajectories) is an
     observation, not a certified quantity.
     """
 
-    rows: tuple[DeviationRow, ...]
-    divergence: tuple[float, ...]
+    loops: tuple[LoopAudit, ...]
+    divergence: np.ndarray
     budget: float
     radius: float
     in_ball_count: int
@@ -251,35 +257,29 @@ class DeviationReport:
     blowup: tuple[str, int] | None = None
 
 
-def _trajectory_rows(
+def _audit_loop(
     label: str,
     traj: Trajectory,
     own: MlpPolicy,
     original: MlpPolicy,
     pruned: MlpPolicy,
     cert: Certificate,
-) -> list[DeviationRow]:
-    states = np.stack(traj.states, axis=1)
+) -> LoopAudit:
+    # states as C-contiguous columns, the layout forward_batch takes; the
+    # layout also fixes how the norms below sum, so keep it
+    states = np.ascontiguousarray(traj.states.T)
     outs_orig = forward_batch(original, states)
     outs_pruned = forward_batch(pruned, states)
     outs_own = outs_orig if own is original else outs_pruned
-    dev = np.linalg.norm(outs_orig - outs_pruned, axis=0)
     snorms = np.linalg.norm(states, axis=0)
-    bounds = per_state_bounds(original, cert.delta_norms(), snorms)
-    rows = []
-    for t in range(states.shape[1]):
-        rows.append(
-            DeviationRow(
-                t=t,
-                trajectory=label,
-                state=_frozen(states[:, t]),
-                action=_frozen(outs_own[:, t]),
-                deviation=float(dev[t]),
-                bound=float(bounds[t]),
-                in_ball=bool(snorms[t] <= cert.radius),
-            )
-        )
-    return rows
+    return LoopAudit(
+        label=label,
+        states=traj.states,
+        actions=_frozen(outs_own.T),
+        deviation=_frozen(np.linalg.norm(outs_orig - outs_pruned, axis=0)),
+        bound=_frozen(per_state_bounds(original, cert.delta_norms(), snorms)),
+        in_ball=_frozen(snorms <= cert.radius),
+    )
 
 
 def deviation_audit(
@@ -298,42 +298,31 @@ def deviation_audit(
     recorded instead of raised, so partial evidence still comes back.
     """
     blowup = None
-    trajectories = {}
+    loops = []
     for label, p in (("original", original), ("pruned", pruned)):
         try:
-            trajectories[label] = rollout(d, p, x0, T)
+            traj = rollout(d, p, x0, T)
         except BlowUpError as exc:
             if blowup is None:
                 blowup = (label, exc.t if exc.t is not None else 0)
-            trajectories[label] = exc.partial
-    rows: list[DeviationRow] = []
-    rows.extend(
-        _trajectory_rows("original", trajectories["original"], original, original, pruned, cert)
-    )
-    rows.extend(
-        _trajectory_rows("pruned", trajectories["pruned"], pruned, original, pruned, cert)
-    )
-    shared = min(len(trajectories["original"].states), len(trajectories["pruned"].states))
-    divergence = tuple(
-        float(
-            np.linalg.norm(
-                trajectories["original"].states[t] - trajectories["pruned"].states[t]
-            )
-        )
-        for t in range(shared)
-    )
-    in_rows = [r for r in rows if r.in_ball]
-    out_rows = [r for r in rows if not r.in_ball]
-    violations = sum(1 for r in in_rows if r.deviation > r.bound + AUDIT_SLACK)
+            traj = exc.partial
+        loops.append(_audit_loop(label, traj, p, original, pruned, cert))
+    shared = min(len(loop.states) for loop in loops)
+    gaps = loops[0].states[:shared] - loops[1].states[:shared]
+    # one 1-D norm per state: a batched norm sums in another order
+    divergence = _frozen(np.array([np.linalg.norm(g) for g in gaps]))
+    inside = np.concatenate([loop.in_ball for loop in loops])
+    dev = np.concatenate([loop.deviation for loop in loops])[inside]
+    bound = np.concatenate([loop.bound for loop in loops])[inside]
     return DeviationReport(
-        rows=tuple(rows),
+        loops=tuple(loops),
         divergence=divergence,
         budget=cert.budget,
         radius=cert.radius,
-        in_ball_count=len(in_rows),
-        out_of_ball_count=len(out_rows),
-        in_ball_violations=violations,
-        max_in_ball_deviation=max((r.deviation for r in in_rows), default=0.0),
-        max_divergence=max(divergence, default=0.0),
+        in_ball_count=int(inside.sum()),
+        out_of_ball_count=int(inside.size - inside.sum()),
+        in_ball_violations=int((dev > bound + AUDIT_SLACK).sum()),
+        max_in_ball_deviation=float(dev.max(initial=0.0)),
+        max_divergence=float(divergence.max()),
         blowup=blowup,
     )

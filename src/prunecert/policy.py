@@ -261,11 +261,16 @@ def policy_from_dict(d) -> MlpPolicy:
         raise ValueError(f"model: {exc}") from exc
 
 
+def _write_json(path, obj) -> None:
+    """The one canonical JSON writer: sorted keys, two-space indent."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_policy(p: MlpPolicy, path) -> None:
     """Write the canonical JSON form (stable bytes for identical values)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, policy_to_dict(p))
 
 
 def load_policy(path) -> MlpPolicy:

@@ -96,3 +96,85 @@ def ranking_tuples(ranking):
             ranking.col.tolist(),
         )
     )
+
+
+def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, horizon: int):
+    """Per-state reference for ``prunecert simulate``.
+
+    Each closed loop is stepped with ``forward`` and ``step``; every state it
+    visits is then fed to both policies one state at a time, and its CSV row
+    is written cell by cell.  Returns ``(tables, report)``: per loop label the
+    trajectory CSV as lists of cells, header first, and the deviation report
+    without its ``dynamics``, ``horizon`` and ``timestamp`` fields.
+    """
+    from prunecert.certifier import AUDIT_SLACK, bound_constant_state
+    from prunecert.controlsim import BlowUpError, step
+    from prunecert.policy import forward
+
+    loops = (("original", original), ("pruned", pruned))
+    visited = {}
+    blowup = None
+    for label, p in loops:
+        x = np.asarray(x0, dtype=float)
+        states = [x]
+        for t in range(horizon):
+            try:
+                x = step(d, x, forward(p, x))
+            except BlowUpError:
+                if blowup is None:
+                    blowup = {"trajectory": label, "t": t}
+                break
+            states.append(x)
+        visited[label] = states
+
+    state_dim, action_dim = d.state_dim, original.output_dim
+    header = (
+        ["t"]
+        + [f"x{i}" for i in range(state_dim)]
+        + [f"u{i}" for i in range(action_dim)]
+        + ["deviation", "bound", "in_ball"]
+    )
+    tables = {}
+    inside_count = outside_count = violations = 0
+    max_dev = 0.0
+    for label, p in loops:
+        table = [header]
+        for t, x in enumerate(visited[label]):
+            dev = float(np.linalg.norm(forward(original, x) - forward(pruned, x)))
+            bound = 0.0
+            for k, dn in cert.delta_norms():
+                bound += dn * bound_constant_state(original, k, x)
+            inside = float(np.linalg.norm(x)) <= cert.radius
+            if inside:
+                inside_count += 1
+                violations += dev > bound + AUDIT_SLACK
+                max_dev = max(max_dev, dev)
+            else:
+                outside_count += 1
+            table.append(
+                [str(t)]
+                + [repr(float(v)) for v in x]
+                + [repr(float(v)) for v in forward(p, x)]
+                + [repr(dev), repr(bound), str(int(inside))]
+            )
+        if blowup is not None and blowup["trajectory"] == label:
+            table.append(
+                [str(len(visited[label]))] + ["nan"] * (state_dim + action_dim + 2) + ["blowup"]
+            )
+        tables[label] = table
+
+    shared = zip(visited["original"], visited["pruned"])
+    report = {
+        "budget": cert.budget,
+        "radius": cert.radius,
+        "in_ball_count": inside_count,
+        "out_of_ball_count": outside_count,
+        "in_ball_violations": violations,
+        "max_in_ball_deviation": max_dev,
+        "max_divergence_observed_uncertified": max(
+            float(np.linalg.norm(a - b)) for a, b in shared
+        ),
+        "blowup": blowup,
+        "holds_along_visited_states": violations == 0,
+    }
+    return tables, report

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy, reference_ranking
+from conftest import random_policy, reference_ranking, reference_simulation
 from prunecert import __version__, cli
 from prunecert.cli import (
     EXIT_OK,
@@ -18,6 +18,7 @@ from prunecert.cli import (
     derive_seed,
     main,
 )
+from prunecert.controlsim import DoubleIntegrator, LinearSystem, Pendulum
 from prunecert.linalg import spectral_norm
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy, save_policy
 from prunecert.pruner import collect_calibration
@@ -543,6 +544,138 @@ class TestSimulate:
         with open(out / "trajectory_pruned.csv") as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "x0", "x1", "u0", "deviation", "bound", "in_ball"]
+
+
+class TestSimulateMatchesReference:
+    """Trajectory CSVs and deviation report against the per-state reference.
+
+    States, flags, counts and the sentinel row must match exactly.  The
+    ``u``, ``deviation`` and ``bound`` cells, and ``max_in_ball_deviation``,
+    may differ in the last bits: the reference evaluates one state at a time
+    (a matrix-vector product), the command a whole trajectory at once (a
+    matrix-matrix product), and the two round differently.  They differ by
+    at most 2 ulps on these cases; the tolerance allows 64.
+    """
+
+    TOL = {"rel": 64 * np.finfo(float).eps, "abs": 64 * np.finfo(float).eps}
+
+    def _certify(self, tmp_path, model, pruned, radius):
+        out = tmp_path / "cert"
+        main([
+            "certify", "--model", str(model), "--pruned", str(pruned),
+            "--radius", radius, "--samples", "100", "--seed", "2", "--out", str(out),
+        ])
+        return out / "certificate.json"
+
+    def _prune(self, tmp_path, model, seed):
+        p = load_policy(model)
+        calib = tmp_path / "calib.csv"
+        rng = np.random.default_rng(seed)
+        _write_states_csv(calib, rng.uniform(-1.0, 1.0, size=(16, p.input_dim)))
+        out = tmp_path / "pruned"
+        assert main([
+            "prune", "--model", str(model), "--calibration", str(calib),
+            "--sparsity", "0.5", "--out", str(out),
+        ]) == EXIT_OK
+        return out / "pruned_model.json"
+
+    def _check(self, tmp_path, d, model, pruned, cert, x0, horizon, flags):
+        out = tmp_path / "sim"
+        code = main([
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(cert), f"--x0={x0}", "--horizon", str(horizon),
+            *flags, "--out", str(out),
+        ])
+        tables, expected = reference_simulation(
+            d,
+            load_policy(model),
+            load_policy(pruned),
+            certificate_from_dict(json.loads(cert.read_text())),
+            [float(v) for v in x0.split(",")],
+            horizon,
+        )
+        approx = range(1 + d.state_dim, len(tables["original"][0]) - 1)
+        for label, table in tables.items():
+            with open(out / f"trajectory_{label}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == table[0]
+            assert len(rows) == len(table)
+            for got, want in zip(rows[1:], table[1:]):
+                assert len(got) == len(want)
+                for i, (g, w) in enumerate(zip(got, want)):
+                    if i in approx and w != "nan":
+                        assert float(g) == pytest.approx(float(w), **self.TOL)
+                    else:
+                        assert g == w
+        report = json.loads((out / "deviation_report.json").read_text())
+        report.pop("timestamp")
+        assert report.pop("horizon") == horizon
+        assert report.pop("max_in_ball_deviation") == pytest.approx(
+            expected.pop("max_in_ball_deviation"), **self.TOL
+        )
+        assert report.pop("dynamics") == flags[1]
+        assert report == expected
+        return code, expected
+
+    @pytest.mark.parametrize(
+        "fixture, d, flags, x0",
+        [
+            (
+                "pendulum_policy.json",
+                Pendulum(torque_limit=5.0),
+                ("--dynamics", "pendulum", "--action-limit", "5.0"),
+                "0.5,0",
+            ),
+            (
+                "double_integrator_policy.json",
+                DoubleIntegrator(),
+                ("--dynamics", "double_integrator"),
+                "1.0,0.5",
+            ),
+        ],
+    )
+    def test_fixture(self, tmp_path, fixture, d, flags, x0):
+        model = FIXTURES / fixture
+        pruned = self._prune(tmp_path, model, seed=8)
+        # a radius below |x0| puts the first states outside the ball
+        cert = self._certify(tmp_path, model, pruned, "0.4")
+        code, expected = self._check(tmp_path, d, model, pruned, cert, x0, 300, flags)
+        assert expected["in_ball_count"] > 0 and expected["out_of_ball_count"] > 0
+        assert code == (EXIT_OK if expected["in_ball_violations"] == 0 else EXIT_VIOLATION)
+
+    def test_three_layer_linear_system(self, tmp_path):
+        rng = np.random.default_rng(12)
+        model = tmp_path / "model.json"
+        save_policy(random_policy(rng, dims=[3, 6, 5, 2]), model)
+        a = 0.9 * np.eye(3)
+        b = 0.1 * rng.standard_normal((3, 2))
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"A": a.tolist(), "B": b.tolist()}))
+        pruned = self._prune(tmp_path, model, seed=13)
+        cert = self._certify(tmp_path, model, pruned, "1.0")
+        flags = ("--dynamics", "linear", "--system", str(system))
+        code, expected = self._check(
+            tmp_path, LinearSystem(a=a, b=b), model, pruned, cert, "0.5,-0.2,0.3", 200, flags
+        )
+        assert expected["in_ball_count"] == 2 * 201
+        assert code == (EXIT_OK if expected["in_ball_violations"] == 0 else EXIT_VIOLATION)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_blow_up_ends_in_sentinel_row(self, tmp_path):
+        # u = 1e160 * velocity and dt = 1e160: the original loop's second
+        # step overflows; the pruned weight is zero, so that loop stays finite
+        model = _simple_model(tmp_path, weight=((0.0, 1e160),))
+        pruned = _simple_model(tmp_path, weight=((0.0, 0.0),), name="pruned.json")
+        cert = self._certify(tmp_path, model, pruned, "1.0")
+        flags = ("--dynamics", "double_integrator", "--dt", "1e160")
+        code, expected = self._check(
+            tmp_path, DoubleIntegrator(dt=1e160), model, pruned, cert, "0,1e-300", 5, flags
+        )
+        assert expected["blowup"] == {"trajectory": "original", "t": 1}
+        with open(tmp_path / "sim" / "trajectory_original.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[-1] == ["2"] + ["nan"] * 5 + ["blowup"]
+        assert code == EXIT_USAGE
 
 
 class TestReport:

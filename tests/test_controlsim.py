@@ -79,6 +79,8 @@ class TestRollout:
         p = _zero_policy(2, 1)
         traj = rollout(d, p, [0.4, -0.2], 25)
         assert traj.horizon == 25
+        assert traj.states.shape == (26, 2)
+        assert traj.actions.shape == (25, 1)
         for s in traj.states:
             np.testing.assert_array_equal(s, [0.4, -0.2])
 
@@ -119,8 +121,13 @@ class TestRollout:
         with pytest.raises(BlowUpError) as err:
             rollout(d, p, [1.0], 10)
         assert err.value.t == 1  # 1e200 -> 1e400 overflows on the second step
-        assert err.value.partial is not None
-        assert len(err.value.partial.states) == err.value.t + 1
+        partial = err.value.partial
+        assert partial is not None
+        assert len(partial.states) == err.value.t + 1
+        assert len(partial.actions) == err.value.t
+        for a in (partial.states, partial.actions):
+            assert a.ndim == 2
+            assert not a.flags.writeable
 
     def test_x0_outside_box_rejected(self):
         d = DoubleIntegrator(state_box=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
@@ -132,6 +139,10 @@ class TestTrajectory:
     def test_length_invariant(self):
         with pytest.raises(ValueError):
             Trajectory(states=(np.zeros(2),), actions=(np.zeros(1),))
+        with pytest.raises(ValueError):  # ragged states
+            Trajectory(states=(np.zeros(2), np.zeros(3)), actions=(np.zeros(1),))
+        with pytest.raises(ValueError):  # 1-D states
+            Trajectory(states=np.zeros(2), actions=np.zeros((1, 1)))
 
 
 def _pruned_pair(seed=1):
@@ -175,17 +186,21 @@ class TestDeviationAudit:
         d = Pendulum(torque_limit=5.0)
         a = deviation_audit(d, p, pruned, cert, [0.3, 0.0], 40)
         b = deviation_audit(d, p, pruned, cert2, [0.3, 0.0], 40)
-        for ra, rb in zip(a.rows, b.rows):
-            assert rb.bound == 2.0 * ra.bound
+        for la, lb in zip(a.loops, b.loops, strict=True):
+            assert la.bound.shape == lb.bound.shape == (41,)
+            assert (lb.bound == 2.0 * la.bound).all()
 
     def test_rows_cover_both_trajectories(self):
         p, pruned, plan = _pruned_pair()
         cert = self._cert(p, plan)
         d = Pendulum(torque_limit=5.0)
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 30)
-        labels = {r.trajectory for r in report.rows}
-        assert labels == {"original", "pruned"}
-        assert len(report.rows) == 2 * 31
+        assert [loop.label for loop in report.loops] == ["original", "pruned"]
+        for loop in report.loops:
+            assert loop.states.shape == (31, 2)
+            assert loop.actions.shape == (31, 1)
+            for a in (loop.deviation, loop.bound, loop.in_ball):
+                assert a.shape == (31,)
         assert len(report.divergence) == 31
 
     def test_out_of_ball_states_flagged_not_counted(self):
@@ -194,9 +209,12 @@ class TestDeviationAudit:
         d = Pendulum(torque_limit=5.0)
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 30)
         assert report.out_of_ball_count > 0
-        for r in report.rows:
-            if not r.in_ball:
-                assert np.linalg.norm(r.state) > cert.radius
+        outside = 0
+        for loop in report.loops:
+            for state in loop.states[~loop.in_ball]:
+                assert np.linalg.norm(state) > cert.radius
+                outside += 1
+        assert outside == report.out_of_ball_count
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_recorded_with_partial_rows(self):
@@ -213,3 +231,6 @@ class TestDeviationAudit:
         report = deviation_audit(d, calm, explode, cert, [0.5, 0.0], 10)
         assert report.blowup is not None
         assert report.blowup[0] == "pruned"
+        original, truncated = report.loops
+        assert len(original.states) == 11
+        assert len(truncated.states) == report.blowup[1] + 1
