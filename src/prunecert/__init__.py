@@ -10,7 +10,6 @@ largest per-layer perturbation magnitude that still certifies.
 from prunecert.linalg import (
     SingularMatrixError,
     damped_inverse,
-    frobenius_norm,
     gram,
     spectral_norm,
 )
@@ -21,7 +20,6 @@ from prunecert.policy import (
     apply_activation,
     forward,
     forward_batch,
-    lipschitz_upper,
     load_policy,
     save_policy,
 )
@@ -29,10 +27,8 @@ from prunecert.pruner import (
     CalibrationBatch,
     PrunePlan,
     Ranking,
-    activation_loss,
     apply_plan,
     collect_calibration,
-    obd_saliency,
     obs_compensate,
     rank_weights,
 )
@@ -43,9 +39,7 @@ from prunecert.certifier import (
     admissible_magnitude,
     audit_bound,
     bound_constant_max,
-    bound_constant_state,
     multi_layer_budget,
-    single_layer_bound,
 )
 from prunecert.controlsim import (
     BlowUpError,

@@ -11,7 +11,7 @@ scalar products; the Monte-Carlo audit then hammers the bound empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,9 +27,7 @@ __all__ = [
     "CertificateRow",
     "AuditSummary",
     "Certificate",
-    "bound_constant_state",
     "bound_constant_max",
-    "single_layer_bound",
     "multi_layer_budget",
     "admissible_magnitude",
     "audit_bound",
@@ -137,10 +135,6 @@ class Certificate:
     radius_source: str = "radius"
     audit: AuditSummary | None = None
 
-    @property
-    def pruned_layers(self) -> tuple[int, ...]:
-        return tuple(r.layer for r in self.rows)
-
     def delta_norms(self) -> tuple[tuple[int, float], ...]:
         return tuple((r.layer, r.delta_spectral) for r in self.rows)
 
@@ -149,9 +143,6 @@ class Certificate:
         if self.audit is None:
             raise ValueError("certificate has not been audited")
         return self.audit.holds
-
-    def with_audit(self, summary: AuditSummary) -> "Certificate":
-        return replace(self, audit=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +184,6 @@ def _eval_constant(parts: tuple[float, tuple[float, ...]], snorm):
     return c
 
 
-def bound_constant_state(p: MlpPolicy, k: int, s) -> float:
-    """Constant turning a layer-k weight perturbation into an output bound.
-
-    Equals ``||s|| * prod_{m != k} ||W_m||`` plus, for every bias below
-    layer k, that bias norm times the norms of the layers above it (again
-    skipping k).  Empty products are 1 and empty sums 0, so for a one-layer
-    policy this is just ``||s||``.
-    """
-    sv = linalg.as_vector(s, "state")
-    if sv.shape[0] != p.input_dim:
-        raise ValueError(f"state has dim {sv.shape[0]} but policy expects {p.input_dim}")
-    _check_layer_index(p, k)
-    return float(_eval_constant(_constant_parts(p, k), float(np.linalg.norm(sv))))
-
-
 def bound_constant_max(p: MlpPolicy, k: int, space: StateSpaceSpec) -> float:
     """Worst case of the layer-k constant over the certified ball.
 
@@ -220,14 +196,6 @@ def bound_constant_max(p: MlpPolicy, k: int, space: StateSpaceSpec) -> float:
             f"state space dim {space.dim} does not match policy input {p.input_dim}"
         )
     return float(_eval_constant(_constant_parts(p, k), space.radius))
-
-
-def single_layer_bound(p: MlpPolicy, k: int, delta_norm: float, s) -> float:
-    """Deviation bound for a single perturbed layer at one state."""
-    dn = float(delta_norm)
-    if not (dn >= 0.0 and math.isfinite(dn)):
-        raise ValueError(f"delta norm must be finite and nonnegative, got {delta_norm}")
-    return bound_constant_state(p, k, s) * dn
 
 
 def _budget_rows(
@@ -353,7 +321,7 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
         dirs = dirs / np.where(norms == 0.0, 1.0, norms)
         radii = space.radius * rng.random(n) ** (1.0 / space.dim)
         states = dirs * radii[:, None]
-    ns = np.linalg.norm(states, axis=1)
+    ns = linalg.vector_norm(states, axis=1)
     if (ns > space.radius * (1.0 + 1e-9) + 1e-9).any():
         raise RuntimeError("sampler bug: drew a state outside the certified space")
     over = ns > space.radius
@@ -388,8 +356,8 @@ def audit_bound(
     states = sample_states(space, n, rng)
     outs_orig = forward_batch(original, states.T)
     outs_pruned = forward_batch(pruned, states.T)
-    dev = np.linalg.norm(outs_orig - outs_pruned, axis=0)
-    snorms = np.linalg.norm(states, axis=1)
+    dev = linalg.vector_norm(outs_orig - outs_pruned, axis=0)
+    snorms = linalg.vector_norm(states, axis=1)
     bounds = per_state_bounds(original, plan.delta_norms(), snorms)
     violations = int(np.count_nonzero(dev > bounds + AUDIT_SLACK))
     _, budget = _budget_rows(original, plan.delta_norms(), space.radius)

@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -450,7 +450,7 @@ def cmd_prune(cfg: RunConfig) -> int:
     save_policy(pruned, out / "pruned_model.json")
     _write_json(out / "prune_plan.json", _plan_dict(plan, selected, cfg))
     total = sum(len(lp.mask) for lp in plan.layers)
-    print(f"pruned {total} weights across layers {list(plan.pruned_layers)}")
+    print(f"pruned {total} weights across layers {[lp.layer for lp in plan.layers]}")
     print(f"wrote {out / 'pruned_model.json'} and {out / 'prune_plan.json'}")
     return EXIT_OK
 
@@ -506,7 +506,7 @@ def _certify_and_write(cfg: RunConfig, artifact: str, to_dict) -> int:
         n=cfg.samples,
         seed=derive_seed(cfg.seed, STREAM_AUDIT),
     )
-    cert = cert.with_audit(summary)
+    cert = replace(cert, audit=summary)
     out = _outdir(cfg)
     _write_json(out / artifact, to_dict(cert))
     _print_certificate(cert)

@@ -168,10 +168,6 @@ class Trajectory:
         object.__setattr__(self, "states", _frozen(states))
         object.__setattr__(self, "actions", _frozen(actions))
 
-    @property
-    def horizon(self) -> int:
-        return len(self.actions)
-
 
 def step(d, x, u) -> np.ndarray:
     """One transition: clip the action, integrate, clip to the state box."""
@@ -195,8 +191,8 @@ def step(d, x, u) -> np.ndarray:
 def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
     """Run the closed loop for ``T`` steps from ``x0``; fully deterministic.
 
-    A blow-up raises ``BlowUpError`` with the failing step index and the
-    partial trajectory attached.
+    A blow-up, a non-finite policy output included, raises ``BlowUpError``
+    with the failing step index and the partial trajectory attached.
     """
     if T < 1:
         raise ValueError(f"horizon must be at least 1, got {T}")
@@ -212,7 +208,10 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
         u = forward(p, x)
         try:
             x = step(d, x, u)
-        except BlowUpError as exc:
+        except (BlowUpError, ValueError) as exc:
+            # step's ValueError for a non-finite action: the policy output overflowed
+            if not isinstance(exc, BlowUpError) and np.isfinite(u).all():
+                raise
             raise BlowUpError(
                 f"blow-up at step {t}: {exc}",
                 t=t,
@@ -271,12 +270,12 @@ def _audit_loop(
     outs_orig = forward_batch(original, states)
     outs_pruned = forward_batch(pruned, states)
     outs_own = outs_orig if own is original else outs_pruned
-    snorms = np.linalg.norm(states, axis=0)
+    snorms = linalg.vector_norm(states, axis=0)
     return LoopAudit(
         label=label,
         states=traj.states,
         actions=_frozen(outs_own.T),
-        deviation=_frozen(np.linalg.norm(outs_orig - outs_pruned, axis=0)),
+        deviation=_frozen(linalg.vector_norm(outs_orig - outs_pruned, axis=0)),
         bound=_frozen(per_state_bounds(original, cert.delta_norms(), snorms)),
         in_ball=_frozen(snorms <= cert.radius),
     )
@@ -310,7 +309,7 @@ def deviation_audit(
     shared = min(len(loop.states) for loop in loops)
     gaps = loops[0].states[:shared] - loops[1].states[:shared]
     # one 1-D norm per state: a batched norm sums in another order
-    divergence = _frozen(np.array([np.linalg.norm(g) for g in gaps]))
+    divergence = _frozen(np.array([linalg.vector_norm(g) for g in gaps]))
     inside = np.concatenate([loop.in_ball for loop in loops])
     dev = np.concatenate([loop.deviation for loop in loops])[inside]
     bound = np.concatenate([loop.bound for loop in loops])[inside]

@@ -17,7 +17,7 @@ __all__ = [
     "as_vector",
     "spectral_norm",
     "spectral_norm_ceiling",
-    "frobenius_norm",
+    "vector_norm",
     "gram",
     "auto_damping",
     "damped_inverse",
@@ -28,6 +28,8 @@ _TINY = float(np.finfo(float).tiny)
 
 # rcond below this is treated as singular (cond ~ 1e13 at float64)
 _RCOND_FLOOR = 1e-13
+
+_NORM_LOW, _NORM_HIGH = 2.0**-400, 2.0**400
 
 
 class SingularMatrixError(ValueError):
@@ -152,10 +154,32 @@ def spectral_norm_ceiling(sigma: float, shape) -> float:
     return math.nextafter(out, math.inf) if 0.0 < out < _TINY else out
 
 
-def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    a = as_matrix(m)
-    return float(np.sqrt((a * a).sum()))
+def _rescaled_norm(v: np.ndarray, axis) -> np.ndarray:
+    # max/min instead of abs(): no temporary the size of the input
+    exp = np.frexp(np.maximum(v.max(axis=axis), -v.min(axis=axis)))[1]
+    shift = exp if axis is None else np.expand_dims(exp, axis)
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -shift), axis=axis), exp)
+
+
+def vector_norm(a, axis=None):
+    """``np.linalg.norm(a, axis=axis)`` of a vector, or of each vector along
+    ``axis`` of a 2-D array, without overflow or underflow.
+
+    A norm in ``[2^-400, 2^400)`` was summed from squares that did not
+    overflow, and any square that underflowed is below ``2^-222`` of the
+    sum, so numpy's result stands, bit for bit.  Any other vector is taken
+    again after scaling by the power of two that brings its largest entry
+    into [1/2, 1), as in ``spectral_norm``, which is exact.
+    """
+    v = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(v, axis=axis)
+        if axis is None:
+            return out if _NORM_LOW <= out < _NORM_HIGH else _rescaled_norm(v, None)
+        redo = ~((_NORM_LOW <= out) & (out < _NORM_HIGH))
+        if redo.any():
+            out[redo] = _rescaled_norm(np.compress(redo, v, axis=1 - axis), axis)
+    return out
 
 
 def gram(x) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "apply_activation",
     "forward",
     "forward_batch",
-    "lipschitz_upper",
     "policy_to_dict",
     "policy_from_dict",
     "save_policy",
@@ -173,15 +172,6 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
             f"states have dim {x.shape[0]} but policy expects {p.input_dim}"
         )
     return _propagate(p, x)
-
-
-def lipschitz_upper(p: MlpPolicy) -> float:
-    """Global Lipschitz upper bound: the product of the layers' spectral norms.
-
-    Valid because every certified activation is non-expansive, so each layer
-    contributes at most its weight's operator norm.
-    """
-    return float(math.prod(p.weight_spectral_norms))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ __all__ = [
     "LayerPrune",
     "PrunePlan",
     "collect_calibration",
-    "activation_loss",
-    "obd_saliency",
     "rank_weights",
     "obs_compensate",
     "apply_plan",
@@ -54,10 +52,6 @@ class CalibrationBatch:
         if any(m.shape[1] != n for m in mats):
             raise ValueError("calibration matrices must share one column per state")
         object.__setattr__(self, "inputs", tuple(_frozen(m) for m in mats))
-
-    @property
-    def num_states(self) -> int:
-        return self.inputs[0].shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,30 +127,9 @@ class PrunePlan:
         if ks != sorted(set(ks)):
             raise ValueError("plan layers must be unique and ascending")
 
-    @property
-    def pruned_layers(self) -> tuple[int, ...]:
-        return tuple(lp.layer for lp in self.layers)
-
     def delta_norms(self) -> tuple[tuple[int, float], ...]:
         """(layer, ||delta||_2) pairs in ascending layer order."""
         return tuple((lp.layer, lp.delta_spectral_norm) for lp in self.layers)
-
-    def scaled(self, factor: float) -> "PrunePlan":
-        """Plan with every delta multiplied by ``factor`` (> 0)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return PrunePlan(
-            layers=tuple(
-                LayerPrune(
-                    layer=lp.layer,
-                    mask=lp.mask,
-                    delta=lp.delta * factor,
-                    delta_spectral_norm=lp.delta_spectral_norm * factor,
-                    compensated=lp.compensated,
-                )
-                for lp in self.layers
-            )
-        )
 
     @classmethod
     def from_deltas(
@@ -235,35 +208,6 @@ def collect_calibration(p: MlpPolicy, states: Iterable) -> CalibrationBatch:
     mats: list[np.ndarray] = []
     _propagate(p, np.stack(vecs, axis=1), mats)
     return CalibrationBatch(inputs=tuple(mats))
-
-
-def activation_loss(w, w_hat, x) -> float:
-    """Exact squared Frobenius deviation of one layer's outputs on a batch.
-
-    This is the brute-force reference every saliency estimate is judged
-    against.
-    """
-    wm = linalg.as_matrix(w, "w")
-    wh = linalg.as_matrix(w_hat, "w_hat")
-    xm = linalg.as_matrix(x, "x")
-    if wm.shape != wh.shape:
-        raise ValueError(f"weight shapes differ: {wm.shape} vs {wh.shape}")
-    if wm.shape[1] != xm.shape[0]:
-        raise ValueError(
-            f"weights have {wm.shape[1]} columns but batch has {xm.shape[0]} rows"
-        )
-    d = (wm - wh) @ xm
-    return float((d * d).sum())
-
-
-def obd_saliency(w_q: float, h_inv_qq: float) -> float:
-    """Quadratic estimate of the loss from zeroing one weight:
-    ``0.5 * w_q**2 / (H^-1)_qq``."""
-    if not h_inv_qq > 0:
-        raise ValueError(
-            f"(H^-1)_qq must be positive, got {h_inv_qq} (broken Hessian inversion?)"
-        )
-    return 0.5 * w_q * w_q / h_inv_qq
 
 
 def _layer_h_inv(x: np.ndarray, damping) -> np.ndarray:

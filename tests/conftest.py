@@ -1,6 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from prunecert.policy import ActivationKind, Layer, MlpPolicy
+from prunecert.pruner import PrunePlan
 
 CERTIFIED_SAMPLES = (
     ActivationKind("relu"),
@@ -41,7 +45,6 @@ def random_policy(
 
 def naive_forward(p: MlpPolicy, s):
     """Second, loop-based forward implementation used as an oracle."""
-    import math
 
     def phi(kind, x):
         if kind.kind == "relu":
@@ -62,6 +65,50 @@ def naive_forward(p: MlpPolicy, s):
             z.append(acc)
         x = [phi(layer.activation, v) for v in z]
     return np.array(x)
+
+
+def _ck_oracle(wnorms, bnorms, k1, snorm):
+    """Independent evaluation of the layer constant, written directly from the
+    1-indexed formula: ||s|| prod_{l != k} w_l + sum_{i<k} (prod_{l>i, l != k} w_l) b_i."""
+    L = len(wnorms)
+    prod = 1.0
+    for l in range(1, L + 1):
+        if l != k1:
+            prod *= wnorms[l - 1]
+    total = snorm * prod
+    for i in range(1, k1):
+        term = bnorms[i - 1]
+        for l in range(i + 1, L + 1):
+            if l != k1:
+                term *= wnorms[l - 1]
+        total += term
+    return total
+
+
+def scaled_plan(plan: PrunePlan, factor: float) -> PrunePlan:
+    """``plan`` with every delta and delta norm multiplied by ``factor``."""
+    return PrunePlan(
+        layers=tuple(
+            replace(
+                lp,
+                delta=lp.delta * factor,
+                delta_spectral_norm=lp.delta_spectral_norm * factor,
+            )
+            for lp in plan.layers
+        )
+    )
+
+
+def scaled_norm(v) -> float:
+    """Oracle 2-norm that never squares out of range: ``v`` is always scaled
+    by the power of two that brings its largest entry into [1/2, 1), which is
+    exact, and the 1-D norm of the result scaled back."""
+    v = np.asarray(v, dtype=float)
+    peak = float(np.abs(v).max())
+    if peak == 0.0 or not math.isfinite(peak):
+        return float(np.linalg.norm(v))
+    exp = math.frexp(peak)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -exp))), exp)
 
 
 def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
@@ -105,9 +152,11 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
     visits is then fed to both policies one state at a time, and its CSV row
     is written cell by cell.  Returns ``(tables, report)``: per loop label the
     trajectory CSV as lists of cells, header first, and the deviation report
-    without its ``dynamics``, ``horizon`` and ``timestamp`` fields.
+    without its ``dynamics``, ``horizon`` and ``timestamp`` fields.  A loop
+    blows up when its action or its next state is non-finite.  Every norm
+    is ``scaled_norm`` and every bound ``_ck_oracle``.
     """
-    from prunecert.certifier import AUDIT_SLACK, bound_constant_state
+    from prunecert.certifier import AUDIT_SLACK
     from prunecert.controlsim import BlowUpError, step
     from prunecert.policy import forward
 
@@ -118,9 +167,12 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
         x = np.asarray(x0, dtype=float)
         states = [x]
         for t in range(horizon):
+            u = forward(p, x)
             try:
-                x = step(d, x, forward(p, x))
+                x = step(d, x, u) if np.isfinite(u).all() else None
             except BlowUpError:
+                x = None
+            if x is None:
                 if blowup is None:
                     blowup = {"trajectory": label, "t": t}
                 break
@@ -134,17 +186,19 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
         + [f"u{i}" for i in range(action_dim)]
         + ["deviation", "bound", "in_ball"]
     )
+    wnorms, bnorms = original.weight_spectral_norms, original.bias_norms
     tables = {}
     inside_count = outside_count = violations = 0
     max_dev = 0.0
     for label, p in loops:
         table = [header]
         for t, x in enumerate(visited[label]):
-            dev = float(np.linalg.norm(forward(original, x) - forward(pruned, x)))
+            dev = scaled_norm(forward(original, x) - forward(pruned, x))
+            snorm = scaled_norm(x)
             bound = 0.0
             for k, dn in cert.delta_norms():
-                bound += dn * bound_constant_state(original, k, x)
-            inside = float(np.linalg.norm(x)) <= cert.radius
+                bound += dn * _ck_oracle(wnorms, bnorms, k + 1, snorm)
+            inside = snorm <= cert.radius
             if inside:
                 inside_count += 1
                 violations += dev > bound + AUDIT_SLACK
@@ -171,9 +225,7 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
         "out_of_ball_count": outside_count,
         "in_ball_violations": violations,
         "max_in_ball_deviation": max_dev,
-        "max_divergence_observed_uncertified": max(
-            float(np.linalg.norm(a - b)) for a, b in shared
-        ),
+        "max_divergence_observed_uncertified": max(scaled_norm(a - b) for a, b in shared),
         "blowup": blowup,
         "holds_along_visited_states": violations == 0,
     }

@@ -3,39 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import _ck_oracle, random_policy, scaled_plan
 from prunecert.certifier import (
     StateSpaceSpec,
     admissible_magnitude,
     audit_bound,
     bound_constant_max,
-    bound_constant_state,
     multi_layer_budget,
     per_state_bounds,
     sample_states,
-    single_layer_bound,
 )
 from prunecert.linalg import _norm_allowance
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward
 from prunecert.pruner import PrunePlan, apply_plan, collect_calibration, rank_weights
 
 
-def _ck_oracle(wnorms, bnorms, k1, snorm):
-    """Independent evaluation of the layer constant, written directly from the
-    1-indexed formula: ||s|| prod_{l != k} w_l + sum_{i<k} (prod_{l>i, l != k} w_l) b_i."""
-    L = len(wnorms)
-    prod = 1.0
-    for l in range(1, L + 1):
-        if l != k1:
-            prod *= wnorms[l - 1]
-    total = snorm * prod
-    for i in range(1, k1):
-        term = bnorms[i - 1]
-        for l in range(i + 1, L + 1):
-            if l != k1:
-                term *= wnorms[l - 1]
-        total += term
-    return total
+def _constant(p, k, s) -> float:
+    """The layer-k constant C_k(s) as the pipeline evaluates it:
+    ``per_state_bounds`` with a unit delta norm on layer k alone, which is
+    ``0 + 1 * C_k(s)``, so C_k(s) bit for bit."""
+    return float(per_state_bounds(p, ((k, 1.0),), [float(np.linalg.norm(s))])[0])
 
 
 def _norm_excess(shape, rank: float) -> float:
@@ -83,13 +70,15 @@ class TestStateSpaceSpec:
 
 
 class TestBoundConstantState:
+    """The per-state constant C_k(s), through ``per_state_bounds``."""
+
     def test_one_layer_is_state_norm(self):
         p = _diag_policy([4.0])  # single layer; its own norm must not appear
-        assert bound_constant_state(p, 0, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
+        assert _constant(p, 0, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
 
     def test_three_layer_mixed_norms_instance(self):
         p = _three_layer_fixture()
-        got = bound_constant_state(p, 1, [1.0, 0.0])
+        got = _constant(p, 1, [1.0, 0.0])
         expected = _ck_oracle([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], k1=2, snorm=1.0)
         assert expected == pytest.approx(9.0, abs=1e-12)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -102,7 +91,7 @@ class TestBoundConstantState:
             prod = math.prod(
                 n for m, n in enumerate(p.weight_spectral_norms) if m != k
             )
-            assert bound_constant_state(p, k, s) == pytest.approx(
+            assert _constant(p, k, s) == pytest.approx(
                 float(np.linalg.norm(s)) * prod, rel=1e-12
             )
 
@@ -112,7 +101,7 @@ class TestBoundConstantState:
             p = random_policy(rng, depth=int(rng.integers(1, 5)), max_width=8)
             s = rng.normal(size=p.input_dim)
             k = int(rng.integers(p.num_layers))
-            got = bound_constant_state(p, k, s)
+            got = _constant(p, k, s)
             expected = _ck_oracle(
                 list(p.weight_spectral_norms),
                 list(p.bias_norms),
@@ -123,21 +112,19 @@ class TestBoundConstantState:
 
     def test_monotone_in_state_norm(self):
         p = _three_layer_fixture()
-        values = [
-            bound_constant_state(p, 1, [r, 0.0]) for r in (0.0, 0.5, 1.0, 2.0, 10.0)
-        ]
+        values = per_state_bounds(p, ((1, 1.0),), [0.0, 0.5, 1.0, 2.0, 10.0]).tolist()
         assert values == sorted(values)
 
     def test_first_layer_has_empty_bias_sum(self):
         # biases of layer 0 and above never feed the k=0 constant
         p = _three_layer_fixture()
-        got = bound_constant_state(p, 0, [1.0, 0.0])
+        got = _constant(p, 0, [1.0, 0.0])
         assert got == pytest.approx(7.0 * 3.0, rel=1e-12)
 
     def test_layer_index_validated(self):
         p = _diag_policy([1.0])
         with pytest.raises(ValueError):
-            bound_constant_state(p, 1, [1.0, 0.0])
+            per_state_bounds(p, ((1, 1.0),), [1.0])
 
 
 class TestBoundConstantMax:
@@ -159,7 +146,7 @@ class TestBoundConstantMax:
     def test_equals_state_constant_on_sphere(self):
         p = _three_layer_fixture()
         space = StateSpaceSpec(dim=2, radius=2.5)
-        assert bound_constant_max(p, 1, space) == bound_constant_state(p, 1, [2.5, 0.0])
+        assert bound_constant_max(p, 1, space) == _constant(p, 1, [2.5, 0.0])
 
 
 def _equality_fixture():
@@ -175,13 +162,15 @@ def _equality_fixture():
 
 
 class TestSingleLayerBound:
+    """One perturbed layer's bound at one state, through ``per_state_bounds``."""
+
     def test_zero_delta(self):
         p = _diag_policy([2.0])
-        assert single_layer_bound(p, 0, 0.0, [1.0, 1.0]) == 0.0
+        assert per_state_bounds(p, ((0, 0.0),), [math.sqrt(2.0)])[0] == 0.0
 
     def test_equality_instance(self):
         original, pruned, plan = _equality_fixture()
-        bound = single_layer_bound(original, 0, plan.layers[0].delta_spectral_norm, [2.0])
+        bound = per_state_bounds(original, plan.delta_norms(), [2.0])[0]
         actual = float(
             np.linalg.norm(forward(original, [2.0]) - forward(pruned, [2.0]))
         )
@@ -192,13 +181,10 @@ class TestSingleLayerBound:
 
     def test_linear_in_delta_norm(self):
         p = _three_layer_fixture()
-        s = [1.0, -1.0]
-        assert single_layer_bound(p, 2, 0.4, s) == 2.0 * single_layer_bound(p, 2, 0.2, s)
-
-    def test_rejects_negative_delta_norm(self):
-        p = _diag_policy([1.0])
-        with pytest.raises(ValueError):
-            single_layer_bound(p, 0, -0.1, [1.0, 0.0])
+        snorm = [math.sqrt(2.0)]
+        assert per_state_bounds(p, ((2, 0.4),), snorm)[0] == 2.0 * per_state_bounds(
+            p, ((2, 0.2),), snorm
+        )[0]
 
 
 class TestMultiLayerBudget:
@@ -208,13 +194,12 @@ class TestMultiLayerBudget:
         assert cert.budget == 0.0
         assert cert.rows == ()
 
-    def test_singleton_reduces_to_single_layer_bound(self):
+    def test_singleton_reduces_to_per_state_bound(self):
         p = _three_layer_fixture()
         plan = PrunePlan.from_deltas({1: np.array([[0.25, 0.0], [0.0, 0.0]])})
         space = StateSpaceSpec(dim=2, radius=3.0)
         cert = multi_layer_budget(p, plan, space)
-        dn = plan.layers[0].delta_spectral_norm
-        assert cert.budget == single_layer_bound(p, 1, dn, [3.0, 0.0])
+        assert cert.budget == per_state_bounds(p, plan.delta_norms(), [3.0])[0]
 
     def test_two_layer_weighted_sum(self):
         p = _three_layer_fixture()
@@ -253,8 +238,8 @@ class TestMultiLayerBudget:
         )
         space = StateSpaceSpec(dim=p.input_dim, radius=1.5)
         base = multi_layer_budget(p, plan, space).budget
-        assert multi_layer_budget(p, plan.scaled(2.0), space).budget == 2.0 * base
-        assert multi_layer_budget(p, plan.scaled(0.5), space).budget == 0.5 * base
+        assert multi_layer_budget(p, scaled_plan(plan, 2.0), space).budget == 2.0 * base
+        assert multi_layer_budget(p, scaled_plan(plan, 0.5), space).budget == 0.5 * base
 
     def test_budget_homogeneous_generic_scale(self):
         rng = np.random.default_rng(4)
@@ -264,7 +249,7 @@ class TestMultiLayerBudget:
         )
         space = StateSpaceSpec(dim=p.input_dim, radius=1.0)
         base = multi_layer_budget(p, plan, space).budget
-        scaled = multi_layer_budget(p, plan.scaled(3.7), space).budget
+        scaled = multi_layer_budget(p, scaled_plan(plan, 3.7), space).budget
         assert scaled == pytest.approx(3.7 * base, rel=1e-12)
 
 
@@ -277,7 +262,10 @@ class TestPerStateBounds:
         snorms = np.array([float(np.linalg.norm(s)) for s in states])
         got = per_state_bounds(p, dn, snorms)
         for i, s in enumerate(states):
-            direct = sum(d * bound_constant_state(p, k, s) for k, d in dn)
+            direct = sum(
+                d * _ck_oracle(p.weight_spectral_norms, p.bias_norms, k + 1, snorms[i])
+                for k, d in dn
+            )
             assert got[i] == pytest.approx(direct, rel=1e-12)
 
     def test_boundary_state_reproduces_budget_bitwise(self):
@@ -365,6 +353,14 @@ class TestSampleStates:
         states = sample_states(space, 5000, rng)
         assert states.shape == (5000, 3)
         assert (np.linalg.norm(states, axis=1) <= 2.0).all()
+
+    def test_huge_radius_samples_stay_inside(self):
+        # the squared state norms overflow
+        radius = 1e200
+        states = sample_states(StateSpaceSpec(dim=3, radius=radius), 500, np.random.default_rng(8))
+        norms = [math.hypot(*s) for s in states]
+        assert max(norms) <= radius * (1.0 + 4.0 * np.finfo(float).eps)
+        assert min(norms) > radius / 100.0
 
     def test_box_samples_respect_bounds(self):
         space = StateSpaceSpec(

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy, reference_ranking, reference_simulation
+from conftest import (
+    _ck_oracle,
+    random_policy,
+    reference_ranking,
+    reference_simulation,
+    scaled_norm,
+)
 from prunecert import __version__, cli
 from prunecert.cli import (
     EXIT_OK,
@@ -258,6 +264,22 @@ class TestCertify:
         for row in cert["layers"]:
             acc = acc + row["contribution"]
         assert acc == cert["budget"]
+
+    def test_huge_outputs_do_not_overflow(self, tmp_path):
+        # every deviation is 1e160 * s_0 <= the budget 1e160, but its square
+        # overflows
+        original = _simple_model(tmp_path, [[1e160, 0.0]], "orig.json")
+        pruned = _simple_model(tmp_path, [[0.0, 0.0]], "pruned.json")
+        out = tmp_path / "cert"
+        code = main([
+            "certify", "--model", str(original), "--pruned", str(pruned),
+            "--radius", "1", "--samples", "10", "--out", str(out),
+        ])
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["audit"]["violations"] == 0
+        assert 0.0 < cert["audit"]["max_dev"] <= cert["budget"] < float("inf")
+        assert cert["holds"] is True
+        assert code == EXIT_OK
 
     def test_architecture_mismatch_reports_layer(self, tmp_path, capsys):
         a = _simple_model(tmp_path, [[1.0]], "a.json")
@@ -533,6 +555,74 @@ class TestSimulate:
         ])
         assert code == EXIT_VIOLATION
 
+    def test_certificate_without_additive_fields_still_loads(self, tmp_path):
+        # certificates written before mean_dev, tightness, margin and
+        # radius_source existed must keep working with simulate and report
+        model, pruned, cert = self._certified_pendulum(tmp_path)
+        old = json.loads(cert.read_text())
+        del old["radius_source"]
+        for key in ("mean_dev", "tightness", "margin"):
+            del old["audit"][key]
+        path = tmp_path / "old_certificate.json"
+        path.write_text(json.dumps(old))
+        restored = certificate_from_dict(old)
+        a = restored.audit
+        assert restored.radius_source == "radius"
+        assert a.mean_dev == a.max_dev == old["audit"]["max_dev"]
+        assert a.tightness == 0.0
+        assert a.margin == old["budget"] - old["audit"]["max_dev"]
+        assert restored.holds is True
+        code = main([
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(path), "--dynamics", "pendulum",
+            "--x0", "0.5,0", "--horizon", "50", "--action-limit", "5.0",
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == EXIT_OK
+        assert main(["report", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["all_hold"] is True and summary["max_budget"] == old["budget"]
+
+    def test_subnormal_states_keep_their_bounds(self, tmp_path):
+        # the fixture has no biases, so a long run decays to subnormal states
+        # whose squared norm underflows; every bound cell must still be the
+        # per-state bound, not 0.0
+        model = FIXTURES / "double_integrator_policy.json"
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, [[a, b] for a in (-1, -0.5, 0.5, 1) for b in (-1, -0.5, 0.5, 1)])
+        assert main([
+            "prune", "--model", str(model), "--calibration", str(calib),
+            "--layers", "0", "--sparsity", "0.5", "--out", str(tmp_path / "p"),
+        ]) == EXIT_OK
+        pruned = tmp_path / "p" / "pruned_model.json"
+        assert main([
+            "certify", "--model", str(model), "--pruned", str(pruned),
+            "--radius", "3", "--samples", "100", "--out", str(tmp_path / "c"),
+        ]) == EXIT_OK
+        out = tmp_path / "s"
+        assert main([
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(tmp_path / "c" / "certificate.json"),
+            "--dynamics", "double_integrator", "--x0=0.5,0", "--horizon", "10000",
+            "--out", str(out),
+        ]) == EXIT_OK
+        p = load_policy(model)
+        cert = certificate_from_dict(json.loads((tmp_path / "c" / "certificate.json").read_text()))
+        tiny = 0
+        for label in ("original", "pruned"):
+            with open(out / f"trajectory_{label}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 10001
+            for row in rows:
+                x = [float(row["x0"]), float(row["x1"])]
+                snorm = scaled_norm(x)
+                tiny += 0.0 < max(map(abs, x)) < 2.0**-400
+                want = 0.0
+                for k, dn in cert.delta_norms():
+                    want += dn * _ck_oracle(p.weight_spectral_norms, p.bias_norms, k + 1, snorm)
+                assert float(row["bound"]) == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0)
+        assert tiny > 1000
+
     def test_csv_columns(self, tmp_path):
         model, pruned, cert = self._certified_pendulum(tmp_path)
         out = tmp_path / "sim"
@@ -675,6 +765,25 @@ class TestSimulateMatchesReference:
         with open(tmp_path / "sim" / "trajectory_original.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[-1] == ["2"] + ["nan"] * 5 + ["blowup"]
+        assert code == EXIT_USAGE
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_action_ends_in_sentinel_row(self, tmp_path):
+        # u = relu(1e160 * position) and dt = 1e160: the position reaches
+        # 1e180 at t=2, where the original policy's action overflows to inf
+        model = _simple_model(tmp_path, weight=((1e160, 0.0),))
+        pruned = _simple_model(tmp_path, weight=((0.0, 0.0),), name="pruned.json")
+        cert = self._certify(tmp_path, model, pruned, "1.0")
+        flags = ("--dynamics", "double_integrator", "--dt", "1e160")
+        code, expected = self._check(
+            tmp_path, DoubleIntegrator(dt=1e160), model, pruned, cert, "1e-300,0", 5, flags
+        )
+        assert expected["blowup"] == {"trajectory": "original", "t": 2}
+        assert expected["max_divergence_observed_uncertified"] == 1e180
+        with open(tmp_path / "sim" / "trajectory_original.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+        assert rows[-1] == ["3"] + ["nan"] * 5 + ["blowup"]
         assert code == EXIT_USAGE
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import random_policy, scaled_plan
 from prunecert.certifier import StateSpaceSpec, multi_layer_budget
 from prunecert.controlsim import (
     BlowUpError,
@@ -19,6 +19,13 @@ from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy
 from prunecert.pruner import PrunePlan, apply_plan, collect_calibration, rank_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _one_layer(weight):
+    w = np.asarray(weight, dtype=float)
+    return MlpPolicy(
+        layers=(Layer(weight=w, bias=np.zeros(w.shape[0]), activation=ActivationKind("relu")),)
+    )
 
 
 def _zero_policy(state_dim, action_dim):
@@ -78,7 +85,6 @@ class TestRollout:
         d = LinearSystem(a=np.eye(2), b=np.zeros((2, 1)))
         p = _zero_policy(2, 1)
         traj = rollout(d, p, [0.4, -0.2], 25)
-        assert traj.horizon == 25
         assert traj.states.shape == (26, 2)
         assert traj.actions.shape == (25, 1)
         for s in traj.states:
@@ -128,6 +134,17 @@ class TestRollout:
         for a in (partial.states, partial.actions):
             assert a.ndim == 2
             assert not a.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_action_is_a_blow_up(self):
+        # the position reaches 1e180 at t=2, where relu(1e160 * 1e180) is inf
+        d = DoubleIntegrator(dt=1e160)
+        with pytest.raises(BlowUpError) as err:
+            rollout(d, _one_layer([[1e160, 0.0]]), [1e-300, 0.0], 5)
+        assert err.value.t == 2
+        partial = err.value.partial
+        assert partial.states.tolist() == [[1e-300, 0.0], [1e-300, 1e20], [1e180, 2e20]]
+        assert partial.actions.tolist() == [[1e-140], [1e-140]]
 
     def test_x0_outside_box_rejected(self):
         d = DoubleIntegrator(state_box=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
@@ -182,7 +199,7 @@ class TestDeviationAudit:
     def test_bounds_scale_exactly_with_doubled_plan(self):
         p, pruned, plan = _pruned_pair()
         cert = self._cert(p, plan)
-        cert2 = self._cert(p, plan.scaled(2.0))
+        cert2 = self._cert(p, scaled_plan(plan, 2.0))
         d = Pendulum(torque_limit=5.0)
         a = deviation_audit(d, p, pruned, cert, [0.3, 0.0], 40)
         b = deviation_audit(d, p, pruned, cert2, [0.3, 0.0], 40)
@@ -215,6 +232,22 @@ class TestDeviationAudit:
                 assert np.linalg.norm(state) > cert.radius
                 outside += 1
         assert outside == report.out_of_ball_count
+
+    def test_huge_outputs_do_not_overflow(self):
+        # the state stays at (0.5, 0), where the outputs differ by 5e159,
+        # whose square overflows; the bound there is 5e159 rounded outward
+        original = _one_layer([[1e160, 0.0]])
+        pruned = _one_layer([[0.0, 0.0]])
+        plan = PrunePlan.from_policies(original, pruned)
+        cert = multi_layer_budget(original, plan, StateSpaceSpec(dim=2, radius=1.0))
+        d = LinearSystem(a=np.eye(2), b=np.zeros((2, 1)))
+        report = deviation_audit(d, original, pruned, cert, [0.5, 0.0], 3)
+        for loop in report.loops:
+            assert loop.deviation.tolist() == [5e159] * 4
+            assert (loop.bound >= 5e159).all()
+        assert report.in_ball_count == 8
+        assert report.in_ball_violations == 0
+        assert report.max_in_ball_deviation == 5e159
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_recorded_with_partial_rows(self):

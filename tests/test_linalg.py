@@ -12,10 +12,10 @@ from prunecert.linalg import (
     as_vector,
     auto_damping,
     damped_inverse,
-    frobenius_norm,
     gram,
     spectral_norm,
     spectral_norm_ceiling,
+    vector_norm,
 )
 
 
@@ -130,7 +130,7 @@ class TestSpectralNorm:
         rng = np.random.default_rng(11)
         for _ in range(50):
             a = rng.normal(size=(int(rng.integers(1, 12)), int(rng.integers(1, 12))))
-            assert spectral_norm(a) <= frobenius_norm(a) * (1.0 + 1e-9)
+            assert spectral_norm(a) <= np.linalg.norm(a) * (1.0 + 1e-9)
 
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
     @settings(max_examples=50, deadline=None)
@@ -141,14 +141,48 @@ class TestSpectralNorm:
 
 
 class TestFrobeniusNorm:
+    """``vector_norm`` of a whole matrix (``axis=None``) is its Frobenius norm."""
+
     def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+        assert vector_norm(np.zeros((3, 3))) == 0.0
 
     def test_identity(self):
-        assert frobenius_norm(np.eye(2)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert vector_norm(np.eye(2)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_three_four_five(self):
-        assert frobenius_norm([[3.0, 4.0]]) == 5.0
+        assert vector_norm([[3.0, 4.0]]) == 5.0
+
+
+class TestVectorNorm:
+    def test_bit_identical_to_numpy_in_range(self):
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(9, 300)) * np.exp2(rng.integers(-390, 390, size=300))
+        for axis in (0, 1):
+            got = vector_norm(a, axis=axis)
+            assert np.array_equal(got, np.linalg.norm(a, axis=axis))
+        for v in a.T:
+            assert vector_norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 2.0**-400, 2.0**400, 1e170, 1e300])
+    def test_no_overflow_or_underflow(self, scale):
+        # 3-4-5 triangles at the edges of the float range; a batch mixes them
+        # with in-range columns, which must keep numpy's bits
+        v = np.array([3.0, 4.0]) * scale
+        assert vector_norm(v) == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps)
+        batch = np.column_stack([v, [3.0, 4.0], [0.0, 0.0]])
+        got = vector_norm(batch, axis=0)
+        assert got[0] == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps)
+        assert got[1:].tolist() == [5.0, 0.0]
+        assert vector_norm(batch.T, axis=1).tolist() == got.tolist()
+
+    def test_subnormal_entries(self):
+        assert vector_norm([5e-324, 0.0]) == 5e-324
+        assert vector_norm(np.array([[3.0], [4.0]]) * 5e-324, axis=0)[0] == 2.5e-323
+
+    def test_non_finite_stays_non_finite(self):
+        assert vector_norm([np.inf, 1e300]) == np.inf
+        assert math.isnan(vector_norm([np.nan, 1e300]))
+        assert vector_norm([1.5e308, 1.5e308]) == np.inf  # beyond the float range
 
 
 class TestGram:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from prunecert.policy import (
     apply_activation,
     forward,
     forward_batch,
-    lipschitz_upper,
     load_policy,
     policy_from_dict,
     policy_to_dict,
@@ -153,6 +153,9 @@ class TestForward:
 
 
 class TestLipschitzUpper:
+    """The product of the layers' spectral norms bounds the Lipschitz constant,
+    since every certified activation is non-expansive."""
+
     def test_identity_weights(self):
         p = MlpPolicy(
             layers=tuple(
@@ -160,7 +163,7 @@ class TestLipschitzUpper:
                 for _ in range(3)
             )
         )
-        assert lipschitz_upper(p) == pytest.approx(1.0, rel=1e-10)
+        assert math.prod(p.weight_spectral_norms) == pytest.approx(1.0, rel=1e-10)
 
     def test_diagonal_product(self):
         p = MlpPolicy(
@@ -169,12 +172,12 @@ class TestLipschitzUpper:
                 Layer(weight=3.0 * np.eye(2), bias=np.zeros(2), activation=ActivationKind("relu")),
             )
         )
-        assert lipschitz_upper(p) == pytest.approx(6.0, rel=1e-10)
+        assert math.prod(p.weight_spectral_norms) == pytest.approx(6.0, rel=1e-10)
 
     def test_bounds_finite_difference_slopes(self):
         rng = np.random.default_rng(7)
         p = random_policy(rng, depth=3, max_width=10)
-        lip = lipschitz_upper(p)
+        lip = math.prod(p.weight_spectral_norms)
         s = rng.normal(size=(1000, p.input_dim))
         t = rng.normal(size=(1000, p.input_dim))
         outs_s = forward_batch(p, s.T)
@@ -187,7 +190,7 @@ class TestLipschitzUpper:
     def test_pairwise_bound_property(self):
         rng = np.random.default_rng(8)
         p = random_policy(rng, depth=2, max_width=6)
-        lip = lipschitz_upper(p)
+        lip = math.prod(p.weight_spectral_norms)
         for _ in range(100):
             a = rng.normal(size=p.input_dim)
             b = rng.normal(size=p.input_dim)
