@@ -68,11 +68,11 @@ class StateSpaceSpec:
                 raise ValueError("box bounds must match the state dimension")
             if (lo > hi).any():
                 raise ValueError("box low bound exceeds high bound")
-            corner = np.maximum(np.abs(lo), np.abs(hi))
-            if float(np.linalg.norm(corner)) > radius + 1e-12:
+            corner = float(linalg.vector_norm(np.maximum(np.abs(lo), np.abs(hi))))
+            if corner > radius + 1e-12:
                 raise ValueError(
                     "box does not fit inside the certified ball: farthest corner "
-                    f"norm {float(np.linalg.norm(corner)):.17g} > radius {radius:.17g}"
+                    f"norm {corner:.17g} > radius {radius:.17g}"
                 )
             object.__setattr__(self, "box", (_frozen(lo), _frozen(hi)))
 
@@ -85,7 +85,7 @@ class StateSpaceSpec:
         dim = vecs[0].shape[0]
         if any(v.shape[0] != dim for v in vecs):
             raise ValueError("states must share one dimension")
-        radius = max(float(np.linalg.norm(v)) for v in vecs)
+        radius = max(float(linalg.vector_norm(v)) for v in vecs)
         return cls(dim=dim, radius=radius, source="states")
 
 

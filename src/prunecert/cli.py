@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from prunecert import __version__
+from prunecert import __version__, linalg
 from prunecert.certifier import (
     AuditSummary,
     Certificate,
@@ -360,7 +360,7 @@ def _state_space(cfg: RunConfig, dim: int) -> StateSpaceSpec:
             box = (lo, hi)
             if radius is None:
                 # tightest ball containing the box
-                radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+                radius = float(linalg.vector_norm(np.maximum(np.abs(lo), np.abs(hi))))
         if radius is None:
             raise UsageError("provide --radius, --box-lo/--box-hi, or --states")
         return StateSpaceSpec(dim=dim, radius=float(radius), box=box)
@@ -613,7 +613,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.horizon is None or cfg.horizon < 1:
         raise UsageError("horizon must be at least 1")
     try:
-        report = deviation_audit(d, original, pruned, cert, np.asarray(cfg.x0), cfg.horizon)
+        # an overflowing loop is a blow-up, and the report records it
+        with np.errstate(over="ignore"):
+            report = deviation_audit(d, original, pruned, cert, np.asarray(cfg.x0), cfg.horizon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -137,7 +139,7 @@ class MlpPolicy:
 
     @cached_property
     def bias_norms(self) -> tuple[float, ...]:
-        return tuple(float(np.linalg.norm(layer.bias)) for layer in self.layers)
+        return tuple(float(linalg.vector_norm(layer.bias)) for layer in self.layers)
 
 
 def _propagate(p: MlpPolicy, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
@@ -251,10 +253,71 @@ def policy_from_dict(d) -> MlpPolicy:
         raise ValueError(f"model: {exc}") from exc
 
 
+# elements per write of a long list: bounds the memory of one write while
+# keeping the number of writes small
+_CHUNK = 4096
+
+
+def _chunk_formatter(items, inner: str):
+    """For a flat list of finite floats, or a list of ``[int, int]`` pairs
+    whose brackets sit after ``inner``, the function that formats a slice
+    of it element by element; None for any other list."""
+    types = {*map(type, items)}
+    if types == {float} and all(map(math.isfinite, items)):
+        return partial(map, float.__repr__)
+    if (
+        types == {list}
+        and {*map(len, items)} == {2}
+        and {*map(type, chain.from_iterable(items))} == {int}
+    ):
+        pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]".__mod__
+        return lambda chunk: map(pair, map(tuple, chunk))
+    return None
+
+
+def _write_value(write, value, pad: str) -> None:
+    """Write ``value`` exactly as ``json.dump(indent=2, sort_keys=True)``
+    writes it when its closing bracket sits after ``pad``.
+
+    The weight rows, biases, saliencies and masks that make up almost all
+    of an artifact are formatted a chunk at a time with ``float.__repr__``
+    and ``%d``, the formatting ``json`` itself applies to ``float`` and
+    ``int``; everything else goes through ``json.dumps``, re-indented (a
+    JSON string holds no raw newline).
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        sep = "\n" + inner
+        write("{")
+        for key in sorted(value):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_value(write, value[key], inner)
+            sep = ",\n" + inner
+        write("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = ",\n" + inner
+        write("[\n" + inner)
+        formatted = _chunk_formatter(value, inner)
+        if formatted is not None:
+            for start in range(0, len(value), _CHUNK):
+                if start:
+                    write(sep)
+                write(sep.join(formatted(value[start : start + _CHUNK])))
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    write(sep)
+                _write_value(write, item, inner)
+        write("\n" + pad + "]")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
 def _write_json(path, obj) -> None:
-    """The one canonical JSON writer: sorted keys, two-space indent."""
+    """The one canonical JSON writer: the bytes of ``json.dump(obj, fh,
+    indent=2, sort_keys=True)`` plus a newline, streamed in bounded chunks."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _write_value(fh.write, obj, "")
         fh.write("\n")
 
 

@@ -68,6 +68,13 @@ class TestStateSpaceSpec:
         assert space.radius == 5.0
         assert space.source == "states"
 
+    def test_from_states_tiny_norm(self):
+        assert StateSpaceSpec.from_states([(3e-170, 4e-170)]).radius == 5e-170
+
+    def test_huge_box_inside_ball_accepted(self):
+        box = (np.full(2, -1e200), np.full(2, 1e200))
+        assert StateSpaceSpec(dim=2, radius=2e200, box=box).box is not None
+
 
 class TestBoundConstantState:
     """The per-state constant C_k(s), through ``per_state_bounds``."""

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,21 @@ class TestPrune:
         assert layer["k"] == 0
         assert len(layer["mask"]) == len(layer["saliencies"]) == plan["pruned_weights"]
         assert layer["delta_spectral"] > 0
+
+    def test_artifacts_are_canonical_json(self, tmp_path, random_model):
+        model, calib = random_model
+        main([
+            "prune", "--model", str(model), "--calibration", str(calib),
+            "--sparsity", "0.5", "--out", str(tmp_path / "p"),
+        ])
+        main([
+            "certify", "--model", str(model),
+            "--pruned", str(tmp_path / "p" / "pruned_model.json"),
+            "--radius", "1.0", "--samples", "20", "--out", str(tmp_path / "c"),
+        ])
+        for path in (tmp_path / "p" / "prune_plan.json", tmp_path / "c" / "certificate.json"):
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -279,6 +296,41 @@ class TestCertify:
         assert cert["audit"]["violations"] == 0
         assert 0.0 < cert["audit"]["max_dev"] <= cert["budget"] < float("inf")
         assert cert["holds"] is True
+        assert code == EXIT_OK
+
+    def test_tiny_bias_stays_in_the_budget(self, tmp_path):
+        # layer 0 maps every state to its bias, of norm 5e-170; removing the
+        # identity layer 1 moves the output by exactly that much
+        def save(weight, name):
+            p = MlpPolicy(layers=(
+                Layer(weight=np.zeros((2, 2)), bias=[3e-170, 4e-170],
+                      activation=ActivationKind("identity")),
+                Layer(weight=weight, bias=np.zeros(2), activation=ActivationKind("identity")),
+            ))
+            save_policy(p, tmp_path / name)
+            return tmp_path / name
+
+        out = tmp_path / "cert"
+        code = main([
+            "certify", "--model", str(save(np.eye(2), "orig.json")),
+            "--pruned", str(save(np.zeros((2, 2)), "pruned.json")),
+            "--radius", "1", "--samples", "10", "--seed", "3", "--out", str(out),
+        ])
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["audit"]["max_dev"] == 5e-170
+        assert cert["budget"] >= 5e-170
+        assert code == EXIT_OK
+
+    def test_huge_box_takes_its_corner_norm(self, tmp_path):
+        model = _simple_model(tmp_path, [[1.0, 0.0]])
+        out = tmp_path / "cert"
+        code = main([
+            "certify", "--model", str(model), "--pruned", str(model),
+            "--box-lo=-1e200,-1e200", "--box-hi=1e200,1e200",
+            "--samples", "10", "--out", str(out),
+        ])
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["radius"] == math.sqrt(2.0) * 1e200
         assert code == EXIT_OK
 
     def test_architecture_mismatch_reports_layer(self, tmp_path, capsys):
@@ -634,6 +686,27 @@ class TestSimulate:
         with open(out / "trajectory_pruned.csv") as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "x0", "x1", "u0", "deviation", "bound", "in_ball"]
+
+
+class TestSimulateWarnings:
+    def test_blow_up_emits_no_runtime_warning(self, tmp_path):
+        # the original policy's action overflows to inf at t=2
+        model = _simple_model(tmp_path, weight=((1e160, 0.0),))
+        pruned = _simple_model(tmp_path, weight=((0.0, 0.0),), name="pruned.json")
+        main([
+            "certify", "--model", str(model), "--pruned", str(pruned),
+            "--radius", "1", "--samples", "10", "--out", str(tmp_path / "cert"),
+        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "simulate", "--model", str(model), "--pruned", str(pruned),
+                "--certificate", str(tmp_path / "cert" / "certificate.json"),
+                "--x0=1e-300,0", "--horizon", "5", "--dynamics", "double_integrator",
+                "--dt", "1e160", "--out", str(tmp_path / "sim"),
+            ])
+        assert code == EXIT_USAGE
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestSimulateMatchesReference:

@@ -1,12 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CERTIFIED_SAMPLES, naive_forward, random_policy
+from prunecert import policy
 from prunecert.policy import (
     ActivationKind,
     Layer,
@@ -272,3 +274,66 @@ class TestModelJson:
         raw = json.loads(path.read_text())
         assert raw["layers"][0]["activation"]["alpha"] == 0.1
         assert load_policy(path).layers[0].activation.alpha == 0.1
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# what the artifacts hold, plus every other JSON value the writer may meet:
+# float lists with non-finite entries, pairs holding bools, int-keyed dicts
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+    | st.lists(st.floats())
+    | st.lists(st.lists(st.integers(), min_size=2, max_size=2))
+    | st.lists(st.lists(st.integers() | st.booleans(), min_size=2, max_size=2))
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (
+        st.lists(children)
+        | st.dictionaries(st.text(), children)
+        | st.dictionaries(st.integers(), children)
+    ),
+    max_leaves=40,
+)
+
+
+def _dumped(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestCanonicalJson:
+    """``_write_json`` writes the bytes of ``json.dump(indent=2,
+    sort_keys=True)`` plus a newline."""
+
+    @given(_json_values)
+    @example({"rows": [[1.0, float("inf")], [float("nan"), -0.0]], "pairs": [[1, True]],
+              "nested": {"k": {2: [0.5, 1.5], 1: {}}}})
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_json_dumps(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "canonical.json"
+        policy._write_json(path, obj)
+        assert path.read_bytes() == _dumped(obj).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "n", [policy._CHUNK - 1, policy._CHUNK, policy._CHUNK + 1, 2 * policy._CHUNK + 1]
+    )
+    def test_chunk_boundaries(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        obj = {
+            "mask": rng.integers(-(2**40), 2**40, size=(n, 2)).tolist(),
+            "rows": [rng.standard_normal(n).tolist()],
+        }
+        path = tmp_path / "long.json"
+        policy._write_json(path, obj)
+        assert path.read_text(encoding="utf-8") == _dumped(obj)
+
+    @pytest.mark.parametrize("fixture", ["pendulum_policy.json", "double_integrator_policy.json"])
+    def test_fixtures_round_trip_byte_for_byte(self, tmp_path, fixture):
+        path = tmp_path / fixture
+        save_policy(load_policy(FIXTURES / fixture), path)
+        assert path.read_bytes() == (FIXTURES / fixture).read_bytes()
