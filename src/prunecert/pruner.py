@@ -95,8 +95,8 @@ class Ranking:
 
 @dataclass(frozen=True, eq=False)
 class LayerPrune:
-    """Weight change applied to one layer: masked positions plus the dense
-    delta ``W_pruned - W_original`` and its spectral norm.
+    """Weight change applied to one layer: masked positions plus the
+    spectral norm of the delta ``W_pruned - W_original``.
 
     ``mask`` is an ``(n, 2)`` integer array of zeroed ``(row, col)``
     positions, in removal order when the plan came from a ranking.
@@ -104,7 +104,6 @@ class LayerPrune:
 
     layer: int
     mask: np.ndarray
-    delta: np.ndarray
     delta_spectral_norm: float
     compensated: bool
 
@@ -113,7 +112,6 @@ class LayerPrune:
         if mask.ndim != 2 or mask.shape[1] != 2:
             raise ValueError(f"mask must have shape (n, 2), got {mask.shape}")
         object.__setattr__(self, "mask", _frozen(mask))
-        object.__setattr__(self, "delta", _frozen(linalg.as_matrix(self.delta, "delta")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +141,6 @@ class PrunePlan:
                 LayerPrune(
                     layer=int(k),
                     mask=np.argwhere(d),
-                    delta=d,
                     delta_spectral_norm=linalg.spectral_norm(d),
                     compensated=compensated,
                 )
@@ -183,7 +180,6 @@ class PrunePlan:
                 LayerPrune(
                     layer=k,
                     mask=np.argwhere(zeroed),
-                    delta=delta,
                     delta_spectral_norm=linalg.spectral_norm(delta),
                     compensated=bool(off_mask.any()),
                 )
@@ -210,10 +206,14 @@ def collect_calibration(p: MlpPolicy, states: Iterable) -> CalibrationBatch:
     return CalibrationBatch(inputs=tuple(mats))
 
 
-def _layer_h_inv(x: np.ndarray, damping) -> np.ndarray:
+def _layer_h_inv(x: np.ndarray, damping) -> np.ndarray | None:
+    """Damped inverse curvature block, or ``None`` for an all-zero block
+    under auto damping: a layer whose inputs are all zero on the
+    calibration batch, where removing any weight changes no output."""
     h = linalg.gram(x)
-    lam = linalg.auto_damping(h) if damping == "auto" else float(damping)
-    return linalg.damped_inverse(h, lam)
+    if damping != "auto":
+        return linalg.damped_inverse(h, float(damping))
+    return linalg.damped_inverse(h, linalg.auto_damping(h)) if h.any() else None
 
 
 def rank_weights(
@@ -228,8 +228,9 @@ def rank_weights(
     The score divides each squared weight by the corresponding diagonal of
     the damped inverse curvature block; ``diagonal=True`` swaps in the
     classic 1/H_qq approximation instead of the full inverse.  ``damping``
-    may be a number or ``"auto"``.  Ties break on (layer, row, col) so
-    rankings are reproducible.
+    may be a number or ``"auto"``; under ``"auto"`` a layer whose inputs are
+    all zero on the calibration batch scores every weight 0.  Ties break on
+    (layer, row, col) so rankings are reproducible.
     """
     ks = sorted({int(k) for k in layers})
     if not ks:
@@ -257,7 +258,9 @@ def rank_weights(
             sal = np.where(hqq > 0.0, 0.5 * w * w * hqq[None, :], 0.0)
         else:
             h_inv = _layer_h_inv(x, damping)
-            dinv = np.diag(h_inv)
+            # a dead block scores each weight 0, its exact removal loss and the
+            # limit lam -> 0 of the damped zero block's inverse diagonal 1/lam
+            dinv = np.full(w.shape[1], np.inf) if h_inv is None else np.diag(h_inv)
             if (dinv <= 0.0).any():
                 raise ValueError(
                     f"layer {k}: Hessian inversion produced a nonpositive diagonal"
@@ -321,7 +324,8 @@ class _LayerWork:
         self.row_h_inv: dict[int, np.ndarray] = {}
 
     def remove(self, row: int, col: int, compensate: bool, reestimate: bool) -> None:
-        if compensate:
+        # a dead block (no ``h_inv``) has nothing to compensate
+        if compensate and self.h_inv is not None:
             hinv = self.row_h_inv.get(row, self.h_inv) if reestimate else self.h_inv
             self.work[row] = obs_compensate(self.work[row], col, hinv)
             if reestimate:
@@ -342,7 +346,6 @@ class _LayerWork:
         return LayerPrune(
             layer=self.layer,
             mask=np.column_stack((taken.row, taken.col)),
-            delta=self.work - self.original,
             delta_spectral_norm=self.delta_norm(),
             compensated=compensated,
         )

@@ -86,14 +86,10 @@ def _ck_oracle(wnorms, bnorms, k1, snorm):
 
 
 def scaled_plan(plan: PrunePlan, factor: float) -> PrunePlan:
-    """``plan`` with every delta and delta norm multiplied by ``factor``."""
+    """``plan`` with every delta norm multiplied by ``factor``."""
     return PrunePlan(
         layers=tuple(
-            replace(
-                lp,
-                delta=lp.delta * factor,
-                delta_spectral_norm=lp.delta_spectral_norm * factor,
-            )
+            replace(lp, delta_spectral_norm=lp.delta_spectral_norm * factor)
             for lp in plan.layers
         )
     )
@@ -113,7 +109,8 @@ def scaled_norm(v) -> float:
 
 def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
     """Per-weight reference for ``rank_weights``: ``(saliency, layer, row, col)``
-    tuples from the same saliency matrix, ordered by a Python sort key."""
+    tuples from the same saliency matrix, ordered by a Python sort key.  Under
+    auto damping an all-zero curvature block scores every weight 0."""
     from prunecert import linalg
 
     entries = []
@@ -125,6 +122,8 @@ def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
         if diagonal:
             hqq = np.diag(h) + lam
             sal = np.where(hqq > 0.0, 0.5 * w * w * hqq[None, :], 0.0)
+        elif damping == "auto" and not h.any():
+            sal = np.zeros(w.shape)  # a dead layer: every removal is free
         else:
             sal = 0.5 * w * w / np.diag(linalg.damped_inverse(h, lam))[None, :]
         for r in range(w.shape[0]):

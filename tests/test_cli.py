@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -127,6 +128,29 @@ class TestPrune:
         for path in (tmp_path / "p" / "prune_plan.json", tmp_path / "c" / "certificate.json"):
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_dead_layer_prunes_under_auto_damping(self, tmp_path):
+        # layer 0's bias of -10 silences both ReLUs on every calibration
+        # state, so layer 1's curvature block is all zero
+        relu = ActivationKind("relu")
+        model = tmp_path / "model.json"
+        save_policy(MlpPolicy(layers=(
+            Layer(weight=[[1.0, 0.5], [-0.5, 1.0]], bias=[-10.0, -10.0], activation=relu),
+            Layer(weight=[[2.0, -3.0]], bias=[0.0], activation=relu),
+        )), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
+        for flags in ([], ["--compensate"], ["--compensate", "--reestimate"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main([
+                "prune", "--model", str(model), "--calibration", str(calib),
+                "--sparsity", "0.5", "--out", str(out), *flags,
+            ]) == EXIT_OK
+            # layer 1's free removals come first, then one weight of layer 0
+            plan = json.loads((out / "prune_plan.json").read_text())
+            assert [layer["k"] for layer in plan["layers"]] == [0, 1]
+            assert plan["layers"][1]["saliencies"] == [0.0, 0.0]
+            assert load_policy(out / "pruned_model.json").layers[1].weight.tolist() == [[0.0, 0.0]]
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -979,6 +1003,10 @@ class TestConfigValues:
             ("prune", {"epsilon": "0.1x", "radius": 1.0}),
             ("certify", {"samples": "x", "radius": 1.0}),
             ("certify", {"samples": 100, "radius": [1.0]}),
+            ("certify", {"samples": 0, "radius": 1.0}),
+            ("certify", {"samples": -3, "radius": 1.0}),
+            ("certify", {"seed": -1, "radius": 1.0}),
+            ("prune", {"allocation": "bogus", "sparsity": 0.5}),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, random_model, capsys, command, cfg):
@@ -988,6 +1016,84 @@ class TestConfigValues:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("certify", ["--samples", "0", "--radius", "1.0"]),
+            ("certify", ["--samples", "-3", "--radius", "1.0"]),
+            ("certify", ["--seed", "-1", "--radius", "1.0"]),
+            ("verify", ["--samples", "0", "--radius", "1.0"]),
+            ("prune", ["--allocation", "bogus", "--sparsity", "0.5"]),
+            ("prune", ["--sparsity", "nan"]),
+            ("prune", ["--damping", "-1", "--sparsity", "0.5"]),
+        ],
+    )
+    def test_bad_flags_are_usage_errors(self, tmp_path, random_model, capsys, command, flags):
+        model, calib = random_model
+        base = {"prune": ["--calibration", str(calib)]}.get(command, ["--pruned", str(model)])
+        code = main([command, "--model", str(model), *base, *flags, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_unknown_key_is_named(self, tmp_path, random_model, capsys):
+        model, _ = random_model
+        cfg = {"model": str(model), "pruned": str(model), "radius": 1.0, "sample": 50}
+        assert self._run(tmp_path, "certify", cfg, "--out", str(tmp_path / "o")) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'sample'" in err[0]
+        assert not (tmp_path / "o" / "certificate.json").exists()
+
+    def test_other_commands_keys_are_not_parsed(self, tmp_path, random_model):
+        model, _ = random_model
+        cfg = {
+            "model": str(model), "pruned": str(model), "radius": 1.0, "samples": 20,
+            "sparsity": "half", "allocation": "bogus", "horizon": 0, "paths": "x",
+        }
+        assert self._run(tmp_path, "certify", cfg, "--out", str(tmp_path / "o")) == EXIT_OK
+
+    def test_one_config_serves_prune_certify_and_simulate(self, tmp_path):
+        model = FIXTURES / "pendulum_policy.json"
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        run = tmp_path / "run"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "model": str(model), "calibration": str(calib), "layers": "0", "sparsity": 0.5,
+            "pruned": str(run / "pruned_model.json"), "radius": 3.0, "samples": 200,
+            "certificate": str(run / "certificate.json"), "dynamics": "pendulum",
+            "x0": [0.5, 0.0], "horizon": 20, "seed": 3, "out": str(run),
+        }))
+        for command in ("prune", "certify", "simulate"):
+            assert main([command, "--config", str(path)]) == EXIT_OK
+        report = json.loads((run / "deviation_report.json").read_text())
+        assert (report["horizon"], report["in_ball_violations"]) == (20, 0)
+        assert main(["report", "--config", str(path), str(run / "certificate.json"),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        path.write_text(json.dumps({"paths": [str(run / "certificate.json")]}))
+        assert main(["report", "--config", str(path), "--out", str(tmp_path / "r2")]) == EXIT_OK
+        assert json.loads((tmp_path / "r2" / "summary.json").read_text())["count"] == 1
+
+
+class TestHelp:
+    COMMANDS = ("prune", "certify", "verify", "simulate", "report")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_exactly_the_commands_table_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        own = {key for key, row in cli.OPTIONS.items() if command in row[2]}
+        flags = {f"--{key.replace('_', '-')}" for key in own - {"paths"}}
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", text)) == flags | {"--help", "--config"}
+        assert ("paths" in own) == ("paths" in text)
+
+    def test_every_option_belongs_to_a_command(self):
+        assert len(cli.OPTIONS) == 32
+        for key, (_, _, commands, _) in cli.OPTIONS.items():
+            assert commands and set(commands) <= set(self.COMMANDS), key
 
 
 class TestEntryPoint:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_forward, random_policy, ranking_tuples, reference_ranking
@@ -213,6 +213,27 @@ class TestRankWeights:
         # damping (or auto) unblocks the same call
         assert len(rank_weights(p, calib, [0], damping="auto")) == 3
 
+    def test_dead_layer_under_auto_damping_scores_zero(self):
+        relu = ActivationKind("relu")
+        p = MlpPolicy(
+            layers=(
+                Layer(weight=[[1.0, 0.5], [-0.5, 1.0]], bias=[-10.0, -10.0], activation=relu),
+                Layer(weight=[[2.0, -3.0]], bias=[0.0], activation=relu),
+            )
+        )
+        calib = collect_calibration(p, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        assert not calib.inputs[1].any()  # layer 1's curvature block is all zero
+        ranking = rank_weights(p, calib, [1], damping="auto")
+        assert ranking_tuples(ranking) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
+        # a compensated removal there only zeroes the weight
+        for reestimate in (False, True):
+            pruned, plan = apply_plan(
+                p, ranking, 1, compensate=True, damping="auto", calib=calib,
+                reestimate=reestimate,
+            )
+            assert pruned.layers[1].weight.tolist() == [[0.0, -3.0]]
+            assert plan.layers[0].delta_spectral_norm >= 2.0
+
     def test_diagonal_variant_matches_full_inverse_on_diagonal_gram(self):
         rng = np.random.default_rng(4)
         w = rng.normal(size=(3, 3))
@@ -304,7 +325,9 @@ class TestApplyPlan:
         pruned, plan = apply_plan(p, entries, len(entries))
         assert not pruned.layers[0].weight.any()
         lp = plan.layers[0]
-        np.testing.assert_array_equal(lp.delta, -p.layers[0].weight)
+        np.testing.assert_array_equal(
+            pruned.layers[0].weight - p.layers[0].weight, -p.layers[0].weight
+        )
         assert lp.delta_spectral_norm == pytest.approx(
             spectral_norm(p.layers[0].weight), rel=1e-9
         )
@@ -334,11 +357,12 @@ class TestApplyPlan:
 
     def test_zero_only_reconstruction_is_bitwise(self):
         rng, p, _, _, entries = self._setup(seed=10)
-        pruned, plan = apply_plan(p, entries, 5)
+        pruned, _ = apply_plan(p, entries, 5)
+        delta = pruned.layers[0].weight - p.layers[0].weight
         rebuilt = MlpPolicy(
             layers=(
                 Layer(
-                    weight=p.layers[0].weight + plan.layers[0].delta,
+                    weight=p.layers[0].weight + delta,
                     bias=p.layers[0].bias,
                     activation=p.layers[0].activation,
                 ),
@@ -401,9 +425,10 @@ class TestApplyPlan:
         states = [rng.normal(size=p.input_dim) for _ in range(12)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [0, 1], damping="auto")
-        _, plan = apply_plan(p, entries, len(entries) // 3)
+        pruned, plan = apply_plan(p, entries, len(entries) // 3)
         for lp in plan.layers:
-            truth = spectral_norm(lp.delta) if lp.delta.any() else 0.0
+            delta = pruned.layers[lp.layer].weight - p.layers[lp.layer].weight
+            truth = spectral_norm(delta) if delta.any() else 0.0
             assert lp.delta_spectral_norm == pytest.approx(truth, rel=1e-9, abs=1e-15)
 
     def test_count_out_of_range(self):
@@ -443,7 +468,7 @@ class TestPrunePlanConstruction:
         recovered = PrunePlan.from_policies(p, pruned)
         assert [lp.layer for lp in recovered.layers] == [lp.layer for lp in plan.layers]
         for lp_a, lp_b in zip(plan.layers, recovered.layers):
-            np.testing.assert_array_equal(lp_a.delta, lp_b.delta)
+            assert lp_a.delta_spectral_norm == lp_b.delta_spectral_norm
             assert sorted(lp_a.mask.tolist()) == sorted(lp_b.mask.tolist())
             assert not lp_b.compensated
 
@@ -523,7 +548,8 @@ def _reference_budget(p, entries, caps, calib, damping, compensate, reestimate):
         for k in caps:
             h = gram(calib.inputs[k])
             lam = auto_damping(h) if damping == "auto" else float(damping)
-            h_inv[k] = damped_inverse(h, lam)
+            # a dead layer (an all-zero block under auto damping) only zeroes
+            h_inv[k] = damped_inverse(h, lam) if damping != "auto" or h.any() else None
     row_h_inv = {}
     open_caps = dict(caps)
     taken = {k: [] for k in caps}
@@ -532,7 +558,7 @@ def _reference_budget(p, entries, caps, calib, damping, compensate, reestimate):
         if open_caps.get(k, 0.0) <= 0.0:
             continue
         saved = work[k][r].copy()
-        if compensate:
+        if compensate and h_inv[k] is not None:
             hi = row_h_inv.get((k, r), h_inv[k]) if reestimate else h_inv[k]
             work[k][r] = obs_compensate(work[k][r], c, hi)
             if reestimate:
@@ -641,6 +667,9 @@ class TestRankingMatchesReference:
         mode=st.sampled_from([(False, False), (True, False), (True, True)]),
         fractions=st.lists(st.one_of(st.none(), st.floats(0.0, 1.5)), min_size=3, max_size=3),
     )
+    # layer 2 is dead on this seed's calibration batch: its curvature block is all zero
+    @example(seed=1259363, mode=(True, True), fractions=[0.5, 0.5, 0.5])
+    @example(seed=1259363, mode=(False, False), fractions=[None, None, 1.0])
     def test_prune_to_budget_matches_reference_on_random_policies(self, seed, mode, fractions):
         rng = np.random.default_rng(seed)
         p = random_policy(rng, depth=3, max_width=6)
