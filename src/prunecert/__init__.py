@@ -37,9 +37,7 @@ from prunecert.certifier import (
     Certificate,
     StateSpaceSpec,
     admissible_magnitude,
-    audit_bound,
-    bound_constant_max,
-    multi_layer_budget,
+    certify,
 )
 from prunecert.controlsim import (
     BlowUpError,

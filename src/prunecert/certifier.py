@@ -3,9 +3,13 @@
 For a policy with non-expansive activations, perturbing layer k's weights by
 ``delta`` moves the output at state s by at most ``C_k(s) * ||delta||_2``,
 where ``C_k`` depends only on the unpruned spectral norms, the bias norms,
-and ``||s||_2``.  Perturbing several layers adds the per-layer terms.  All
-constants here are evaluated from cached norms, so certifying is a few
-scalar products; the Monte-Carlo audit then hammers the bound empirically.
+and ``||s||_2``.  Perturbing several layers adds the per-layer terms.
+
+``certify`` is the one producer of a certificate: it reads the delta norms
+off an (original, pruned) pair, weights them by the worst-case constants on
+the certified ball, and audits the sum on sampled states.  One private
+evaluator computes every constant, so the budget, the per-state bounds and
+the inverse problem's caps share the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ __all__ = [
     "CertificateRow",
     "AuditSummary",
     "Certificate",
-    "bound_constant_max",
-    "multi_layer_budget",
+    "certify",
     "admissible_magnitude",
-    "audit_bound",
     "sample_states",
     "per_state_bounds",
 ]
@@ -107,18 +109,9 @@ class AuditSummary:
     max_dev: float
     mean_dev: float
     violations: int
-    budget: float
     tightness: float
     margin: float
     seed: int
-
-    @property
-    def holds(self) -> bool:
-        """Max deviation within the budget and no per-state violation."""
-        return (
-            self.max_dev <= self.budget + AUDIT_SLACK * max(self.budget, 1.0)
-            and self.violations == 0
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,115 +125,62 @@ class Certificate:
     rows: tuple[CertificateRow, ...]
     budget: float
     radius: float
-    radius_source: str = "radius"
-    audit: AuditSummary | None = None
+    radius_source: str
+    audit: AuditSummary
 
     def delta_norms(self) -> tuple[tuple[int, float], ...]:
         return tuple((r.layer, r.delta_spectral) for r in self.rows)
 
     @property
     def holds(self) -> bool:
-        if self.audit is None:
-            raise ValueError("certificate has not been audited")
-        return self.audit.holds
+        """Max deviation within the budget and no per-state violation."""
+        a = self.audit
+        return (
+            a.max_dev <= self.budget + AUDIT_SLACK * max(self.budget, 1.0)
+            and a.violations == 0
+        )
 
 
 # ---------------------------------------------------------------------------
 # bound constants
 # ---------------------------------------------------------------------------
 
-def _check_layer_index(p: MlpPolicy, k: int) -> None:
-    if not 0 <= k < p.num_layers:
-        raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
-
-
-def _constant_parts(p: MlpPolicy, k: int) -> tuple[float, tuple[float, ...]]:
-    """Pieces of the layer-k constant: the norm product over the other
-    layers, plus one carry-over term per bias below layer k."""
+def _constants(p: MlpPolicy, layers: Iterable[int], snorm) -> list:
+    """``C_k`` at the state norm ``snorm`` (a scalar or an array), one per
+    layer k of ``layers``: ``snorm`` times the norm product over the other
+    layers, plus one carry-over term per bias below layer k, each added in
+    turn.  Every certified number comes from here, in this order."""
     w = p.weight_spectral_norms
     b = p.bias_norms
     L = p.num_layers
-    prod_rest = 1.0
-    for m in range(L):
-        if m != k:
-            prod_rest *= w[m]
-    terms = []
-    for j in range(k):
-        term = b[j]
-        for m in range(j + 1, L):
+    out = []
+    for k in layers:
+        if not 0 <= k < L:
+            raise ValueError(f"layer index {k} out of range 0..{L - 1}")
+        prod_rest = 1.0
+        for m in range(L):
             if m != k:
-                term *= w[m]
-        terms.append(term)
-    return prod_rest, tuple(terms)
+                prod_rest *= w[m]
+        c = snorm * prod_rest
+        for j in range(k):
+            term = b[j]
+            for m in range(j + 1, L):
+                if m != k:
+                    term *= w[m]
+            c = c + term
+        out.append(c)
+    return out
 
 
-def _eval_constant(parts: tuple[float, tuple[float, ...]], snorm):
-    """Evaluate a constant at one state norm (scalar or array), keeping the
-    exact accumulation order used everywhere else."""
-    prod_rest, terms = parts
-    c = snorm * prod_rest
-    for t in terms:
-        c = c + t
-    return c
-
-
-def bound_constant_max(p: MlpPolicy, k: int, space: StateSpaceSpec) -> float:
-    """Worst case of the layer-k constant over the certified ball.
-
-    The constant is affine and increasing in ``||s||``, so the supremum sits
-    on the sphere of radius ``space.radius``.
-    """
-    _check_layer_index(p, k)
+def _check_space(p: MlpPolicy, space: StateSpaceSpec) -> None:
     if space.dim != p.input_dim:
         raise ValueError(
             f"state space dim {space.dim} does not match policy input {p.input_dim}"
         )
-    return float(_eval_constant(_constant_parts(p, k), space.radius))
-
-
-def _budget_rows(
-    p: MlpPolicy,
-    delta_norms: Sequence[tuple[int, float]],
-    radius: float,
-) -> tuple[tuple[CertificateRow, ...], float]:
-    rows = []
-    budget = 0.0
-    for k, dn in delta_norms:
-        _check_layer_index(p, k)
-        c_max = float(_eval_constant(_constant_parts(p, k), radius))
-        contribution = c_max * dn
-        budget = budget + contribution
-        rows.append(
-            CertificateRow(
-                layer=k, c_max=c_max, delta_spectral=dn, contribution=contribution
-            )
-        )
-    return tuple(rows), budget
-
-
-def multi_layer_budget(
-    p: MlpPolicy, plan: PrunePlan, space: StateSpaceSpec
-) -> Certificate:
-    """Total deviation budget for a multi-layer plan: the per-layer worst-case
-    constants (from the unpruned weights) weighted by the delta norms and
-    summed in ascending layer order."""
-    if space.dim != p.input_dim:
-        raise ValueError(
-            f"state space dim {space.dim} does not match policy input {p.input_dim}"
-        )
-    rows, budget = _budget_rows(p, plan.delta_norms(), space.radius)
-    return Certificate(
-        rows=rows,
-        budget=budget,
-        radius=space.radius,
-        radius_source=space.source,
-    )
 
 
 def per_state_bounds(
-    p: MlpPolicy,
-    delta_norms: Sequence[tuple[int, float]],
-    snorms,
+    p: MlpPolicy, delta_norms: Sequence[tuple[int, float]], snorms
 ) -> np.ndarray:
     """Per-state deviation bounds for a batch of state norms.
 
@@ -249,9 +189,7 @@ def per_state_bounds(
     """
     sn = np.asarray(snorms, dtype=float)
     total = np.zeros_like(sn)
-    for k, dn in delta_norms:
-        _check_layer_index(p, k)
-        c = _eval_constant(_constant_parts(p, k), sn)
+    for (_, dn), c in zip(delta_norms, _constants(p, [k for k, _ in delta_norms], sn)):
         total = total + dn * c
     return total
 
@@ -291,15 +229,15 @@ def admissible_magnitude(
         shares = [epsilon * w / total for w in ws]
     else:
         raise ValueError(f"unknown allocation {allocation!r}")
+    _check_space(p, space)
     caps = {}
-    for k, share in zip(ks, shares):
-        c_max = bound_constant_max(p, k, space)
+    for k, share, c_max in zip(ks, shares, _constants(p, ks, space.radius)):
         caps[k] = share / c_max if c_max > 0 else math.inf
     return caps
 
 
 # ---------------------------------------------------------------------------
-# audit
+# certificate: budget and audit
 # ---------------------------------------------------------------------------
 
 def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -330,49 +268,46 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
     return states
 
 
-def audit_bound(
-    original: MlpPolicy,
-    pruned: MlpPolicy,
-    plan: PrunePlan,
-    space: StateSpaceSpec,
-    n: int,
-    seed: int,
-) -> AuditSummary:
-    """Monte-Carlo check that measured deviation stays under the bound.
+def certify(
+    original: MlpPolicy, pruned: MlpPolicy, space: StateSpaceSpec, n: int, seed: int
+) -> Certificate:
+    """Budget the (original, pruned) pair on ``space`` and audit it.
 
-    Samples states, measures ``||pi(s) - pi_hat(s)||_2``, and counts
-    violations of the per-state bound beyond the fixed absolute slack.  The
-    reported budget uses exactly the same arithmetic as the certificate.
+    The delta norms come from the pair itself (``PrunePlan.from_policies``),
+    so a certificate always describes the models it was computed from.  The
+    budget weights each layer's worst-case constant, which sits on the sphere
+    of radius ``space.radius`` since ``C_k`` increases with ``||s||``, by its
+    delta norm and sums in ascending layer order.  The audit draws ``n``
+    states, measures ``||pi(s) - pi_hat(s)||_2`` and counts violations of the
+    per-state bound beyond the fixed absolute slack.
     """
-    if n < 1:
-        raise ValueError(f"need at least one audit sample, got {n}")
-    if (original.input_dim, original.output_dim) != (pruned.input_dim, pruned.output_dim):
-        raise ValueError("original and pruned policies have mismatched interfaces")
-    if space.dim != original.input_dim:
-        raise ValueError(
-            f"state space dim {space.dim} does not match policy input {original.input_dim}"
-        )
-    rng = np.random.default_rng(seed)
-    states = sample_states(space, n, rng)
-    outs_orig = forward_batch(original, states.T)
-    outs_pruned = forward_batch(pruned, states.T)
-    dev = linalg.vector_norm(outs_orig - outs_pruned, axis=0)
-    snorms = linalg.vector_norm(states, axis=1)
-    bounds = per_state_bounds(original, plan.delta_norms(), snorms)
-    violations = int(np.count_nonzero(dev > bounds + AUDIT_SLACK))
-    _, budget = _budget_rows(original, plan.delta_norms(), space.radius)
+    _check_space(original, space)
+    delta_norms = PrunePlan.from_policies(original, pruned).delta_norms()
+    c_maxes = _constants(original, [k for k, _ in delta_norms], space.radius)
+    rows = tuple(
+        CertificateRow(layer=k, c_max=float(c), delta_spectral=dn, contribution=float(c) * dn)
+        for (k, dn), c in zip(delta_norms, c_maxes)
+    )
+    budget = 0.0
+    for r in rows:
+        budget = budget + r.contribution
+    states = sample_states(space, n, np.random.default_rng(seed))
+    dev = linalg.vector_norm(
+        forward_batch(original, states.T) - forward_batch(pruned, states.T), axis=0
+    )
+    bounds = per_state_bounds(original, delta_norms, linalg.vector_norm(states, axis=1))
     max_dev = float(dev.max())
     if budget > 0:
         tightness = max_dev / budget
     else:
         tightness = 0.0 if max_dev == 0.0 else math.inf
-    return AuditSummary(
+    audit = AuditSummary(
         samples=int(n),
         max_dev=max_dev,
         mean_dev=float(dev.mean()),
-        violations=violations,
-        budget=budget,
+        violations=int(np.count_nonzero(dev > bounds + AUDIT_SLACK)),
         tightness=tightness,
         margin=budget - max_dev,
         seed=int(seed),
     )
+    return Certificate(rows, budget, space.radius, space.source, audit)

@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,8 +30,7 @@ from prunecert.certifier import (
     CertificateRow,
     StateSpaceSpec,
     admissible_magnitude,
-    audit_bound,
-    multi_layer_budget,
+    certify,
 )
 from prunecert.controlsim import (
     BlowUpError,
@@ -120,9 +118,7 @@ def _load_states_csv(path, expected_dim: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    """Serialize a certificate; requires attached audit evidence."""
-    if cert.audit is None:
-        raise ValueError("cannot serialize an unaudited certificate")
+    """Serialize a certificate with its audit evidence."""
     a = cert.audit
     return {
         "layers": [
@@ -173,7 +169,6 @@ def certificate_from_dict(d) -> Certificate:
         max_dev=float(a["max_dev"]),
         mean_dev=float(a.get("mean_dev", a["max_dev"])),
         violations=int(a["violations"]),
-        budget=float(d["budget"]),
         tightness=float(a.get("tightness", 0.0)),
         margin=float(a.get("margin", float(d["budget"]) - float(a["max_dev"]))),
         seed=int(a["seed"]),
@@ -495,27 +490,17 @@ def _verify_report(cert: Certificate) -> dict:
 
 
 def _certify_and_write(cfg: argparse.Namespace, artifact: str, to_dict) -> int:
-    """Body shared by certify and verify: budget the (original, pruned) pair,
-    audit it, write ``to_dict(cert)`` to ``artifact`` and exit by ``holds``."""
+    """Body shared by certify and verify: certify the (original, pruned)
+    pair, write ``to_dict(cert)`` to ``artifact`` and exit by ``holds``."""
     original = _load_policy_file(cfg.model)
     if cfg.pruned is None:
         raise UsageError("certification needs --pruned (the pruned model file)")
     pruned = _load_policy_file(cfg.pruned)
+    space = _state_space(cfg, original.input_dim)
     try:
-        plan = PrunePlan.from_policies(original, pruned)
+        cert = certify(original, pruned, space, cfg.samples, derive_seed(cfg.seed, STREAM_AUDIT))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    space = _state_space(cfg, original.input_dim)
-    cert = multi_layer_budget(original, plan, space)
-    summary = audit_bound(
-        original,
-        pruned,
-        plan,
-        space,
-        n=cfg.samples,
-        seed=derive_seed(cfg.seed, STREAM_AUDIT),
-    )
-    cert = replace(cert, audit=summary)
     out = _outdir(cfg)
     _write_json(out / artifact, to_dict(cert))
     _print_certificate(cert)

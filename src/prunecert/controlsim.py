@@ -56,6 +56,12 @@ def _check_box(box, dim: int):
     return _frozen(lo), _frozen(hi)
 
 
+def _check_limit(limit, name: str) -> None:
+    # NaN fails the comparison; a negative limit would flip the clip
+    if limit is not None and not limit >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {limit}")
+
+
 @dataclass(frozen=True, eq=False)
 class DoubleIntegrator:
     """Point mass on a line: position integrates velocity, velocity
@@ -69,8 +75,9 @@ class DoubleIntegrator:
     action_dim = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check_limit(self.accel_limit, "accel_limit")
         if self.state_box is not None:
             object.__setattr__(self, "state_box", _check_box(self.state_box, self.state_dim))
 
@@ -100,8 +107,10 @@ class Pendulum:
 
     def __post_init__(self):
         for name in ("dt", "gravity", "length", "mass"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _check_limit(self.torque_limit, "torque_limit")
         if self.state_box is not None:
             object.__setattr__(self, "state_box", _check_box(self.state_box, self.state_dim))
 
@@ -135,6 +144,7 @@ class LinearSystem:
             raise ValueError(f"B has {b.shape[0]} rows but A is {a.shape[0]}x{a.shape[0]}")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
+        _check_limit(self.action_limit, "action_limit")
         if self.state_box is not None:
             object.__setattr__(self, "state_box", _check_box(self.state_box, a.shape[0]))
 

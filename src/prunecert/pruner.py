@@ -130,24 +130,6 @@ class PrunePlan:
         return tuple((lp.layer, lp.delta_spectral_norm) for lp in self.layers)
 
     @classmethod
-    def from_deltas(
-        cls, deltas: Mapping[int, np.ndarray], compensated: bool = False
-    ) -> "PrunePlan":
-        """Build a plan from raw per-layer weight changes."""
-        layers = []
-        for k in sorted(deltas):
-            d = linalg.as_matrix(deltas[k], f"delta[{k}]")
-            layers.append(
-                LayerPrune(
-                    layer=int(k),
-                    mask=np.argwhere(d),
-                    delta_spectral_norm=linalg.spectral_norm(d),
-                    compensated=compensated,
-                )
-            )
-        return cls(layers=tuple(layers))
-
-    @classmethod
     def from_policies(cls, original: MlpPolicy, pruned: MlpPolicy) -> "PrunePlan":
         """Recover the plan implied by an (original, pruned) model pair.
 

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 
 from prunecert.policy import ActivationKind, Layer, MlpPolicy
-from prunecert.pruner import PrunePlan
 
 CERTIFIED_SAMPLES = (
     ActivationKind("relu"),
@@ -85,13 +84,11 @@ def _ck_oracle(wnorms, bnorms, k1, snorm):
     return total
 
 
-def scaled_plan(plan: PrunePlan, factor: float) -> PrunePlan:
-    """``plan`` with every delta norm multiplied by ``factor``."""
-    return PrunePlan(
-        layers=tuple(
-            replace(lp, delta_spectral_norm=lp.delta_spectral_norm * factor)
-            for lp in plan.layers
-        )
+def scaled_certificate(cert, factor: float):
+    """``cert`` with every row's delta norm multiplied by ``factor``."""
+    return replace(
+        cert,
+        rows=tuple(replace(r, delta_spectral=r.delta_spectral * factor) for r in cert.rows),
     )
 
 

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_policy
-from prunecert.certifier import (
-    StateSpaceSpec,
-    admissible_magnitude,
-    audit_bound,
-    multi_layer_budget,
-)
+from prunecert.certifier import StateSpaceSpec, admissible_magnitude, certify
 from prunecert.cli import EXIT_OK, main
 from prunecert.linalg import gram, spectral_norm
 from prunecert.policy import (
@@ -29,7 +24,6 @@ from prunecert.policy import (
 )
 from prunecert.pruner import (
     CalibrationBatch,
-    PrunePlan,
     apply_plan,
     collect_calibration,
     obs_compensate,
@@ -67,11 +61,9 @@ def test_criterion_1_single_layer_soundness_sweep():
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
-            pruned, plan = apply_plan(p, entries, count)
-            summary = audit_bound(
-                p, pruned, plan, space, n=10_000, seed=int(rng.integers(2**32))
-            )
-            violations += summary.violations
+            pruned, _ = apply_plan(p, entries, count)
+            cert = certify(p, pruned, space, n=10_000, seed=int(rng.integers(2**32)))
+            violations += cert.audit.violations
             cases += 1
     _check(
         1,
@@ -96,11 +88,9 @@ def test_criterion_2_multi_layer_additivity_sweep():
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
-            pruned, plan = apply_plan(p, entries, count)
-            summary = audit_bound(
-                p, pruned, plan, space, n=10_000, seed=int(rng.integers(2**32))
-            )
-            violations += summary.violations
+            pruned, _ = apply_plan(p, entries, count)
+            cert = certify(p, pruned, space, n=10_000, seed=int(rng.integers(2**32)))
+            violations += cert.audit.violations
             cases += 1
     _check(
         2,
@@ -117,11 +107,10 @@ def test_criterion_3_tightness_fixture():
     pruned = MlpPolicy(
         layers=(Layer(weight=[[0.5]], bias=[0.0], activation=ActivationKind("relu")),)
     )
-    plan = PrunePlan.from_policies(original, pruned)
     space = StateSpaceSpec(dim=1, radius=2.0, box=(np.array([2.0]), np.array([2.0])))
-    summary = audit_bound(original, pruned, plan, space, n=128, seed=3)
-    ok = abs(summary.tightness - 1.0) <= 1e-12 and summary.violations == 0
-    _check(3, "equality fixture tightness 1.0", ok, f"tightness={summary.tightness!r}")
+    audit = certify(original, pruned, space, n=128, seed=3).audit
+    ok = abs(audit.tightness - 1.0) <= 1e-12 and audit.violations == 0
+    _check(3, "equality fixture tightness 1.0", ok, f"tightness={audit.tightness!r}")
 
 
 def test_criterion_4_saliency_matches_exact_loss_ranking():
@@ -243,8 +232,8 @@ def test_criterion_8_budget_round_trip():
         space = StateSpaceSpec(dim=p.input_dim, radius=float(rng.uniform(0.5, 5.0)))
         caps = admissible_magnitude(p, layers, epsilon, space)
         entries = rank_weights(p, calib, layers, damping="auto")
-        _, plan, _ = prune_to_budget(p, entries, caps, damping="auto", calib=calib)
-        cert = multi_layer_budget(p, plan, space)
+        pruned, _, _ = prune_to_budget(p, entries, caps, damping="auto", calib=calib)
+        cert = certify(p, pruned, space, n=100, seed=0)
         if not cert.budget <= epsilon + 1e-9:
             failures += 1
     _check(8, "admissible magnitudes re-certify under budget", failures == 0,

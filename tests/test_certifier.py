@@ -1,15 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import _ck_oracle, random_policy, scaled_plan
+from conftest import _ck_oracle, random_policy, scaled_certificate
 from prunecert.certifier import (
     StateSpaceSpec,
     admissible_magnitude,
-    audit_bound,
-    bound_constant_max,
-    multi_layer_budget,
+    certify,
     per_state_bounds,
     sample_states,
 )
@@ -23,6 +22,25 @@ def _constant(p, k, s) -> float:
     ``per_state_bounds`` with a unit delta norm on layer k alone, which is
     ``0 + 1 * C_k(s)``, so C_k(s) bit for bit."""
     return float(per_state_bounds(p, ((k, 1.0),), [float(np.linalg.norm(s))])[0])
+
+
+def _perturbed(p, deltas):
+    """``p`` with ``deltas[k]`` added to layer k's weights."""
+    return MlpPolicy(
+        layers=tuple(
+            replace(layer, weight=layer.weight + deltas[k]) if k in deltas else layer
+            for k, layer in enumerate(p.layers)
+        )
+    )
+
+
+def _c_max(p, k, space) -> float:
+    """Worst case of C_k over ``space``: the c_max of the one row that
+    ``certify`` reports for a pair perturbing layer k alone."""
+    delta = np.zeros(p.layers[k].weight.shape)
+    delta[0, -1] = 0.25
+    (row,) = certify(p, _perturbed(p, {k: delta}), space, n=1, seed=0).rows
+    return row.c_max
 
 
 def _norm_excess(shape, rank: float) -> float:
@@ -103,19 +121,29 @@ class TestBoundConstantState:
             )
 
     def test_matches_oracle_on_random_policies(self):
+        # bit for bit, through per_state_bounds and through certify's rows
         rng = np.random.default_rng(1)
+        delta_rng = np.random.default_rng(101)
         for _ in range(20):
             p = random_policy(rng, depth=int(rng.integers(1, 5)), max_width=8)
             s = rng.normal(size=p.input_dim)
             k = int(rng.integers(p.num_layers))
-            got = _constant(p, k, s)
-            expected = _ck_oracle(
-                list(p.weight_spectral_norms),
-                list(p.bias_norms),
-                k1=k + 1,
-                snorm=float(np.linalg.norm(s)),
-            )
-            assert got == pytest.approx(expected, rel=1e-12)
+            wnorms, bnorms = list(p.weight_spectral_norms), list(p.bias_norms)
+            snorm = float(np.linalg.norm(s))
+            assert _constant(p, k, s) == _ck_oracle(wnorms, bnorms, k1=k + 1, snorm=snorm)
+            deltas = {
+                m: delta_rng.normal(scale=0.05, size=layer.weight.shape)
+                for m, layer in enumerate(p.layers)
+            }
+            space = StateSpaceSpec(dim=p.input_dim, radius=snorm)
+            cert = certify(p, _perturbed(p, deltas), space, n=8, seed=0)
+            assert [row.layer for row in cert.rows] == list(range(p.num_layers))
+            acc = 0.0
+            for row in cert.rows:
+                assert row.c_max == _ck_oracle(wnorms, bnorms, k1=row.layer + 1, snorm=snorm)
+                assert row.contribution == row.c_max * row.delta_spectral
+                acc = acc + row.contribution
+            assert cert.budget == acc
 
     def test_monotone_in_state_norm(self):
         p = _three_layer_fixture()
@@ -135,25 +163,27 @@ class TestBoundConstantState:
 
 
 class TestBoundConstantMax:
+    """The worst-case constant on the certified ball, as certify's c_max."""
+
     def test_zero_radius_keeps_only_bias_terms(self):
         p = _three_layer_fixture()
         space = StateSpaceSpec(dim=2, radius=0.0)
         # only the bias carry-over survives: ||b_0|| * ||W_2|| = 3
-        assert bound_constant_max(p, 1, space) == pytest.approx(3.0, rel=1e-12)
+        assert _c_max(p, 1, space) == pytest.approx(3.0, rel=1e-12)
 
     def test_one_layer_radius_five(self):
         p = _diag_policy([4.0])
-        assert bound_constant_max(p, 0, StateSpaceSpec(dim=2, radius=5.0)) == pytest.approx(5.0)
+        assert _c_max(p, 0, StateSpaceSpec(dim=2, radius=5.0)) == pytest.approx(5.0)
 
     def test_three_layer_radius_one(self):
         p = _three_layer_fixture()
         space = StateSpaceSpec(dim=2, radius=1.0)
-        assert bound_constant_max(p, 1, space) == pytest.approx(9.0, rel=1e-12)
+        assert _c_max(p, 1, space) == pytest.approx(9.0, rel=1e-12)
 
     def test_equals_state_constant_on_sphere(self):
         p = _three_layer_fixture()
         space = StateSpaceSpec(dim=2, radius=2.5)
-        assert bound_constant_max(p, 1, space) == _constant(p, 1, [2.5, 0.0])
+        assert _c_max(p, 1, space) == _constant(p, 1, [2.5, 0.0])
 
 
 def _equality_fixture():
@@ -195,29 +225,30 @@ class TestSingleLayerBound:
 
 
 class TestMultiLayerBudget:
+    """The budget ``certify`` computes for an (original, pruned) pair."""
+
     def test_empty_plan_zero_budget(self):
         p = _three_layer_fixture()
-        cert = multi_layer_budget(p, PrunePlan(layers=()), StateSpaceSpec(dim=2, radius=1.0))
+        cert = certify(p, p, StateSpaceSpec(dim=2, radius=1.0), n=16, seed=0)
         assert cert.budget == 0.0
         assert cert.rows == ()
 
     def test_singleton_reduces_to_per_state_bound(self):
         p = _three_layer_fixture()
-        plan = PrunePlan.from_deltas({1: np.array([[0.25, 0.0], [0.0, 0.0]])})
-        space = StateSpaceSpec(dim=2, radius=3.0)
-        cert = multi_layer_budget(p, plan, space)
-        assert cert.budget == per_state_bounds(p, plan.delta_norms(), [3.0])[0]
+        pruned = _perturbed(p, {1: np.array([[0.0, 0.25], [0.0, 0.0]])})
+        cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=3.0), n=16, seed=0)
+        assert cert.budget == per_state_bounds(p, cert.delta_norms(), [3.0])[0]
 
     def test_two_layer_weighted_sum(self):
         p = _three_layer_fixture()
-        plan = PrunePlan.from_deltas(
+        pruned = _perturbed(
+            p,
             {
-                0: np.array([[0.1, 0.0], [0.0, 0.0]]),
-                1: np.array([[0.2, 0.0], [0.0, 0.0]]),
-            }
+                0: np.array([[0.0, 0.1], [0.0, 0.0]]),
+                1: np.array([[0.0, 0.2], [0.0, 0.0]]),
+            },
         )
-        space = StateSpaceSpec(dim=2, radius=1.0)
-        cert = multi_layer_budget(p, plan, space)
+        cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=1.0), n=16, seed=0)
         c0 = _ck_oracle([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], 1, 1.0)
         c1 = _ck_oracle([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], 2, 1.0)
         assert cert.budget == pytest.approx(0.1 * c0 + 0.2 * c1, rel=1e-12)
@@ -228,8 +259,8 @@ class TestMultiLayerBudget:
         deltas = {
             k: rng.normal(scale=0.05, size=p.layers[k].weight.shape) for k in (0, 2, 3)
         }
-        cert = multi_layer_budget(
-            p, PrunePlan.from_deltas(deltas), StateSpaceSpec(dim=p.input_dim, radius=2.0)
+        cert = certify(
+            p, _perturbed(p, deltas), StateSpaceSpec(dim=p.input_dim, radius=2.0), n=16, seed=0
         )
         acc = 0.0
         for row in cert.rows:
@@ -240,24 +271,28 @@ class TestMultiLayerBudget:
     def test_budget_homogeneous_under_power_of_two_scaling(self):
         rng = np.random.default_rng(3)
         p = random_policy(rng, depth=3, max_width=6)
-        plan = PrunePlan.from_deltas(
-            {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(3)}
+        deltas = {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(3)}
+        radius = 1.5
+        cert = certify(
+            p, _perturbed(p, deltas), StateSpaceSpec(dim=p.input_dim, radius=radius), n=16, seed=0
         )
-        space = StateSpaceSpec(dim=p.input_dim, radius=1.5)
-        base = multi_layer_budget(p, plan, space).budget
-        assert multi_layer_budget(p, scaled_plan(plan, 2.0), space).budget == 2.0 * base
-        assert multi_layer_budget(p, scaled_plan(plan, 0.5), space).budget == 0.5 * base
+        # the boundary bound is the budget bit for bit (TestPerStateBounds)
+        for factor in (2.0, 0.5):
+            scaled = scaled_certificate(cert, factor).delta_norms()
+            assert per_state_bounds(p, scaled, [radius])[0] == factor * cert.budget
 
     def test_budget_homogeneous_generic_scale(self):
         rng = np.random.default_rng(4)
         p = random_policy(rng, depth=2, max_width=6)
-        plan = PrunePlan.from_deltas(
-            {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(2)}
+        deltas = {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(2)}
+        radius = 1.0
+        cert = certify(
+            p, _perturbed(p, deltas), StateSpaceSpec(dim=p.input_dim, radius=radius), n=16, seed=0
         )
-        space = StateSpaceSpec(dim=p.input_dim, radius=1.0)
-        base = multi_layer_budget(p, plan, space).budget
-        scaled = multi_layer_budget(p, scaled_plan(plan, 3.7), space).budget
-        assert scaled == pytest.approx(3.7 * base, rel=1e-12)
+        scaled = scaled_certificate(cert, 3.7).delta_norms()
+        assert per_state_bounds(p, scaled, [radius])[0] == pytest.approx(
+            3.7 * cert.budget, rel=1e-12
+        )
 
 
 class TestPerStateBounds:
@@ -278,24 +313,24 @@ class TestPerStateBounds:
     def test_boundary_state_reproduces_budget_bitwise(self):
         rng = np.random.default_rng(6)
         p = random_policy(rng, depth=3, max_width=8)
-        plan = PrunePlan.from_deltas(
-            {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(3)}
-        )
+        deltas = {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(3)}
         radius = 4.0
-        cert = multi_layer_budget(p, plan, StateSpaceSpec(dim=p.input_dim, radius=radius))
-        at_boundary = per_state_bounds(p, plan.delta_norms(), np.array([radius]))
+        cert = certify(
+            p, _perturbed(p, deltas), StateSpaceSpec(dim=p.input_dim, radius=radius), n=16, seed=0
+        )
+        at_boundary = per_state_bounds(p, cert.delta_norms(), np.array([radius]))
         assert at_boundary[0] == cert.budget
 
     def test_dominated_by_budget_inside_ball(self):
         rng = np.random.default_rng(7)
         p = random_policy(rng, depth=3, max_width=8)
-        plan = PrunePlan.from_deltas(
-            {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(3)}
-        )
+        deltas = {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(3)}
         radius = 2.0
-        cert = multi_layer_budget(p, plan, StateSpaceSpec(dim=p.input_dim, radius=radius))
+        cert = certify(
+            p, _perturbed(p, deltas), StateSpaceSpec(dim=p.input_dim, radius=radius), n=16, seed=0
+        )
         snorms = rng.uniform(0.0, radius, size=200)
-        assert (per_state_bounds(p, plan.delta_norms(), snorms) <= cert.budget).all()
+        assert (per_state_bounds(p, cert.delta_norms(), snorms) <= cert.budget).all()
 
 
 class TestAdmissibleMagnitude:
@@ -307,7 +342,7 @@ class TestAdmissibleMagnitude:
     def test_single_layer_cap(self):
         p = _three_layer_fixture()
         space = StateSpaceSpec(dim=2, radius=1.0)
-        assert bound_constant_max(p, 1, space) == pytest.approx(9.0)
+        assert _c_max(p, 1, space) == pytest.approx(9.0)
         caps = admissible_magnitude(p, [1], 0.9, space)
         assert caps[1] == pytest.approx(0.1, rel=1e-12)
 
@@ -322,10 +357,9 @@ class TestAdmissibleMagnitude:
         for k, exact in ((0, 0.5), (1, 0.25)):
             assert exact / ((1.0 + c_excess) * (1.0 + 2.0 * np.finfo(float).eps)) <= caps[k]
             assert caps[k] <= exact
-        deltas = {
-             k: np.array([[caps[k], 0.0], [0.0, 0.0]]) for k in caps
-        }
-        cert = multi_layer_budget(p, PrunePlan.from_deltas(deltas), space)
+        # off the diagonal, where the weights are zero, so each delta is exact
+        deltas = {k: np.array([[0.0, caps[k]], [0.0, 0.0]]) for k in caps}
+        cert = certify(p, _perturbed(p, deltas), space, n=16, seed=0)
         # re-certifying takes the outward-rounded delta norms, so the budget
         # is at least epsilon and above it by that rounding only
         d_excess = _norm_excess((2, 2), 1.0)
@@ -401,23 +435,23 @@ class TestSampleStates:
 
 
 class TestAuditBound:
+    """The audit half of ``certify``."""
+
     def test_identical_policies(self):
         p = _three_layer_fixture()
-        summary = audit_bound(
-            p, p, PrunePlan(layers=()), StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0
-        )
-        assert summary.max_dev == 0.0
-        assert summary.violations == 0
-        assert summary.holds
-        assert summary.tightness == 0.0
+        cert = certify(p, p, StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0)
+        assert cert.audit.max_dev == 0.0
+        assert cert.audit.violations == 0
+        assert cert.holds
+        assert cert.audit.tightness == 0.0
 
     def test_equality_fixture_tightness_one(self):
-        original, pruned, plan = _equality_fixture()
+        original, pruned, _ = _equality_fixture()
         space = StateSpaceSpec(dim=1, radius=2.0, box=(np.array([2.0]), np.array([2.0])))
-        summary = audit_bound(original, pruned, plan, space, n=64, seed=1)
-        assert summary.tightness == pytest.approx(1.0, rel=1e-12)
-        assert summary.violations == 0
-        assert summary.holds
+        cert = certify(original, pruned, space, n=64, seed=1)
+        assert cert.audit.tightness == pytest.approx(1.0, rel=1e-12)
+        assert cert.audit.violations == 0
+        assert cert.holds
 
     def test_no_violations_on_randomly_pruned_policies(self):
         rng = np.random.default_rng(12)
@@ -427,11 +461,11 @@ class TestAuditBound:
             calib = collect_calibration(p, states)
             k = int(rng.integers(p.num_layers))
             entries = rank_weights(p, calib, [k], damping="auto")
-            pruned, plan = apply_plan(p, entries, len(entries) // 2)
+            pruned, _ = apply_plan(p, entries, len(entries) // 2)
             space = StateSpaceSpec(dim=p.input_dim, radius=5.0)
-            summary = audit_bound(p, pruned, plan, space, n=2000, seed=13)
-            assert summary.violations == 0
-            assert summary.holds
+            cert = certify(p, pruned, space, n=2000, seed=13)
+            assert cert.audit.violations == 0
+            assert cert.holds
 
     def test_multi_layer_no_violations(self):
         rng = np.random.default_rng(14)
@@ -440,24 +474,26 @@ class TestAuditBound:
             states = [rng.normal(size=p.input_dim) for _ in range(16)]
             calib = collect_calibration(p, states)
             entries = rank_weights(p, calib, [0, 2], damping="auto")
-            pruned, plan = apply_plan(p, entries, len(entries) // 2)
-            summary = audit_bound(
-                p, pruned, plan, StateSpaceSpec(dim=p.input_dim, radius=3.0), n=2000, seed=15
+            pruned, _ = apply_plan(p, entries, len(entries) // 2)
+            cert = certify(
+                p, pruned, StateSpaceSpec(dim=p.input_dim, radius=3.0), n=2000, seed=15
             )
-            assert summary.violations == 0
-
-    def test_summary_budget_matches_certificate(self):
-        rng = np.random.default_rng(16)
-        p = random_policy(rng, depth=3, max_width=8)
-        plan = PrunePlan.from_deltas(
-            {k: rng.normal(scale=0.1, size=p.layers[k].weight.shape) for k in range(2)}
-        )
-        space = StateSpaceSpec(dim=p.input_dim, radius=2.0)
-        cert = multi_layer_budget(p, plan, space)
-        summary = audit_bound(p, p, plan, space, n=10, seed=17)
-        assert summary.budget == cert.budget
+            assert cert.audit.violations == 0
 
     def test_requires_positive_samples(self):
         p = _three_layer_fixture()
         with pytest.raises(ValueError):
-            audit_bound(p, p, PrunePlan(layers=()), StateSpaceSpec(dim=2, radius=1.0), n=0, seed=0)
+            certify(p, p, StateSpaceSpec(dim=2, radius=1.0), n=0, seed=0)
+
+    def test_rejects_a_pair_that_differs_beyond_weights(self):
+        p = _three_layer_fixture()
+        rebiased = MlpPolicy(layers=(replace(p.layers[0], bias=[0.5, 0.0]), *p.layers[1:]))
+        with pytest.raises(ValueError, match="biases differ"):
+            certify(p, rebiased, StateSpaceSpec(dim=2, radius=1.0), n=10, seed=0)
+        with pytest.raises(ValueError, match="layers"):
+            certify(p, _diag_policy([2.0, 7.0]), StateSpaceSpec(dim=2, radius=1.0), n=10, seed=0)
+
+    def test_rejects_a_space_of_another_dimension(self):
+        p = _three_layer_fixture()
+        with pytest.raises(ValueError, match="state space dim"):
+            certify(p, p, StateSpaceSpec(dim=3, radius=1.0), n=10, seed=0)

@@ -1027,15 +1027,33 @@ class TestConfigValues:
             ("prune", ["--allocation", "bogus", "--sparsity", "0.5"]),
             ("prune", ["--sparsity", "nan"]),
             ("prune", ["--damping", "-1", "--sparsity", "0.5"]),
+            ("simulate", ["--dynamics", "pendulum", "--dt", "nan"]),
+            ("simulate", ["--dynamics", "pendulum", "--dt", "inf"]),
+            ("simulate", ["--dynamics", "pendulum", "--gravity", "nan"]),
+            ("simulate", ["--dynamics", "pendulum", "--length", "nan"]),
+            ("simulate", ["--dynamics", "pendulum", "--mass", "nan"]),
+            ("simulate", ["--dynamics", "pendulum", "--action-limit", "nan"]),
+            ("simulate", ["--dynamics", "pendulum", "--action-limit", "-1"]),
+            ("simulate", ["--dynamics", "double_integrator", "--dt", "nan"]),
+            ("simulate", ["--dynamics", "double_integrator", "--action-limit", "-1"]),
         ],
     )
     def test_bad_flags_are_usage_errors(self, tmp_path, random_model, capsys, command, flags):
         model, calib = random_model
         base = {"prune": ["--calibration", str(calib)]}.get(command, ["--pruned", str(model)])
+        if command == "simulate":  # the pendulum fixture, certified against itself
+            model = FIXTURES / "pendulum_policy.json"
+            cert = tmp_path / "c" / "certificate.json"
+            assert main(["certify", "--model", str(model), "--pruned", str(model), "--radius", "1",
+                         "--samples", "10", "--out", str(cert.parent)]) == EXIT_OK
+            capsys.readouterr()
+            base = ["--pruned", str(model), "--certificate", str(cert),
+                    "--x0", "0.5,0", "--horizon", "3"]
         code = main([command, "--model", str(model), *base, *flags, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list((tmp_path / "o").glob("*.csv"))
 
     def test_unknown_key_is_named(self, tmp_path, random_model, capsys):
         model, _ = random_model

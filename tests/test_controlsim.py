@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy, scaled_plan
-from prunecert.certifier import StateSpaceSpec, multi_layer_budget
+from conftest import random_policy, scaled_certificate
+from prunecert.certifier import StateSpaceSpec, certify
 from prunecert.controlsim import (
     BlowUpError,
     DoubleIntegrator,
@@ -16,7 +16,7 @@ from prunecert.controlsim import (
     step,
 )
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy
-from prunecert.pruner import PrunePlan, apply_plan, collect_calibration, rank_weights
+from prunecert.pruner import apply_plan, collect_calibration, rank_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -78,6 +78,36 @@ class TestStep:
             step(d, [1.0], [0.0])
         with pytest.raises(ValueError):
             step(d, [0.0, 0.0], [0.0, 0.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestParameterChecks:
+    """A NaN, infinite or nonpositive physical parameter, and a NaN or
+    negative action limit, fail at construction: a NaN passes ``<= 0``,
+    and ``np.clip(u, 1, -1)`` turns every action into -1."""
+
+    def test_double_integrator(self):
+        for kwargs in ({"dt": NAN}, {"dt": INF}, {"dt": 0.0},
+                       {"accel_limit": NAN}, {"accel_limit": -1.0}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                DoubleIntegrator(**kwargs)
+        assert DoubleIntegrator(accel_limit=0.0).action_limit == 0.0
+
+    def test_pendulum(self):
+        bad = [{name: v} for name in ("dt", "gravity", "length", "mass") for v in (NAN, INF, -1.0)]
+        for kwargs in bad + [{"torque_limit": NAN}, {"torque_limit": -1.0}]:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                Pendulum(**kwargs)
+        assert Pendulum(torque_limit=INF).action_limit == INF
+
+    def test_linear_system(self):
+        for limit in (NAN, -1.0, -INF):
+            with pytest.raises(ValueError, match="action_limit"):
+                LinearSystem(a=np.eye(2), b=np.ones((2, 1)), action_limit=limit)
+        d = LinearSystem(a=np.eye(2), b=np.ones((2, 1)), action_limit=0.0)
+        np.testing.assert_array_equal(step(d, [1.0, 2.0], [5.0]), [1.0, 2.0])
 
 
 class TestRollout:
@@ -168,17 +198,17 @@ def _pruned_pair(seed=1):
     states = [rng.uniform(-1.0, 1.0, size=2) for _ in range(16)]
     calib = collect_calibration(p, states)
     entries = rank_weights(p, calib, [0], damping="auto")
-    pruned, plan = apply_plan(p, entries, 2)  # 50% of layer 0
-    return p, pruned, plan
+    pruned, _ = apply_plan(p, entries, 2)  # 50% of layer 0
+    return p, pruned
 
 
 class TestDeviationAudit:
-    def _cert(self, p, plan, radius=3.0):
-        return multi_layer_budget(p, plan, StateSpaceSpec(dim=2, radius=radius))
+    def _cert(self, p, pruned, radius=3.0):
+        return certify(p, pruned, StateSpaceSpec(dim=2, radius=radius), n=100, seed=0)
 
     def test_identical_policies_zero_deviation(self):
-        p, _, _ = _pruned_pair()
-        cert = self._cert(p, PrunePlan(layers=()))
+        p, _ = _pruned_pair()
+        cert = self._cert(p, p)
         d = Pendulum(torque_limit=5.0)
         report = deviation_audit(d, p, p, cert, [0.5, 0.0], 50)
         assert report.max_in_ball_deviation == 0.0
@@ -186,8 +216,8 @@ class TestDeviationAudit:
         assert report.max_divergence == 0.0
 
     def test_certified_pair_no_in_ball_violations(self):
-        p, pruned, plan = _pruned_pair()
-        cert = self._cert(p, plan)
+        p, pruned = _pruned_pair()
+        cert = self._cert(p, pruned)
         d = Pendulum(
             torque_limit=5.0,
             state_box=(np.array([-np.pi, -8.0]), np.array([np.pi, 8.0])),
@@ -197,9 +227,9 @@ class TestDeviationAudit:
         assert report.in_ball_violations == 0
 
     def test_bounds_scale_exactly_with_doubled_plan(self):
-        p, pruned, plan = _pruned_pair()
-        cert = self._cert(p, plan)
-        cert2 = self._cert(p, scaled_plan(plan, 2.0))
+        p, pruned = _pruned_pair()
+        cert = self._cert(p, pruned)
+        cert2 = scaled_certificate(cert, 2.0)
         d = Pendulum(torque_limit=5.0)
         a = deviation_audit(d, p, pruned, cert, [0.3, 0.0], 40)
         b = deviation_audit(d, p, pruned, cert2, [0.3, 0.0], 40)
@@ -208,8 +238,8 @@ class TestDeviationAudit:
             assert (lb.bound == 2.0 * la.bound).all()
 
     def test_rows_cover_both_trajectories(self):
-        p, pruned, plan = _pruned_pair()
-        cert = self._cert(p, plan)
+        p, pruned = _pruned_pair()
+        cert = self._cert(p, pruned)
         d = Pendulum(torque_limit=5.0)
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 30)
         assert [loop.label for loop in report.loops] == ["original", "pruned"]
@@ -221,8 +251,8 @@ class TestDeviationAudit:
         assert len(report.divergence) == 31
 
     def test_out_of_ball_states_flagged_not_counted(self):
-        p, pruned, plan = _pruned_pair()
-        cert = self._cert(p, plan, radius=0.1)  # tiny certified ball
+        p, pruned = _pruned_pair()
+        cert = self._cert(p, pruned, radius=0.1)  # tiny certified ball
         d = Pendulum(torque_limit=5.0)
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 30)
         assert report.out_of_ball_count > 0
@@ -238,8 +268,7 @@ class TestDeviationAudit:
         # whose square overflows; the bound there is 5e159 rounded outward
         original = _one_layer([[1e160, 0.0]])
         pruned = _one_layer([[0.0, 0.0]])
-        plan = PrunePlan.from_policies(original, pruned)
-        cert = multi_layer_budget(original, plan, StateSpaceSpec(dim=2, radius=1.0))
+        cert = certify(original, pruned, StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0)
         d = LinearSystem(a=np.eye(2), b=np.zeros((2, 1)))
         report = deviation_audit(d, original, pruned, cert, [0.5, 0.0], 3)
         for loop in report.loops:
@@ -258,9 +287,7 @@ class TestDeviationAudit:
         )
         calm = _zero_policy(2, 1)
         d = DoubleIntegrator(dt=1e160)
-        cert = multi_layer_budget(
-            calm, PrunePlan(layers=()), StateSpaceSpec(dim=2, radius=1.0)
-        )
+        cert = certify(calm, calm, StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0)
         report = deviation_audit(d, calm, explode, cert, [0.5, 0.0], 10)
         assert report.blowup is not None
         assert report.blowup[0] == "pruned"

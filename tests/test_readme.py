@@ -13,4 +13,5 @@ def test_library_quickstart_runs_and_certifies():
     assert len(blocks) == 1
     namespace: dict = {}
     exec(compile(blocks[0], f"{README.name} (Library quickstart)", "exec"), namespace)
-    assert namespace["audit"].violations == 0
+    cert = namespace["cert"]
+    assert cert.audit.violations == 0 and cert.holds
