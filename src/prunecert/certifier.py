@@ -203,32 +203,30 @@ def admissible_magnitude(
     layers: Iterable[int],
     epsilon: float,
     space: StateSpaceSpec,
-    allocation: str = "uniform",
     weights: Sequence[float] | None = None,
 ) -> dict[int, float]:
     """Largest per-layer delta norms whose contributions sum to ``epsilon``.
 
-    ``uniform`` splits the budget evenly across the layers; ``proportional``
-    splits it according to ``weights``.  A layer whose worst-case constant is
-    zero cannot contribute and gets an infinite cap.
+    The budget is split evenly across the layers, or in proportion to
+    ``weights`` (one per layer, in ascending layer order) when given.  An
+    infinite ``epsilon`` caps nothing; a layer with weight 0 gets a zero
+    share even then.  A layer whose worst-case constant is zero cannot
+    contribute and gets an infinite cap.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"error budget must be nonnegative, got {epsilon}")
     ks = sorted({int(k) for k in layers})
     if not ks:
         raise ValueError("need at least one layer")
-    if allocation == "uniform":
-        shares = [epsilon / len(ks)] * len(ks)
-    elif allocation == "proportional":
-        if weights is None or len(weights) != len(ks):
-            raise ValueError("proportional allocation needs one weight per layer")
-        ws = [float(w) for w in weights]
-        if any(w < 0 for w in ws) or sum(ws) <= 0:
-            raise ValueError("allocation weights must be nonnegative with positive sum")
-        total = sum(ws)
-        shares = [epsilon * w / total for w in ws]
-    else:
-        raise ValueError(f"unknown allocation {allocation!r}")
+    ws = [1.0] * len(ks) if weights is None else [float(w) for w in weights]
+    if len(ws) != len(ks):
+        raise ValueError(f"need one allocation weight per layer ({len(ks)}), got {len(ws)}")
+    total = sum(ws)
+    if not all(0.0 <= w < math.inf for w in ws) or not 0.0 < total < math.inf:
+        raise ValueError("allocation weights must be finite and nonnegative with a positive sum")
+    # unit weights give epsilon * 1 / n, which is exactly epsilon / n; a zero
+    # weight's share is 0 even of an infinite budget, where 0 * inf is NaN
+    shares = [epsilon * w / total if w > 0.0 else 0.0 for w in ws]
     _check_space(p, space)
     caps = {}
     for k, share, c_max in zip(ks, shares, _constants(p, ks, space.radius)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -33,7 +34,6 @@ from prunecert.certifier import (
     certify,
 )
 from prunecert.controlsim import (
-    BlowUpError,
     DoubleIntegrator,
     LinearSystem,
     LoopAudit,
@@ -44,7 +44,6 @@ from prunecert.policy import MlpPolicy, _write_json, load_policy, save_policy
 from prunecert.pruner import (
     PrunePlan,
     Ranking,
-    apply_plan,
     collect_calibration,
     prune_to_budget,
     rank_weights,
@@ -287,18 +286,18 @@ OPTIONS = {
                "layer indices to prune, comma separated (default all)"),
     "sparsity": (_number(float, 0.0, 1.0), None, _PRUNE,
                  "fraction of selected weights to prune"),
-    "epsilon": (_number(float), None, _PRUNE, "control-error budget (inverse mode)"),
+    "epsilon": (_number(float, 0.0), None, _PRUNE,
+                "control-error budget (inverse mode); inf caps nothing"),
     "compensate": (_switch, False, _PRUNE, "adjust surviving row entries after each removal"),
     "diagonal": (_switch, False, _PRUNE, "use the diagonal curvature approximation"),
     "reestimate": (_switch, False, _PRUNE,
-                   "refresh the row inverse after each compensated removal"),
+                   "refresh the row inverse after each removal (needs --compensate)"),
     # ReLU activations routinely leave rank-deficient curvature blocks, so
     # the CLI defaults to relative auto-damping rather than none
     "damping": (_damping, "auto", _PRUNE, "Hessian damping: a number or 'auto' (default auto)"),
-    "allocation": (_choice("uniform", "proportional"), "uniform", _PRUNE,
-                   "how an epsilon budget is split across layers"),
     "allocation_weights": (_numbers(float), None, _PRUNE,
-                           "weights for proportional allocation, comma separated"),
+                           "split the epsilon budget in proportion to these per-layer "
+                           "weights, comma separated (default an even split)"),
     "samples": (_number(int, 1), 10_000, _AUDIT, "audit sample count (default 10000)"),
     "radius": (_number(float), None, _SPACE, "certified state-ball radius"),
     "box_lo": (_numbers(float), None, _SPACE, "box low bounds, comma separated"),
@@ -384,14 +383,14 @@ def _outdir(cfg: argparse.Namespace) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def _plan_dict(plan: PrunePlan, selected: dict[int, Ranking], cfg: argparse.Namespace) -> dict:
+def _plan_dict(plan: PrunePlan, taken: dict[int, Ranking], cfg: argparse.Namespace) -> dict:
     layers = []
     for lp in plan.layers:
         layers.append(
             {
                 "k": lp.layer,
                 "mask": lp.mask.tolist(),
-                "saliencies": selected[lp.layer].saliency.tolist(),
+                "saliencies": taken[lp.layer].saliency.tolist(),
                 "delta_spectral": lp.delta_spectral_norm,
                 "compensated": lp.compensated,
             }
@@ -409,50 +408,37 @@ def _plan_dict(plan: PrunePlan, selected: dict[int, Ranking], cfg: argparse.Name
 def cmd_prune(cfg: argparse.Namespace) -> int:
     if (cfg.sparsity is None) == (cfg.epsilon is None):
         raise UsageError("set exactly one of --sparsity or --epsilon")
+    if cfg.allocation_weights is not None and cfg.epsilon is None:
+        raise UsageError("--allocation-weights splits an --epsilon budget")
     p = _load_policy_file(cfg.model)
     if cfg.calibration is None:
         raise UsageError("prune needs --calibration (CSV of states, one per row)")
     layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
-    space = _state_space(cfg, p.input_dim) if cfg.epsilon is not None else None
-    states = _load_states_csv(cfg.calibration, p.input_dim)
-    calib = collect_calibration(p, states)
     try:
+        if cfg.epsilon is not None:
+            caps = admissible_magnitude(
+                p, layers, cfg.epsilon, _state_space(cfg, p.input_dim), cfg.allocation_weights
+            )
+        calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
         ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
         if cfg.sparsity is not None:
-            count = int(round(cfg.sparsity * len(ranking)))
-            pruned, plan = apply_plan(
-                p,
-                ranking,
-                count,
-                compensate=cfg.compensate,
-                damping=cfg.damping,
-                calib=calib,
-                reestimate=cfg.reestimate,
-            )
-            selected = ranking[:count].by_layer()
-        else:
-            caps = admissible_magnitude(
-                p,
-                layers,
-                cfg.epsilon,
-                space,
-                allocation=cfg.allocation,
-                weights=cfg.allocation_weights,
-            )
-            pruned, plan, selected = prune_to_budget(
-                p,
-                ranking,
-                caps,
-                compensate=cfg.compensate,
-                damping=cfg.damping,
-                calib=calib,
-                reestimate=cfg.reestimate,
-            )
+            # sparsity mode is the walk without a cap, over the ranking's head
+            ranking = ranking[: int(round(cfg.sparsity * len(ranking)))]
+            caps = dict.fromkeys(ranking.layers_present(), math.inf)
+        pruned, plan, taken = prune_to_budget(
+            p,
+            ranking,
+            caps,
+            compensate=cfg.compensate,
+            damping=cfg.damping,
+            calib=calib,
+            reestimate=cfg.reestimate,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
     save_policy(pruned, out / "pruned_model.json")
-    _write_json(out / "prune_plan.json", _plan_dict(plan, selected, cfg))
+    _write_json(out / "prune_plan.json", _plan_dict(plan, taken, cfg))
     total = sum(len(lp.mask) for lp in plan.layers)
     print(f"pruned {total} weights across layers {[lp.layer for lp in plan.layers]}")
     print(f"wrote {out / 'pruned_model.json'} and {out / 'prune_plan.json'}")
@@ -742,7 +728,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(build_config(args))
-    except (UsageError, BlowUpError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

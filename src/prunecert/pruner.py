@@ -4,7 +4,9 @@ Each layer's curvature is the shared block ``2 X X^T`` built from the
 calibration activations of the unpruned policy, so scoring never needs
 gradients or labels.  ``rank_weights`` scores every selected weight at
 once and returns a ``Ranking`` of parallel arrays in removal order; no
-per-weight Python object is built between scoring and the plan.  Plans
+per-weight Python object is built between scoring and the plan.
+``prune_to_budget`` is the one walk down that ranking, with a cap on each
+layer's delta norm; ``apply_plan`` is the same walk without a cap.  Plans
 record exactly which positions were zeroed and the spectral norm of the
 per-layer weight change, which is what the certifier consumes.
 """
@@ -86,11 +88,10 @@ class Ranking:
     def __getitem__(self, index) -> "Ranking":
         return Ranking(self.layer[index], self.row[index], self.col[index], self.saliency[index])
 
-    def by_layer(self) -> dict[int, "Ranking"]:
-        """One sub-ranking per layer present, ascending by layer, order kept."""
+    def layers_present(self) -> list[int]:
+        """Indices of the layers with at least one entry, ascending."""
         # bincount rather than np.unique, whose first call imports numpy.ma
-        present = np.flatnonzero(np.bincount(self.layer))
-        return {int(k): self[self.layer == k] for k in present}
+        return np.flatnonzero(np.bincount(self.layer)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,73 +297,65 @@ def _row_change_norm(original: np.ndarray, before: np.ndarray, after: np.ndarray
 
 
 class _LayerWork:
-    """Mutable scratch for pruning one layer."""
+    """Mutable scratch for pruning one layer; ``h_inv`` is ``None`` when
+    removals only zero (zero-only pruning, or a dead curvature block)."""
 
-    def __init__(self, layer: int, weight: np.ndarray, h_inv: np.ndarray | None):
-        self.layer = layer
+    def __init__(self, weight: np.ndarray, h_inv: np.ndarray | None):
         self.original = weight
         self.work = weight.copy()
         self.h_inv = h_inv
         self.row_h_inv: dict[int, np.ndarray] = {}
 
-    def remove(self, row: int, col: int, compensate: bool, reestimate: bool) -> None:
-        # a dead block (no ``h_inv``) has nothing to compensate
-        if compensate and self.h_inv is not None:
-            hinv = self.row_h_inv.get(row, self.h_inv) if reestimate else self.h_inv
-            self.work[row] = obs_compensate(self.work[row], col, hinv)
-            if reestimate:
-                # fold the removed coordinate out of this row's inverse block;
-                # its row/column go to zero so later updates cannot touch it
-                updated = hinv - np.outer(hinv[:, col], hinv[col, :]) / hinv[col, col]
-                updated[col, :] = 0.0
-                updated[:, col] = 0.0
-                self.row_h_inv[row] = updated
-        else:
+    def remove(self, row: int, col: int, reestimate: bool) -> None:
+        if self.h_inv is None:
             self.work[row, col] = 0.0
+            return
+        hinv = self.row_h_inv.get(row, self.h_inv) if reestimate else self.h_inv
+        self.work[row] = obs_compensate(self.work[row], col, hinv)
+        if reestimate:
+            # fold the removed coordinate out of this row's inverse block;
+            # its row/column go to zero so later updates cannot touch it
+            updated = hinv - np.outer(hinv[:, col], hinv[col, :]) / hinv[col, col]
+            updated[col, :] = 0.0
+            updated[:, col] = 0.0
+            self.row_h_inv[row] = updated
 
     def delta_norm(self) -> float:
         delta = self.work - self.original
         return linalg.spectral_norm(delta) if delta.any() else 0.0
 
-    def to_plan(self, taken: Ranking, compensated: bool) -> LayerPrune:
-        return LayerPrune(
-            layer=self.layer,
-            mask=np.column_stack((taken.row, taken.col)),
-            delta_spectral_norm=self.delta_norm(),
-            compensated=compensated,
-        )
-
-
-def _rebuild(p: MlpPolicy, works: dict[int, _LayerWork]) -> MlpPolicy:
-    layers = []
-    for k, layer in enumerate(p.layers):
-        if k in works:
-            layers.append(
-                Layer(
-                    weight=works[k].work,
-                    bias=layer.bias,
-                    activation=layer.activation,
-                )
-            )
-        else:
-            layers.append(layer)
-    return MlpPolicy(layers=tuple(layers))
-
-
-def _prepare_works(
-    p: MlpPolicy,
-    ks: Iterable[int],
-    compensate: bool,
-    damping,
-    calib: CalibrationBatch | None,
-) -> dict[int, _LayerWork]:
-    if compensate and calib is None:
-        raise ValueError("compensation needs the calibration batch to build H^-1")
-    works = {}
-    for k in sorted(set(ks)):
-        h_inv = _layer_h_inv(calib.inputs[k], damping) if compensate else None
-        works[k] = _LayerWork(k, p.layers[k].weight, h_inv)
-    return works
+    def walk(self, entries: Ranking, cap: float, reestimate: bool) -> int:
+        """Remove ``entries`` in order while ``||delta||_2`` stays within
+        ``cap``; return how many were removed."""
+        if cap <= 0.0:
+            return 0
+        if cap == math.inf and self.h_inv is None:
+            self.work[entries.row, entries.col] = 0.0
+            return len(entries)
+        pairs = zip(entries.row.tolist(), entries.col.tolist())
+        if cap == math.inf:
+            for row, col in pairs:
+                self.remove(row, col, reestimate)
+            return len(entries)
+        n = 0
+        upper = 0.0  # never below ||delta||_2
+        for row, col in pairs:
+            saved = self.work[row].copy()
+            self.remove(row, col, reestimate)
+            if self.h_inv is None:
+                grow = abs(float(saved[col]))
+            else:
+                grow = _row_change_norm(self.original[row], saved, self.work[row])
+            upper = math.nextafter(upper + grow, math.inf)
+            if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
+                upper = self.delta_norm()
+                if upper > cap:
+                    # close the layer: taking later (higher-saliency) entries
+                    # instead of this one would reorder the plan nondeterministically
+                    self.work[row] = saved
+                    break
+            n += 1
+        return n
 
 
 def apply_plan(
@@ -376,29 +369,19 @@ def apply_plan(
 ) -> tuple[MlpPolicy, PrunePlan]:
     """Prune the first ``count`` ranked weights, returning the new policy and plan.
 
-    Zero-only pruning just masks weights.  With ``compensate`` the remaining
-    entries of each touched row absorb the removal, processed in ranking
-    order with the curvature held fixed; ``reestimate`` refreshes the row's
-    inverse block after every removal instead.  Biases are never modified.
-    Each layer's mask lists its removals in ranking order.
+    The uncapped walk: ``prune_to_budget`` on ``ranking[:count]`` with an
+    infinite cap on each layer those entries touch, so every one of them is
+    removed, the plan lists just those layers, and each layer's delta norm
+    is computed once, for the plan.  The other arguments are passed through.
     """
     if count < 0 or count > len(ranking):
         raise ValueError(f"count must lie in 0..{len(ranking)}, got {count}")
-    selected = ranking[:count].by_layer()
-    works = _prepare_works(p, selected, compensate, damping, calib)
-    for k, taken in selected.items():
-        work = works[k]
-        if compensate:
-            # layers never interact, so ranking order within each layer is
-            # the whole removal order
-            for row, col in zip(taken.row.tolist(), taken.col.tolist()):
-                work.remove(row, col, compensate, reestimate)
-        else:
-            work.work[taken.row, taken.col] = 0.0
-    plan = PrunePlan(
-        layers=tuple(works[k].to_plan(selected[k], compensate) for k in works)
+    head = ranking[:count]
+    caps = dict.fromkeys(head.layers_present(), math.inf)
+    pruned, plan, _ = prune_to_budget(
+        p, head, caps, compensate=compensate, damping=damping, calib=calib, reestimate=reestimate
     )
-    return _rebuild(p, works), plan
+    return pruned, plan
 
 
 def prune_to_budget(
@@ -410,15 +393,26 @@ def prune_to_budget(
     calib: CalibrationBatch | None = None,
     reestimate: bool = False,
 ) -> tuple[MlpPolicy, PrunePlan, dict[int, Ranking]]:
-    """Prune each capped layer as far as its delta-norm allowance permits.
+    """Prune each capped layer down its ranking as far as its cap permits.
 
-    Walks the ranking per layer and stops at the first removal that would
-    push ``spectral_norm(delta)`` past the layer's cap.  Returns the pruned
-    policy, the plan, and per capped layer the prefix of its ranking
-    actually removed.
+    The one removal walk.  Each layer ``k`` of ``caps`` takes its entries of
+    ``ranking`` in order and stops at the first removal that would push
+    ``spectral_norm(delta)`` past ``caps[k]``; a cap of 0 or below takes
+    nothing, an infinite cap takes every entry, and a NaN cap is an error.
+    Entries of uncapped layers are skipped.  Returns the pruned policy, the
+    plan (one row per capped layer, ascending, its mask in ranking order)
+    and per capped layer the prefix of its ranking actually removed.
 
-    Most removals need no eigen-solve.  A running ``upper`` starts at 0 and
-    never falls below ``||delta||_2``: each removal changes one row of
+    Zero-only pruning just masks weights.  With ``compensate`` the remaining
+    entries of the row absorb each removal (``obs_compensate``) with the
+    curvature held fixed; ``reestimate``, which needs ``compensate``,
+    refreshes the row's inverse block after every removal instead.  Biases
+    are never modified.
+
+    An infinite cap needs no norm until the plan's own, and a zero-only
+    layer under one is masked in a single assignment.  Under a finite cap
+    most removals need no eigen-solve either.  A running ``upper`` starts at
+    0 and never falls below ``||delta||_2``: each removal changes one row of
     ``delta``, a rank-one change ``E`` whose ``||E||_2`` is that row
     change's 2-norm (``|w_q|`` when only zeroing), and by Weyl
     ``||delta + E||_2 <= upper + ||E||_2``.  The row norm is bounded by
@@ -430,33 +424,31 @@ def prune_to_budget(
     decision, and with it the plan, is the one an exact norm per removal
     gives.
     """
-    works = _prepare_works(p, caps.keys(), compensate, damping, calib)
-    per_layer = ranking[np.isin(ranking.layer, list(works))].by_layer()
+    if compensate and calib is None:
+        raise ValueError("compensation needs the calibration batch to build H^-1")
+    if reestimate and not compensate:
+        raise ValueError("reestimate refreshes the compensation's inverse; it needs compensate")
+    if any(math.isnan(cap) for cap in caps.values()):
+        raise ValueError("a layer's cap is NaN")
+    layers = list(p.layers)
+    plan = []
     taken: dict[int, Ranking] = {}
-    layers = []
-    for k, work in works.items():
-        cap = float(caps[k])
-        entries = per_layer.get(k, ranking[:0])
-        if cap <= 0.0 and not np.isinf(cap):
-            entries = entries[:0]
-        n = 0
-        upper = 0.0  # never below ||delta||_2
-        for row, col in zip(entries.row.tolist(), entries.col.tolist()):
-            saved = work.work[row].copy()
-            work.remove(row, col, compensate, reestimate)
-            if compensate:
-                grow = _row_change_norm(work.original[row], saved, work.work[row])
-            else:
-                grow = abs(float(saved[col]))
-            upper = math.nextafter(upper + grow, math.inf)
-            if linalg.spectral_norm_ceiling(upper, work.work.shape) > cap:
-                upper = work.delta_norm()
-                if upper > cap:
-                    # close the layer: taking later (higher-saliency) entries
-                    # instead of this one would reorder the plan nondeterministically
-                    work.work[row] = saved
-                    break
-            n += 1
-        taken[k] = entries[:n]
-        layers.append(work.to_plan(taken[k], compensate and n > 0))
-    return _rebuild(p, works), PrunePlan(layers=tuple(layers)), taken
+    for k in sorted(caps):
+        if not 0 <= k < p.num_layers:
+            raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
+        h_inv = _layer_h_inv(calib.inputs[k], damping) if compensate else None
+        work = _LayerWork(layers[k].weight, h_inv)
+        entries = ranking[ranking.layer == k]
+        n = work.walk(entries, float(caps[k]), reestimate)
+        # a whole layer's entries are kept as they are, not copied again
+        taken[k] = entries if n == len(entries) else entries[:n]
+        plan.append(
+            LayerPrune(
+                layer=k,
+                mask=np.column_stack((taken[k].row, taken[k].col)),
+                delta_spectral_norm=work.delta_norm(),
+                compensated=compensate and n > 0,
+            )
+        )
+        layers[k] = Layer(weight=work.work, bias=layers[k].bias, activation=layers[k].activation)
+    return MlpPolicy(layers=tuple(layers)), PrunePlan(layers=tuple(plan)), taken

@@ -368,9 +368,7 @@ class TestAdmissibleMagnitude:
     def test_proportional_allocation(self):
         p = _diag_policy([4.0, 2.0])
         space = StateSpaceSpec(dim=2, radius=1.0)
-        caps = admissible_magnitude(
-            p, [0, 1], 3.0, space, allocation="proportional", weights=[2.0, 1.0]
-        )
+        caps = admissible_magnitude(p, [0, 1], 3.0, space, weights=[2.0, 1.0])
         # contributions 2 and 1; c_max are 2 and 4
         assert caps[0] == pytest.approx(1.0, rel=1e-12)
         assert caps[1] == pytest.approx(0.25, rel=1e-12)
@@ -385,6 +383,28 @@ class TestAdmissibleMagnitude:
         p = _diag_policy([1.0])
         with pytest.raises(ValueError):
             admissible_magnitude(p, [0], -0.1, StateSpaceSpec(dim=2, radius=1.0))
+
+    def test_nan_budget_rejected(self):
+        # a NaN cap never compares above a delta norm, so it would cap nothing
+        p = _diag_policy([1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            admissible_magnitude(p, [0], math.nan, StateSpaceSpec(dim=2, radius=1.0))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[math.nan, 1.0], [math.inf, 1.0], [-1.0, 2.0], [0.0, 0.0], [1e308, 1e308], [1.0]],
+    )
+    def test_bad_allocation_weights_rejected(self, weights):
+        p = _diag_policy([4.0, 2.0])
+        with pytest.raises(ValueError, match="weight"):
+            admissible_magnitude(p, [0, 1], 1.0, StateSpaceSpec(dim=2, radius=1.0), weights)
+
+    def test_infinite_budget_caps_only_weighted_layers(self):
+        p = _diag_policy([4.0, 2.0])
+        space = StateSpaceSpec(dim=2, radius=1.0)
+        assert admissible_magnitude(p, [0, 1], math.inf, space) == {0: math.inf, 1: math.inf}
+        caps = admissible_magnitude(p, [0, 1], math.inf, space, weights=[0.0, 1.0])
+        assert caps == {0: 0.0, 1: math.inf}
 
 
 class TestSampleStates:

@@ -186,6 +186,14 @@ class TestPrune:
             ["--sparsity", "0.5", "--epsilon", "0.1"],
             [],
             ["--epsilon", "0.1"],  # no state space to split the budget over
+            ["--epsilon", "nan", "--radius", "1"],
+            ["--epsilon", "-0.1", "--radius", "1"],
+            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "nan,1,1"],
+            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "inf,1,1"],
+            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "-1,1,1"],
+            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "0,0,0"],
+            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "1,1"],
+            ["--sparsity", "0.5", "--allocation-weights", "1,1,1"],
         ],
     )
     def test_mode_rejected_before_calibration_and_ranking(
@@ -201,6 +209,62 @@ class TestPrune:
             "prune", "--model", str(model), "--calibration", str(calib),
             "--out", str(tmp_path / "o"), *mode,
         ]) == EXIT_USAGE
+
+
+class TestBudgetInputs:
+    """Epsilon-mode inputs on the pendulum fixture (2-2-1, six weights)."""
+
+    def _prune(self, tmp_path, *flags):
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        out = tmp_path / "out"
+        code = main([
+            "prune", "--model", str(FIXTURES / "pendulum_policy.json"),
+            "--calibration", str(calib), "--radius", "1", "--out", str(out), *flags,
+        ])
+        return code, out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon", "nan"],
+            ["--epsilon", "0.01", "--allocation-weights", "nan,1"],
+            ["--epsilon", "0.01", "--allocation-weights", "inf,1"],
+        ],
+    )
+    def test_nan_budget_is_a_usage_error(self, tmp_path, capsys, flags):
+        # a NaN cap never compares above a delta norm: the walk removed all
+        # six weights, and the certified budget came out far above epsilon
+        code, out = self._prune(tmp_path, *flags)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "pruned_model.json").exists()
+
+    def test_reestimate_without_compensate_is_a_usage_error(self, tmp_path, capsys):
+        code, out = self._prune(tmp_path, "--sparsity", "0.5", "--reestimate")
+        assert code == EXIT_USAGE
+        assert "compensate" in capsys.readouterr().err
+        assert not (out / "pruned_model.json").exists()
+
+    def test_allocation_weights_select_proportional_allocation(self, tmp_path):
+        def plan(*weights):
+            code, out = self._prune(tmp_path, "--epsilon", "5", *weights)
+            assert code == EXIT_OK
+            return _strip_timestamp(out / "prune_plan.json")
+
+        even = plan()
+        assert plan("--allocation-weights", "1,1") == even  # epsilon * 1 / 2 == epsilon / 2
+        layers = json.loads(plan("--allocation-weights", "1,0"))["layers"]
+        assert [(layer["k"], len(layer["mask"]) > 0) for layer in layers] == [
+            (0, True), (1, False)
+        ]
+        assert plan("--allocation-weights", "1,0") != even
+
+    def test_infinite_budget_prunes_every_weight(self, tmp_path):
+        code, out = self._prune(tmp_path, "--epsilon", "inf")
+        assert code == EXIT_OK
+        assert not any(layer.weight.any() for layer in load_policy(out / "pruned_model.json").layers)
 
 
 class TestPlanMatchesReference:
@@ -1006,7 +1070,7 @@ class TestConfigValues:
             ("certify", {"samples": 0, "radius": 1.0}),
             ("certify", {"samples": -3, "radius": 1.0}),
             ("certify", {"seed": -1, "radius": 1.0}),
-            ("prune", {"allocation": "bogus", "sparsity": 0.5}),
+            ("prune", {"epsilon": "nan", "radius": 1.0}),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, random_model, capsys, command, cfg):
@@ -1024,7 +1088,7 @@ class TestConfigValues:
             ("certify", ["--samples", "-3", "--radius", "1.0"]),
             ("certify", ["--seed", "-1", "--radius", "1.0"]),
             ("verify", ["--samples", "0", "--radius", "1.0"]),
-            ("prune", ["--allocation", "bogus", "--sparsity", "0.5"]),
+            ("prune", ["--epsilon", "nan", "--radius", "1"]),
             ("prune", ["--sparsity", "nan"]),
             ("prune", ["--damping", "-1", "--sparsity", "0.5"]),
             ("simulate", ["--dynamics", "pendulum", "--dt", "nan"]),
@@ -1067,7 +1131,7 @@ class TestConfigValues:
         model, _ = random_model
         cfg = {
             "model": str(model), "pruned": str(model), "radius": 1.0, "samples": 20,
-            "sparsity": "half", "allocation": "bogus", "horizon": 0, "paths": "x",
+            "sparsity": "half", "epsilon": "nan", "horizon": 0, "paths": "x",
         }
         assert self._run(tmp_path, "certify", cfg, "--out", str(tmp_path / "o")) == EXIT_OK
 
@@ -1109,7 +1173,7 @@ class TestHelp:
         assert ("paths" in own) == ("paths" in text)
 
     def test_every_option_belongs_to_a_command(self):
-        assert len(cli.OPTIONS) == 32
+        assert len(cli.OPTIONS) == 31
         for key, (_, _, commands, _) in cli.OPTIONS.items():
             assert commands and set(commands) <= set(self.COMMANDS), key
 

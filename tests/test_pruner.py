@@ -431,6 +431,39 @@ class TestApplyPlan:
             truth = spectral_norm(delta) if delta.any() else 0.0
             assert lp.delta_spectral_norm == pytest.approx(truth, rel=1e-9, abs=1e-15)
 
+    def test_reestimate_needs_compensation(self):
+        _, p, _, calib, entries = self._setup()
+        with pytest.raises(ValueError, match="compensate"):
+            apply_plan(p, entries, 2, calib=calib, reestimate=True)
+        with pytest.raises(ValueError, match="compensate"):
+            prune_to_budget(p, entries, {0: 1.0}, calib=calib, reestimate=True)
+
+    @pytest.mark.parametrize(
+        "compensate, reestimate", [(False, False), (True, False), (True, True)]
+    )
+    def test_one_norm_per_pruned_layer(self, monkeypatch, compensate, reestimate):
+        rng = np.random.default_rng(9)
+        p = random_policy(rng, depth=3, max_width=6)
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(10)])
+        ranking = rank_weights(p, calib, [0, 2], damping="auto")
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return spectral_norm(m)
+
+        monkeypatch.setattr(linalg, "spectral_norm", counted)
+        pruned, plan = apply_plan(
+            p, ranking, len(ranking) * 2 // 3, compensate=compensate, damping="auto",
+            calib=calib, reestimate=reestimate,
+        )
+        # the uncapped walk takes no norm per removal, only the plan's own
+        assert [lp.layer for lp in plan.layers] == [0, 2]
+        assert calls == [p.layers[0].weight.shape, p.layers[2].weight.shape]
+        for lp in plan.layers:
+            delta = pruned.layers[lp.layer].weight - p.layers[lp.layer].weight
+            assert lp.delta_spectral_norm == spectral_norm(delta)
+
     def test_count_out_of_range(self):
         _, p, _, _, entries = self._setup()
         with pytest.raises(ValueError):
@@ -514,6 +547,24 @@ class TestPruneToBudget:
         # no removal needs an exact norm; the plan's own norm is the only one
         assert calls == [p.layers[0].weight.shape]
         assert plan.layers[0].delta_spectral_norm == spectral_norm(p.layers[0].weight)
+
+    def test_nan_cap_rejected(self):
+        # a NaN cap never compares above a delta norm, so it would cap nothing
+        rng = np.random.default_rng(17)
+        p = random_policy(rng, depth=2, max_width=5)
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
+        ranking = rank_weights(p, calib, [0, 1], damping="auto")
+        with pytest.raises(ValueError, match="NaN"):
+            prune_to_budget(p, ranking, {0: 0.5, 1: math.nan})
+
+    def test_cap_on_a_missing_layer_rejected(self):
+        rng = np.random.default_rng(18)
+        p = random_policy(rng, depth=2, max_width=5)
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
+        ranking = rank_weights(p, calib, [0], damping="auto")
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                prune_to_budget(p, ranking, {k: 1.0})
 
 
 def _tied_policy(rng):
@@ -665,17 +716,21 @@ class TestRankingMatchesReference:
     @given(
         seed=st.integers(0, 2**32 - 1),
         mode=st.sampled_from([(False, False), (True, False), (True, True)]),
-        fractions=st.lists(st.one_of(st.none(), st.floats(0.0, 1.5)), min_size=3, max_size=3),
+        fractions=st.lists(
+            st.one_of(st.none(), st.floats(0.0, 1.5), st.just(math.inf)), min_size=3, max_size=3
+        ),
     )
     # layer 2 is dead on this seed's calibration batch: its curvature block is all zero
     @example(seed=1259363, mode=(True, True), fractions=[0.5, 0.5, 0.5])
     @example(seed=1259363, mode=(False, False), fractions=[None, None, 1.0])
+    @example(seed=1259363, mode=(True, True), fractions=[math.inf, 0.5, math.inf])
     def test_prune_to_budget_matches_reference_on_random_policies(self, seed, mode, fractions):
         rng = np.random.default_rng(seed)
         p = random_policy(rng, depth=3, max_width=6)
         calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
+        # an infinite fraction is the uncapped walk, checked against the same loop
         caps = {
-            k: f * spectral_norm(p.layers[k].weight)
+            k: f if f == math.inf else f * spectral_norm(p.layers[k].weight)
             for k, f in enumerate(fractions)
             if f is not None
         }
