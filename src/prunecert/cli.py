@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -47,6 +46,7 @@ from prunecert.pruner import (
     collect_calibration,
     prune_to_budget,
     rank_weights,
+    uncapped_head,
 )
 
 EXIT_OK = 0
@@ -410,6 +410,8 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         raise UsageError("set exactly one of --sparsity or --epsilon")
     if cfg.allocation_weights is not None and cfg.epsilon is None:
         raise UsageError("--allocation-weights splits an --epsilon budget")
+    if cfg.reestimate and not cfg.compensate:
+        raise UsageError("--reestimate refreshes --compensate's inverse; it needs --compensate")
     p = _load_policy_file(cfg.model)
     if cfg.calibration is None:
         raise UsageError("prune needs --calibration (CSV of states, one per row)")
@@ -423,8 +425,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
         if cfg.sparsity is not None:
             # sparsity mode is the walk without a cap, over the ranking's head
-            ranking = ranking[: int(round(cfg.sparsity * len(ranking)))]
-            caps = dict.fromkeys(ranking.layers_present(), math.inf)
+            ranking, caps = uncapped_head(ranking, int(round(cfg.sparsity * len(ranking))))
         pruned, plan, taken = prune_to_budget(
             p,
             ranking,

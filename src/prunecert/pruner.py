@@ -31,6 +31,7 @@ __all__ = [
     "collect_calibration",
     "rank_weights",
     "obs_compensate",
+    "uncapped_head",
     "apply_plan",
     "prune_to_budget",
 ]
@@ -332,14 +333,9 @@ class _LayerWork:
         if cap == math.inf and self.h_inv is None:
             self.work[entries.row, entries.col] = 0.0
             return len(entries)
-        pairs = zip(entries.row.tolist(), entries.col.tolist())
-        if cap == math.inf:
-            for row, col in pairs:
-                self.remove(row, col, reestimate)
-            return len(entries)
         n = 0
         upper = 0.0  # never below ||delta||_2
-        for row, col in pairs:
+        for row, col in zip(entries.row.tolist(), entries.col.tolist()):
             saved = self.work[row].copy()
             self.remove(row, col, reestimate)
             if self.h_inv is None:
@@ -358,6 +354,16 @@ class _LayerWork:
         return n
 
 
+def uncapped_head(ranking: Ranking, count: int) -> tuple[Ranking, dict[int, float]]:
+    """The first ``count`` ranked entries and an infinite cap on each layer
+    they touch: the arguments under which ``prune_to_budget`` removes
+    exactly those entries."""
+    if count < 0 or count > len(ranking):
+        raise ValueError(f"count must lie in 0..{len(ranking)}, got {count}")
+    head = ranking[:count]
+    return head, dict.fromkeys(head.layers_present(), math.inf)
+
+
 def apply_plan(
     p: MlpPolicy,
     ranking: Ranking,
@@ -374,10 +380,7 @@ def apply_plan(
     removed, the plan lists just those layers, and each layer's delta norm
     is computed once, for the plan.  The other arguments are passed through.
     """
-    if count < 0 or count > len(ranking):
-        raise ValueError(f"count must lie in 0..{len(ranking)}, got {count}")
-    head = ranking[:count]
-    caps = dict.fromkeys(head.layers_present(), math.inf)
+    head, caps = uncapped_head(ranking, count)
     pruned, plan, _ = prune_to_budget(
         p, head, caps, compensate=compensate, damping=damping, calib=calib, reestimate=reestimate
     )

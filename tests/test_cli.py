@@ -194,6 +194,7 @@ class TestPrune:
             ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "0,0,0"],
             ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "1,1"],
             ["--sparsity", "0.5", "--allocation-weights", "1,1,1"],
+            ["--sparsity", "0.5", "--reestimate"],
         ],
     )
     def test_mode_rejected_before_calibration_and_ranking(
