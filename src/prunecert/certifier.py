@@ -7,9 +7,10 @@ and ``||s||_2``.  Perturbing several layers adds the per-layer terms.
 
 ``certify`` is the one producer of a certificate: it reads the delta norms
 off an (original, pruned) pair, weights them by the worst-case constants on
-the certified ball, and audits the sum on sampled states.  One private
-evaluator computes every constant, so the budget, the per-state bounds and
-the inverse problem's caps share the same arithmetic bit for bit.
+the certified ball, and audits the sum on sampled states with
+``audit_states``, the one per-state audit, which the simulator shares.  One
+private evaluator computes every constant, so the budget, the per-state
+bounds and the inverse problem's caps share the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from prunecert import linalg
-from prunecert.linalg import _frozen
 from prunecert.policy import MlpPolicy, forward_batch
 from prunecert.pruner import PrunePlan
 
@@ -31,6 +31,8 @@ __all__ = [
     "CertificateRow",
     "AuditSummary",
     "Certificate",
+    "StateAudit",
+    "audit_states",
     "certify",
     "admissible_magnitude",
     "sample_states",
@@ -63,20 +65,16 @@ class StateSpaceSpec:
         object.__setattr__(self, "radius", radius)
         if self.source not in ("radius", "states"):
             raise ValueError(f"unknown radius source {self.source!r}")
-        if self.box is not None:
-            lo = linalg.as_vector(self.box[0], "box low")
-            hi = linalg.as_vector(self.box[1], "box high")
-            if lo.shape[0] != self.dim or hi.shape[0] != self.dim:
-                raise ValueError("box bounds must match the state dimension")
-            if (lo > hi).any():
-                raise ValueError("box low bound exceeds high bound")
-            corner = float(linalg.vector_norm(np.maximum(np.abs(lo), np.abs(hi))))
-            if corner > radius + 1e-12:
+        box = linalg.as_box(self.box, self.dim)
+        if box is not None:
+            corner = float(linalg.vector_norm(np.maximum(np.abs(box[0]), np.abs(box[1]))))
+            # relative slack for the corner's rounding, never above 1e-12
+            if corner > radius + 1e-12 * min(radius, 1.0):
                 raise ValueError(
                     "box does not fit inside the certified ball: farthest corner "
                     f"norm {corner:.17g} > radius {radius:.17g}"
                 )
-            object.__setattr__(self, "box", (_frozen(lo), _frozen(hi)))
+        object.__setattr__(self, "box", box)
 
     @classmethod
     def from_states(cls, states: Iterable) -> "StateSpaceSpec":
@@ -208,19 +206,23 @@ def admissible_magnitude(
     """Largest per-layer delta norms whose contributions sum to ``epsilon``.
 
     The budget is split evenly across the layers, or in proportion to
-    ``weights`` (one per layer, in ascending layer order) when given.  An
-    infinite ``epsilon`` caps nothing; a layer with weight 0 gets a zero
-    share even then.  A layer whose worst-case constant is zero cannot
-    contribute and gets an infinite cap.
+    ``weights`` when given: one per layer, paired with the layer listed
+    beside it, so each layer is listed once.  An infinite ``epsilon`` caps
+    nothing; a layer with weight 0 gets a zero share even then.  A layer
+    whose worst-case constant is zero cannot contribute: its cap is infinite.
     """
     if not epsilon >= 0:
         raise ValueError(f"error budget must be nonnegative, got {epsilon}")
-    ks = sorted({int(k) for k in layers})
-    if not ks:
+    listed = [int(k) for k in layers]
+    if not listed:
         raise ValueError("need at least one layer")
-    ws = [1.0] * len(ks) if weights is None else [float(w) for w in weights]
-    if len(ws) != len(ks):
-        raise ValueError(f"need one allocation weight per layer ({len(ks)}), got {len(ws)}")
+    if weights is not None and len(set(listed)) != len(listed):
+        raise ValueError("allocation weights pair with the layers as listed; list each layer once")
+    ws = [1.0] * len(listed) if weights is None else [float(w) for w in weights]
+    if len(ws) != len(listed):
+        raise ValueError(f"need one allocation weight per layer ({len(listed)}), got {len(ws)}")
+    # ascending layers, each with its weight; unweighted repeats count once
+    ks, ws = zip(*sorted(dict(zip(listed, ws)).items()))
     total = sum(ws)
     if not all(0.0 <= w < math.inf for w in ws) or not 0.0 < total < math.inf:
         raise ValueError("allocation weights must be finite and nonnegative with a positive sum")
@@ -243,8 +245,8 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
 
     Without a box the draw is volume-uniform in the ball; with a box it is
     uniform over the box (which construction guarantees sits in the ball).
-    Numerical overshoot beyond the radius is scaled back; anything larger
-    means the sampler itself is broken.
+    Overshoot below 1e-9 relative is scaled back to at most the radius;
+    anything larger means the sampler itself is broken.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
@@ -258,12 +260,42 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
         radii = space.radius * rng.random(n) ** (1.0 / space.dim)
         states = dirs * radii[:, None]
     ns = linalg.vector_norm(states, axis=1)
-    if (ns > space.radius * (1.0 + 1e-9) + 1e-9).any():
+    if (ns > space.radius * (1.0 + 1e-9)).any():
         raise RuntimeError("sampler bug: drew a state outside the certified space")
-    over = ns > space.radius
-    if over.any():
-        states[over] *= (space.radius / ns[over])[:, None]
+    over = np.flatnonzero(ns > space.radius)
+    factor, shrink = (space.radius / ns[over])[:, None], linalg._EPS
+    while over.size:
+        states[over] *= factor
+        # the product rounds: shrink any state left outside, more each pass
+        over = over[linalg.vector_norm(states[over], axis=1) > space.radius]
+        factor, shrink = 1.0 - shrink, 2.0 * shrink
     return states
+
+
+@dataclass(frozen=True, eq=False)
+class StateAudit:
+    """Per-state audit of a batch; entry (or column) i belongs to state i."""
+
+    original: np.ndarray  # (m, n): the original policy's outputs
+    pruned: np.ndarray  # (m, n): the pruned policy's outputs
+    deviation: np.ndarray  # ||pi(s) - pi_hat(s)||_2
+    bound: np.ndarray  # per_state_bounds at ||s||_2
+    norm: np.ndarray  # ||s||_2
+    violation: np.ndarray  # deviation > bound + AUDIT_SLACK
+
+
+def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) -> StateAudit:
+    """The one per-state audit: both policies on the columns of ``states``
+    (input_dim, n), each state judged against its bound.  The columns are
+    used as given, since their layout fixes the order numpy sums norms in;
+    ``certify`` and ``controlsim`` each keep the layout they always had."""
+    outs_orig, outs_pruned = forward_batch(original, states), forward_batch(pruned, states)
+    deviation = linalg.vector_norm(outs_orig - outs_pruned, axis=0)
+    norm = linalg.vector_norm(states, axis=0)
+    bound = per_state_bounds(original, delta_norms, norm)
+    return StateAudit(
+        outs_orig, outs_pruned, deviation, bound, norm, deviation > bound + AUDIT_SLACK
+    )
 
 
 def certify(
@@ -276,8 +308,7 @@ def certify(
     budget weights each layer's worst-case constant, which sits on the sphere
     of radius ``space.radius`` since ``C_k`` increases with ``||s||``, by its
     delta norm and sums in ascending layer order.  The audit draws ``n``
-    states, measures ``||pi(s) - pi_hat(s)||_2`` and counts violations of the
-    per-state bound beyond the fixed absolute slack.
+    states and counts those ``audit_states`` flags.
     """
     _check_space(original, space)
     delta_norms = PrunePlan.from_policies(original, pruned).delta_norms()
@@ -290,22 +321,15 @@ def certify(
     for r in rows:
         budget = budget + r.contribution
     states = sample_states(space, n, np.random.default_rng(seed))
-    dev = linalg.vector_norm(
-        forward_batch(original, states.T) - forward_batch(pruned, states.T), axis=0
-    )
-    bounds = per_state_bounds(original, delta_norms, linalg.vector_norm(states, axis=1))
-    max_dev = float(dev.max())
-    if budget > 0:
-        tightness = max_dev / budget
-    else:
-        tightness = 0.0 if max_dev == 0.0 else math.inf
-    audit = AuditSummary(
+    audit = audit_states(original, pruned, delta_norms, states.T)
+    max_dev = float(audit.deviation.max())
+    summary = AuditSummary(
         samples=int(n),
         max_dev=max_dev,
-        mean_dev=float(dev.mean()),
-        violations=int(np.count_nonzero(dev > bounds + AUDIT_SLACK)),
-        tightness=tightness,
+        mean_dev=float(audit.deviation.mean()),
+        violations=int(np.count_nonzero(audit.violation)),
+        tightness=max_dev / budget if budget > 0 else (0.0 if max_dev == 0.0 else math.inf),
         margin=budget - max_dev,
         seed=int(seed),
     )
-    return Certificate(rows, budget, space.radius, space.source, audit)
+    return Certificate(rows, budget, space.radius, space.source, summary)

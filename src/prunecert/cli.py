@@ -354,18 +354,15 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 def _state_space(cfg: argparse.Namespace, dim: int) -> StateSpaceSpec:
     try:
         if cfg.states is not None:
+            given = [k for k in ("radius", "box_lo", "box_hi") if getattr(cfg, k) is not None]
+            if given:
+                flags = ", ".join(f"--{k.replace('_', '-')}" for k in given)
+                raise UsageError(f"--states takes the radius from its states; drop {flags}")
             return StateSpaceSpec.from_states(_load_states_csv(cfg.states, dim))
-        box = None
-        radius = cfg.radius
-        if (cfg.box_lo is None) != (cfg.box_hi is None):
-            raise UsageError("provide both box bounds or neither")
-        if cfg.box_lo is not None:
-            lo = np.asarray(cfg.box_lo, dtype=float)
-            hi = np.asarray(cfg.box_hi, dtype=float)
-            box = (lo, hi)
-            if radius is None:
-                # tightest ball containing the box
-                radius = float(linalg.vector_norm(np.maximum(np.abs(lo), np.abs(hi))))
+        radius, box = cfg.radius, linalg.as_box((cfg.box_lo, cfg.box_hi), dim)
+        if box is not None and radius is None:
+            # tightest ball containing the box
+            radius = float(linalg.vector_norm(np.maximum(np.abs(box[0]), np.abs(box[1]))))
         if radius is None:
             raise UsageError("provide --radius, --box-lo/--box-hi, or --states")
         return StateSpaceSpec(dim=dim, radius=float(radius), box=box)
@@ -462,18 +459,10 @@ def _print_certificate(cert: Certificate) -> None:
 
 
 def _verify_report(cert: Certificate) -> dict:
-    a = cert.audit
-    return {
-        "samples": a.samples,
-        "max_dev": a.max_dev,
-        "mean_dev": a.mean_dev,
-        "violations": a.violations,
-        "budget": cert.budget,
-        "tightness": a.tightness,
-        "seed": a.seed,
-        "holds": cert.holds,
-        "timestamp": _timestamp(),
-    }
+    """The certificate's audit fields but ``margin``, its budget and verdict."""
+    d = certificate_to_dict(cert)
+    audit = {k: v for k, v in d["audit"].items() if k != "margin"}
+    return {**audit, "budget": d["budget"], "holds": d["holds"], "timestamp": d["timestamp"]}
 
 
 def _certify_and_write(cfg: argparse.Namespace, artifact: str, to_dict) -> int:
@@ -506,14 +495,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def _dynamics(cfg: argparse.Namespace):
     if cfg.dynamics is None:
         raise UsageError("simulate needs --dynamics")
-    state_box = None
-    if (cfg.state_box_lo is None) != (cfg.state_box_hi is None):
-        raise UsageError("provide both state box bounds or neither")
-    if cfg.state_box_lo is not None:
-        state_box = (
-            np.asarray(cfg.state_box_lo, dtype=float),
-            np.asarray(cfg.state_box_hi, dtype=float),
-        )
+    # the dynamics check the box, once they know their state dimension
+    state_box = (cfg.state_box_lo, cfg.state_box_hi)
     try:
         if cfg.dynamics == "double_integrator":
             return DoubleIntegrator(

@@ -2,9 +2,10 @@
 
 The simulator is deliberately small: explicit Euler for the two physical
 fixtures, the exact map for linear systems.  Certificates bound the policy
-output pointwise at a state, so the deviation audit checks both policies at
-the same visited states; how far the two trajectories drift apart is
-reported as well, but only as an observed, uncertified quantity.
+output pointwise at a state, so ``deviation_audit`` runs every state either
+loop visits through ``certifier.audit_states``, the audit ``certify`` runs
+on sampled states; how far the two trajectories drift apart is reported as
+well, but only as an observed, uncertified quantity.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from prunecert import linalg
 from prunecert.linalg import _frozen
-from prunecert.certifier import AUDIT_SLACK, Certificate, per_state_bounds
-from prunecert.policy import MlpPolicy, forward, forward_batch
+from prunecert.certifier import Certificate, audit_states
+from prunecert.policy import MlpPolicy, forward
 
 __all__ = [
     "BlowUpError",
@@ -46,16 +47,6 @@ class BlowUpError(RuntimeError):
         self.partial = partial
 
 
-def _check_box(box, dim: int):
-    lo = linalg.as_vector(box[0], "state box low")
-    hi = linalg.as_vector(box[1], "state box high")
-    if lo.shape[0] != dim or hi.shape[0] != dim:
-        raise ValueError("state box bounds must match the state dimension")
-    if (lo > hi).any():
-        raise ValueError("state box low bound exceeds high bound")
-    return _frozen(lo), _frozen(hi)
-
-
 def _check_limit(limit, name: str) -> None:
     # NaN fails the comparison; a negative limit would flip the clip
     if limit is not None and not limit >= 0:
@@ -78,8 +69,8 @@ class DoubleIntegrator:
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         _check_limit(self.accel_limit, "accel_limit")
-        if self.state_box is not None:
-            object.__setattr__(self, "state_box", _check_box(self.state_box, self.state_dim))
+        box = linalg.as_box(self.state_box, self.state_dim, "state box")
+        object.__setattr__(self, "state_box", box)
 
     @property
     def action_limit(self) -> float | None:
@@ -111,8 +102,8 @@ class Pendulum:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         _check_limit(self.torque_limit, "torque_limit")
-        if self.state_box is not None:
-            object.__setattr__(self, "state_box", _check_box(self.state_box, self.state_dim))
+        box = linalg.as_box(self.state_box, self.state_dim, "state box")
+        object.__setattr__(self, "state_box", box)
 
     @property
     def action_limit(self) -> float | None:
@@ -145,8 +136,8 @@ class LinearSystem:
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
         _check_limit(self.action_limit, "action_limit")
-        if self.state_box is not None:
-            object.__setattr__(self, "state_box", _check_box(self.state_box, a.shape[0]))
+        box = linalg.as_box(self.state_box, a.shape[0], "state box")
+        object.__setattr__(self, "state_box", box)
 
     @property
     def state_dim(self) -> int:
@@ -266,31 +257,6 @@ class DeviationReport:
     blowup: tuple[str, int] | None = None
 
 
-def _audit_loop(
-    label: str,
-    traj: Trajectory,
-    own: MlpPolicy,
-    original: MlpPolicy,
-    pruned: MlpPolicy,
-    cert: Certificate,
-) -> LoopAudit:
-    # states as C-contiguous columns, the layout forward_batch takes; the
-    # layout also fixes how the norms below sum, so keep it
-    states = np.ascontiguousarray(traj.states.T)
-    outs_orig = forward_batch(original, states)
-    outs_pruned = forward_batch(pruned, states)
-    outs_own = outs_orig if own is original else outs_pruned
-    snorms = linalg.vector_norm(states, axis=0)
-    return LoopAudit(
-        label=label,
-        states=traj.states,
-        actions=_frozen(outs_own.T),
-        deviation=_frozen(linalg.vector_norm(outs_orig - outs_pruned, axis=0)),
-        bound=_frozen(per_state_bounds(original, cert.delta_norms(), snorms)),
-        in_ball=_frozen(snorms <= cert.radius),
-    )
-
-
 def deviation_audit(
     d,
     original: MlpPolicy,
@@ -308,6 +274,7 @@ def deviation_audit(
     """
     blowup = None
     loops = []
+    violations = 0
     for label, p in (("original", original), ("pruned", pruned)):
         try:
             traj = rollout(d, p, x0, T)
@@ -315,14 +282,20 @@ def deviation_audit(
             if blowup is None:
                 blowup = (label, exc.t if exc.t is not None else 0)
             traj = exc.partial
-        loops.append(_audit_loop(label, traj, p, original, pruned, cert))
+        # C-contiguous columns: the layout these reports' norms have summed in
+        columns = np.ascontiguousarray(traj.states.T)
+        audit = audit_states(original, pruned, cert.delta_norms(), columns)
+        in_ball = audit.norm <= cert.radius
+        violations += int(np.count_nonzero(audit.violation & in_ball))
+        own = audit.original if p is original else audit.pruned
+        loops.append(LoopAudit(label, traj.states, _frozen(own.T), _frozen(audit.deviation),
+                               _frozen(audit.bound), _frozen(in_ball)))
     shared = min(len(loop.states) for loop in loops)
     gaps = loops[0].states[:shared] - loops[1].states[:shared]
     # one 1-D norm per state: a batched norm sums in another order
     divergence = _frozen(np.array([linalg.vector_norm(g) for g in gaps]))
     inside = np.concatenate([loop.in_ball for loop in loops])
     dev = np.concatenate([loop.deviation for loop in loops])[inside]
-    bound = np.concatenate([loop.bound for loop in loops])[inside]
     return DeviationReport(
         loops=tuple(loops),
         divergence=divergence,
@@ -330,7 +303,7 @@ def deviation_audit(
         radius=cert.radius,
         in_ball_count=int(inside.sum()),
         out_of_ball_count=int(inside.size - inside.sum()),
-        in_ball_violations=int((dev > bound + AUDIT_SLACK).sum()),
+        in_ball_violations=violations,
         max_in_ball_deviation=float(dev.max(initial=0.0)),
         max_divergence=float(divergence.max()),
         blowup=blowup,

@@ -15,6 +15,7 @@ __all__ = [
     "SingularMatrixError",
     "as_matrix",
     "as_vector",
+    "as_box",
     "spectral_norm",
     "spectral_norm_ceiling",
     "vector_norm",
@@ -61,6 +62,21 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def as_box(box, dim: int, name: str = "box"):
+    """Read-only ``(lo, hi)`` of an axis box: finite ``dim``-vectors with
+    ``lo <= hi``.  ``None`` and ``(None, None)`` are no box."""
+    if box is None or (box[0] is None and box[1] is None):
+        return None
+    if box[0] is None or box[1] is None:
+        raise ValueError(f"provide both {name} bounds or neither")
+    lo, hi = as_vector(box[0], f"{name} low"), as_vector(box[1], f"{name} high")
+    if lo.shape[0] != dim or hi.shape[0] != dim:
+        raise ValueError(f"{name} bounds must match the state dimension")
+    if (lo > hi).any():
+        raise ValueError(f"{name} low bound exceeds high bound")
+    return _frozen(lo), _frozen(hi)
 
 
 def _norm_allowance(shape) -> float:
@@ -169,7 +185,8 @@ def vector_norm(a, axis=None):
     overflow, and any square that underflowed is below ``2^-222`` of the
     sum, so numpy's result stands, bit for bit.  Any other vector is taken
     again after scaling by the power of two that brings its largest entry
-    into [1/2, 1), as in ``spectral_norm``, which is exact.
+    into [1/2, 1), as in ``spectral_norm``, which is exact.  Its copy keeps
+    the layout of ``a``, which fixes the order numpy sums in.
     """
     v = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
@@ -178,7 +195,9 @@ def vector_norm(a, axis=None):
             return out if _NORM_LOW <= out < _NORM_HIGH else _rescaled_norm(v, None)
         redo = ~((_NORM_LOW <= out) & (out < _NORM_HIGH))
         if redo.any():
-            out[redo] = _rescaled_norm(np.compress(redo, v, axis=1 - axis), axis)
+            sub = np.compress(redo, v, axis=1 - axis)  # C-ordered, whatever v is
+            sub = np.asfortranarray(sub) if v.flags.f_contiguous else sub
+            out[redo] = _rescaled_norm(sub, axis)
     return out
 
 

@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import _ck_oracle, random_policy, scaled_certificate
+from conftest import _ck_oracle, naive_forward, random_policy, scaled_certificate, scaled_norm
+from prunecert import linalg
 from prunecert.certifier import (
+    AUDIT_SLACK,
     StateSpaceSpec,
     admissible_magnitude,
+    audit_states,
     certify,
     per_state_bounds,
     sample_states,
@@ -92,6 +95,19 @@ class TestStateSpaceSpec:
     def test_huge_box_inside_ball_accepted(self):
         box = (np.full(2, -1e200), np.full(2, 1e200))
         assert StateSpaceSpec(dim=2, radius=2e200, box=box).box is not None
+
+    def test_tiny_box_must_fit_in_ball(self):
+        # the corner lies 10x outside the ball; an absolute 1e-12 slack hid it
+        box = (np.zeros(2), np.full(2, 1e-12 / math.sqrt(2.0)))
+        with pytest.raises(ValueError, match="ball"):
+            StateSpaceSpec(dim=2, radius=1e-13, box=box)
+
+    def test_box_on_the_sphere_accepted_at_every_scale(self):
+        for radius in (1e-300, 1e-13, 1.0, 1e13, 1e300):
+            corner = np.full(2, radius / math.sqrt(2.0))
+            box = (-corner, corner)
+            assert StateSpaceSpec(dim=2, radius=radius, box=box).box is not None
+
 
 
 class TestBoundConstantState:
@@ -399,6 +415,29 @@ class TestAdmissibleMagnitude:
         with pytest.raises(ValueError, match="weight"):
             admissible_magnitude(p, [0, 1], 1.0, StateSpaceSpec(dim=2, radius=1.0), weights)
 
+    def test_allocation_weights_pair_with_the_listed_layers(self):
+        p = _diag_policy([4.0, 2.0])
+        space = StateSpaceSpec(dim=2, radius=1.0)
+        ascending = admissible_magnitude(p, [0, 1], 2.0, space, weights=[3.0, 1.0])
+        assert admissible_magnitude(p, [1, 0], 2.0, space, weights=[1.0, 3.0]) == ascending
+        # layer 0 takes three quarters of the budget, layer 1 one quarter
+        assert ascending == admissible_magnitude(p, [0], 1.5, space) | admissible_magnitude(
+            p, [1], 0.5, space
+        )
+
+    @pytest.mark.parametrize("layers, weights", [([0, 0], [1.0]), ([0, 1, 0], [1.0, 1.0])])
+    def test_repeated_layer_with_allocation_weights_rejected(self, layers, weights):
+        p = _diag_policy([4.0, 2.0])
+        with pytest.raises(ValueError, match="once"):
+            admissible_magnitude(p, layers, 1.0, StateSpaceSpec(dim=2, radius=1.0), weights)
+
+    def test_repeated_layer_without_weights_counts_once(self):
+        p = _diag_policy([4.0, 2.0])
+        space = StateSpaceSpec(dim=2, radius=1.0)
+        assert admissible_magnitude(p, [1, 0, 1], 2.0, space) == admissible_magnitude(
+            p, [0, 1], 2.0, space
+        )
+
     def test_infinite_budget_caps_only_weighted_layers(self):
         p = _diag_policy([4.0, 2.0])
         space = StateSpaceSpec(dim=2, radius=1.0)
@@ -452,6 +491,42 @@ class TestSampleStates:
         space = StateSpaceSpec(dim=2, radius=1.5, box=(np.zeros(2), np.ones(2)))
         with pytest.raises(RuntimeError, match="sampler"):
             sample_states(space, 4, _BadRng())
+
+    def test_tiny_overshoot_is_an_internal_error(self):
+        # 10x outside a ball of radius 1e-13: an absolute 1e-9 slack let the
+        # sampler move every such draw onto the sphere without a word
+        class _BadRng:
+            def uniform(self, lo, hi, size):
+                return np.full(size, 1e-12)
+
+        space = StateSpaceSpec(dim=2, radius=1e-13, box=(np.zeros(2), np.full(2, 1e-14)))
+        with pytest.raises(RuntimeError, match="sampler"):
+            sample_states(space, 4, _BadRng())
+
+    @pytest.mark.parametrize(
+        "radius, draws",
+        [
+            # each draw overshoots its radius by less than 1e-10 relative, and
+            # one rescale by radius / norm leaves it an ulp outside the ball
+            (1e-13, [[-8.970870186340597e-14, -4.4185391364205066e-14],
+                     [-9.792047607979836e-14, -2.0287443520392775e-14]]),
+            (3.0, [[2.963355436839578, 0.46746610107033154],
+                   [-1.6436649219019273, 2.50965448319576]]),
+        ],
+    )
+    def test_rescaled_draws_land_inside_the_ball(self, radius, draws):
+        class _OvershootRng:
+            def uniform(self, lo, hi, size):
+                return np.array(draws)
+
+        draws_norm = linalg.vector_norm(np.array(draws), axis=1)
+        assert ((draws_norm > radius) & (draws_norm < radius * (1.0 + 1e-10))).all()
+        space = StateSpaceSpec(dim=2, radius=radius, box=(np.zeros(2), np.full(2, radius / 2)))
+        states = sample_states(space, len(draws), _OvershootRng())
+        assert (linalg.vector_norm(states, axis=1) <= radius).all()
+        assert all(linalg.vector_norm(s) <= radius for s in states)
+        # pulled back onto the sphere, not into the ball's interior
+        np.testing.assert_allclose(linalg.vector_norm(states, axis=1), radius, rtol=1e-15)
 
 
 class TestAuditBound:
@@ -517,3 +592,117 @@ class TestAuditBound:
         p = _three_layer_fixture()
         with pytest.raises(ValueError, match="state space dim"):
             certify(p, p, StateSpaceSpec(dim=3, radius=1.0), n=10, seed=0)
+
+
+class TestAuditStates:
+    """The one per-state audit, against the loop-based oracles."""
+
+    @staticmethod
+    def _pair(rng, homogeneous=False):
+        """A random policy and a copy with one layer perturbed (the bound is
+        sound for one layer whatever the change does to its norm)."""
+        p = random_policy(rng, max_width=12, bias_scale=0.0 if homogeneous else 0.1)
+        if homogeneous:
+            # zero biases and positively homogeneous activations: the outputs
+            # scale with the state, so 1e-200 states keep their digits
+            p = MlpPolicy(layers=tuple(
+                replace(layer, activation=ActivationKind("leaky_relu", 0.3))
+                if layer.activation.kind == "elu" else layer
+                for layer in p.layers
+            ))
+        k = int(rng.integers(p.num_layers))
+        delta = rng.normal(0.0, 0.3, size=p.layers[k].weight.shape)
+        return p, _perturbed(p, {k: delta})
+
+    def _check_against_oracles(self, original, pruned, states):
+        dn = PrunePlan.from_policies(original, pruned).delta_norms()
+        audit = audit_states(original, pruned, dn, states)
+        wnorms, bnorms = original.weight_spectral_norms, original.bias_norms
+        for i, s in enumerate(states.T):
+            out_o, out_p = naive_forward(original, s), naive_forward(pruned, s)
+            scale = max(scaled_norm(out_o), scaled_norm(out_p), 1e-300)
+            np.testing.assert_allclose(audit.original[:, i], out_o, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(audit.pruned[:, i], out_p, rtol=0, atol=1e-12 * scale)
+            assert abs(audit.deviation[i] - scaled_norm(out_o - out_p)) <= 1e-12 * scale
+            snorm = scaled_norm(s)
+            assert audit.norm[i] == pytest.approx(snorm, rel=1e-15)
+            bound = 0.0
+            for k, d in dn:
+                bound += d * _ck_oracle(wnorms, bnorms, k + 1, snorm)
+            assert audit.bound[i] == pytest.approx(bound, rel=1e-14)
+        assert not audit.violation.any()
+        return audit
+
+    def test_matches_oracles_on_random_policies(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            original, pruned = self._pair(rng)
+            # states well inside, on and far outside a unit ball
+            states = rng.normal(size=(original.input_dim, 12)) * rng.choice(
+                [0.01, 1.0, 30.0], size=12
+            )
+            audit = self._check_against_oracles(original, pruned, states)
+            assert audit.original.shape == (original.output_dim, 12)
+            assert audit.deviation.shape == audit.bound.shape == audit.norm.shape == (12,)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_matches_oracles_at_extreme_scale(self, scale):
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            original, pruned = self._pair(rng, homogeneous=True)
+            states = rng.normal(size=(original.input_dim, 6)) * scale
+            audit = self._check_against_oracles(original, pruned, states)
+            assert np.isfinite(audit.deviation).all() and (audit.norm > 0).all()
+
+    def test_flags_exactly_the_states_beyond_bound_plus_slack(self):
+        # identity x -> x against x -> 2x: the deviation at s is |s| exactly,
+        # and a zero delta norm makes every bound 0, so a state is flagged
+        # exactly when |s| > AUDIT_SLACK
+        identity = ActivationKind("identity")
+        p, q = (
+            MlpPolicy(layers=(Layer(weight=[[w]], bias=[0.0], activation=identity),))
+            for w in (1.0, 2.0)
+        )
+        above = math.nextafter(AUDIT_SLACK, math.inf)
+        below = math.nextafter(AUDIT_SLACK, 0.0)
+        states = np.array([[0.0, below, AUDIT_SLACK, above, -above, 1.0]])
+        audit = audit_states(p, q, ((0, 0.0),), states)
+        np.testing.assert_array_equal(audit.deviation, np.abs(states[0]))
+        np.testing.assert_array_equal(audit.bound, np.zeros(6))
+        assert audit.violation.tolist() == [False, False, False, True, True, True]
+        # a unit delta norm bounds every state: nothing is flagged
+        assert not audit_states(p, q, ((0, 1.0),), states).violation.any()
+
+    def test_flags_match_the_oracle_rule_on_understated_deltas(self):
+        rng = np.random.default_rng(33)
+        flagged = 0
+        for _ in range(10):
+            original, pruned = self._pair(rng)
+            # a third of the true delta norm: many states break their bound
+            dn = tuple(
+                (k, d / 3.0) for k, d in PrunePlan.from_policies(original, pruned).delta_norms()
+            )
+            states = rng.normal(size=(original.input_dim, 30))
+            audit = audit_states(original, pruned, dn, states)
+            wnorms, bnorms = original.weight_spectral_norms, original.bias_norms
+            for i, s in enumerate(states.T):
+                dev = scaled_norm(naive_forward(original, s) - naive_forward(pruned, s))
+                bound = 0.0
+                for k, d in dn:
+                    bound += d * _ck_oracle(wnorms, bnorms, k + 1, scaled_norm(s))
+                assert audit.violation[i] == (dev > bound + AUDIT_SLACK)
+            flagged += int(audit.violation.sum())
+        assert flagged > 0
+
+    def test_norms_follow_the_callers_layout(self):
+        # 8 dimensions: numpy sums a contiguous axis pairwise, a strided one
+        # in order, and the audit keeps each caller's layout at every scale
+        rng = np.random.default_rng(34)
+        p = random_policy(rng, dims=[8, 4, 2])
+        for scale in (1.0, 1e200, 1e-200):
+            rows = rng.normal(size=(500, 8)) * scale
+            sampled = audit_states(p, p, (), rows.T).norm
+            np.testing.assert_array_equal(sampled, linalg.vector_norm(rows, axis=1))
+            columns = np.ascontiguousarray(rows.T)
+            visited = audit_states(p, p, (), columns).norm
+            np.testing.assert_array_equal(visited, linalg.vector_norm(columns, axis=0))

@@ -262,6 +262,30 @@ class TestBudgetInputs:
         ]
         assert plan("--allocation-weights", "1,0") != even
 
+    def test_allocation_weights_follow_the_listed_layers(self, tmp_path):
+        # one split listed two ways: layer 0 weighs 3 and layer 1 weighs 1
+        def removed(*flags):
+            code, out = self._prune(tmp_path, "--epsilon", "5", *flags)
+            assert code == EXIT_OK
+            plan = json.loads((out / "prune_plan.json").read_text())
+            return {layer["k"]: len(layer["mask"]) for layer in plan["layers"]}
+
+        ascending = removed("--layers", "0,1", "--allocation-weights", "3,1")
+        assert ascending[0] == 2
+        assert removed("--layers", "1,0", "--allocation-weights", "1,3") == ascending
+
+    @pytest.mark.parametrize("layers, weights", [("0,0", "1"), ("0,1,0", "3,1")])
+    def test_repeated_layer_with_allocation_weights_is_a_usage_error(
+        self, tmp_path, capsys, layers, weights
+    ):
+        code, out = self._prune(
+            tmp_path, "--epsilon", "5", "--layers", layers, "--allocation-weights", weights
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "once" in err[0]
+        assert not (out / "pruned_model.json").exists()
+
     def test_infinite_budget_prunes_every_weight(self, tmp_path):
         code, out = self._prune(tmp_path, "--epsilon", "inf")
         assert code == EXIT_OK
@@ -475,6 +499,78 @@ class TestCertify:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["radius_source"] == "states"
         assert cert["radius"] > 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"radius": "5"},
+            {"box_lo": "-1,-1,-1", "box_hi": "1,1,1"},
+            {"radius": "5", "box_lo": "-1,-1,-1", "box_hi": "1,1,1"},
+            {"box_hi": "1,1,1"},
+        ],
+    )
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_states_with_radius_or_box_is_a_usage_error(
+        self, tmp_path, random_model, capsys, extra, via
+    ):
+        # --states sets the radius, so a --radius or box beside it would be ignored
+        model, calib = random_model
+        out = tmp_path / "cert"
+        args = ["certify", "--model", str(model), "--pruned", str(model),
+                "--states", str(calib), "--samples", "10", "--out", str(out)]
+        if via == "flags":
+            args += [f"--{k.replace('_', '-')}={v}" for k, v in extra.items()]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(extra))
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        flags = ", ".join(f"--{k.replace('_', '-')}" for k in extra)
+        assert err == [f"error: --states takes the radius from its states; drop {flags}"]
+        assert not (out / "certificate.json").exists()
+
+
+class TestBoxFlags:
+    """The box of certify and prune, and the state box of simulate, are
+    checked by one helper with one wording."""
+
+    CASES = [
+        (["{p}-lo=-1,-1"], "provide both {n} bounds or neither"),
+        (["{p}-hi=1,1"], "provide both {n} bounds or neither"),
+        (["{p}-lo=-1,-1,-1", "{p}-hi=1,1,1"], "{n} bounds must match the state dimension"),
+        (["{p}-lo=-1", "{p}-hi=1,1"], "{n} bounds must match the state dimension"),
+        (["{p}-lo=1,-1", "{p}-hi=-1,1"], "{n} low bound exceeds high bound"),
+    ]
+
+    @pytest.fixture
+    def pendulum_cert(self, tmp_path):
+        model = FIXTURES / "pendulum_policy.json"
+        cert = tmp_path / "c" / "certificate.json"
+        assert main(["certify", "--model", str(model), "--pruned", str(model), "--radius", "1",
+                     "--samples", "10", "--out", str(cert.parent)]) == EXIT_OK
+        return model, cert
+
+    @pytest.mark.parametrize("flags, message", CASES)
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_bad_box_is_a_usage_error(
+        self, tmp_path, pendulum_cert, capsys, command, flags, message
+    ):
+        model, cert = pendulum_cert
+        capsys.readouterr()
+        if command == "certify":
+            prefix, name = "--box", "box"
+            base = ["--pruned", str(model), "--radius", "5"]
+        else:
+            prefix, name = "--state-box", "state box"
+            base = ["--pruned", str(model), "--certificate", str(cert),
+                    "--dynamics", "pendulum", "--x0", "0.5,0", "--horizon", "3"]
+        out = tmp_path / "o"
+        code = main([command, "--model", str(model), *base,
+                     *(f.format(p=prefix) for f in flags), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(n=name)}"]
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestHoldsCountsViolations:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from prunecert.linalg import (
     SingularMatrixError,
     _norm_allowance,
+    as_box,
     as_matrix,
     as_vector,
     auto_damping,
@@ -175,6 +177,16 @@ class TestVectorNorm:
         assert got[1:].tolist() == [5.0, 0.0]
         assert vector_norm(batch.T, axis=1).tolist() == got.tolist()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_bits_follow_the_memory_layout(self, scale):
+        # 8 entries per vector: numpy sums a contiguous axis pairwise and a
+        # strided one in order.  The rescaled copy keeps the input's layout,
+        # so a transposed view gives the same bits at every scale.
+        rows = np.random.default_rng(22).normal(size=(2000, 8)) * scale
+        assert np.array_equal(vector_norm(rows.T, axis=0), vector_norm(rows, axis=1))
+        cols = np.ascontiguousarray(rows.T)
+        assert np.array_equal(vector_norm(cols.T, axis=1), vector_norm(cols, axis=0))
+
     def test_subnormal_entries(self):
         assert vector_norm([5e-324, 0.0]) == 5e-324
         assert vector_norm(np.array([[3.0], [4.0]]) * 5e-324, axis=0)[0] == 2.5e-323
@@ -183,6 +195,34 @@ class TestVectorNorm:
         assert vector_norm([np.inf, 1e300]) == np.inf
         assert math.isnan(vector_norm([np.nan, 1e300]))
         assert vector_norm([1.5e308, 1.5e308]) == np.inf  # beyond the float range
+
+
+class TestAsBox:
+    def test_no_box(self):
+        assert as_box(None, 2) is None
+        assert as_box((None, None), 2) is None
+
+    def test_read_only_copies(self):
+        lo, hi = [-1.0, 0.0], np.array([1.0, 0.0])
+        box = as_box((lo, hi), 2)
+        assert box[0].tolist() == lo and box[1].tolist() == hi.tolist()
+        assert box[1] is not hi and not box[0].flags.writeable and not box[1].flags.writeable
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ((None, [1.0, 1.0]), "provide both state box bounds or neither"),
+            (([0.0, 0.0], None), "provide both state box bounds or neither"),
+            (([0.0], [1.0]), "state box bounds must match the state dimension"),
+            (([0.0, 0.0], [1.0, 1.0, 1.0]), "state box bounds must match the state dimension"),
+            (([0.0, 2.0], [1.0, 1.0]), "state box low bound exceeds high bound"),
+            (([[0.0, 0.0]], [1.0, 1.0]), "state box low must be a nonempty 1-D array"),
+            (([0.0, 0.0], [1.0, np.inf]), "state box high contains non-finite entries"),
+        ],
+    )
+    def test_rejected(self, box, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            as_box(box, 2, "state box")
 
 
 class TestGram:
