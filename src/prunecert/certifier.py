@@ -281,7 +281,7 @@ class StateAudit:
     deviation: np.ndarray  # ||pi(s) - pi_hat(s)||_2
     bound: np.ndarray  # per_state_bounds at ||s||_2
     norm: np.ndarray  # ||s||_2
-    violation: np.ndarray  # deviation > bound + AUDIT_SLACK
+    violation: np.ndarray  # not deviation <= bound + AUDIT_SLACK, so NaN counts
 
 
 def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) -> StateAudit:
@@ -293,9 +293,9 @@ def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) ->
     deviation = linalg.vector_norm(outs_orig - outs_pruned, axis=0)
     norm = linalg.vector_norm(states, axis=0)
     bound = per_state_bounds(original, delta_norms, norm)
-    return StateAudit(
-        outs_orig, outs_pruned, deviation, bound, norm, deviation > bound + AUDIT_SLACK
-    )
+    # negated so that a NaN deviation (inf - inf outputs) is a violation too
+    violation = ~(deviation <= bound + AUDIT_SLACK)
+    return StateAudit(outs_orig, outs_pruned, deviation, bound, norm, violation)
 
 
 def certify(

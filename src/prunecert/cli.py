@@ -1,4 +1,4 @@
-"""Command-line front end: prune, certify, verify, simulate, report.
+"""Command-line front end: prune, certify, simulate, report.
 
 Every run option is one row of ``OPTIONS``: its parser, default, commands
 and help.  Each command's flags are generated from that table, and a flag's
@@ -270,8 +270,8 @@ def _paths(value, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-_ALL = ("prune", "certify", "verify", "simulate", "report")
-_PRUNE, _AUDIT, _SIM = ("prune",), ("certify", "verify"), ("simulate",)
+_ALL = ("prune", "certify", "simulate", "report")
+_PRUNE, _AUDIT, _SIM = ("prune",), ("certify",), ("simulate",)
 _SPACE = _PRUNE + _AUDIT
 
 # key -> (parse, default, commands, help): the one list of run options.  The
@@ -458,16 +458,7 @@ def _print_certificate(cert: Certificate) -> None:
     print(f"holds: {cert.holds}")
 
 
-def _verify_report(cert: Certificate) -> dict:
-    """The certificate's audit fields but ``margin``, its budget and verdict."""
-    d = certificate_to_dict(cert)
-    audit = {k: v for k, v in d["audit"].items() if k != "margin"}
-    return {**audit, "budget": d["budget"], "holds": d["holds"], "timestamp": d["timestamp"]}
-
-
-def _certify_and_write(cfg: argparse.Namespace, artifact: str, to_dict) -> int:
-    """Body shared by certify and verify: certify the (original, pruned)
-    pair, write ``to_dict(cert)`` to ``artifact`` and exit by ``holds``."""
+def cmd_certify(cfg: argparse.Namespace) -> int:
     original = _load_policy_file(cfg.model)
     if cfg.pruned is None:
         raise UsageError("certification needs --pruned (the pruned model file)")
@@ -478,18 +469,10 @@ def _certify_and_write(cfg: argparse.Namespace, artifact: str, to_dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
-    _write_json(out / artifact, to_dict(cert))
+    _write_json(out / "certificate.json", certificate_to_dict(cert))
     _print_certificate(cert)
-    print(f"wrote {out / artifact}")
+    print(f"wrote {out / 'certificate.json'}")
     return EXIT_OK if cert.holds else EXIT_VIOLATION
-
-
-def cmd_certify(cfg: argparse.Namespace) -> int:
-    return _certify_and_write(cfg, "certificate.json", certificate_to_dict)
-
-
-def cmd_verify(cfg: argparse.Namespace) -> int:
-    return _certify_and_write(cfg, "verify_report.json", _verify_report)
 
 
 def _dynamics(cfg: argparse.Namespace):
@@ -688,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command, func, summary in (
         ("prune", cmd_prune, "rank weights and write a pruned model + plan"),
         ("certify", cmd_certify, "compute the budget and audit it"),
-        ("verify", cmd_verify, "audit an existing (original, pruned) pair only"),
         ("simulate", cmd_simulate, "closed-loop run with per-state bound checks"),
         ("report", cmd_report, "merge certificates into one summary"),
     ):

@@ -51,7 +51,7 @@ def naive_forward(p: MlpPolicy, s):
         if kind.kind in ("leaky_relu", "prelu"):
             return x if x >= 0 else kind.alpha * x
         if kind.kind == "elu":
-            return x if x >= 0 else kind.alpha * (math.exp(x) - 1.0)
+            return x if x >= 0 else kind.alpha * math.expm1(x)
         return x
 
     x = [float(v) for v in s]
@@ -150,7 +150,8 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
     trajectory CSV as lists of cells, header first, and the deviation report
     without its ``dynamics``, ``horizon`` and ``timestamp`` fields.  A loop
     blows up when its action or its next state is non-finite.  Every norm
-    is ``scaled_norm`` and every bound ``_ck_oracle``.
+    is ``scaled_norm`` and every bound ``_ck_oracle``; an in-ball state is a
+    violation unless its deviation is at most bound + slack, so NaN is one.
     """
     from prunecert.certifier import AUDIT_SLACK
     from prunecert.controlsim import BlowUpError, step
@@ -197,7 +198,7 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
             inside = snorm <= cert.radius
             if inside:
                 inside_count += 1
-                violations += dev > bound + AUDIT_SLACK
+                violations += not dev <= bound + AUDIT_SLACK
                 max_dev = max(max_dev, dev)
             else:
                 outside_count += 1

@@ -575,6 +575,22 @@ class TestAuditBound:
             )
             assert cert.audit.violations == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nan_deviations_are_violations(self):
+        # on the box [1, 2]^2 both outputs overflow to inf, so every deviation
+        # is inf - inf = NaN: no state is within its bound, and the count and
+        # the verdict agree on that
+        identity = ActivationKind("identity")
+        original, pruned = (
+            MlpPolicy(layers=(Layer(weight=[[1e308, w]], bias=[0.0], activation=identity),))
+            for w in (1e308, math.nextafter(1e308, 0.0))
+        )
+        box = (np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        cert = certify(original, pruned, StateSpaceSpec(dim=2, radius=3.0, box=box), n=1000, seed=0)
+        assert math.isnan(cert.audit.max_dev)
+        assert cert.audit.violations == 1000
+        assert not cert.holds
+
     def test_requires_positive_samples(self):
         p = _three_layer_fixture()
         with pytest.raises(ValueError):
@@ -690,7 +706,7 @@ class TestAuditStates:
                 bound = 0.0
                 for k, d in dn:
                     bound += d * _ck_oracle(wnorms, bnorms, k + 1, scaled_norm(s))
-                assert audit.violation[i] == (dev > bound + AUDIT_SLACK)
+                assert audit.violation[i] == (not dev <= bound + AUDIT_SLACK)
             flagged += int(audit.violation.sum())
         assert flagged > 0
 

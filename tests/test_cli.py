@@ -586,7 +586,7 @@ class TestHoldsCountsViolations:
             paths.append(str(tmp_path / name))
         return paths
 
-    def test_certify_verify_and_report_agree_with_the_audit(self, tmp_path):
+    def test_certify_and_report_agree_with_the_audit(self, tmp_path):
         orig, grown = self._pair(tmp_path)
         flags = ["--model", orig, "--pruned", grown, "--radius", "1",
                  "--box-lo", "0", "--box-hi", "0.5", "--samples", "1000", "--seed", "0"]
@@ -595,14 +595,27 @@ class TestHoldsCountsViolations:
         assert cert["audit"]["violations"] == 1000
         assert cert["audit"]["max_dev"] < cert["budget"]
         assert cert["holds"] is False
-        assert main(["verify", *flags, "--out", str(tmp_path / "v")]) == EXIT_VIOLATION
-        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
-        assert report["violations"] == 1000 and report["holds"] is False
         code = main(["report", str(tmp_path / "c" / "certificate.json"),
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_VIOLATION
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert summary["all_hold"] is False and summary["total_violations"] == 1000
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nan_deviations_count_as_violations(self, tmp_path):
+        # every output overflows, so every deviation is inf - inf = NaN
+        identity = ActivationKind("identity")
+        paths = []
+        for name, w in (("orig.json", 1e308), ("pruned.json", math.nextafter(1e308, 0.0))):
+            layer = Layer(weight=[[1e308, w]], bias=[0.0], activation=identity)
+            save_policy(MlpPolicy(layers=(layer,)), tmp_path / name)
+            paths.append(str(tmp_path / name))
+        code = main(["certify", "--model", paths[0], "--pruned", paths[1], "--radius", "3",
+                     "--box-lo", "1,1", "--box-hi", "2,2", "--samples", "1000", "--seed", "0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VIOLATION
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["audit"]["violations"] == 1000 and cert["holds"] is False
 
 
 class TestNegativeCommaLists:
@@ -649,19 +662,6 @@ class TestNegativeCommaLists:
         with open(tmp_path / "s" / "trajectory_original.csv") as fh:
             first = list(csv.DictReader(fh))[0]
         assert (float(first["x0"]), float(first["x1"])) == (-0.5, 0.0)
-
-
-class TestVerify:
-    def test_clean_pair_exit_zero(self, tmp_path, random_model):
-        model, _ = random_model
-        out = tmp_path / "v"
-        code = main([
-            "verify", "--model", str(model), "--pruned", str(model),
-            "--radius", "1.0", "--samples", "20", "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        report = json.loads((out / "verify_report.json").read_text())
-        assert report["violations"] == 0 and report["holds"] is True
 
 
 class TestSimulate:
@@ -1184,7 +1184,7 @@ class TestConfigValues:
             ("certify", ["--samples", "0", "--radius", "1.0"]),
             ("certify", ["--samples", "-3", "--radius", "1.0"]),
             ("certify", ["--seed", "-1", "--radius", "1.0"]),
-            ("verify", ["--samples", "0", "--radius", "1.0"]),
+            ("certify", ["--samples", "2.5", "--radius", "1.0"]),
             ("prune", ["--epsilon", "nan", "--radius", "1"]),
             ("prune", ["--sparsity", "nan"]),
             ("prune", ["--damping", "-1", "--sparsity", "0.5"]),
@@ -1256,7 +1256,7 @@ class TestConfigValues:
 
 
 class TestHelp:
-    COMMANDS = ("prune", "certify", "verify", "simulate", "report")
+    COMMANDS = ("prune", "certify", "simulate", "report")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_exactly_the_commands_table_flags(self, command, capsys):
@@ -1268,6 +1268,13 @@ class TestHelp:
         flags = {f"--{key.replace('_', '-')}" for key in own - {"paths"}}
         assert set(re.findall(r"--[a-z][a-z0-9-]*", text)) == flags | {"--help", "--config"}
         assert ("paths" in own) == ("paths" in text)
+
+    def test_verify_is_not_a_command(self, tmp_path, capsys):
+        model = str(FIXTURES / "pendulum_policy.json")
+        assert main(["verify", "--model", model, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid choice: 'verify'" in err[0]
+        assert not any(tmp_path.iterdir())
 
     def test_every_option_belongs_to_a_command(self):
         assert len(cli.OPTIONS) == 31

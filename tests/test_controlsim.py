@@ -278,6 +278,21 @@ class TestDeviationAudit:
         assert report.in_ball_violations == 0
         assert report.max_in_ball_deviation == 5e159
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nan_deviation_is_an_in_ball_violation(self):
+        # at x0 = (1, 1) both policies output inf, so the deviation is NaN;
+        # the loops blow up there, and the one state each visited is a violation
+        original = _one_layer([[1e308, 1e308]])
+        pruned = _one_layer([[1e308, np.nextafter(1e308, 0.0)]])
+        box = (np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        space = StateSpaceSpec(dim=2, radius=3.0, box=box)
+        cert = certify(original, pruned, space, n=1000, seed=0)
+        report = deviation_audit(DoubleIntegrator(), original, pruned, cert, [1.0, 1.0], 5)
+        assert report.blowup == ("original", 0)
+        assert report.in_ball_count == 2
+        assert report.in_ball_violations == 2
+        assert np.isnan(report.max_in_ball_deviation)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_recorded_with_partial_rows(self):
         explode = MlpPolicy(

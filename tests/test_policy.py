@@ -145,6 +145,15 @@ class TestForward:
             s = rng.normal(size=p.input_dim)
             np.testing.assert_allclose(forward(p, s), naive_forward(p, s), rtol=1e-12, atol=1e-12)
 
+    def test_matches_naive_oracle_on_tiny_elu_preactivations(self):
+        # pre-activations near -1e-17, where exp(z) - 1 cancels to 0.0
+        elu = ActivationKind("elu", 0.5)
+        p = MlpPolicy(layers=(Layer(weight=[[1.0], [3.0], [0.25]], bias=[0.0, 0.0, -1e-17],
+                                    activation=elu),))
+        s = [-1e-17]
+        np.testing.assert_allclose(forward(p, s), naive_forward(p, s), rtol=1e-15, atol=0)
+        assert (forward(p, s) < 0).all()
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)
         p = random_policy(rng, depth=3, max_width=8)
