@@ -13,7 +13,6 @@ their timestamp field.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -464,10 +463,13 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         raise UsageError("certification needs --pruned (the pruned model file)")
     pruned = _load_policy_file(cfg.pruned)
     space = _state_space(cfg, original.input_dim)
-    try:
-        cert = certify(original, pruned, space, cfg.samples, derive_seed(cfg.seed, STREAM_AUDIT))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    seed = derive_seed(cfg.seed, STREAM_AUDIT)
+    # an overflowing pair fails the audit, and the certificate records it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cert = certify(original, pruned, space, cfg.samples, seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
     _write_json(out / "certificate.json", certificate_to_dict(cert))
     _print_certificate(cert)
@@ -512,14 +514,12 @@ def _dynamics(cfg: argparse.Namespace):
 
 
 def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
-    """One row per visited state; a blow-up adds a ``blowup`` sentinel row."""
-    state_dim, action_dim = loop.states.shape[1], loop.actions.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(state_dim)]
-        + [f"u{i}" for i in range(action_dim)]
-        + ["deviation", "bound", "in_ball"]
-    )
+    """One row per visited state, floats as ``repr`` and ``\\r\\n`` line ends
+    (the ``csv`` module's dialect); a blow-up adds a ``blowup`` sentinel row."""
+    names = [f"x{i}" for i in range(loop.states.shape[1])]
+    names += [f"u{i}" for i in range(loop.actions.shape[1])]
+    floats = len(names) + 2  # state, action, deviation and bound cells
+    row = "%d" + ",%r" * floats + ",%d\r\n"
     columns = zip(
         loop.states.tolist(),
         loop.actions.tolist(),
@@ -528,18 +528,13 @@ def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
         loop.in_ball.tolist(),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [t, *map(repr, x), *map(repr, u), repr(dev), repr(bound), int(inside)]
+        fh.write(",".join(["t", *names, "deviation", "bound", "in_ball"]) + "\r\n")
+        fh.writelines(
+            row % (t, *x, *u, dev, bound, inside)
             for t, (x, u, dev, bound, inside) in enumerate(columns)
         )
         if blowup:
-            writer.writerow(
-                [len(loop.deviation)]
-                + ["nan"] * (state_dim + action_dim + 2)
-                + ["blowup"]
-            )
+            fh.write(f"{len(loop.deviation)}{',nan' * floats},blowup\r\n")
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:

@@ -77,7 +77,7 @@ class DoubleIntegrator:
         return self.accel_limit
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        pos, vel = x
+        pos, vel = x.tolist()
         return np.array([pos + self.dt * vel, vel + self.dt * u[0]])
 
 
@@ -110,7 +110,8 @@ class Pendulum:
         return self.torque_limit
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        theta, omega = x
+        theta, omega = x.tolist()
+        # u[0] stays a numpy scalar: u / 0 (m*l^2 underflowed) is inf, no ZeroDivisionError
         accel = -self.gravity / self.length * math.sin(theta) + u[0] / (
             self.mass * self.length**2
         )
@@ -179,13 +180,13 @@ def step(d, x, u) -> np.ndarray:
     if uv.shape[0] != d.action_dim:
         raise ValueError(f"action has dim {uv.shape[0]} but dynamics expect {d.action_dim}")
     if d.action_limit is not None:
-        uv = np.clip(uv, -d.action_limit, d.action_limit)
+        uv = uv.clip(-d.action_limit, d.action_limit)
     with np.errstate(over="ignore", invalid="ignore"):
         nxt = d._transition(xv, uv)
-    if not np.isfinite(nxt).all():
+    if not all(map(math.isfinite, nxt.tolist())):
         raise BlowUpError("transition produced a non-finite state; reduce dt")
     if d.state_box is not None:
-        nxt = np.clip(nxt, d.state_box[0], d.state_box[1])
+        nxt = nxt.clip(d.state_box[0], d.state_box[1])
     return nxt
 
 
@@ -208,7 +209,6 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
     for t in range(T):
         u = forward(p, x)
         try:
-            # on a few entries, a list of floats tests ~10x faster than np.isfinite
             if not all(map(math.isfinite, u.tolist())):
                 raise BlowUpError("the policy output is non-finite")
             x = step(d, x, u)

@@ -141,12 +141,49 @@ def ranking_tuples(ranking):
     )
 
 
+def _naive_clip(v: float, lo: float, hi: float) -> float:
+    # a value equal to a nonzero bound has the bound's bits either way
+    return min(hi, max(lo, v))
+
+
+def naive_step(d, x, u):
+    """Independent oracle for ``controlsim.step`` in plain Python floats.
+
+    The action is clipped to +-limit and the next state to the box with
+    ``min``/``max``; both Euler maps are written out; a linear system is
+    ``A @ x + B @ clip(u)`` in numpy.  Returns None for a non-finite next
+    state (a blow-up), else the next state as an array.
+    """
+    from prunecert.controlsim import DoubleIntegrator, LinearSystem, Pendulum
+
+    x, u = [float(v) for v in x], [float(v) for v in u]
+    if d.action_limit is not None:
+        u = [_naive_clip(v, -d.action_limit, d.action_limit) for v in u]
+    if isinstance(d, LinearSystem):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = (d.a @ np.array(x) + d.b @ np.array(u)).tolist()
+    elif isinstance(d, DoubleIntegrator):
+        pos, vel = x
+        nxt = [pos + d.dt * vel, vel + d.dt * u[0]]
+    elif isinstance(d, Pendulum):
+        theta, omega = x
+        accel = -d.gravity / d.length * math.sin(theta) + u[0] / (d.mass * d.length**2)
+        nxt = [theta + d.dt * omega, omega + d.dt * accel]
+    else:
+        raise TypeError(f"no oracle for {type(d).__name__}")
+    if not all(map(math.isfinite, nxt)):
+        return None
+    if d.state_box is not None:
+        nxt = [_naive_clip(v, lo, hi) for v, lo, hi in zip(nxt, *d.state_box)]
+    return np.array(nxt)
+
+
 def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, horizon: int):
     """Per-state reference for ``prunecert simulate``.
 
-    Each closed loop is stepped with ``forward`` and ``step``; every state it
-    visits is then fed to both policies one state at a time, and its CSV row
-    is written cell by cell.  Returns ``(tables, report)``: per loop label the
+    Each closed loop is stepped with ``forward`` and ``naive_step``; every
+    state it visits is then fed to both policies one state at a time, and its
+    CSV row is written cell by cell.  Returns ``(tables, report)``: per loop label the
     trajectory CSV as lists of cells, header first, and the deviation report
     without its ``dynamics``, ``horizon`` and ``timestamp`` fields.  A loop
     blows up when its action or its next state is non-finite.  Every norm
@@ -154,7 +191,6 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
     violation unless its deviation is at most bound + slack, so NaN is one.
     """
     from prunecert.certifier import AUDIT_SLACK
-    from prunecert.controlsim import BlowUpError, step
     from prunecert.policy import forward
 
     loops = (("original", original), ("pruned", pruned))
@@ -165,10 +201,7 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
         states = [x]
         for t in range(horizon):
             u = forward(p, x)
-            try:
-                x = step(d, x, u) if np.isfinite(u).all() else None
-            except BlowUpError:
-                x = None
+            x = naive_step(d, x, u) if np.isfinite(u).all() else None
             if x is None:
                 if blowup is None:
                     blowup = {"trajectory": label, "t": t}

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -601,8 +602,8 @@ class TestHoldsCountsViolations:
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert summary["all_hold"] is False and summary["total_violations"] == 1000
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_nan_deviations_count_as_violations(self, tmp_path):
+    @staticmethod
+    def _certify_overflowing_pair(tmp_path):
         # every output overflows, so every deviation is inf - inf = NaN
         identity = ActivationKind("identity")
         paths = []
@@ -610,12 +611,23 @@ class TestHoldsCountsViolations:
             layer = Layer(weight=[[1e308, w]], bias=[0.0], activation=identity)
             save_policy(MlpPolicy(layers=(layer,)), tmp_path / name)
             paths.append(str(tmp_path / name))
-        code = main(["certify", "--model", paths[0], "--pruned", paths[1], "--radius", "3",
+        return main(["certify", "--model", paths[0], "--pruned", paths[1], "--radius", "3",
                      "--box-lo", "1,1", "--box-hi", "2,2", "--samples", "1000", "--seed", "0",
                      "--out", str(tmp_path)])
-        assert code == EXIT_VIOLATION
+
+    def test_nan_deviations_count_as_violations(self, tmp_path):
+        assert self._certify_overflowing_pair(tmp_path) == EXIT_VIOLATION
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["audit"]["violations"] == 1000 and cert["holds"] is False
+
+    def test_overflowing_pair_prints_no_warning(self, tmp_path, capsys):
+        # the overflow is in the certificate; numpy's warnings would be noise
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = self._certify_overflowing_pair(tmp_path)
+        assert code == EXIT_VIOLATION
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Warning" not in capsys.readouterr().err
 
 
 class TestNegativeCommaLists:
@@ -944,10 +956,12 @@ class TestSimulateMatchesReference:
         )
         approx = range(1 + d.state_dim, len(tables["original"][0]) - 1)
         for label, table in tables.items():
-            with open(out / f"trajectory_{label}.csv", newline="") as fh:
+            path = out / f"trajectory_{label}.csv"
+            with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
             assert rows[0] == table[0]
             assert len(rows) == len(table)
+            cells = [table[0]]
             for got, want in zip(rows[1:], table[1:]):
                 assert len(got) == len(want)
                 for i, (g, w) in enumerate(zip(got, want)):
@@ -955,6 +969,13 @@ class TestSimulateMatchesReference:
                         assert float(g) == pytest.approx(float(w), **self.TOL)
                     else:
                         assert g == w
+                # an approximate cell must still be the repr of its value
+                cells.append([repr(float(g)) if i in approx and w != "nan" else w
+                              for i, (g, w) in enumerate(zip(got, want))])
+            # the bytes: what csv.writer makes of those cells, \r\n line ends included
+            rendered = io.StringIO()
+            csv.writer(rendered).writerows(cells)
+            assert path.read_bytes() == rendered.getvalue().encode()
         report = json.loads((out / "deviation_report.json").read_text())
         report.pop("timestamp")
         assert report.pop("horizon") == horizon
@@ -1007,6 +1028,22 @@ class TestSimulateMatchesReference:
         )
         assert expected["in_ball_count"] == 2 * 201
         assert code == (EXIT_OK if expected["in_ball_violations"] == 0 else EXIT_VIOLATION)
+
+    def test_signed_zero_cells(self, tmp_path):
+        # u = relu(velocity): from (-0.0, -0.0) the position stays -0.0 for
+        # two rows, and the action and deviation are +0.0
+        model = _simple_model(tmp_path, weight=((0.0, 1.0),))
+        pruned = _simple_model(tmp_path, weight=((0.0, 0.0),), name="pruned.json")
+        cert = self._certify(tmp_path, model, pruned, "1.0")
+        flags = ("--dynamics", "double_integrator")
+        code, expected = self._check(
+            tmp_path, DoubleIntegrator(), model, pruned, cert, "-0.0,-0.0", 3, flags
+        )
+        with open(tmp_path / "sim" / "trajectory_original.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[1:4] for r in rows[1:3]] == [["-0.0", "-0.0", "0.0"], ["-0.0", "0.0", "0.0"]]
+        assert expected["in_ball_count"] == 8
+        assert code == EXIT_OK
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_ends_in_sentinel_row(self, tmp_path):

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy, scaled_certificate
+from conftest import naive_step, random_policy, scaled_certificate
 from prunecert.certifier import StateSpaceSpec, certify
 from prunecert.controlsim import (
     BlowUpError,
@@ -78,6 +78,43 @@ class TestStep:
             step(d, [1.0], [0.0])
         with pytest.raises(ValueError):
             step(d, [0.0, 0.0], [0.0, 0.0])
+
+    def test_matches_naive_oracle_bit_for_bit(self):
+        # states and actions exactly at the limits, beyond them, inside them
+        # and at both signed zeros.  No bound is zero: numpy's clip keeps a
+        # zero's sign at a +-0.0 bound for scalar bounds and takes the bound's
+        # for array bounds (numpy 2.4), so no oracle can pin that sign
+        rng = np.random.default_rng(41)
+        box = (np.array([-1.0, -0.5]), np.array([0.25, 2.0]))
+        systems = (
+            DoubleIntegrator(dt=0.1),
+            DoubleIntegrator(dt=0.25, accel_limit=1.5, state_box=box),
+            DoubleIntegrator(accel_limit=0.5, state_box=box),
+            Pendulum(dt=0.05, torque_limit=2.0, state_box=box),
+            Pendulum(gravity=3.7, length=0.3, mass=2.5, torque_limit=0.75),
+            LinearSystem(a=rng.normal(size=(2, 2)), b=rng.normal(size=(2, 1)),
+                         action_limit=1.0, state_box=box),
+        )
+        clipped = signed_zeros = 0
+        for d in systems:
+            lim = 1.0 if d.action_limit is None else d.action_limit
+            lo, hi = d.state_box if d.state_box is not None else (-np.ones(2), np.ones(2))
+            actions = [lim, -lim, 2.0 * lim + 1.0, -2.0 * lim - 1.0, 0.0, -0.0]
+            for _ in range(1000):
+                # half the draws are edge values, half lie anywhere within reach
+                x = [
+                    rng.choice([lo[i], hi[i], lo[i] - 0.5, hi[i] + 0.5, 0.0, -0.0])
+                    if rng.random() < 0.5 else rng.uniform(lo[i] - 0.5, hi[i] + 0.5)
+                    for i in range(2)
+                ]
+                u = [rng.choice(actions) if rng.random() < 0.5
+                     else rng.uniform(-2.0 * lim, 2.0 * lim)]
+                got, want = step(d, x, u), naive_step(d, x, u)
+                assert got.tobytes() == want.tobytes(), (d, x, u, got, want)
+                if d.state_box is not None:
+                    clipped += int(np.isin(got, d.state_box).any())
+                signed_zeros += int((np.signbit(got) & (got == 0.0)).any())
+        assert clipped > 100 and signed_zeros > 20
 
 
 NAN, INF = float("nan"), float("inf")

@@ -45,6 +45,27 @@ class TestValidation:
             as_vector([])
 
 
+class TestAsVectorFiniteness:
+    """Up to 16 entries ``as_vector`` tests finiteness on a list of floats,
+    above that with numpy; both sides of the cutoff reject a non-finite
+    entry anywhere with one message and accept the largest finite ones."""
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 512])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_first_or_last(self, n, bad):
+        for where in (0, n - 1):
+            v = np.ones(n)
+            v[where] = bad
+            with pytest.raises(ValueError) as exc:
+                as_vector(v, "state")
+            assert str(exc.value) == "state contains non-finite entries"
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 512])
+    def test_huge_finite_entries_accepted(self, n):
+        v = [1e308, -1e308] * n
+        np.testing.assert_array_equal(as_vector(v[:n]), np.array(v[:n]))
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
