@@ -49,31 +49,34 @@ class StateSpaceSpec:
 
     ``radius`` is the largest Euclidean norm any certified state may have;
     a box, when present, must fit inside that ball (it drives the sampler).
+    Without a radius, the ball is the tightest one around the box.
     """
 
     dim: int
-    radius: float
+    radius: float | None = None
     box: tuple[np.ndarray, np.ndarray] | None = None
     source: str = "radius"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        radius = float(self.radius)
+        box = linalg.as_box(self.box, self.dim)
+        # the norm of the box's farthest corner from the origin
+        corner = None if box is None else float(linalg.vector_norm(np.maximum(*map(np.abs, box))))
+        if self.radius is None and corner is None:
+            raise ValueError("a state space needs a radius or a box")
+        radius = corner if self.radius is None else float(self.radius)
         if not (radius >= 0.0 and math.isfinite(radius)):
-            raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
+            raise ValueError(f"radius must be finite and nonnegative, got {radius}")
         object.__setattr__(self, "radius", radius)
         if self.source not in ("radius", "states"):
             raise ValueError(f"unknown radius source {self.source!r}")
-        box = linalg.as_box(self.box, self.dim)
-        if box is not None:
-            corner = float(linalg.vector_norm(np.maximum(np.abs(box[0]), np.abs(box[1]))))
-            # relative slack for the corner's rounding, never above 1e-12
-            if corner > radius + 1e-12 * min(radius, 1.0):
-                raise ValueError(
-                    "box does not fit inside the certified ball: farthest corner "
-                    f"norm {corner:.17g} > radius {radius:.17g}"
-                )
+        # relative slack for the corner's rounding, never above 1e-12
+        if corner is not None and corner > radius + 1e-12 * min(radius, 1.0):
+            raise ValueError(
+                "box does not fit inside the certified ball: farthest corner "
+                f"norm {corner:.17g} > radius {radius:.17g}"
+            )
         object.__setattr__(self, "box", box)
 
     @classmethod

@@ -17,12 +17,13 @@ import json
 import os
 import re
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from prunecert import __version__, linalg
+from prunecert import __version__
 from prunecert.certifier import (
     AuditSummary,
     Certificate,
@@ -38,7 +39,7 @@ from prunecert.controlsim import (
     Pendulum,
     deviation_audit,
 )
-from prunecert.policy import MlpPolicy, _write_json, load_policy, save_policy
+from prunecert.policy import _write_json, load_policy, save_policy
 from prunecert.pruner import (
     PrunePlan,
     Ranking,
@@ -71,44 +72,40 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _load_json(path):
+def _read(path, parse):
+    """``parse(path)``; a file that cannot be opened or parsed is one usage
+    error, which names the file once."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return parse(path)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
-
-
-def _load_policy_file(path) -> MlpPolicy:
-    if path is None:
-        raise UsageError("a model file is required")
-    try:
-        return load_policy(path)
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_states_csv(path, expected_dim: int) -> list[np.ndarray]:
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"{path}: could not parse CSV ({exc})") from exc
-    if data.size == 0:
-        raise UsageError(f"{path}: no states found")
-    if data.shape[1] != expected_dim:
-        raise UsageError(
-            f"{path}: states have {data.shape[1]} columns but the model expects "
-            f"{expected_dim}"
-        )
-    if not np.isfinite(data).all():
-        raise UsageError(f"{path}: states contain non-finite values")
-    return [data[i] for i in range(data.shape[0])]
+    def parse(path) -> np.ndarray:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is the error below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
+        if data.size == 0:
+            raise ValueError("no states found")
+        if data.shape[1] != expected_dim:
+            raise ValueError(
+                f"states have {data.shape[1]} columns but the model expects {expected_dim}"
+            )
+        if not np.isfinite(data).all():
+            raise ValueError("states contain non-finite values")
+        return data
+
+    return list(_read(path, parse))
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +177,8 @@ def certificate_from_dict(d) -> Certificate:
     )
 
 
-def _load_certificate_file(path) -> Certificate:
-    try:
-        return certificate_from_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+def _certificate(path) -> Certificate:
+    return certificate_from_dict(_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +258,25 @@ def _damping(value, key: str) -> float | str:
 
 def _paths(value, key: str) -> tuple[str, ...]:
     """Report's positional file names; a config file gives a JSON list."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise UsageError(f"{key}: expected a list of file names, got {value!r}")
+    if not value or not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise UsageError(f"{key}: expected a nonempty list of file names, got {value!r}")
     return tuple(value)
 
+
+def _flags(keys) -> str:
+    return ", ".join(f"--{key.replace('_', '-')}" for key in keys)
+
+
+# the default of an option its commands cannot run without
+REQUIRED = object()
+
+# --dynamics name -> (class, the options it takes besides --action-limit and
+# the state box); an option left unset keeps the class's own default
+_DYNAMICS = {
+    "double_integrator": (DoubleIntegrator, ("dt",)),
+    "pendulum": (Pendulum, ("dt", "gravity", "length", "mass")),
+    "linear": (LinearSystem, ("system",)),
+}
 
 _ALL = ("prune", "certify", "simulate", "report")
 _PRUNE, _AUDIT, _SIM = ("prune",), ("certify",), ("simulate",)
@@ -277,10 +286,10 @@ _SPACE = _PRUNE + _AUDIT
 # flag is --key with "-" for "_" and a config file uses the key; parse turns
 # the flag's text, else the config value, else the default into the value.
 OPTIONS = {
-    "model": (_text, None, _SPACE + _SIM, "original model JSON"),
-    "pruned": (_text, None, _AUDIT + _SIM, "pruned model JSON"),
-    "certificate": (_text, None, _SIM, "certificate JSON from the certify command"),
-    "calibration": (_text, None, _PRUNE, "CSV of calibration states, one per row"),
+    "model": (_text, REQUIRED, _SPACE + _SIM, "original model JSON"),
+    "pruned": (_text, REQUIRED, _AUDIT + _SIM, "pruned model JSON"),
+    "certificate": (_text, REQUIRED, _SIM, "certificate JSON from the certify command"),
+    "calibration": (_text, REQUIRED, _PRUNE, "CSV of calibration states, one per row"),
     "layers": (_numbers(int), None, _PRUNE,
                "layer indices to prune, comma separated (default all)"),
     "sparsity": (_number(float, 0.0, 1.0), None, _PRUNE,
@@ -302,20 +311,19 @@ OPTIONS = {
     "box_lo": (_numbers(float), None, _SPACE, "box low bounds, comma separated"),
     "box_hi": (_numbers(float), None, _SPACE, "box high bounds, comma separated"),
     "states": (_text, None, _SPACE, "CSV of validation states; radius taken as their max norm"),
-    "dynamics": (_choice("double_integrator", "pendulum", "linear"), None, _SIM,
-                 "double_integrator, pendulum, or linear"),
+    "dynamics": (_choice(*_DYNAMICS), REQUIRED, _SIM, ", ".join(_DYNAMICS)),
     "system": (_text, None, _SIM, "JSON file with A and B for linear dynamics"),
-    "x0": (_numbers(float), None, _SIM, "initial state, comma separated"),
-    "horizon": (_number(int, 1), None, _SIM, "number of steps (>= 1)"),
-    "dt": (_number(float), None, _SIM, "integrator step size"),
-    "gravity": (_number(float), 9.81, _SIM, "pendulum gravity"),
-    "length": (_number(float), 1.0, _SIM, "pendulum length"),
-    "mass": (_number(float), 1.0, _SIM, "pendulum mass"),
+    "x0": (_numbers(float), REQUIRED, _SIM, "initial state, comma separated"),
+    "horizon": (_number(int, 1), REQUIRED, _SIM, "number of steps (>= 1)"),
+    "dt": (_number(float), None, _SIM, "double_integrator or pendulum step size"),
+    "gravity": (_number(float), None, _SIM, "pendulum gravity"),
+    "length": (_number(float), None, _SIM, "pendulum length"),
+    "mass": (_number(float), None, _SIM, "pendulum mass"),
     "action_limit": (_number(float), None, _SIM,
                      "symmetric action clip applied before integration"),
     "state_box_lo": (_numbers(float), None, _SIM, "state clip box low bounds, comma separated"),
     "state_box_hi": (_numbers(float), None, _SIM, "state clip box high bounds, comma separated"),
-    "paths": (_paths, (), ("report",), "certificate JSON files"),
+    "paths": (_paths, REQUIRED, ("report",), "certificate JSON files"),
     "seed": (_number(int, 0), 0, _ALL, "run seed (default 0)"),
     "out": (_text, None, _ALL, f"output directory (default ${ENV_OUTDIR} or '.')"),
 }
@@ -325,12 +333,13 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """The command's options, each from its row's ``parse`` of the flag's
     text, else of the config file's value, else of the default.
 
-    A config key that names no option is an error.  Keys of other commands
-    are accepted and left unparsed, so one file can serve a whole pipeline.
+    A config key that names no option is an error, and so is a ``REQUIRED``
+    option that neither gives.  Keys of other commands are accepted and left
+    unparsed, so one file can serve a whole pipeline.
     """
     file_cfg = {}
     if args.config is not None:
-        file_cfg = _load_json(args.config)
+        file_cfg = _read(args.config, _json)
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(file_cfg) - set(OPTIONS))
@@ -338,33 +347,32 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(
                 f"{args.config}: unknown config key {', '.join(map(repr, unknown))}"
             )
-    cfg = argparse.Namespace()
+    # flagged: the options given as flags rather than by the config file
+    cfg = argparse.Namespace(flagged=set())
     for key, (parse, default, commands, _) in OPTIONS.items():
         if args.command in commands:
             value = getattr(args, key)
             if value is None or value == []:  # an unset flag, or no report paths
                 value = file_cfg.get(key)
+            else:
+                cfg.flagged.add(key)
             if value is None:
                 value = default
+            if value is REQUIRED:
+                what = "at least one certificate file" if parse is _paths else _flags([key])
+                raise UsageError(f"{args.command} needs {what}")
             setattr(cfg, key, parse(value, key))
     return cfg
 
 
 def _state_space(cfg: argparse.Namespace, dim: int) -> StateSpaceSpec:
     try:
-        if cfg.states is not None:
-            given = [k for k in ("radius", "box_lo", "box_hi") if getattr(cfg, k) is not None]
-            if given:
-                flags = ", ".join(f"--{k.replace('_', '-')}" for k in given)
-                raise UsageError(f"--states takes the radius from its states; drop {flags}")
-            return StateSpaceSpec.from_states(_load_states_csv(cfg.states, dim))
-        radius, box = cfg.radius, linalg.as_box((cfg.box_lo, cfg.box_hi), dim)
-        if box is not None and radius is None:
-            # tightest ball containing the box
-            radius = float(linalg.vector_norm(np.maximum(np.abs(box[0]), np.abs(box[1]))))
-        if radius is None:
-            raise UsageError("provide --radius, --box-lo/--box-hi, or --states")
-        return StateSpaceSpec(dim=dim, radius=float(radius), box=box)
+        if cfg.states is None:
+            return StateSpaceSpec(dim=dim, radius=cfg.radius, box=(cfg.box_lo, cfg.box_hi))
+        given = [k for k in ("radius", "box_lo", "box_hi") if getattr(cfg, k) is not None]
+        if given:
+            raise UsageError(f"--states takes the radius from its states; drop {_flags(given)}")
+        return StateSpaceSpec.from_states(_load_states_csv(cfg.states, dim))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -404,13 +412,16 @@ def _plan_dict(plan: PrunePlan, taken: dict[int, Ranking], cfg: argparse.Namespa
 def cmd_prune(cfg: argparse.Namespace) -> int:
     if (cfg.sparsity is None) == (cfg.epsilon is None):
         raise UsageError("set exactly one of --sparsity or --epsilon")
-    if cfg.allocation_weights is not None and cfg.epsilon is None:
-        raise UsageError("--allocation-weights splits an --epsilon budget")
     if cfg.reestimate and not cfg.compensate:
-        raise UsageError("--reestimate refreshes --compensate's inverse; it needs --compensate")
-    p = _load_policy_file(cfg.model)
-    if cfg.calibration is None:
-        raise UsageError("prune needs --calibration (CSV of states, one per row)")
+        raise UsageError("--reestimate without --compensate has no inverse to refresh")
+    if cfg.sparsity is not None:
+        # a config file's state space may be certify's; a flag's is prune's
+        dead = [k for k in ("radius", "box_lo", "box_hi", "states") if k in cfg.flagged]
+        if cfg.allocation_weights is not None:
+            dead.insert(0, "allocation_weights")
+        if dead:
+            raise UsageError(f"--sparsity takes no {_flags(dead)}; an --epsilon budget uses them")
+    p = _read(cfg.model, load_policy)
     layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
     try:
         if cfg.epsilon is not None:
@@ -458,10 +469,8 @@ def _print_certificate(cert: Certificate) -> None:
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
-    original = _load_policy_file(cfg.model)
-    if cfg.pruned is None:
-        raise UsageError("certification needs --pruned (the pruned model file)")
-    pruned = _load_policy_file(cfg.pruned)
+    original = _read(cfg.model, load_policy)
+    pruned = _read(cfg.pruned, load_policy)
     space = _state_space(cfg, original.input_dim)
     seed = derive_seed(cfg.seed, STREAM_AUDIT)
     # an overflowing pair fails the audit, and the certificate records it
@@ -477,38 +486,28 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if cert.holds else EXIT_VIOLATION
 
 
+def _linear_system(path) -> dict:
+    spec = _json(path)
+    if not isinstance(spec, dict) or "A" not in spec or "B" not in spec:
+        raise ValueError("expected an object with 'A' and 'B'")
+    return {"a": np.asarray(spec["A"], dtype=float), "b": np.asarray(spec["B"], dtype=float)}
+
+
 def _dynamics(cfg: argparse.Namespace):
-    if cfg.dynamics is None:
-        raise UsageError("simulate needs --dynamics")
-    # the dynamics check the box, once they know their state dimension
-    state_box = (cfg.state_box_lo, cfg.state_box_hi)
-    try:
-        if cfg.dynamics == "double_integrator":
-            return DoubleIntegrator(
-                dt=cfg.dt if cfg.dt is not None else 0.1,
-                accel_limit=cfg.action_limit,
-                state_box=state_box,
-            )
-        if cfg.dynamics == "pendulum":
-            return Pendulum(
-                dt=cfg.dt if cfg.dt is not None else 0.01,
-                gravity=cfg.gravity,
-                length=cfg.length,
-                mass=cfg.mass,
-                torque_limit=cfg.action_limit,
-                state_box=state_box,
-            )
+    cls, takes = _DYNAMICS[cfg.dynamics]
+    given = {key: getattr(cfg, key) for _, keys in _DYNAMICS.values() for key in keys}
+    given = {key: value for key, value in given.items() if value is not None}
+    foreign = [key for key in given if key not in takes]
+    if foreign:
+        raise UsageError(f"--dynamics {cfg.dynamics} takes no {_flags(foreign)}")
+    if cls is LinearSystem:
         if cfg.system is None:
             raise UsageError("linear dynamics need --system (JSON with A and B)")
-        sys_spec = _load_json(cfg.system)
-        if not isinstance(sys_spec, dict) or "A" not in sys_spec or "B" not in sys_spec:
-            raise UsageError(f"{cfg.system}: expected an object with 'A' and 'B'")
-        return LinearSystem(
-            a=np.asarray(sys_spec["A"], dtype=float),
-            b=np.asarray(sys_spec["B"], dtype=float),
-            action_limit=cfg.action_limit,
-            state_box=state_box,
-        )
+        given = _read(cfg.system, _linear_system)
+    try:
+        # the dynamics check the box, once they know their state dimension
+        return cls(**given, action_limit=cfg.action_limit,
+                   state_box=(cfg.state_box_lo, cfg.state_box_hi))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -538,18 +537,10 @@ def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
-    original = _load_policy_file(cfg.model)
-    if cfg.pruned is None:
-        raise UsageError("simulate needs --pruned")
-    pruned = _load_policy_file(cfg.pruned)
-    if cfg.certificate is None:
-        raise UsageError("simulate needs --certificate (from the certify command)")
-    cert = _load_certificate_file(cfg.certificate)
+    original = _read(cfg.model, load_policy)
+    pruned = _read(cfg.pruned, load_policy)
+    cert = _read(cfg.certificate, _certificate)
     d = _dynamics(cfg)
-    if cfg.x0 is None:
-        raise UsageError("simulate needs --x0")
-    if cfg.horizon is None:
-        raise UsageError("simulate needs --horizon")
     try:
         # an overflowing loop is a blow-up, and the report records it
         with np.errstate(over="ignore"):
@@ -599,11 +590,9 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: argparse.Namespace) -> int:
-    if not cfg.paths:
-        raise UsageError("report needs at least one certificate file")
     entries = []
     for path in cfg.paths:
-        cert = _load_certificate_file(path)
+        cert = _read(path, _certificate)
         a = cert.audit
         entries.append(
             {
@@ -675,13 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (parse, _, commands, text) in OPTIONS.items():
             if command not in commands:
                 continue
-            flag = f"--{key.replace('_', '-')}"
             if parse is _paths:
                 sp.add_argument(key, nargs="*", help=text)
             elif parse is _switch:
-                sp.add_argument(flag, action="store_true", default=None, help=text)
+                sp.add_argument(_flags([key]), action="store_true", default=None, help=text)
             else:
-                sp.add_argument(flag, help=text)
+                sp.add_argument(_flags([key]), help=text)
     return parser
 
 

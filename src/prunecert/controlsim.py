@@ -56,10 +56,10 @@ def _check_limit(limit, name: str) -> None:
 @dataclass(frozen=True, eq=False)
 class DoubleIntegrator:
     """Point mass on a line: position integrates velocity, velocity
-    integrates the (optionally clipped) commanded acceleration."""
+    integrates the commanded acceleration, clipped to ``action_limit``."""
 
     dt: float = 0.1
-    accel_limit: float | None = None
+    action_limit: float | None = None
     state_box: tuple[np.ndarray, np.ndarray] | None = None
 
     state_dim = 2
@@ -68,13 +68,9 @@ class DoubleIntegrator:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        _check_limit(self.accel_limit, "accel_limit")
+        _check_limit(self.action_limit, "action_limit")
         box = linalg.as_box(self.state_box, self.state_dim, "state box")
         object.__setattr__(self, "state_box", box)
-
-    @property
-    def action_limit(self) -> float | None:
-        return self.accel_limit
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         pos, vel = x.tolist()
@@ -83,14 +79,14 @@ class DoubleIntegrator:
 
 @dataclass(frozen=True, eq=False)
 class Pendulum:
-    """Planar pendulum (angle, angular velocity) with torque actuation;
-    angle 0 is the hanging rest point."""
+    """Planar pendulum (angle, angular velocity) with torque actuation, the
+    torque clipped to ``action_limit``; angle 0 is the hanging rest point."""
 
     dt: float = 0.01
     gravity: float = 9.81
     length: float = 1.0
     mass: float = 1.0
-    torque_limit: float | None = None
+    action_limit: float | None = None
     state_box: tuple[np.ndarray, np.ndarray] | None = None
 
     state_dim = 2
@@ -101,13 +97,16 @@ class Pendulum:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        _check_limit(self.torque_limit, "torque_limit")
+        # the same float ** as _transition, which raises where * would give inf
+        try:
+            inertia = self.mass * self.length**2
+        except OverflowError:
+            inertia = math.inf
+        if inertia == math.inf:
+            raise ValueError(f"mass * length**2 overflows: mass {self.mass}, length {self.length}")
+        _check_limit(self.action_limit, "action_limit")
         box = linalg.as_box(self.state_box, self.state_dim, "state box")
         object.__setattr__(self, "state_box", box)
-
-    @property
-    def action_limit(self) -> float | None:
-        return self.torque_limit
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         theta, omega = x.tolist()

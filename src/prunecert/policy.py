@@ -275,9 +275,22 @@ def _chunk_formatter(items, inner: str):
     return None
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float, which RFC 8259 JSON cannot
+    hold, replaced by the string ``float`` reads back: "NaN", "Infinity"
+    or "-Infinity"."""
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [*map(_finite_json, value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    return value
+
+
 def _write_value(write, value, pad: str) -> None:
-    """Write ``value`` exactly as ``json.dump(indent=2, sort_keys=True)``
-    writes it when its closing bracket sits after ``pad``.
+    """Write ``_finite_json(value)`` exactly as ``json.dump(indent=2,
+    sort_keys=True)`` writes it when its closing bracket sits after ``pad``.
 
     The weight rows, biases, saliencies and masks that make up almost all
     of an artifact are formatted a chunk at a time with ``float.__repr__``
@@ -310,12 +323,13 @@ def _write_value(write, value, pad: str) -> None:
                 _write_value(write, item, inner)
         write("\n" + pad + "]")
     else:
-        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+        write(json.dumps(_finite_json(value), indent=2, sort_keys=True).replace("\n", "\n" + pad))
 
 
 def _write_json(path, obj) -> None:
     """The one canonical JSON writer: the bytes of ``json.dump(obj, fh,
-    indent=2, sort_keys=True)`` plus a newline, streamed in bounded chunks."""
+    indent=2, sort_keys=True)`` plus a newline, streamed in bounded chunks,
+    with non-finite floats written as strings (see ``_finite_json``)."""
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, obj, "")
         fh.write("\n")
@@ -328,10 +342,5 @@ def save_policy(p: MlpPolicy, path) -> None:
 
 def load_policy(path) -> MlpPolicy:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-            ) from exc
+        data = json.load(fh)
     return policy_from_dict(data)

@@ -196,6 +196,11 @@ class TestPrune:
             ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "1,1"],
             ["--sparsity", "0.5", "--allocation-weights", "1,1,1"],
             ["--sparsity", "0.5", "--reestimate"],
+            ["--sparsity", "0.5", "--radius", "1"],
+            ["--sparsity", "0.5", "--box-lo", "-1,-1,-1"],
+            ["--sparsity", "0.5", "--box-hi", "1,1,1"],
+            ["--sparsity", "0.5", "--states", "states.csv"],
+            ["--sparsity", "0.5", "--radius", "-5", "--box-lo", "9"],
         ],
     )
     def test_mode_rejected_before_calibration_and_ranking(
@@ -620,6 +625,20 @@ class TestHoldsCountsViolations:
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["audit"]["violations"] == 1000 and cert["holds"] is False
 
+    def test_non_finite_fields_are_rfc_8259_json(self, tmp_path):
+        def bare(name):
+            raise AssertionError(f"bare {name} is not RFC 8259 JSON")
+
+        assert self._certify_overflowing_pair(tmp_path) == EXIT_VIOLATION
+        path = tmp_path / "certificate.json"
+        cert = json.loads(path.read_text(), parse_constant=bare)
+        assert cert["audit"]["max_dev"] == "NaN" and cert["audit"]["violations"] == 1000
+        assert math.isnan(certificate_from_dict(cert).audit.max_dev)
+        out = tmp_path / "r"
+        assert main(["report", str(path), "--out", str(out)]) == EXIT_VIOLATION
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=bare)
+        assert summary["all_hold"] is False and summary["total_violations"] == 1000
+
     def test_overflowing_pair_prints_no_warning(self, tmp_path, capsys):
         # the overflow is in the certificate; numpy's warnings would be noise
         with warnings.catch_warnings(record=True) as caught:
@@ -705,6 +724,19 @@ class TestSimulate:
             "--x0", "0.5,0", "--horizon", "0", "--out", str(tmp_path / "s"),
         ])
         assert code == EXIT_USAGE
+
+    def test_overflowing_pendulum_inertia_is_a_usage_error(self, tmp_path, capsys):
+        model, pruned, cert = self._certified_pendulum(tmp_path)
+        capsys.readouterr()
+        code = main([
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(cert), "--dynamics", "pendulum", "--length", "1e200",
+            "--x0", "0.5,0", "--horizon", "5", "--out", str(tmp_path / "s"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "overflows" in err[0]
+        assert not (tmp_path / "s").exists()
 
     def test_config_horizon_parses_like_the_flag(self, tmp_path):
         model, pruned, cert = self._certified_pendulum(tmp_path)
@@ -991,7 +1023,7 @@ class TestSimulateMatchesReference:
         [
             (
                 "pendulum_policy.json",
-                Pendulum(torque_limit=5.0),
+                Pendulum(action_limit=5.0),
                 ("--dynamics", "pendulum", "--action-limit", "5.0"),
                 "0.5,0",
             ),
@@ -1290,6 +1322,114 @@ class TestConfigValues:
         path.write_text(json.dumps({"paths": [str(run / "certificate.json")]}))
         assert main(["report", "--config", str(path), "--out", str(tmp_path / "r2")]) == EXIT_OK
         assert json.loads((tmp_path / "r2" / "summary.json").read_text())["count"] == 1
+
+
+# (command, key) for every option a command cannot run without
+REQUIRED_PAIRS = [
+    (command, key)
+    for key, (_, default, commands, _) in cli.OPTIONS.items()
+    if default is cli.REQUIRED
+    for command in commands
+]
+
+
+def _argv(command, options, out):
+    argv = [command, "--out", str(out)]
+    for key, value in options.items():
+        argv += [value] if key == "paths" else [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
+class TestRequiredOptions:
+    """Each command's full option set runs; dropping a required option, or
+    adding one the chosen dynamics do not take, is one usage error that
+    names the flag, and nothing is written."""
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        model = str(FIXTURES / "pendulum_policy.json")
+        calib = tmp / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        cert = tmp / "certificate.json"
+        assert main(["certify", "--model", model, "--pruned", model, "--radius", "3",
+                     "--samples", "50", "--out", str(tmp)]) == EXIT_OK
+        system = tmp / "system.json"
+        system.write_text(json.dumps({"A": [[1.0, 0.01], [0.0, 1.0]], "B": [[0.0], [0.01]]}))
+        return {
+            "prune": {"model": model, "calibration": str(calib), "sparsity": "0.5"},
+            "certify": {"model": model, "pruned": model, "radius": "3", "samples": "50"},
+            "simulate": {"model": model, "pruned": model, "certificate": str(cert),
+                         "dynamics": "pendulum", "x0": "0.5,0", "horizon": "5"},
+            "report": {"paths": str(cert)},
+            "system": str(system),
+        }
+
+    def test_the_required_options(self):
+        assert sorted(REQUIRED_PAIRS) == sorted([
+            ("prune", "model"), ("prune", "calibration"),
+            ("certify", "model"), ("certify", "pruned"),
+            ("simulate", "model"), ("simulate", "pruned"), ("simulate", "certificate"),
+            ("simulate", "dynamics"), ("simulate", "x0"), ("simulate", "horizon"),
+            ("report", "paths"),
+        ])
+
+    @pytest.mark.parametrize("command", ["prune", "certify", "simulate", "report"])
+    def test_full_options_run(self, full, tmp_path, command):
+        assert main(_argv(command, full[command], tmp_path)) == EXIT_OK
+
+    @pytest.mark.parametrize("command, key", REQUIRED_PAIRS)
+    def test_missing_required_option(self, full, tmp_path, capsys, command, key):
+        options = {k: v for k, v in full[command].items() if k != key}
+        out = tmp_path / "o"
+        assert main(_argv(command, options, out)) == EXIT_USAGE
+        what = "at least one certificate file" if key == "paths" else f"--{key}"
+        assert capsys.readouterr().err.splitlines() == [f"error: {command} needs {what}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dynamics, key, value",
+        [("linear", "dt", "0.1"), ("pendulum", "system", "system.json"),
+         ("double_integrator", "gravity", "9.81")],
+    )
+    def test_option_the_dynamics_do_not_take(
+        self, full, tmp_path, capsys, dynamics, key, value
+    ):
+        options = {**full["simulate"], "dynamics": dynamics}
+        if dynamics == "linear":
+            options["system"] = full["system"]
+        assert main(_argv("simulate", options, tmp_path / "ok")) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(_argv("simulate", {**options, key: value}, out)) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --dynamics {dynamics} takes no --{key}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, text",
+        [
+            ("certify", "model", "{broken"),
+            ("certify", "pruned", '{"layers": []}'),
+            ("prune", "calibration", "1,x\n"),
+            ("prune", "calibration", ""),
+            ("prune", "calibration", None),
+            ("simulate", "certificate", '{"layers": []}'),
+        ],
+    )
+    def test_malformed_file_is_named_once(self, full, tmp_path, capsys, command, key, text):
+        bad = tmp_path / "bad_input"
+        if text is not None:
+            bad.write_text(text)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(_argv(command, {**full[command], key: str(bad)}, out)) == EXIT_USAGE
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}")
+        assert err[0].count("bad_input") == 1
+        assert not out.exists()
 
 
 class TestHelp:

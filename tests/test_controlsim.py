@@ -1,3 +1,6 @@
+import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +62,7 @@ class TestStep:
         np.testing.assert_array_equal(step(d, [0.0, 0.0], [0.0]), [0.0, 0.0])
 
     def test_action_clipped_before_integration(self):
-        d = DoubleIntegrator(dt=0.1, accel_limit=1.0)
+        d = DoubleIntegrator(dt=0.1, action_limit=1.0)
         np.testing.assert_allclose(step(d, [0.0, 0.0], [100.0]), [0.0, 0.1], atol=1e-15)
 
     def test_state_clipped_to_box(self):
@@ -88,10 +91,10 @@ class TestStep:
         box = (np.array([-1.0, -0.5]), np.array([0.25, 2.0]))
         systems = (
             DoubleIntegrator(dt=0.1),
-            DoubleIntegrator(dt=0.25, accel_limit=1.5, state_box=box),
-            DoubleIntegrator(accel_limit=0.5, state_box=box),
-            Pendulum(dt=0.05, torque_limit=2.0, state_box=box),
-            Pendulum(gravity=3.7, length=0.3, mass=2.5, torque_limit=0.75),
+            DoubleIntegrator(dt=0.25, action_limit=1.5, state_box=box),
+            DoubleIntegrator(action_limit=0.5, state_box=box),
+            Pendulum(dt=0.05, action_limit=2.0, state_box=box),
+            Pendulum(gravity=3.7, length=0.3, mass=2.5, action_limit=0.75),
             LinearSystem(a=rng.normal(size=(2, 2)), b=rng.normal(size=(2, 1)),
                          action_limit=1.0, state_box=box),
         )
@@ -127,17 +130,42 @@ class TestParameterChecks:
 
     def test_double_integrator(self):
         for kwargs in ({"dt": NAN}, {"dt": INF}, {"dt": 0.0},
-                       {"accel_limit": NAN}, {"accel_limit": -1.0}):
+                       {"action_limit": NAN}, {"action_limit": -1.0}):
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 DoubleIntegrator(**kwargs)
-        assert DoubleIntegrator(accel_limit=0.0).action_limit == 0.0
+        assert DoubleIntegrator(action_limit=0.0).action_limit == 0.0
 
     def test_pendulum(self):
         bad = [{name: v} for name in ("dt", "gravity", "length", "mass") for v in (NAN, INF, -1.0)]
-        for kwargs in bad + [{"torque_limit": NAN}, {"torque_limit": -1.0}]:
+        for kwargs in bad + [{"action_limit": NAN}, {"action_limit": -1.0}]:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 Pendulum(**kwargs)
-        assert Pendulum(torque_limit=INF).action_limit == INF
+        assert Pendulum(action_limit=INF).action_limit == INF
+
+    def test_pendulum_inertia_overflow(self):
+        # _transition divides by mass * length**2, and a float ** that
+        # overflows raises OverflowError where * would give inf
+        top = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+        rng = np.random.default_rng(14)
+        outcomes = set()
+        for _ in range(400):
+            length = float(10.0 ** rng.uniform(-10.0, 200.0))
+            mass = float(10.0 ** rng.uniform(-300.0, 300.0))
+            square = Fraction(length) ** 2
+            overflows = square >= top or Fraction(mass) * Fraction(float(square)) >= top
+            outcomes.add(overflows)
+            if overflows:
+                with pytest.raises(ValueError, match="overflows"):
+                    Pendulum(length=length, mass=mass)
+            else:
+                d = Pendulum(length=length, mass=mass)
+                try:
+                    step(d, [0.1, 0.0], [1.0])
+                except BlowUpError:  # u / (m l^2) past the float range
+                    pass
+        assert outcomes == {False, True}
+        with pytest.raises(ValueError, match="overflows"):
+            Pendulum(length=1e200)
 
     def test_linear_system(self):
         for limit in (NAN, -1.0, -INF):
@@ -170,7 +198,7 @@ class TestRollout:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(0)
         p = random_policy(rng, dims=[2, 6, 1])
-        d = Pendulum(torque_limit=3.0)
+        d = Pendulum(action_limit=3.0)
         a = rollout(d, p, [0.2, 0.1], 50)
         b = rollout(d, p, [0.2, 0.1], 50)
         for sa, sb in zip(a.states, b.states):
@@ -178,7 +206,7 @@ class TestRollout:
 
     def test_pendulum_fixture_stabilizes(self):
         p = load_policy(FIXTURES / "pendulum_policy.json")
-        d = Pendulum(torque_limit=5.0)
+        d = Pendulum(action_limit=5.0)
         traj = rollout(d, p, [0.5, 0.0], 500)
         assert np.linalg.norm(traj.states[-1]) < np.linalg.norm(traj.states[0])
 
@@ -246,7 +274,7 @@ class TestDeviationAudit:
     def test_identical_policies_zero_deviation(self):
         p, _ = _pruned_pair()
         cert = self._cert(p, p)
-        d = Pendulum(torque_limit=5.0)
+        d = Pendulum(action_limit=5.0)
         report = deviation_audit(d, p, p, cert, [0.5, 0.0], 50)
         assert report.max_in_ball_deviation == 0.0
         assert report.in_ball_violations == 0
@@ -256,7 +284,7 @@ class TestDeviationAudit:
         p, pruned = _pruned_pair()
         cert = self._cert(p, pruned)
         d = Pendulum(
-            torque_limit=5.0,
+            action_limit=5.0,
             state_box=(np.array([-np.pi, -8.0]), np.array([np.pi, 8.0])),
         )
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 500)
@@ -267,7 +295,7 @@ class TestDeviationAudit:
         p, pruned = _pruned_pair()
         cert = self._cert(p, pruned)
         cert2 = scaled_certificate(cert, 2.0)
-        d = Pendulum(torque_limit=5.0)
+        d = Pendulum(action_limit=5.0)
         a = deviation_audit(d, p, pruned, cert, [0.3, 0.0], 40)
         b = deviation_audit(d, p, pruned, cert2, [0.3, 0.0], 40)
         for la, lb in zip(a.loops, b.loops, strict=True):
@@ -277,7 +305,7 @@ class TestDeviationAudit:
     def test_rows_cover_both_trajectories(self):
         p, pruned = _pruned_pair()
         cert = self._cert(p, pruned)
-        d = Pendulum(torque_limit=5.0)
+        d = Pendulum(action_limit=5.0)
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 30)
         assert [loop.label for loop in report.loops] == ["original", "pruned"]
         for loop in report.loops:
@@ -290,7 +318,7 @@ class TestDeviationAudit:
     def test_out_of_ball_states_flagged_not_counted(self):
         p, pruned = _pruned_pair()
         cert = self._cert(p, pruned, radius=0.1)  # tiny certified ball
-        d = Pendulum(torque_limit=5.0)
+        d = Pendulum(action_limit=5.0)
         report = deviation_audit(d, p, pruned, cert, [0.5, 0.0], 30)
         assert report.out_of_ball_count > 0
         outside = 0

@@ -269,7 +269,7 @@ class TestModelJson:
     def test_parse_error_on_syntax_has_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ValueError, match=r":\d+:\d+"):
+        with pytest.raises(ValueError, match=r"line \d+ column \d+"):
             load_policy(path)
 
     def test_alpha_round_trips(self, tmp_path):
@@ -311,13 +311,28 @@ _json_values = st.recursive(
 )
 
 
+def _finite(obj):
+    """``obj`` with NaN and the infinities spelled as RFC 8259 strings."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(obj)]
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _dumped(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _no_constant(name):
+    raise AssertionError(f"bare {name} is not RFC 8259 JSON")
 
 
 class TestCanonicalJson:
     """``_write_json`` writes the bytes of ``json.dump(indent=2,
-    sort_keys=True)`` plus a newline."""
+    sort_keys=True)`` plus a newline, with NaN and the infinities as strings."""
 
     @given(_json_values)
     @example({"rows": [[1.0, float("inf")], [float("nan"), -0.0]], "pairs": [[1, True]],
@@ -327,6 +342,7 @@ class TestCanonicalJson:
         path = tmp_path_factory.getbasetemp() / "canonical.json"
         policy._write_json(path, obj)
         assert path.read_bytes() == _dumped(obj).encode("utf-8")
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
     @pytest.mark.parametrize(
         "n", [policy._CHUNK - 1, policy._CHUNK, policy._CHUNK + 1, 2 * policy._CHUNK + 1]
