@@ -27,9 +27,9 @@ from prunecert.pruner import (
     CalibrationBatch,
     PrunePlan,
     Ranking,
-    apply_plan,
     collect_calibration,
     obs_compensate,
+    prune_to_budget,
     rank_weights,
 )
 from prunecert.certifier import (

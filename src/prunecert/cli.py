@@ -46,7 +46,6 @@ from prunecert.pruner import (
     collect_calibration,
     prune_to_budget,
     rank_weights,
-    uncapped_head,
 )
 
 EXIT_OK = 0
@@ -81,8 +80,17 @@ def _read(path, parse):
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, UsageError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _write(path, write, *args) -> None:
+    """``write(path, *args)``; an artifact that cannot be written is one
+    usage error, which names its path."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _json(path):
@@ -143,37 +151,57 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(d) -> Certificate:
-    """Parse the certificate schema back into a Certificate."""
-    if not isinstance(d, dict):
-        raise ValueError("certificate: expected an object")
-    for key in ("layers", "budget", "radius", "audit", "holds"):
-        if key not in d:
-            raise ValueError(f"certificate: missing field '{key}'")
+    """Parse the certificate schema back into a Certificate.
+
+    Each field goes through the option parser of its type, so a fractional
+    or boolean count, an overflowing number or an unknown radius source is
+    an error that names the field; "NaN" and "Infinity" read as floats.
+    Fields older certificates lack take their fallbacks: ``mean_dev`` is the
+    ``max_dev``, ``tightness`` 0, ``margin`` ``budget - max_dev`` and
+    ``radius_source`` "radius".
+    """
+
+    def field(obj, where: str, key: str, parse, default=REQUIRED):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where[:-1] or 'certificate'}: expected an object")
+        value = obj.get(key, default)
+        if value is None or value is REQUIRED:
+            raise ValueError(f"missing field '{where}{key}'")
+        return parse(value, where + key)
+
+    def listed(value, key: str) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"{key}: expected a list")
+        return value
+
+    count, real = _number(int, 0), _number(float)
     rows = tuple(
         CertificateRow(
-            layer=int(r["k"]),
-            c_max=float(r["c_max"]),
-            delta_spectral=float(r["delta_spectral"]),
-            contribution=float(r["contribution"]),
+            layer=field(r, f"layers[{i}].", "k", count),
+            c_max=field(r, f"layers[{i}].", "c_max", real),
+            delta_spectral=field(r, f"layers[{i}].", "delta_spectral", real),
+            contribution=field(r, f"layers[{i}].", "contribution", real),
         )
-        for r in d["layers"]
+        for i, r in enumerate(field(d, "", "layers", listed))
     )
-    a = d["audit"]
-    audit = AuditSummary(
-        samples=int(a["samples"]),
-        max_dev=float(a["max_dev"]),
-        mean_dev=float(a.get("mean_dev", a["max_dev"])),
-        violations=int(a["violations"]),
-        tightness=float(a.get("tightness", 0.0)),
-        margin=float(a.get("margin", float(d["budget"]) - float(a["max_dev"]))),
-        seed=int(a["seed"]),
-    )
+    budget = field(d, "", "budget", real)
+    a = field(d, "", "audit", lambda value, key: value)  # an object, as its fields check
+    max_dev = field(a, "audit.", "max_dev", real)
+    field(d, "", "holds", _switch)  # required, though ``holds`` is derived from the audit
     return Certificate(
         rows=rows,
-        budget=float(d["budget"]),
-        radius=float(d["radius"]),
-        radius_source=str(d.get("radius_source", "radius")),
-        audit=audit,
+        budget=budget,
+        radius=field(d, "", "radius", real),
+        radius_source=field(d, "", "radius_source", _choice("radius", "states"), "radius"),
+        audit=AuditSummary(
+            samples=field(a, "audit.", "samples", _number(int, 1)),
+            max_dev=max_dev,
+            mean_dev=field(a, "audit.", "mean_dev", real, max_dev),
+            violations=field(a, "audit.", "violations", count),
+            tightness=field(a, "audit.", "tightness", real, 0.0),
+            margin=field(a, "audit.", "margin", real, budget - max_dev),
+            seed=field(a, "audit.", "seed", count),
+        ),
     )
 
 
@@ -379,7 +407,7 @@ def _state_space(cfg: argparse.Namespace, dim: int) -> StateSpaceSpec:
 
 def _outdir(cfg: argparse.Namespace) -> Path:
     out = Path(cfg.out if cfg.out is not None else os.environ.get(ENV_OUTDIR, "."))
-    out.mkdir(parents=True, exist_ok=True)
+    _write(out, lambda path: path.mkdir(parents=True, exist_ok=True))
     return out
 
 
@@ -424,6 +452,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
     p = _read(cfg.model, load_policy)
     layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
     try:
+        caps = None  # sparsity mode: the walk without a cap, over the ranking's head
         if cfg.epsilon is not None:
             caps = admissible_magnitude(
                 p, layers, cfg.epsilon, _state_space(cfg, p.input_dim), cfg.allocation_weights
@@ -431,8 +460,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
         ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
         if cfg.sparsity is not None:
-            # sparsity mode is the walk without a cap, over the ranking's head
-            ranking, caps = uncapped_head(ranking, int(round(cfg.sparsity * len(ranking))))
+            ranking = ranking[: round(cfg.sparsity * len(ranking))]
         pruned, plan, taken = prune_to_budget(
             p,
             ranking,
@@ -445,8 +473,8 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
-    save_policy(pruned, out / "pruned_model.json")
-    _write_json(out / "prune_plan.json", _plan_dict(plan, taken, cfg))
+    _write(out / "pruned_model.json", lambda path: save_policy(pruned, path))
+    _write(out / "prune_plan.json", _write_json, _plan_dict(plan, taken, cfg))
     total = sum(len(lp.mask) for lp in plan.layers)
     print(f"pruned {total} weights across layers {[lp.layer for lp in plan.layers]}")
     print(f"wrote {out / 'pruned_model.json'} and {out / 'prune_plan.json'}")
@@ -480,7 +508,7 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
-    _write_json(out / "certificate.json", certificate_to_dict(cert))
+    _write(out / "certificate.json", _write_json, certificate_to_dict(cert))
     _print_certificate(cert)
     print(f"wrote {out / 'certificate.json'}")
     return EXIT_OK if cert.holds else EXIT_VIOLATION
@@ -549,13 +577,15 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
     for loop in report.loops:
-        _write_trajectory_csv(
+        _write(
             out / f"trajectory_{loop.label}.csv",
+            _write_trajectory_csv,
             loop,
-            blowup=report.blowup is not None and report.blowup[0] == loop.label,
+            report.blowup is not None and report.blowup[0] == loop.label,
         )
-    _write_json(
+    _write(
         out / "deviation_report.json",
+        _write_json,
         {
             "dynamics": cfg.dynamics,
             "horizon": cfg.horizon,
@@ -614,7 +644,7 @@ def cmd_report(cfg: argparse.Namespace) -> int:
         "timestamp": _timestamp(),
     }
     out = _outdir(cfg)
-    _write_json(out / "summary.json", summary)
+    _write(out / "summary.json", _write_json, summary)
     print(
         f"{summary['count']} certificates, all_hold={summary['all_hold']}, "
         f"max_budget={summary['max_budget']:.6g}"

@@ -5,10 +5,11 @@ calibration activations of the unpruned policy, so scoring never needs
 gradients or labels.  ``rank_weights`` scores every selected weight at
 once and returns a ``Ranking`` of parallel arrays in removal order; no
 per-weight Python object is built between scoring and the plan.
-``prune_to_budget`` is the one walk down that ranking, with a cap on each
-layer's delta norm; ``apply_plan`` is the same walk without a cap.  Plans
-record exactly which positions were zeroed and the spectral norm of the
-per-layer weight change, which is what the certifier consumes.
+``prune_to_budget`` is the one walk down that ranking, with or without a
+cap on each layer's delta norm; sparsity mode walks a prefix of the
+ranking uncapped.  Plans record exactly which positions were zeroed and the
+spectral norm of the per-layer weight change, which is what the certifier
+consumes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "collect_calibration",
     "rank_weights",
     "obs_compensate",
-    "uncapped_head",
-    "apply_plan",
     "prune_to_budget",
 ]
 
@@ -88,11 +87,6 @@ class Ranking:
 
     def __getitem__(self, index) -> "Ranking":
         return Ranking(self.layer[index], self.row[index], self.col[index], self.saliency[index])
-
-    def layers_present(self) -> list[int]:
-        """Indices of the layers with at least one entry, ascending."""
-        # bincount rather than np.unique, whose first call imports numpy.ma
-        return np.flatnonzero(np.bincount(self.layer)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,43 +348,10 @@ class _LayerWork:
         return n
 
 
-def uncapped_head(ranking: Ranking, count: int) -> tuple[Ranking, dict[int, float]]:
-    """The first ``count`` ranked entries and an infinite cap on each layer
-    they touch: the arguments under which ``prune_to_budget`` removes
-    exactly those entries."""
-    if count < 0 or count > len(ranking):
-        raise ValueError(f"count must lie in 0..{len(ranking)}, got {count}")
-    head = ranking[:count]
-    return head, dict.fromkeys(head.layers_present(), math.inf)
-
-
-def apply_plan(
-    p: MlpPolicy,
-    ranking: Ranking,
-    count: int,
-    compensate: bool = False,
-    damping=0.0,
-    calib: CalibrationBatch | None = None,
-    reestimate: bool = False,
-) -> tuple[MlpPolicy, PrunePlan]:
-    """Prune the first ``count`` ranked weights, returning the new policy and plan.
-
-    The uncapped walk: ``prune_to_budget`` on ``ranking[:count]`` with an
-    infinite cap on each layer those entries touch, so every one of them is
-    removed, the plan lists just those layers, and each layer's delta norm
-    is computed once, for the plan.  The other arguments are passed through.
-    """
-    head, caps = uncapped_head(ranking, count)
-    pruned, plan, _ = prune_to_budget(
-        p, head, caps, compensate=compensate, damping=damping, calib=calib, reestimate=reestimate
-    )
-    return pruned, plan
-
-
 def prune_to_budget(
     p: MlpPolicy,
     ranking: Ranking,
-    caps: Mapping[int, float],
+    caps: Mapping[int, float] | None = None,
     compensate: bool = False,
     damping=0.0,
     calib: CalibrationBatch | None = None,
@@ -402,9 +363,12 @@ def prune_to_budget(
     ``ranking`` in order and stops at the first removal that would push
     ``spectral_norm(delta)`` past ``caps[k]``; a cap of 0 or below takes
     nothing, an infinite cap takes every entry, and a NaN cap is an error.
-    Entries of uncapped layers are skipped.  Returns the pruned policy, the
-    plan (one row per capped layer, ascending, its mask in ranking order)
-    and per capped layer the prefix of its ranking actually removed.
+    Entries of layers missing from ``caps`` are skipped.  ``caps=None`` puts
+    an infinite cap on every layer present in ``ranking``, so every entry is
+    removed: ``prune_to_budget(p, ranking[:count])`` prunes the ``count``
+    lowest-saliency weights.  Returns the pruned policy, the plan (one row
+    per capped layer, ascending, its mask in ranking order) and per capped
+    layer the prefix of its ranking actually removed.
 
     Zero-only pruning just masks weights.  With ``compensate`` the remaining
     entries of the row absorb each removal (``obs_compensate``) with the
@@ -431,6 +395,9 @@ def prune_to_budget(
         raise ValueError("compensation needs the calibration batch to build H^-1")
     if reestimate and not compensate:
         raise ValueError("reestimate refreshes the compensation's inverse; it needs compensate")
+    if caps is None:
+        # bincount rather than np.unique, whose first call imports numpy.ma
+        caps = dict.fromkeys(np.flatnonzero(np.bincount(ranking.layer)).tolist(), math.inf)
     if any(math.isnan(cap) for cap in caps.values()):
         raise ValueError("a layer's cap is NaN")
     layers = list(p.layers)

@@ -24,7 +24,6 @@ from prunecert.policy import (
 )
 from prunecert.pruner import (
     CalibrationBatch,
-    apply_plan,
     collect_calibration,
     obs_compensate,
     prune_to_budget,
@@ -61,7 +60,7 @@ def test_criterion_1_single_layer_soundness_sweep():
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
-            pruned, _ = apply_plan(p, entries, count)
+            pruned, _, _ = prune_to_budget(p, entries[:count])
             cert = certify(p, pruned, space, n=10_000, seed=int(rng.integers(2**32)))
             violations += cert.audit.violations
             cases += 1
@@ -88,7 +87,7 @@ def test_criterion_2_multi_layer_additivity_sweep():
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
-            pruned, _ = apply_plan(p, entries, count)
+            pruned, _, _ = prune_to_budget(p, entries[:count])
             cert = certify(p, pruned, space, n=10_000, seed=int(rng.integers(2**32)))
             violations += cert.audit.violations
             cases += 1

@@ -1150,6 +1150,173 @@ class TestReport:
         assert main(["report", str(bad), "--out", str(tmp_path / "sum")]) == EXIT_VIOLATION
 
 
+class TestCertificateFields:
+    """Each certificate field goes through the parser of its type: a field
+    that breaks it is one usage error naming the file and the field, for
+    ``report`` and ``simulate`` alike, and nothing is written."""
+
+    @pytest.fixture(scope="class")
+    def certified(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cert")
+        model = str(FIXTURES / "pendulum_policy.json")
+        calib = tmp / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        assert main(["prune", "--model", model, "--calibration", str(calib),
+                     "--sparsity", "0.5", "--out", str(tmp)]) == EXIT_OK
+        pruned = str(tmp / "pruned_model.json")
+        assert main(["certify", "--model", model, "--pruned", pruned, "--radius", "1",
+                     "--samples", "50", "--seed", "3", "--out", str(tmp)]) == EXIT_OK
+        return model, pruned, json.loads((tmp / "certificate.json").read_text())
+
+    def _run(self, tmp_path, certified, text, command):
+        model, pruned, _ = certified
+        path = tmp_path / "doctored_certificate.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        if command == "report":
+            argv = ["report", str(path)]
+        else:
+            argv = ["simulate", "--model", model, "--pruned", pruned,
+                    "--certificate", str(path), "--dynamics", "pendulum",
+                    "--x0", "0.5,0", "--horizon", "5"]
+        code = main([*argv, "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    @pytest.mark.parametrize(
+        "edit, field, message",
+        [
+            # int(0.5) read as 0 violations, so report claimed all_hold with exit 0
+            pytest.param({"holds": False, "audit": {"violations": 0.5}}, "audit.violations",
+                         "expected an integer, got 0.5", id="fractional-violations"),
+            # int(0.7) and int(True) silently read as layers 0 and 1
+            pytest.param({"layers": [{"k": 0.7}]}, "layers[0].k",
+                         "expected an integer, got 0.7", id="fractional-layer"),
+            pytest.param({"layers": [{"k": True}]}, "layers[0].k",
+                         "expected an integer, got True", id="boolean-layer"),
+            pytest.param({"audit": {"samples": 0}}, "audit.samples",
+                         "must be at least 1, got 0", id="no-samples"),
+            pytest.param({"audit": {"seed": -1}}, "audit.seed",
+                         "must be at least 0, got -1", id="negative-seed"),
+            pytest.param({"budget": "half"}, "budget",
+                         "expected a number, got 'half'", id="text-budget"),
+            pytest.param({"radius_source": "moon"}, "radius_source",
+                         "expected one of radius, states, got 'moon'", id="radius-source"),
+            pytest.param({"holds": "yes"}, "holds",
+                         "expected true or false, got 'yes'", id="text-holds"),
+        ],
+    )
+    def test_a_mistyped_field_is_named(
+        self, tmp_path, capsys, certified, command, edit, field, message
+    ):
+        doctored = json.loads(json.dumps(certified[2]))
+        for key, value in edit.items():
+            if key == "layers":
+                doctored["layers"][0].update(value[0])
+            elif key == "audit":
+                doctored["audit"].update(value)
+            else:
+                doctored[key] = value
+        assert self._run(tmp_path, certified, json.dumps(doctored), command) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {tmp_path / 'doctored_certificate.json'}: {field}: {message}"]
+
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    def test_an_overflowing_sample_count_is_named(self, tmp_path, capsys, certified, command):
+        # json reads 1e999 as inf, whose int() raised OverflowError
+        text = json.dumps(certified[2]).replace(
+            f'"samples": {certified[2]["audit"]["samples"]}', '"samples": 1e999'
+        )
+        assert "1e999" in text
+        assert self._run(tmp_path, certified, text, command) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'doctored_certificate.json'}: "
+            "audit.samples: expected an integer, got inf"
+        ]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({"audit": None}, "missing field 'audit'", id="null-audit"),
+            pytest.param({"audit": []}, "audit: expected an object", id="list-audit"),
+            pytest.param({"layers": 3}, "layers: expected a list", id="number-layers"),
+            pytest.param({"layers": [[]]}, "layers[0]: expected an object", id="list-row"),
+        ],
+    )
+    def test_a_misshapen_certificate_is_named(self, tmp_path, capsys, certified, edit, message):
+        doctored = {**certified[2], **edit}
+        assert self._run(tmp_path, certified, json.dumps(doctored), "report") == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {tmp_path / 'doctored_certificate.json'}: {message}"
+
+    def test_non_finite_strings_still_read_as_floats(self, tmp_path, certified):
+        doctored = json.loads(json.dumps(certified[2]))
+        doctored["audit"]["max_dev"] = "NaN"
+        doctored["budget"] = "Infinity"
+        restored = certificate_from_dict(doctored)
+        assert math.isnan(restored.audit.max_dev) and restored.budget == math.inf
+        assert not restored.holds
+
+
+class TestOutputPaths:
+    """An output directory or artifact path that cannot be made or written
+    is one usage error that names the path, not a traceback."""
+
+    @pytest.fixture
+    def certificate(self, tmp_path):
+        model = str(FIXTURES / "pendulum_policy.json")
+        assert main(["certify", "--model", model, "--pruned", model, "--radius", "1",
+                     "--samples", "5", "--out", str(tmp_path / "c")]) == EXIT_OK
+        return str(tmp_path / "c" / "certificate.json")
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys, certificate):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        capsys.readouterr()
+        out = blocker / "sub"
+        assert main(["report", certificate, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out}: cannot write (Not a directory)"
+        ]
+
+    def test_outdir_variable_names_a_file(self, tmp_path, capsys, certificate, monkeypatch):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        monkeypatch.setenv("PRUNECERT_OUTDIR", str(blocker))
+        capsys.readouterr()
+        assert main(["report", certificate]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {blocker}: cannot write (File exists)"
+        ]
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [("prune", "prune_plan.json"), ("certify", "certificate.json"),
+         ("simulate", "trajectory_original.csv"), ("report", "summary.json")],
+    )
+    def test_an_artifact_path_that_is_a_directory(
+        self, tmp_path, capsys, certificate, command, artifact
+    ):
+        model = str(FIXTURES / "pendulum_policy.json")
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        argv = {
+            "prune": ["--model", model, "--calibration", str(calib), "--sparsity", "0.5"],
+            "certify": ["--model", model, "--pruned", model, "--radius", "1", "--samples", "5"],
+            "simulate": ["--model", model, "--pruned", model, "--certificate", certificate,
+                         "--dynamics", "pendulum", "--x0", "0.5,0", "--horizon", "5"],
+            "report": [certificate],
+        }[command]
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / artifact}: cannot write (Is a directory)"]
+
+
 class TestConfigMerging:
     def test_config_file_supplies_defaults_flags_override(self, tmp_path, random_model):
         model, calib = random_model
@@ -1415,6 +1582,9 @@ class TestRequiredOptions:
             ("prune", "calibration", ""),
             ("prune", "calibration", None),
             ("simulate", "certificate", '{"layers": []}'),
+            # 200,000 open brackets overflowed json's recursion limit with a traceback
+            pytest.param("certify", "model", "[" * 200_000, id="certify-model-deep"),
+            pytest.param("certify", "config", "[" * 200_000, id="certify-config-deep"),
         ],
     )
     def test_malformed_file_is_named_once(self, full, tmp_path, capsys, command, key, text):

@@ -19,7 +19,7 @@ from prunecert.controlsim import (
     step,
 )
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy
-from prunecert.pruner import apply_plan, collect_calibration, rank_weights
+from prunecert.pruner import collect_calibration, prune_to_budget, rank_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -263,7 +263,7 @@ def _pruned_pair(seed=1):
     states = [rng.uniform(-1.0, 1.0, size=2) for _ in range(16)]
     calib = collect_calibration(p, states)
     entries = rank_weights(p, calib, [0], damping="auto")
-    pruned, _ = apply_plan(p, entries, 2)  # 50% of layer 0
+    pruned, _, _ = prune_to_budget(p, entries[:2])  # 50% of layer 0
     return p, pruned
 
 

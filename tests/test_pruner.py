@@ -18,7 +18,6 @@ from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward
 from prunecert.pruner import (
     CalibrationBatch,
     PrunePlan,
-    apply_plan,
     collect_calibration,
     obs_compensate,
     prune_to_budget,
@@ -227,8 +226,8 @@ class TestRankWeights:
         assert ranking_tuples(ranking) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
         # a compensated removal there only zeroes the weight
         for reestimate in (False, True):
-            pruned, plan = apply_plan(
-                p, ranking, 1, compensate=True, damping="auto", calib=calib,
+            pruned, plan, _ = prune_to_budget(
+                p, ranking[:1], compensate=True, damping="auto", calib=calib,
                 reestimate=reestimate,
             )
             assert pruned.layers[1].weight.tolist() == [[0.0, -3.0]]
@@ -303,6 +302,9 @@ class TestObsCompensate:
 
 
 class TestApplyPlan:
+    """``prune_to_budget`` with no caps over a ranking prefix, the sparsity
+    mode walk: it removes exactly the prefix's entries."""
+
     def _setup(self, seed=8, d=4):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(d, d))
@@ -316,13 +318,27 @@ class TestApplyPlan:
 
     def test_count_zero_identity(self):
         _, p, _, _, entries = self._setup()
-        pruned, plan = apply_plan(p, entries, 0)
+        pruned, plan, _ = prune_to_budget(p, entries[:0])
         assert plan.layers == ()
         np.testing.assert_array_equal(pruned.layers[0].weight, p.layers[0].weight)
 
+    def test_plan_lists_only_the_layers_the_prefix_touches(self):
+        rng = np.random.default_rng(19)
+        p = random_policy(rng, depth=3, max_width=6)
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(10)])
+        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        for count in range(len(ranking) + 1):
+            head = ranking[:count]
+            pruned, plan, taken = prune_to_budget(p, head)
+            touched = sorted(set(head.layer.tolist()))
+            assert [lp.layer for lp in plan.layers] == sorted(taken) == touched
+            assert sum(len(lp.mask) for lp in plan.layers) == count
+            for k in set(range(p.num_layers)) - set(touched):
+                np.testing.assert_array_equal(pruned.layers[k].weight, p.layers[k].weight)
+
     def test_full_layer_zero_only(self):
         _, p, _, _, entries = self._setup()
-        pruned, plan = apply_plan(p, entries, len(entries))
+        pruned, plan, _ = prune_to_budget(p, entries)
         assert not pruned.layers[0].weight.any()
         lp = plan.layers[0]
         np.testing.assert_array_equal(
@@ -335,7 +351,7 @@ class TestApplyPlan:
     def test_loss_additivity_with_orthogonal_calibration_rows(self):
         _, p, x, _, ranking = self._setup()
         w = p.layers[0].weight
-        pruned, plan = apply_plan(p, ranking, 3)
+        pruned, plan, _ = prune_to_budget(p, ranking[:3])
         total = _output_loss(w, pruned.layers[0].weight, x)
         parts = sum(_zero_only_loss(w, r, c, x) for r, c in _positions(ranking[:3]))
         assert total == pytest.approx(parts, rel=1e-12, abs=1e-15)
@@ -347,7 +363,7 @@ class TestApplyPlan:
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, range(p.num_layers), damping="auto")
         count = len(entries) // 2
-        pruned, plan = apply_plan(p, entries, count)
+        pruned, plan, _ = prune_to_budget(p, entries[:count])
         for lp in plan.layers:
             w = pruned.layers[lp.layer].weight
             for r, c in lp.mask:
@@ -357,7 +373,7 @@ class TestApplyPlan:
 
     def test_zero_only_reconstruction_is_bitwise(self):
         rng, p, _, _, entries = self._setup(seed=10)
-        pruned, _ = apply_plan(p, entries, 5)
+        pruned, _, _ = prune_to_budget(p, entries[:5])
         delta = pruned.layers[0].weight - p.layers[0].weight
         rebuilt = MlpPolicy(
             layers=(
@@ -375,7 +391,7 @@ class TestApplyPlan:
     def test_compensation_requires_calibration(self):
         _, p, _, _, entries = self._setup()
         with pytest.raises(ValueError, match="calibration"):
-            apply_plan(p, entries, 2, compensate=True)
+            prune_to_budget(p, entries[:2], compensate=True)
 
     def test_compensated_loss_never_worse_per_layer(self):
         rng = np.random.default_rng(11)
@@ -389,8 +405,10 @@ class TestApplyPlan:
             calib = CalibrationBatch(inputs=(x,))
             entries = rank_weights(p, calib, [0])
             count = int(rng.integers(1, d))
-            zero_p, _ = apply_plan(p, entries, count)
-            comp_p, comp_plan = apply_plan(p, entries, count, compensate=True, calib=calib)
+            zero_p, _, _ = prune_to_budget(p, entries[:count])
+            comp_p, comp_plan, _ = prune_to_budget(
+                p, entries[:count], compensate=True, calib=calib
+            )
             assert comp_plan.layers[0].compensated
             zero_loss = _output_loss(w, zero_p.layers[0].weight, x)
             comp_loss = _output_loss(w, comp_p.layers[0].weight, x)
@@ -406,15 +424,15 @@ class TestApplyPlan:
         x = rng.normal(size=(d, d + 4))
         calib = CalibrationBatch(inputs=(x,))
         entries = rank_weights(p, calib, [0])
-        pruned, plan = apply_plan(
-            p, entries, 2 * d, compensate=True, calib=calib, reestimate=True
+        pruned, plan, _ = prune_to_budget(
+            p, entries[: 2 * d], compensate=True, calib=calib, reestimate=True
         )
         lp = plan.layers[0]
         assert lp.compensated
         for r, c in lp.mask:
             assert pruned.layers[0].weight[r, c] == 0.0
         # refreshed curvature never does worse than plain zeroing either
-        zero_p, _ = apply_plan(p, entries, 2 * d)
+        zero_p, _, _ = prune_to_budget(p, entries[: 2 * d])
         assert _output_loss(w, pruned.layers[0].weight, x) <= _output_loss(
             w, zero_p.layers[0].weight, x
         ) + 1e-10
@@ -425,7 +443,7 @@ class TestApplyPlan:
         states = [rng.normal(size=p.input_dim) for _ in range(12)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [0, 1], damping="auto")
-        pruned, plan = apply_plan(p, entries, len(entries) // 3)
+        pruned, plan, _ = prune_to_budget(p, entries[: len(entries) // 3])
         for lp in plan.layers:
             delta = pruned.layers[lp.layer].weight - p.layers[lp.layer].weight
             truth = spectral_norm(delta) if delta.any() else 0.0
@@ -434,7 +452,7 @@ class TestApplyPlan:
     def test_reestimate_needs_compensation(self):
         _, p, _, calib, entries = self._setup()
         with pytest.raises(ValueError, match="compensate"):
-            apply_plan(p, entries, 2, calib=calib, reestimate=True)
+            prune_to_budget(p, entries[:2], calib=calib, reestimate=True)
         with pytest.raises(ValueError, match="compensate"):
             prune_to_budget(p, entries, {0: 1.0}, calib=calib, reestimate=True)
 
@@ -453,8 +471,8 @@ class TestApplyPlan:
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        pruned, plan = apply_plan(
-            p, ranking, len(ranking) * 2 // 3, compensate=compensate, damping="auto",
+        pruned, plan, _ = prune_to_budget(
+            p, ranking[: len(ranking) * 2 // 3], compensate=compensate, damping="auto",
             calib=calib, reestimate=reestimate,
         )
         # the uncapped walk takes no norm per removal, only the plan's own
@@ -463,11 +481,6 @@ class TestApplyPlan:
         for lp in plan.layers:
             delta = pruned.layers[lp.layer].weight - p.layers[lp.layer].weight
             assert lp.delta_spectral_norm == spectral_norm(delta)
-
-    def test_count_out_of_range(self):
-        _, p, _, _, entries = self._setup()
-        with pytest.raises(ValueError):
-            apply_plan(p, entries, len(entries) + 1)
 
 
 class TestPrunePlanConstruction:
@@ -497,7 +510,7 @@ class TestPrunePlanConstruction:
         states = [rng.normal(size=p.input_dim) for _ in range(10)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [1], damping="auto")
-        pruned, plan = apply_plan(p, entries, len(entries) // 2)
+        pruned, plan, _ = prune_to_budget(p, entries[: len(entries) // 2])
         recovered = PrunePlan.from_policies(p, pruned)
         assert [lp.layer for lp in recovered.layers] == [lp.layer for lp in plan.layers]
         for lp_a, lp_b in zip(plan.layers, recovered.layers):
