@@ -39,7 +39,10 @@ from prunecert.controlsim import (
     Pendulum,
     deviation_audit,
 )
-from prunecert.policy import _write_json, load_policy, save_policy
+from prunecert.policy import (
+    _choice, _fields, _list, _number, _numbers, _read_json, _switch, _value, _write_json,
+    load_policy, save_policy,
+)
 from prunecert.pruner import (
     PrunePlan,
     Ranking,
@@ -80,7 +83,7 @@ def _read(path, parse):
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
-    except (ValueError, KeyError, TypeError, RecursionError, UsageError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -91,11 +94,6 @@ def _write(path, write, *args) -> None:
         write(path, *args)
     except OSError as exc:
         raise UsageError(f"{path}: cannot write ({exc.strerror or exc})") from exc
-
-
-def _json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _load_states_csv(path, expected_dim: int) -> list[np.ndarray]:
@@ -120,93 +118,70 @@ def _load_states_csv(path, expected_dim: int) -> list[np.ndarray]:
 # certificate JSON schema
 # ---------------------------------------------------------------------------
 
+# key -> (parse, fallback) for ``policy._fields``, one row per certificate
+# field for its reader and writer alike.  A fallback fills a field older
+# certificates lack; None is no fallback.
+_CERT = {
+    "layers": (_list(), None),
+    "budget": (_number(float), None),
+    "radius": (_number(float, 0.0), None),
+    "radius_source": (_choice("radius", "states"), "radius"),
+    "audit": (_value, None),  # read by the _CERT_AUDIT table
+    "holds": (_switch, None),  # required, though ``Certificate.holds`` derives it
+}
+_CERT_ROW = {
+    "k": (_number(int, 0), None),
+    "c_max": (_number(float), None),
+    "delta_spectral": (_number(float), None),
+    "contribution": (_number(float), None),
+}
+_CERT_AUDIT = {
+    "samples": (_number(int, 1), None),
+    "max_dev": (_number(float), None),
+    "mean_dev": (_number(float), lambda got: got["max_dev"]),
+    "violations": (_number(int, 0), None),
+    "tightness": (_number(float), 0.0),
+    "margin": (_number(float), lambda got: got["budget"] - got["max_dev"]),
+    "seed": (_number(int, 0), None),
+}
+
+# certificate key -> the attribute that holds it, where the two differ
+_ATTRS = {"layers": "rows", "k": "layer"}
+
+
+def _attrs(obj, table: dict) -> dict:
+    return {key: getattr(obj, _ATTRS.get(key, key)) for key in table}
+
+
+def _named(make, got: dict):
+    return make(**{_ATTRS.get(key, key): value for key, value in got.items()})
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     """Serialize a certificate with its audit evidence."""
-    a = cert.audit
     return {
-        "layers": [
-            {
-                "k": r.layer,
-                "c_max": r.c_max,
-                "delta_spectral": r.delta_spectral,
-                "contribution": r.contribution,
-            }
-            for r in cert.rows
-        ],
-        "budget": cert.budget,
-        "radius": cert.radius,
-        "radius_source": cert.radius_source,
-        "audit": {
-            "samples": a.samples,
-            "max_dev": a.max_dev,
-            "mean_dev": a.mean_dev,
-            "violations": a.violations,
-            "tightness": a.tightness,
-            "margin": a.margin,
-            "seed": a.seed,
-        },
-        "holds": cert.holds,
+        **_attrs(cert, _CERT),
+        "layers": [_attrs(r, _CERT_ROW) for r in cert.rows],
+        "audit": _attrs(cert.audit, _CERT_AUDIT),
         "timestamp": _timestamp(),
     }
 
 
 def certificate_from_dict(d) -> Certificate:
-    """Parse the certificate schema back into a Certificate.
-
-    Each field goes through the option parser of its type, so a fractional
-    or boolean count, an overflowing number or an unknown radius source is
-    an error that names the field; "NaN" and "Infinity" read as floats.
-    Fields older certificates lack take their fallbacks: ``mean_dev`` is the
-    ``max_dev``, ``tightness`` 0, ``margin`` ``budget - max_dev`` and
-    ``radius_source`` "radius".
-    """
-
-    def field(obj, where: str, key: str, parse, default=REQUIRED):
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where[:-1] or 'certificate'}: expected an object")
-        value = obj.get(key, default)
-        if value is None or value is REQUIRED:
-            raise ValueError(f"missing field '{where}{key}'")
-        return parse(value, where + key)
-
-    def listed(value, key: str) -> list:
-        if not isinstance(value, list):
-            raise ValueError(f"{key}: expected a list")
-        return value
-
-    count, real = _number(int, 0), _number(float)
-    rows = tuple(
-        CertificateRow(
-            layer=field(r, f"layers[{i}].", "k", count),
-            c_max=field(r, f"layers[{i}].", "c_max", real),
-            delta_spectral=field(r, f"layers[{i}].", "delta_spectral", real),
-            contribution=field(r, f"layers[{i}].", "contribution", real),
-        )
-        for i, r in enumerate(field(d, "", "layers", listed))
+    """Parse the certificate schema back into a Certificate, each field by
+    its table row; a field that breaks its row is an error that names it."""
+    got = _fields(d, "", _CERT, {})
+    del got["holds"]
+    got["layers"] = tuple(
+        _named(CertificateRow, _fields(r, f"layers[{i}].", _CERT_ROW, got))
+        for i, r in enumerate(got["layers"])
     )
-    budget = field(d, "", "budget", real)
-    a = field(d, "", "audit", lambda value, key: value)  # an object, as its fields check
-    max_dev = field(a, "audit.", "max_dev", real)
-    field(d, "", "holds", _switch)  # required, though ``holds`` is derived from the audit
-    return Certificate(
-        rows=rows,
-        budget=budget,
-        radius=field(d, "", "radius", real),
-        radius_source=field(d, "", "radius_source", _choice("radius", "states"), "radius"),
-        audit=AuditSummary(
-            samples=field(a, "audit.", "samples", _number(int, 1)),
-            max_dev=max_dev,
-            mean_dev=field(a, "audit.", "mean_dev", real, max_dev),
-            violations=field(a, "audit.", "violations", count),
-            tightness=field(a, "audit.", "tightness", real, 0.0),
-            margin=field(a, "audit.", "margin", real, budget - max_dev),
-            seed=field(a, "audit.", "seed", count),
-        ),
-    )
+    got["audit"] = _named(AuditSummary, _fields(got["audit"], "audit.", _CERT_AUDIT, got))
+    return _named(Certificate, got)
 
 
 def _certificate(path) -> Certificate:
-    return certificate_from_dict(_json(path))
+    return certificate_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -215,63 +190,7 @@ def _certificate(path) -> Certificate:
 
 def _text(value, key: str) -> str | None:
     if value is not None and not isinstance(value, str):
-        raise UsageError(f"{key}: expected a string, got {value!r}")
-    return value
-
-
-def _number(kind, low=None, high=None):
-    """Parser of one ``kind`` number in ``[low, high]``; ``None`` passes.
-
-    A flag gives the number's text; a config file may give the number itself
-    or its text.  Booleans, and fractional numbers where an integer is
-    wanted, are rejected.
-    """
-
-    def parse(value, key: str):
-        if value is None:
-            return None
-        try:
-            # type(), not isinstance(): a JSON true is no number
-            v = kind(value) if isinstance(value, str) or type(value) in (int, kind) else None
-        except (ValueError, OverflowError):
-            v = None
-        if v is None:
-            raise UsageError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
-                             f"got {value!r}")
-        if (low is not None and not v >= low) or (high is not None and not v <= high):
-            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise UsageError(f"{key}: must be {span}, got {v}")
-        return v
-
-    return parse
-
-
-def _numbers(kind):
-    """Parser of a comma-separated string or a JSON list of ``kind`` numbers."""
-    item = _number(kind)
-
-    def parse(value, key: str) -> tuple | None:
-        items = value.split(",") if isinstance(value, str) else value
-        if items is not None and (not isinstance(items, list) or None in items):
-            raise UsageError(f"{key}: expected a comma-separated list, got {value!r}")
-        return None if items is None else tuple(item(v, key) for v in items)
-
-    return parse
-
-
-def _choice(*names: str):
-    def parse(value, key: str):
-        if value is not None and value not in names:
-            raise UsageError(f"{key}: expected one of {', '.join(names)}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _switch(value, key: str) -> bool:
-    """A store-true flag; a config file must give a JSON ``true`` or ``false``."""
-    if not isinstance(value, bool):
-        raise UsageError(f"{key}: expected true or false, got {value!r}")
+        raise ValueError(f"{key}: expected a string, got {value!r}")
     return value
 
 
@@ -280,14 +199,14 @@ def _damping(value, key: str) -> float | str:
         return "auto"
     try:
         return _number(float, 0.0)(value, key)
-    except UsageError as exc:
-        raise UsageError(f"{key}: expected a number >= 0 or 'auto', got {value!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{key}: expected a number >= 0 or 'auto', got {value!r}") from exc
 
 
 def _paths(value, key: str) -> tuple[str, ...]:
     """Report's positional file names; a config file gives a JSON list."""
     if not value or not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise UsageError(f"{key}: expected a nonempty list of file names, got {value!r}")
+        raise ValueError(f"{key}: expected a nonempty list of file names, got {value!r}")
     return tuple(value)
 
 
@@ -367,7 +286,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """
     file_cfg = {}
     if args.config is not None:
-        file_cfg = _read(args.config, _json)
+        file_cfg = _read(args.config, _read_json)
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(file_cfg) - set(OPTIONS))
@@ -389,7 +308,10 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             if value is REQUIRED:
                 what = "at least one certificate file" if parse is _paths else _flags([key])
                 raise UsageError(f"{args.command} needs {what}")
-            setattr(cfg, key, parse(value, key))
+            try:
+                setattr(cfg, key, parse(value, key))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
     return cfg
 
 
@@ -474,9 +396,10 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
     _write(out / "pruned_model.json", lambda path: save_policy(pruned, path))
-    _write(out / "prune_plan.json", _write_json, _plan_dict(plan, taken, cfg))
-    total = sum(len(lp.mask) for lp in plan.layers)
-    print(f"pruned {total} weights across layers {[lp.layer for lp in plan.layers]}")
+    plan_dict = _plan_dict(plan, taken, cfg)
+    _write(out / "prune_plan.json", _write_json, plan_dict)
+    print(f"pruned {plan_dict['pruned_weights']} weights across layers "
+          f"{[lp.layer for lp in plan.layers]}")
     print(f"wrote {out / 'pruned_model.json'} and {out / 'prune_plan.json'}")
     return EXIT_OK
 
@@ -515,7 +438,7 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
 
 
 def _linear_system(path) -> dict:
-    spec = _json(path)
+    spec = _read_json(path)
     if not isinstance(spec, dict) or "A" not in spec or "B" not in spec:
         raise ValueError("expected an object with 'A' and 'B'")
     return {"a": np.asarray(spec["A"], dtype=float), "b": np.asarray(spec["B"], dtype=float)}

@@ -2,8 +2,10 @@
 
 Every activation in the registry anchors at zero and never amplifies
 distances, which keeps each layer's output norm below its input norm; the
-deviation certificates lean on exactly that property.  The canonical model
-JSON schema lives here so files round-trip through one serializer.
+deviation certificates lean on exactly that property.  The canonical JSON
+lives here too: one writer, one parser per value type, and ``_fields``,
+which reads an object from a table of one row per field, for the model
+schema here and the certificate schema in ``cli`` alike.
 """
 
 from __future__ import annotations
@@ -177,80 +179,100 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model JSON schema
+# canonical JSON: one parser per value type, one field walker, one writer,
+# and the model schema
 # ---------------------------------------------------------------------------
 
-def policy_to_dict(p: MlpPolicy) -> dict:
-    """Canonical dict form of a policy (weights row-major, outer index =
-    output neuron)."""
-    return {
-        "layers": [
-            {
-                "weights": layer.weight.tolist(),
-                "bias": layer.bias.tolist(),
-                "activation": {
-                    "kind": layer.activation.kind,
-                    "alpha": layer.activation.alpha,
-                },
-            }
-            for layer in p.layers
-        ]
-    }
+def _number(kind, low=None, high=None):
+    """Parser of one ``kind`` number in ``[low, high]``; ``None`` passes.
 
+    The value may be the number itself or its text, so "NaN" and "Infinity"
+    read as floats.  Booleans, and fractional numbers where an integer is
+    wanted, are rejected.
+    """
 
-def _parse_activation(obj, where: str) -> ActivationKind:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"{where}: activation must be an object with a 'kind' field")
-    kind = obj["kind"]
-    alpha = obj.get("alpha", 1.0)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-        raise ValueError(f"{where}.alpha: expected a number, got {alpha!r}")
-    try:
-        return ActivationKind(kind=kind, alpha=float(alpha))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def policy_from_dict(d) -> MlpPolicy:
-    """Parse the model schema, reporting the offending field on failure."""
-    if not isinstance(d, dict) or "layers" not in d:
-        raise ValueError("model: expected an object with a 'layers' field")
-    raw_layers = d["layers"]
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise ValueError("model.layers: expected a nonempty list")
-    layers = []
-    for i, raw in enumerate(raw_layers):
-        where = f"model.layers[{i}]"
-        if not isinstance(raw, dict):
-            raise ValueError(f"{where}: expected an object")
-        for field in ("weights", "bias", "activation"):
-            if field not in raw:
-                raise ValueError(f"{where}: missing field '{field}'")
-        weights = raw["weights"]
-        if (
-            not isinstance(weights, list)
-            or not weights
-            or not all(isinstance(row, list) for row in weights)
-        ):
-            raise ValueError(f"{where}.weights: expected a nonempty list of rows")
-        width = len(weights[0])
-        if any(len(row) != width for row in weights):
-            raise ValueError(f"{where}.weights: rows must all have equal length")
-        activation = _parse_activation(raw["activation"], f"{where}.activation")
+    def parse(value, key: str):
+        if value is None:
+            return None
         try:
-            layers.append(
-                Layer(
-                    weight=np.asarray(weights, dtype=float),
-                    bias=np.asarray(raw["bias"], dtype=float),
-                    activation=activation,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    try:
-        return MlpPolicy(layers=tuple(layers))
-    except ValueError as exc:
-        raise ValueError(f"model: {exc}") from exc
+            # type(), not isinstance(): a JSON true is no number
+            v = kind(value) if isinstance(value, str) or type(value) in (int, kind) else None
+        except (ValueError, OverflowError):
+            v = None
+        if v is None:
+            raise ValueError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                             f"got {value!r}")
+        if (low is not None and not v >= low) or (high is not None and not v <= high):
+            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{key}: must be {span}, got {v}")
+        return v
+
+    return parse
+
+
+def _numbers(kind):
+    """Parser of a comma-separated string or a JSON list of ``kind`` numbers."""
+    item = _number(kind)
+
+    def parse(value, key: str) -> tuple | None:
+        items = value.split(",") if isinstance(value, str) else value
+        if items is not None and (not isinstance(items, list) or None in items):
+            raise ValueError(f"{key}: expected a comma-separated list, got {value!r}")
+        return None if items is None else tuple(item(v, key) for v in items)
+
+    return parse
+
+
+def _choice(*names: str):
+    def parse(value, key: str):
+        if value is not None and value not in names:
+            raise ValueError(f"{key}: expected one of {', '.join(names)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _switch(value, key: str) -> bool:
+    """A JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key}: expected true or false, got {value!r}")
+    return value
+
+
+def _list(nonempty: bool = False):
+    def parse(value, key: str) -> list:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ValueError(f"{key}: expected a {'nonempty ' if nonempty else ''}list")
+        return value
+
+    return parse
+
+
+def _value(value, key: str):
+    """Any value: an object read by its own table, or checked by its class."""
+    return value
+
+
+def _fields(obj, where: str, table: dict, got: dict) -> dict:
+    """The fields of the JSON object ``obj`` that ``table`` lists, by key.
+
+    ``table`` maps each key to ``(parse, fallback)``.  A key ``obj`` lacks
+    takes the fallback, called, when callable, with the fields read so far:
+    ``got`` (the enclosing object's) and this table's rows above it.  A field
+    still absent, or null, is missing; any other value goes through
+    ``parse(value, where + key)``, whose error names the field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where[:-1] or 'top level'}: expected an object")
+    out = {}
+    for key, (parse, fallback) in table.items():
+        value = obj.get(key, fallback)
+        if key not in obj and callable(fallback):
+            value = fallback(got | out)
+        if value is None:
+            raise ValueError(f"missing field '{where}{key}'")
+        out[key] = parse(value, where + key)
+    return out
 
 
 # elements per write of a long list: bounds the memory of one write while
@@ -335,12 +357,61 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def policy_to_dict(p: MlpPolicy) -> dict:
+    """Canonical dict form of a policy (weights row-major, outer index =
+    output neuron)."""
+    return {"layers": [
+        {"weights": layer.weight.tolist(), "bias": layer.bias.tolist(),
+         "activation": {"kind": layer.activation.kind, "alpha": layer.activation.alpha}}
+        for layer in p.layers
+    ]}
+
+
+def _rows(value, key: str) -> list:
+    """A weight matrix: a nonempty list of rows of one length."""
+    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
+        raise ValueError(f"{key}: expected a nonempty list of rows")
+    if len({*map(len, value)}) > 1:
+        raise ValueError(f"{key}: rows must all have equal length")
+    return value
+
+
+# key -> (parse, fallback) for ``_fields``, one row per model field; None is
+# no fallback.  Layer and ActivationKind check the values they are built from.
+_MODEL = {"layers": (_list(nonempty=True), None)}
+_LAYER = {"weights": (_rows, None), "bias": (_value, None), "activation": (_value, None)}
+_ACTIVATION = {"kind": (_value, None), "alpha": (_number(float), 1.0)}
+
+
+def _build(where: str, make, *args):
+    """``make(*args)``, an error of its own checks prefixed with ``where``."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def policy_from_dict(d) -> MlpPolicy:
+    """Parse the model schema; an error names the offending field's path."""
+    layers = []
+    for i, raw in enumerate(_fields(d, "model.", _MODEL, {})["layers"]):
+        where = f"model.layers[{i}]"
+        got = _fields(raw, where + ".", _LAYER, {})
+        act = _fields(got["activation"], where + ".activation.", _ACTIVATION, {})
+        activation = _build(where + ".activation", ActivationKind, act["kind"], act["alpha"])
+        layers.append(_build(where, Layer, got["weights"], got["bias"], activation))
+    return _build("model", MlpPolicy, tuple(layers))
+
+
 def save_policy(p: MlpPolicy, path) -> None:
     """Write the canonical JSON form (stable bytes for identical values)."""
     _write_json(path, policy_to_dict(p))
 
 
-def load_policy(path) -> MlpPolicy:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return policy_from_dict(data)
+        return json.load(fh)
+
+
+def load_policy(path) -> MlpPolicy:
+    return policy_from_dict(_read_json(path))

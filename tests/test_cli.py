@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,17 @@ from prunecert.cli import (
     derive_seed,
     main,
 )
+from prunecert.certifier import StateSpaceSpec, certify
 from prunecert.controlsim import DoubleIntegrator, LinearSystem, Pendulum
 from prunecert.linalg import spectral_norm
-from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy, save_policy
+from prunecert.policy import (
+    ActivationKind,
+    Layer,
+    MlpPolicy,
+    _write_json,
+    load_policy,
+    save_policy,
+)
 from prunecert.pruner import collect_calibration
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1205,6 +1214,12 @@ class TestCertificateFields:
                          "expected one of radius, states, got 'moon'", id="radius-source"),
             pytest.param({"holds": "yes"}, "holds",
                          "expected true or false, got 'yes'", id="text-holds"),
+            # a NaN or negative radius left every visited state outside the
+            # ball, so simulate passed vacuously with in_ball_count 0
+            pytest.param({"radius": "NaN"}, "radius",
+                         "must be at least 0.0, got nan", id="nan-radius"),
+            pytest.param({"radius": -1.0}, "radius",
+                         "must be at least 0.0, got -1.0", id="negative-radius"),
         ],
     )
     def test_a_mistyped_field_is_named(
@@ -1257,6 +1272,64 @@ class TestCertificateFields:
         restored = certificate_from_dict(doctored)
         assert math.isnan(restored.audit.max_dev) and restored.budget == math.inf
         assert not restored.holds
+
+
+def _exact(value):
+    """``value`` with each float as its exact hex form (a NaN as "nan")."""
+    if isinstance(value, tuple):
+        return tuple(map(_exact, value))
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else value.hex()
+    return value
+
+
+def _pruned_copy(p: MlpPolicy, rng) -> MlpPolicy:
+    return MlpPolicy(layers=tuple(
+        Layer(weight=layer.weight * (rng.random(layer.weight.shape) < 0.6),
+              bias=layer.bias, activation=layer.activation)
+        for layer in p.layers
+    ))
+
+
+class TestCertificateRoundTrip:
+    """The certificate's writer and reader walk the same three tables: the
+    written keys are the tables' keys plus ``timestamp``, and reading the
+    written bytes gives back every field bit for bit, a NaN as a NaN."""
+
+    @pytest.fixture(params=[*range(6), "overflow"])
+    def cert(self, request):
+        if request.param == "overflow":
+            # every output overflows, so max_dev, mean_dev, margin and tightness are NaN
+            identity = ActivationKind("identity")
+            original, pruned = (
+                MlpPolicy(layers=(Layer(weight=[[1e308, w]], bias=[0.0], activation=identity),))
+                for w in (1e308, math.nextafter(1e308, 0.0))
+            )
+            space = StateSpaceSpec(dim=2, radius=3.0, box=([1.0, 1.0], [2.0, 2.0]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return certify(original, pruned, space, 100, 0)
+        rng = np.random.default_rng(700 + request.param)
+        original = random_policy(rng, max_width=8)
+        space = StateSpaceSpec(dim=original.input_dim, radius=float(rng.uniform(0.5, 4.0)))
+        return certify(original, _pruned_copy(original, rng), space, 200, request.param)
+
+    @staticmethod
+    def _written(tmp_path, cert):
+        path = tmp_path / "certificate.json"
+        _write_json(path, cli.certificate_to_dict(cert))
+        return json.loads(path.read_bytes())
+
+    def test_the_written_keys_are_the_tables_keys(self, tmp_path, cert):
+        written = self._written(tmp_path, cert)
+        assert set(written) == {*cli._CERT, "timestamp"}
+        assert set(written["audit"]) == set(cli._CERT_AUDIT)
+        assert len(written["layers"]) == len(cert.rows)
+        assert all(set(row) == set(cli._CERT_ROW) for row in written["layers"])
+
+    def test_the_written_bytes_read_back_bit_for_bit(self, tmp_path, cert):
+        restored = certificate_from_dict(self._written(tmp_path, cert))
+        assert _exact(astuple(restored)) == _exact(astuple(cert))
+        assert restored.holds is cert.holds
 
 
 class TestOutputPaths:
@@ -1571,6 +1644,18 @@ class TestRequiredOptions:
         assert main(_argv("simulate", {**options, key: value}, out)) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: --dynamics {dynamics} takes no --{key}"]
+        assert not out.exists()
+
+    def test_a_mistyped_model_field_is_named(self, full, tmp_path, capsys):
+        model = json.loads((FIXTURES / "pendulum_policy.json").read_text())
+        model["layers"][0]["activation"]["alpha"] = True
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(model))
+        out = tmp_path / "o"
+        assert main(_argv("certify", {**full["certify"], "pruned": str(bad)}, out)) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: model.layers[0].activation.alpha: expected a number, got True"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -234,6 +234,11 @@ class TestStructuralValidation:
             p.layers[0].weight[0, 0] = 2.0
 
 
+def _model_layer(**fields) -> dict:
+    """One valid 1x2 relu layer of the model schema, with ``fields`` replaced."""
+    return {"weights": [[1.0, -0.5]], "bias": [0.0], "activation": {"kind": "relu"}, **fields}
+
+
 class TestModelJson:
     def test_round_trip_values(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -265,6 +270,55 @@ class TestModelJson:
         with pytest.raises(ValueError, match=r"layers\[0\]"):
             policy_from_dict({"layers": [{"weights": [[1.0], [2.0, 3.0]],
                                           "bias": [0.0], "activation": {"kind": "relu"}}]})
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            pytest.param([], "model: expected an object", id="non-object-model"),
+            pytest.param({}, "missing field 'model.layers'", id="missing-layers"),
+            pytest.param({"layers": None}, "missing field 'model.layers'", id="null-layers"),
+            pytest.param({"layers": []}, "model.layers: expected a nonempty list",
+                         id="empty-layers"),
+            pytest.param({"layers": [[1.0]]}, "model.layers[0]: expected an object",
+                         id="non-object-layer"),
+            *(
+                pytest.param({"layers": [{**_model_layer(), key: None}]},
+                             f"missing field 'model.layers[0].{key}'", id=f"null-{key}")
+                for key in ("weights", "bias", "activation")
+            ),
+            *(
+                pytest.param({"layers": [{k: v for k, v in _model_layer().items() if k != key}]},
+                             f"missing field 'model.layers[0].{key}'", id=f"missing-{key}")
+                for key in ("weights", "bias", "activation")
+            ),
+            pytest.param({"layers": [_model_layer(weights=[[1.0], [2.0, 3.0]])]},
+                         "model.layers[0].weights: rows must all have equal length",
+                         id="ragged-rows"),
+            pytest.param({"layers": [_model_layer(activation={"alpha": 0.5})]},
+                         "missing field 'model.layers[0].activation.kind'", id="missing-kind"),
+            pytest.param({"layers": [_model_layer(activation={"kind": "gelu"})]},
+                         "model.layers[0].activation: unknown or uncertified activation kind "
+                         "'gelu'; certified kinds: relu, leaky_relu, prelu, elu, identity",
+                         id="uncertified-kind"),
+            pytest.param({"layers": [_model_layer(activation={"kind": "elu", "alpha": True})]},
+                         "model.layers[0].activation.alpha: expected a number, got True",
+                         id="boolean-alpha"),
+            pytest.param({"layers": [_model_layer(activation={"kind": "elu", "alpha": 0})]},
+                         "model.layers[0].activation: alpha must lie in (0, 1], got 0.0",
+                         id="zero-alpha"),
+        ],
+    )
+    def test_a_broken_field_is_one_error_naming_its_path(self, model, message):
+        with pytest.raises(ValueError) as exc:
+            policy_from_dict(model)
+        assert str(exc.value) == message
+
+    def test_alpha_reads_as_certificate_floats_do(self):
+        # a numeric string reads as its number; a missing alpha is 1
+        layers = [_model_layer(activation={"kind": "elu", "alpha": "0.25"}), _model_layer()]
+        layers[1]["weights"] = [[1.0]]
+        p = policy_from_dict({"layers": layers})
+        assert [layer.activation.alpha for layer in p.layers] == [0.25, 1.0]
 
     def test_parse_error_on_syntax_has_location(self, tmp_path):
         path = tmp_path / "bad.json"
