@@ -61,19 +61,28 @@ class ActivationKind:
         object.__setattr__(self, "alpha", alpha)
 
 
+def _activate(kind: ActivationKind, y: np.ndarray) -> np.ndarray:
+    """Apply the activation to ``y`` in place and return ``y``."""
+    if kind.kind == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif kind.kind != "identity":
+        # not y >= 0, so a NaN takes the negative branch and stays NaN
+        negative = ~(y >= 0.0)
+        if kind.kind == "elu":
+            # negative branch only: alpha*(e^x - 1) overtakes x for x > 0,
+            # which would break the unit-slope guarantee
+            branch = np.minimum(y, 0.0)
+            np.expm1(branch, out=branch)
+            np.multiply(branch, kind.alpha, out=y, where=negative)
+        else:
+            # prelu's alpha is learnable during training; at inference the two agree
+            np.multiply(y, kind.alpha, out=y, where=negative)
+    return y
+
+
 def apply_activation(kind: ActivationKind, v) -> np.ndarray:
     """Apply the activation componentwise; accepts vectors and batches."""
-    x = np.asarray(v, dtype=float)
-    if kind.kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind.kind in ("leaky_relu", "prelu"):
-        # prelu's alpha is learnable during training; at inference the two agree
-        return np.where(x >= 0.0, x, kind.alpha * x)
-    if kind.kind == "elu":
-        # negative branch only: alpha*(e^x - 1) overtakes x for x > 0,
-        # which would break the unit-slope guarantee
-        return np.where(x >= 0.0, x, kind.alpha * np.expm1(np.minimum(x, 0.0)))
-    return x.copy()  # identity
+    return _activate(kind, np.array(v, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +155,19 @@ class MlpPolicy:
 
 def _propagate(p: MlpPolicy, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
     """The one layer loop: push a state (vector) or a batch (columns) through
-    every layer, appending each layer's input to ``inputs`` when given."""
+    every layer, appending each layer's input to ``inputs`` when given.
+
+    Each layer's output is a fresh matmul result that the bias and the
+    activation then overwrite in place, with no temporary of its size but
+    ELU's one, and neither ``x`` nor any array appended to ``inputs`` is
+    ever written.
+    """
     for layer in p.layers:
         if inputs is not None:
             inputs.append(x)
-        bias = layer.bias[:, None] if x.ndim == 2 else layer.bias
-        x = apply_activation(layer.activation, layer.weight @ x + bias)
+        y = layer.weight @ x
+        y += layer.bias[:, None] if x.ndim == 2 else layer.bias
+        x = _activate(layer.activation, y)
     return x
 
 
@@ -168,14 +184,26 @@ def forward(p: MlpPolicy, s) -> np.ndarray:
 def forward_batch(p: MlpPolicy, states) -> np.ndarray:
     """Evaluate the policy on a batch of states stored as columns.
 
-    ``states`` is (input_dim, n); the result is (output_dim, n).
+    ``states`` is (input_dim, n); the result is (output_dim, n).  The
+    columns go through in the fewest equal blocks that keep every layer's
+    output within ``_BLOCK`` floats, so memory stays bounded however many
+    states there are.
     """
     x = linalg.as_matrix(states, "states")
     if x.shape[0] != p.input_dim:
         raise ValueError(
             f"states have dim {x.shape[0]} but policy expects {p.input_dim}"
         )
-    return _propagate(p, x)
+    n = x.shape[1]
+    # ceil(n / columns per block), so no block is wider than that
+    blocks = -(-n // max(1, _BLOCK // max(layer.out_dim for layer in p.layers)))
+    if blocks == 1:
+        return _propagate(p, x)
+    out = np.empty((p.output_dim, n))
+    for i in range(blocks):
+        lo, hi = i * n // blocks, (i + 1) * n // blocks
+        out[:, lo:hi] = _propagate(p, x[:, lo:hi])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +306,11 @@ def _fields(obj, where: str, table: dict, got: dict) -> dict:
 # elements per write of a long list: bounds the memory of one write while
 # keeping the number of writes small
 _CHUNK = 4096
+
+# floats per layer output in one block of ``forward_batch``: 16 MB.  The
+# blocks are equal, so none is a thin remainder that falls under the size
+# where OpenBLAS switches to a small-matrix kernel that rounds differently.
+_BLOCK = 2**21
 
 
 def _chunk_formatter(items, inner: str):

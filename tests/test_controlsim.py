@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_step, random_policy, scaled_certificate
+from prunecert import linalg
 from prunecert.certifier import StateSpaceSpec, certify
 from prunecert.controlsim import (
     BlowUpError,
@@ -327,6 +328,26 @@ class TestDeviationAudit:
                 assert np.linalg.norm(state) > cert.radius
                 outside += 1
         assert outside == report.out_of_ball_count
+
+    @pytest.mark.parametrize("growth", [1.0 + 2.0**-20, 1e10], ids=["moderate", "1e-300-to-1e300"])
+    def test_divergence_bits_match_per_state_norms(self, growth):
+        # the pruned loop scales a seeded state by ``growth`` each step while
+        # the original one stands still; at 1e10 per step from a subnormal
+        # state the gaps run from 1e-300 to 1e300, so their squares underflow
+        # and overflow at either end
+        rng = np.random.default_rng(21)
+        x0 = rng.normal(size=3) * (1e-310 if growth > 2 else 1.0)
+        original = MlpPolicy((Layer(np.zeros((3, 3)), np.zeros(3), ActivationKind("identity")),))
+        pruned = MlpPolicy((Layer((growth - 1.0) * np.diag(rng.uniform(0.5, 1.0, 3)),
+                                  np.zeros(3), ActivationKind("identity")),))
+        cert = certify(original, pruned, StateSpaceSpec(dim=3, radius=1.0), n=10, seed=0)
+        d = LinearSystem(a=np.eye(3), b=np.eye(3))
+        report = deviation_audit(d, original, pruned, cert, x0, 60)
+        gaps = report.loops[0].states - report.loops[1].states
+        expected = np.array([linalg.vector_norm(g) for g in gaps])
+        assert report.divergence.tobytes() == expected.tobytes()
+        if growth > 2:
+            assert expected[1] < 1e-290 and expected[-1] > 1e290
 
     def test_huge_outputs_do_not_overflow(self):
         # the state stays at (0.5, 0), where the outputs differ by 5e159,

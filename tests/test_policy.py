@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CERTIFIED_SAMPLES, naive_forward, random_policy
 from prunecert import policy
+from prunecert.certifier import audit_states
 from prunecert.policy import (
     ActivationKind,
     Layer,
@@ -21,6 +23,7 @@ from prunecert.policy import (
     policy_to_dict,
     save_policy,
 )
+from prunecert.pruner import collect_calibration
 
 
 class TestActivationKind:
@@ -39,7 +42,53 @@ class TestActivationKind:
         assert ActivationKind("elu", 1.0).alpha == 1.0
 
 
+def _where_activation(kind, x):
+    """The activations as out-of-place ``np.where`` formulas: the oracle the
+    in-place activation must match bit for bit."""
+    if kind.kind == "relu":
+        return np.maximum(x, 0.0)
+    if kind.kind in ("leaky_relu", "prelu"):
+        return np.where(x >= 0.0, x, kind.alpha * x)
+    if kind.kind == "elu":
+        return np.where(x >= 0.0, x, kind.alpha * np.expm1(np.minimum(x, 0.0)))
+    return x.copy()
+
+
+_TINY = np.finfo(float).smallest_subnormal
+_EDGE_INPUTS = [0.0, -0.0, _TINY, -_TINY, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan,
+                1e308, -1e308, -745.0, -40.0, -1e-17, 1e-17]
+
+
 class TestApplyActivation:
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    @pytest.mark.parametrize("name", ["relu", "leaky_relu", "prelu", "elu", "identity"])
+    def test_bits_match_where_formulas(self, name, alpha):
+        kind = ActivationKind(name, alpha)
+        rng = np.random.default_rng(11)
+        x = np.concatenate([_EDGE_INPUTS, rng.normal(scale=20.0, size=3000),
+                            rng.normal(size=1000) * 1e-300])
+        x.setflags(write=False)
+        before = x.tobytes()
+        for v in (x, x.reshape(4, -1), x.reshape(-1, 4).T, x[::3]):
+            y = apply_activation(kind, v)
+            assert y.shape == v.shape
+            assert y.tobytes() == _where_activation(kind, v).tobytes()
+            assert not np.shares_memory(y, v)
+        assert x.tobytes() == before
+
+    def test_calibration_inputs_match_where_formulas(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            p = random_policy(rng, depth=3, max_width=9)
+            states = rng.normal(scale=2.0, size=(40, p.input_dim))
+            expected = []
+            x = states.T
+            for layer in p.layers:
+                expected.append(x)
+                x = _where_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
+            got = collect_calibration(p, list(states)).inputs
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
     def test_relu(self):
         np.testing.assert_array_equal(
             apply_activation(ActivationKind("relu"), [-1.0, 2.0, 0.0]),
@@ -161,6 +210,56 @@ class TestForward:
         batch = forward_batch(p, states)
         for j in range(17):
             np.testing.assert_allclose(batch[:, j], forward(p, states[:, j]), atol=1e-14)
+
+
+class TestForwardBatchBlocks:
+    """``forward_batch`` runs the columns through ``_propagate`` in the fewest
+    equal blocks whose widest layer output holds at most ``_BLOCK`` floats."""
+
+    def _recorded(self, monkeypatch, p, n):
+        calls = []
+
+        def recording(q, x, inputs=None):
+            out = propagate(q, x, inputs)
+            calls.append((x.shape[1], out.copy()))
+            return out
+
+        propagate = policy._propagate
+        monkeypatch.setattr(policy, "_propagate", recording)
+        states = np.random.default_rng(14).normal(size=(p.input_dim, n))
+        return forward_batch(p, states), calls
+
+    def test_wide_batch_runs_in_equal_blocks(self, monkeypatch):
+        p = random_policy(np.random.default_rng(13), dims=[2, 16384, 1])
+        out, calls = self._recorded(monkeypatch, p, 300)
+        assert [width for width, _ in calls] == [100, 100, 100]
+        joined = np.concatenate([block for _, block in calls], axis=1)
+        assert out.tobytes() == joined.tobytes()
+
+    def test_batch_within_one_block_is_one_call(self, monkeypatch):
+        p = random_policy(np.random.default_rng(13), dims=[2, 16384, 1])
+        out, calls = self._recorded(monkeypatch, p, policy._BLOCK // 16384)
+        assert [width for width, _ in calls] == [128]
+        assert out.tobytes() == calls[0][1].tobytes()
+
+    @pytest.mark.parametrize("name", ["relu", "elu"])
+    def test_audit_memory_is_bounded(self, name):
+        # the unblocked pass held three 512 x 10^4 arrays per layer, ~117 MB
+        rng = np.random.default_rng(15)
+        original = random_policy(rng, dims=[8, 512, 512, 2])
+        original = MlpPolicy(tuple(Layer(la.weight, la.bias, ActivationKind(name, 0.5))
+                                   for la in original.layers))
+        pruned = MlpPolicy(tuple(Layer(np.where(rng.random(la.weight.shape) < 0.5, 0.0,
+                                                la.weight), la.bias, la.activation)
+                                 for la in original.layers))
+        states = rng.normal(size=(8, 10_000))
+        tracemalloc.start()
+        try:
+            audit_states(original, pruned, ((0, 1.0), (1, 1.0), (2, 1.0)), states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestLipschitzUpper:
