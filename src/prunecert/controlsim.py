@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from prunecert import linalg
-from prunecert.linalg import _NORM_HIGH, _NORM_LOW, _frozen
+from prunecert.linalg import _frozen
 from prunecert.certifier import Certificate, audit_states
 from prunecert.policy import MlpPolicy, forward
 
@@ -291,14 +291,7 @@ def deviation_audit(
                                _frozen(audit.bound), _frozen(in_ball)))
     shared = min(len(loop.states) for loop in loops)
     gaps = loops[0].states[:shared] - loops[1].states[:shared]
-    # each state's 1 x n @ n x 1 product runs the dot kernel a 1-D norm runs,
-    # so it has that norm's bits (a norm along axis 1 sums in another order);
-    # a norm whose squares may have overflowed or underflowed is taken again
-    with np.errstate(over="ignore", under="ignore"):
-        divergence = np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0])
-    redo = ~((_NORM_LOW <= divergence) & (divergence < _NORM_HIGH))
-    divergence[redo] = [linalg.vector_norm(g) for g in gaps[redo]]
-    divergence = _frozen(divergence)
+    divergence = _frozen(linalg.row_norms(gaps))
     inside = np.concatenate([loop.in_ball for loop in loops])
     dev = np.concatenate([loop.deviation for loop in loops])[inside]
     return DeviationReport(

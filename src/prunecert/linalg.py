@@ -19,6 +19,7 @@ __all__ = [
     "spectral_norm",
     "spectral_norm_ceiling",
     "vector_norm",
+    "row_norms",
     "gram",
     "auto_damping",
     "damped_inverse",
@@ -180,6 +181,11 @@ def _rescaled_norm(v: np.ndarray, axis) -> np.ndarray:
     return np.ldexp(np.linalg.norm(np.ldexp(v, -shift), axis=axis), exp)
 
 
+def _stands(norm):
+    """Whether numpy's norm bits stand: the norm lies in [2^-400, 2^400)."""
+    return (_NORM_LOW <= norm) & (norm < _NORM_HIGH)
+
+
 def vector_norm(a, axis=None):
     """``np.linalg.norm(a, axis=axis)`` of a vector, or of each vector along
     ``axis`` of a 2-D array, without overflow or underflow.
@@ -195,12 +201,28 @@ def vector_norm(a, axis=None):
     with np.errstate(over="ignore"):
         out = np.linalg.norm(v, axis=axis)
         if axis is None:
-            return out if _NORM_LOW <= out < _NORM_HIGH else _rescaled_norm(v, None)
-        redo = ~((_NORM_LOW <= out) & (out < _NORM_HIGH))
+            return out if _stands(out) else _rescaled_norm(v, None)
+        redo = ~_stands(out)
         if redo.any():
             sub = np.compress(redo, v, axis=1 - axis)  # C-ordered, whatever v is
             sub = np.asfortranarray(sub) if v.flags.f_contiguous else sub
             out[redo] = _rescaled_norm(sub, axis)
+    return out
+
+
+def row_norms(a) -> np.ndarray:
+    """``vector_norm`` of each row of a 2-D array, bit for bit.
+
+    Each row's 1 x n @ n x 1 product runs the dot kernel a 1-D norm runs,
+    so it has that norm's bits (a norm along axis 1 sums in another
+    order).  A row whose norm does not stand is taken again, rescaled, as
+    ``vector_norm`` takes it.
+    """
+    g = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        redo = ~_stands(out)
+        out[redo] = [_rescaled_norm(row, None) for row in g[redo]]
     return out
 
 

@@ -185,9 +185,10 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
     """Evaluate the policy on a batch of states stored as columns.
 
     ``states`` is (input_dim, n); the result is (output_dim, n).  The
-    columns go through in the fewest equal blocks that keep every layer's
-    output within ``_BLOCK`` floats, so memory stays bounded however many
-    states there are.
+    columns go through in the fewest blocks that keep every layer's output
+    within ``_BLOCK`` floats, so memory stays bounded however many states
+    there are; a batch that fits in one block is a single call.  Block
+    boundaries fall on whole ``_TILE``-column tiles, spread evenly.
     """
     x = linalg.as_matrix(states, "states")
     if x.shape[0] != p.input_dim:
@@ -195,13 +196,13 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
             f"states have dim {x.shape[0]} but policy expects {p.input_dim}"
         )
     n = x.shape[1]
-    # ceil(n / columns per block), so no block is wider than that
-    blocks = -(-n // max(1, _BLOCK // max(layer.out_dim for layer in p.layers)))
-    if blocks == 1:
-        return _propagate(p, x)
+    most = max(1, _BLOCK // max(layer.out_dim for layer in p.layers))
+    tile = min(_TILE, most)
+    tiles = -(-n // tile)
+    blocks = -(-tiles // (most // tile))
+    bounds = [min(n, tile * (i * tiles // blocks)) for i in range(blocks + 1)]
     out = np.empty((p.output_dim, n))
-    for i in range(blocks):
-        lo, hi = i * n // blocks, (i + 1) * n // blocks
+    for lo, hi in zip(bounds, bounds[1:]):
         out[:, lo:hi] = _propagate(p, x[:, lo:hi])
     return out
 
@@ -308,9 +309,16 @@ def _fields(obj, where: str, table: dict, got: dict) -> dict:
 _CHUNK = 4096
 
 # floats per layer output in one block of ``forward_batch``: 16 MB.  The
-# blocks are equal, so none is a thin remainder that falls under the size
-# where OpenBLAS switches to a small-matrix kernel that rounds differently.
+# blocks are nearly equal, so none is a thin remainder that falls under the
+# size where OpenBLAS switches to a small-matrix kernel that rounds
+# differently.
 _BLOCK = 2**21
+
+# columns per tile of ``forward_batch``'s block boundaries.  BLAS runs a
+# matmul in tiles of a few columns and rounds the last, partial tile with
+# another kernel; boundaries on multiples of 64 give every block the whole
+# batch's tiles, so blocking keeps the single call's bits.
+_TILE = 64
 
 
 def _chunk_formatter(items, inner: str):

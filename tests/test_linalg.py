@@ -15,6 +15,7 @@ from prunecert.linalg import (
     auto_damping,
     damped_inverse,
     gram,
+    row_norms,
     spectral_norm,
     spectral_norm_ceiling,
     vector_norm,
@@ -216,6 +217,26 @@ class TestVectorNorm:
         assert vector_norm([np.inf, 1e300]) == np.inf
         assert math.isnan(vector_norm([np.nan, 1e300]))
         assert vector_norm([1.5e308, 1.5e308]) == np.inf  # beyond the float range
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64, 300])
+    def test_bits_match_vector_norm_per_row(self, dim):
+        # rows from 1e-300 to 1e300, so some squares underflow or overflow,
+        # plus an all-zero row, a subnormal one and ones past the float range
+        rng = np.random.default_rng(23)
+        rows = rng.normal(size=(400, dim)) * 10.0 ** rng.uniform(-300, 300, size=(400, 1))
+        rows[:4] = 0.0
+        rows[1, 0] = 5e-324
+        rows[2, :] = 1.5e308
+        rows[3, 0] = np.inf
+        got = row_norms(rows)
+        assert got.tobytes() == np.array([vector_norm(r) for r in rows]).tobytes()
+        assert got[0] == 0.0 and got[1] == 5e-324 and got[3] == np.inf
+
+    def test_in_range_bits_are_numpys_1d_norm(self):
+        rows = np.random.default_rng(24).normal(size=(1000, 6))
+        assert row_norms(rows).tolist() == [np.linalg.norm(r) for r in rows]
 
 
 class TestAsBox:

@@ -214,7 +214,8 @@ class TestForward:
 
 class TestForwardBatchBlocks:
     """``forward_batch`` runs the columns through ``_propagate`` in the fewest
-    equal blocks whose widest layer output holds at most ``_BLOCK`` floats."""
+    blocks whose widest layer output holds at most ``_BLOCK`` floats, with
+    boundaries on whole ``_TILE``-column tiles."""
 
     def _recorded(self, monkeypatch, p, n):
         calls = []
@@ -229,12 +230,22 @@ class TestForwardBatchBlocks:
         states = np.random.default_rng(14).normal(size=(p.input_dim, n))
         return forward_batch(p, states), calls
 
-    def test_wide_batch_runs_in_equal_blocks(self, monkeypatch):
+    def test_wide_batch_runs_in_tile_aligned_blocks(self, monkeypatch):
+        # 128 columns fit a block: five tiles, the last partial, go in three
         p = random_policy(np.random.default_rng(13), dims=[2, 16384, 1])
         out, calls = self._recorded(monkeypatch, p, 300)
-        assert [width for width, _ in calls] == [100, 100, 100]
+        assert [width for width, _ in calls] == [64, 128, 108]
         joined = np.concatenate([block for _, block in calls], axis=1)
         assert out.tobytes() == joined.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocks_keep_the_whole_batch_bits(self, order):
+        # three blocks of 1664, 1664 and 1672 columns; equal blocks of
+        # 1666-1667 columns each end in a partial tile and moved some bits
+        rng = np.random.default_rng(16)
+        p = random_policy(rng, dims=[8, 1024, 2])
+        states = np.asarray(rng.uniform(-3.0, 3.0, size=(8, 5000)), order=order)
+        assert forward_batch(p, states).tobytes() == policy._propagate(p, states).tobytes()
 
     def test_batch_within_one_block_is_one_call(self, monkeypatch):
         p = random_policy(np.random.default_rng(13), dims=[2, 16384, 1])
