@@ -40,7 +40,7 @@ from prunecert.controlsim import (
     deviation_audit,
 )
 from prunecert.policy import (
-    _choice, _fields, _list, _number, _numbers, _read_json, _switch, _value, _write_json,
+    _choice, _fields, _list, _number, _numbers, _read_json, _rows, _switch, _value, _write_json,
     load_policy, save_policy,
 )
 from prunecert.pruner import (
@@ -438,10 +438,8 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
 
 
 def _linear_system(path) -> dict:
-    spec = _read_json(path)
-    if not isinstance(spec, dict) or "A" not in spec or "B" not in spec:
-        raise ValueError("expected an object with 'A' and 'B'")
-    return {"a": np.asarray(spec["A"], dtype=float), "b": np.asarray(spec["B"], dtype=float)}
+    got = _fields(_read_json(path), "", {"A": (_rows, None), "B": (_rows, None)}, {})
+    return {"a": got["A"], "b": got["B"]}
 
 
 def _dynamics(cfg: argparse.Namespace):

@@ -1,7 +1,11 @@
 """Discrete-time closed-loop simulation for exercising certificates.
 
 The simulator is deliberately small: explicit Euler for the two physical
-fixtures, the exact map for linear systems.  Certificates bound the policy
+fixtures, the exact map for linear systems.  The closed-loop map is a
+deterministic function of the state's bits, so once ``rollout`` visits a
+state whose bytes it has seen before, the rest of the loop repeats that
+cycle; it stops integrating there and fills the remaining steps from the
+cycle, with the same bytes as integrating on.  Certificates bound the policy
 output pointwise at a state, so ``deviation_audit`` runs every state either
 loop visits through ``certifier.audit_states``, the audit ``certify`` runs
 on sampled states; how far the two trajectories drift apart is reported as
@@ -192,6 +196,13 @@ def step(d, x, u) -> np.ndarray:
 def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
     """Run the closed loop for ``T`` steps from ``x0``; fully deterministic.
 
+    The first time the state at step t has the bytes of the state at an
+    earlier step s, the loop is periodic from s with period t - s:
+    integration stops and the remaining states and actions are copied from
+    that cycle, so the policy runs once per step up to the first repeat
+    only.  Bytes, not values, are compared, since 0.0 and -0.0 are
+    different states.
+
     A blow-up, a non-finite policy output included, raises ``BlowUpError``
     with the failing step index and the partial trajectory attached.
     """
@@ -205,6 +216,7 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
     states = np.empty((T + 1, x.shape[0]))
     actions = np.empty((T, p.output_dim))
     states[0] = x
+    first = {x.tobytes(): 0}  # state bytes -> the step that first visited them
     for t in range(T):
         u = forward(p, x)
         try:
@@ -219,6 +231,13 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
             ) from exc
         actions[t] = u
         states[t + 1] = x
+        s = first.setdefault(x.tobytes(), t + 1)
+        if s <= t:
+            # step j of the rest repeats step s + (j - s) % period
+            rows = s + (np.arange(t + 1, T + 1) - s) % (t + 1 - s)
+            states[t + 1 :] = states[rows]
+            actions[t + 1 :] = actions[rows[:-1]]
+            break
     return Trajectory(states=states, actions=actions)
 
 

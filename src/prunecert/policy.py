@@ -409,18 +409,31 @@ def policy_to_dict(p: MlpPolicy) -> dict:
 
 
 def _rows(value, key: str) -> list:
-    """A weight matrix: a nonempty list of rows of one length."""
+    """A matrix: a nonempty list of rows of one length, each entry a JSON
+    number.  A boolean, a numeric string or a null, which ``float`` would
+    read, is refused; one scan of the entries' types checks them all."""
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ValueError(f"{key}: expected a nonempty list of rows")
     if len({*map(len, value)}) > 1:
         raise ValueError(f"{key}: rows must all have equal length")
+    # type(), not isinstance(): a JSON true is no number
+    if not {*map(type, chain.from_iterable(value))} <= {int, float}:
+        bad = next(v for v in chain.from_iterable(value) if type(v) not in (int, float))
+        raise ValueError(f"{key}: expected a number, got {bad!r}")
     return value
+
+
+def _row(value, key: str) -> list:
+    """A vector: a nonempty list of JSON numbers, checked as ``_rows`` checks."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{key}: expected a nonempty list of numbers")
+    return _rows([value], key)[0]
 
 
 # key -> (parse, fallback) for ``_fields``, one row per model field; None is
 # no fallback.  Layer and ActivationKind check the values they are built from.
 _MODEL = {"layers": (_list(nonempty=True), None)}
-_LAYER = {"weights": (_rows, None), "bias": (_value, None), "activation": (_value, None)}
+_LAYER = {"weights": (_rows, None), "bias": (_row, None), "activation": (_value, None)}
 _ACTIVATION = {"kind": (_value, None), "alpha": (_number(float), 1.0)}
 
 

@@ -247,8 +247,9 @@ def rank_weights(
         rows, cols = np.indices(sal.shape).reshape(2, -1)
         parts.append((np.full(sal.size, k, dtype=np.intp), rows, cols, sal.ravel()))
     layer, row, col, saliency = (np.concatenate(a) for a in zip(*parts))
-    # lexsort's last key is the primary one: (saliency, layer, row, col)
-    order = np.lexsort((col, row, layer, saliency))
+    # the entries are concatenated in (layer, row, col) order, so a stable
+    # sort on saliency alone breaks its ties on (layer, row, col)
+    order = np.argsort(saliency, kind="stable")
     return Ranking(layer[order], row[order], col[order], saliency[order])
 
 

@@ -1659,6 +1659,28 @@ class TestRequiredOptions:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "system, message",
+        [
+            ({"A": [[1.0, True], [0.0, 1.0]], "B": [[0.0], [0.01]]}, "A: expected a number, got True"),
+            ({"A": [[1.0, 0.01], [0.0, 1.0]], "B": [["0"], [0.01]]}, "B: expected a number, got '0'"),
+            ({"A": [[1.0, 0.01], [0.0, 1.0]], "B": [[False], [None]]},
+             "B: expected a number, got False"),
+            ({"A": [[1.0, 0.01], [0.0]], "B": [[0.0], [0.01]]}, "A: rows must all have equal length"),
+            ({"A": [[1.0, 0.01], [0.0, 1.0]]}, "missing field 'B'"),
+        ],
+        ids=["boolean-A", "string-B", "boolean-B", "ragged-A", "missing-B"],
+    )
+    def test_a_mistyped_system_field_is_named(self, full, tmp_path, capsys, system, message):
+        # a JSON boolean or numeric string in A or B read as a float before
+        bad = tmp_path / "bad_system.json"
+        bad.write_text(json.dumps(system))
+        options = {**full["simulate"], "dynamics": "linear", "system": str(bad)}
+        out = tmp_path / "o"
+        assert main(_argv("simulate", options, out)) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, key, text",
         [
             ("certify", "model", "{broken"),

@@ -19,7 +19,8 @@ from prunecert.controlsim import (
     rollout,
     step,
 )
-from prunecert.policy import ActivationKind, Layer, MlpPolicy, load_policy
+from prunecert import policy
+from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward, load_policy
 from prunecert.pruner import collect_calibration, prune_to_budget, rank_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -246,6 +247,120 @@ class TestRollout:
         d = DoubleIntegrator(state_box=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
         with pytest.raises(ValueError):
             rollout(d, _zero_policy(2, 1), [2.0, 0.0], 5)
+
+
+def _stepped(d, p, x0, T):
+    """Oracle for ``rollout``: ``forward`` then ``step`` at every one of the
+    ``T`` steps, with no cycle detection.  Returns the states and actions as
+    arrays and the step of a blow-up, None without one."""
+    states, actions = [np.asarray(x0, dtype=float)], []
+    for t in range(T):
+        u = forward(p, states[-1])
+        try:
+            states.append(step(d, states[-1], u))
+        except BlowUpError:
+            return np.array(states), np.array(actions).reshape(t, -1), t
+        actions.append(u)
+    return np.array(states), np.array(actions), None
+
+
+def _first_repeat(states):
+    """Index of the first state whose bytes an earlier state has, or None."""
+    seen = set()
+    for j, x in enumerate(states):
+        if x.tobytes() in seen:
+            return j
+        seen.add(x.tobytes())
+    return None
+
+
+def _identity_zero_policy(dim):
+    return MlpPolicy((Layer(np.zeros((1, dim)), np.zeros(1), ActivationKind("identity")),))
+
+
+class TestPeriodicTail:
+    """A loop whose state repeats exactly is completed from its cycle; every
+    case is checked bit for bit against the per-step oracle."""
+
+    def _same_as_stepped(self, d, p, x0, T):
+        traj = rollout(d, p, x0, T)
+        states, actions, _ = _stepped(d, p, x0, T)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.actions.tobytes() == actions.tobytes()
+        return traj
+
+    def test_fixed_point_mid_horizon(self):
+        # the fixture's loop lands on the subnormal fixed point (2e-323, -2e-323)
+        p = load_policy(FIXTURES / "double_integrator_policy.json")
+        traj = self._same_as_stepped(DoubleIntegrator(), p, [1.0, 0.0], 10_000)
+        j = _first_repeat(traj.states)
+        assert 1_000 < j < 9_000
+        assert traj.states[j - 1].tobytes() == traj.states[j].tobytes()
+
+    @pytest.mark.parametrize("T", [2, 3, 4, 5, 100, 1000])
+    def test_period_three_cycle(self, T):
+        # A permutes the coordinates cyclically: x3 = x0, then every third step
+        d = LinearSystem(a=np.roll(np.eye(3), 1, axis=0), b=np.zeros((3, 1)))
+        traj = self._same_as_stepped(d, _zero_policy(3, 1), [1.0, 2.0, 3.0], T)
+        assert traj.states[1].tolist() == [3.0, 1.0, 2.0]
+        assert (traj.states[::3] == [1.0, 2.0, 3.0]).all()
+
+    def test_signed_zero_is_its_own_state(self):
+        # x0 = (-0.0, 0.0) and x1 = (+0.0, +0.0) compare equal as values; a
+        # value-keyed detector would copy x0's -0.0 into every later row
+        d = DoubleIntegrator(dt=0.1)
+        traj = self._same_as_stepped(d, _identity_zero_policy(2), [-0.0, 0.0], 50)
+        assert np.signbit(traj.states[0, 0])
+        assert not np.signbit(traj.states[1:]).any()
+        assert _first_repeat(traj.states) == 2
+
+    @pytest.mark.parametrize("T", [1, 2])
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.75, 0.0]])
+    def test_x0_a_fixed_point(self, T, x0):
+        # zero velocity and a zero action: the position stays put
+        traj = self._same_as_stepped(DoubleIntegrator(), _zero_policy(2, 1), x0, T)
+        assert traj.states.shape == (T + 1, 2)
+        assert traj.actions.shape == (T, 1)
+        assert {row.tobytes() for row in traj.states} == {np.array(x0).tobytes()}
+
+    def test_blow_up_before_any_repeat(self):
+        # x doubles each step, so x_t = 2**t overflows at t = 1024
+        d = LinearSystem(a=[[2.0]], b=np.zeros((1, 1)))
+        p = _zero_policy(1, 1)
+        with pytest.raises(BlowUpError) as err:
+            rollout(d, p, [1.0], 5_000)
+        states, actions, t = _stepped(d, p, [1.0], 5_000)
+        assert err.value.t == t == 1023
+        assert err.value.partial.states.tobytes() == states.tobytes()
+        assert err.value.partial.actions.tobytes() == actions.tobytes()
+
+    @pytest.mark.parametrize("case", ["fixture", "cycle", "signed-zero", "no-repeat"])
+    def test_policy_runs_only_up_to_the_first_repeat(self, case, monkeypatch):
+        d, p, x0, T = {
+            "fixture": (DoubleIntegrator(), load_policy(FIXTURES / "double_integrator_policy.json"),
+                        [1.0, 0.0], 10_000),
+            "cycle": (LinearSystem(a=np.roll(np.eye(3), 1, axis=0), b=np.zeros((3, 1))),
+                      _zero_policy(3, 1), [1.0, 2.0, 3.0], 1000),
+            "signed-zero": (DoubleIntegrator(dt=0.1), _identity_zero_policy(2), [-0.0, 0.0], 1000),
+            "no-repeat": (Pendulum(action_limit=5.0), load_policy(FIXTURES / "pendulum_policy.json"),
+                          [0.5, 0.0], 300),
+        }[case]
+        # every evaluation of the policy, forward's included, runs _propagate
+        calls = []
+        propagate = policy._propagate
+
+        def counted(pol, x):
+            calls.append(x.tobytes())
+            return propagate(pol, x)
+
+        monkeypatch.setattr(policy, "_propagate", counted)
+        traj = rollout(d, p, x0, T)
+        repeat = _first_repeat(traj.states)
+        assert len(calls) == (T if repeat is None else repeat)
+        # once per step, at that step's state
+        assert calls == [row.tobytes() for row in traj.states[: len(calls)]]
+        if case == "no-repeat":
+            assert repeat is None
 
 
 class TestTrajectory:

@@ -423,6 +423,36 @@ class TestModelJson:
             policy_from_dict(model)
         assert str(exc.value) == message
 
+    def test_a_non_number_entry_is_named(self):
+        # seeded: one entry of a random layer's weights or bias becomes a
+        # JSON boolean, a numeric string or a null; each read as a float
+        # (true as 1.0, "2.5" as 2.5) before, where alpha refuses them
+        rng = np.random.default_rng(18)
+        fields = set()
+        for _ in range(60):
+            d = policy_to_dict(random_policy(rng, depth=3, max_width=6))
+            k = int(rng.integers(len(d["layers"])))
+            field = ("weights", "bias")[rng.integers(2)]
+            bad = (True, False, "2.5", "NaN", None, [1.0])[rng.integers(6)]
+            cells = d["layers"][k][field]
+            if field == "weights":
+                cells = cells[rng.integers(len(cells))]
+            cells[rng.integers(len(cells))] = bad
+            with pytest.raises(ValueError) as exc:
+                policy_from_dict(d)
+            assert str(exc.value) == f"model.layers[{k}].{field}: expected a number, got {bad!r}"
+            fields.add(field)
+        assert fields == {"weights", "bias"}
+        with pytest.raises(ValueError, match=r"^model.layers\[0\].weights: expected a number, got True$"):
+            policy_from_dict({"layers": [_model_layer(weights=[[True, "2.5"]], bias=[False])]})
+        with pytest.raises(ValueError, match=r"^model.layers\[0\].bias: expected a nonempty list of numbers$"):
+            policy_from_dict({"layers": [_model_layer(bias=0.0)]})
+
+    def test_integers_read_as_numbers(self):
+        p = policy_from_dict({"layers": [_model_layer(weights=[[1, -2]], bias=[3])]})
+        assert p.layers[0].weight.tolist() == [[1.0, -2.0]]
+        assert p.layers[0].bias.tolist() == [3.0]
+
     def test_alpha_reads_as_certificate_floats_do(self):
         # a numeric string reads as its number; a missing alpha is 1
         layers = [_model_layer(activation={"kind": "elu", "alpha": "0.25"}), _model_layer()]
