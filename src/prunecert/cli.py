@@ -343,7 +343,7 @@ def _plan_dict(plan: PrunePlan, taken: dict[int, Ranking], cfg: argparse.Namespa
         layers.append(
             {
                 "k": lp.layer,
-                "mask": lp.mask.tolist(),
+                "mask": list(zip(*lp.mask.T.tolist())),  # (row, col) tuples, written as pairs
                 "saliencies": taken[lp.layer].saliency.tolist(),
                 "delta_spectral": lp.delta_spectral_norm,
                 "compensated": lp.compensated,
@@ -463,24 +463,38 @@ def _dynamics(cfg: argparse.Namespace):
 
 def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
     """One row per visited state, floats as ``repr`` and ``\\r\\n`` line ends
-    (the ``csv`` module's dialect); a blow-up adds a ``blowup`` sentinel row."""
+    (the ``csv`` module's dialect); a blow-up adds a ``blowup`` sentinel row.
+
+    Each distinct state's cells are formatted once: a repeated state's row is
+    its own ``t`` and then its source row's text, kept for the cycle's rows
+    only."""
     names = [f"x{i}" for i in range(loop.states.shape[1])]
     names += [f"u{i}" for i in range(loop.actions.shape[1])]
     floats = len(names) + 2  # state, action, deviation and bound cells
-    row = "%d" + ",%r" * floats + ",%d\r\n"
+    cells = ",%r" * floats + ",%d\r\n"
+    row = "%d" + cells
+    distinct = loop.distinct
+    # rows before the cycle stream out; the cycle's are formatted and kept
+    cycle = distinct if loop.source is None else int(loop.source[distinct])
     columns = zip(
-        loop.states.tolist(),
-        loop.actions.tolist(),
-        loop.deviation.tolist(),
-        loop.bound.tolist(),
-        loop.in_ball.tolist(),
+        loop.states[:distinct].tolist(),
+        loop.actions[:distinct].tolist(),
+        loop.deviation[:distinct].tolist(),
+        loop.bound[:distinct].tolist(),
+        loop.in_ball[:distinct].tolist(),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["t", *names, "deviation", "bound", "in_ball"]) + "\r\n")
+        # zip takes from range first, so the cycle's first row stays in columns
         fh.writelines(
             row % (t, *x, *u, dev, bound, inside)
-            for t, (x, u, dev, bound, inside) in enumerate(columns)
+            for t, (x, u, dev, bound, inside) in zip(range(cycle), columns)
         )
+        if loop.source is not None:
+            text = [cells % (*x, *u, dev, bound, inside) for x, u, dev, bound, inside in columns]
+            fh.writelines(
+                f"{t}{text[j - cycle]}" for t, j in enumerate(loop.source[cycle:].tolist(), cycle)
+            )
         if blowup:
             fh.write(f"{len(loop.deviation)}{',nan' * floats},blowup\r\n")
 

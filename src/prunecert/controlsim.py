@@ -5,11 +5,13 @@ fixtures, the exact map for linear systems.  The closed-loop map is a
 deterministic function of the state's bits, so once ``rollout`` visits a
 state whose bytes it has seen before, the rest of the loop repeats that
 cycle; it stops integrating there and fills the remaining steps from the
-cycle, with the same bytes as integrating on.  Certificates bound the policy
-output pointwise at a state, so ``deviation_audit`` runs every state either
-loop visits through ``certifier.audit_states``, the audit ``certify`` runs
-on sampled states; how far the two trajectories drift apart is reported as
-well, but only as an observed, uncertified quantity.
+cycle, with the same bytes as integrating on, and records which earlier step
+each filled step copies.  Certificates bound the policy output pointwise at
+a state, so ``deviation_audit`` runs each distinct state either loop visits
+once through ``certifier.audit_states``, the audit ``certify`` runs on
+sampled states, and gives a repeated state its first visit's verdict; how
+far the two trajectories drift apart is reported as well, but only as an
+observed, uncertified quantity.
 """
 
 from __future__ import annotations
@@ -158,10 +160,17 @@ class LinearSystem:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Closed-loop run: T+1 states, one per row of ``states`` (T+1, n), and
-    the T actions applied between them, one per row of ``actions`` (T, m)."""
+    the T actions applied between them, one per row of ``actions`` (T, m).
+
+    ``source`` maps a loop that repeats a state: ``source[j]`` is the first
+    step whose state has the bytes of step j's, so ``source[j] == j`` up to
+    the first repeat and a step of the cycle after it.  None when no state
+    repeats.
+    """
 
     states: np.ndarray
     actions: np.ndarray
+    source: np.ndarray | None = None
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -172,6 +181,18 @@ class Trajectory:
             raise ValueError("trajectory needs exactly one more state than actions")
         object.__setattr__(self, "states", _frozen(states))
         object.__setattr__(self, "actions", _frozen(actions))
+        if self.source is not None:
+            object.__setattr__(self, "source", _frozen(self.source))
+
+    @property
+    def distinct(self) -> int:
+        return _distinct(len(self.states), self.source)
+
+
+def _distinct(visited: int, source) -> int:
+    """How many distinct states a loop of ``visited`` states visits: the
+    first repeat's step, or all of them when none repeats."""
+    return visited if source is None else int(source.max()) + 1
 
 
 def step(d, x, u) -> np.ndarray:
@@ -200,8 +221,9 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
     earlier step s, the loop is periodic from s with period t - s:
     integration stops and the remaining states and actions are copied from
     that cycle, so the policy runs once per step up to the first repeat
-    only.  Bytes, not values, are compared, since 0.0 and -0.0 are
-    different states.
+    only; the trajectory's ``source`` records the step each row copies.
+    Bytes, not values, are compared, since 0.0 and -0.0 are different
+    states.
 
     A blow-up, a non-finite policy output included, raises ``BlowUpError``
     with the failing step index and the partial trajectory attached.
@@ -209,6 +231,8 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
     if T < 1:
         raise ValueError(f"horizon must be at least 1, got {T}")
     x = linalg.as_vector(x0, "x0")
+    if x.shape[0] != d.state_dim:
+        raise ValueError(f"x0 has dim {x.shape[0]} but the dynamics expect {d.state_dim}")
     if d.state_box is not None and (
         (x < d.state_box[0]).any() or (x > d.state_box[1]).any()
     ):
@@ -234,24 +258,31 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
         s = first.setdefault(x.tobytes(), t + 1)
         if s <= t:
             # step j of the rest repeats step s + (j - s) % period
-            rows = s + (np.arange(t + 1, T + 1) - s) % (t + 1 - s)
-            states[t + 1 :] = states[rows]
-            actions[t + 1 :] = actions[rows[:-1]]
-            break
+            source = np.arange(T + 1)
+            source[t + 1 :] = s + (source[t + 1 :] - s) % (t + 1 - s)
+            states[t + 1 :] = states[source[t + 1 :]]
+            actions[t + 1 :] = actions[source[t + 1 : -1]]
+            return Trajectory(states=states, actions=actions, source=source)
     return Trajectory(states=states, actions=actions)
 
 
 @dataclass(frozen=True, eq=False)
 class LoopAudit:
     """Pointwise audit along one closed loop; row t of every array belongs
-    to the loop's t-th visited state."""
+    to the loop's t-th visited state, and a repeated state's row holds its
+    ``source`` row's values (see ``Trajectory``)."""
 
     label: str  # which closed loop visited the states
     states: np.ndarray  # (T+1, n)
-    actions: np.ndarray  # (T+1, m): what this loop's policy commands there
+    actions: np.ndarray  # (T+1, m): the action applied there; the final row's never is
     deviation: np.ndarray  # ||pi(x) - pi_hat(x)|| at each state
     bound: np.ndarray
     in_ball: np.ndarray
+    source: np.ndarray | None = None
+
+    @property
+    def distinct(self) -> int:
+        return _distinct(len(self.states), self.source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,10 +316,14 @@ def deviation_audit(
 ) -> DeviationReport:
     """Roll out both policies and certify the deviation at every visited state.
 
-    Each state from either trajectory is fed to both policies; the measured
-    gap must stay under the state's bound whenever the state lies in the
-    certified ball.  A blow-up in either loop truncates that loop and is
-    recorded instead of raised, so partial evidence still comes back.
+    Each distinct state of either trajectory, up to its first repeat, goes
+    through both policies once; the measured gap must stay under the
+    state's bound whenever the state lies in the certified ball.  The bound
+    holds pointwise, so a repeated state takes its first visit's row, and
+    the counts count every visit.  Each row's action is the one the loop
+    applied there; the final state's, never applied, is its source row's or
+    one more ``forward``.  A blow-up in either loop truncates that loop and
+    is recorded instead of raised, so partial evidence still comes back.
     """
     blowup = None
     loops = []
@@ -300,14 +335,19 @@ def deviation_audit(
             if blowup is None:
                 blowup = (label, exc.t)
             traj = exc.partial
+        source = traj.source
         # C-contiguous columns: the layout these reports' norms have summed in
-        columns = np.ascontiguousarray(traj.states.T)
+        columns = np.ascontiguousarray(traj.states[: traj.distinct].T)
         audit = audit_states(original, pruned, cert.delta_norms(), columns)
-        in_ball = audit.norm <= cert.radius
-        violations += int(np.count_nonzero(audit.violation & in_ball))
-        own = audit.original if p is original else audit.pruned
-        loops.append(LoopAudit(label, traj.states, _frozen(own.T), _frozen(audit.deviation),
-                               _frozen(audit.bound), _frozen(in_ball)))
+        per_state = (audit.deviation, audit.bound, audit.norm <= cert.radius, audit.violation)
+        if source is not None:
+            per_state = tuple(a[source] for a in per_state)
+        deviation, bound, in_ball, violation = per_state
+        violations += int(np.count_nonzero(violation & in_ball))
+        last = forward(p, traj.states[-1]) if source is None else traj.actions[source[-1]]
+        actions = np.vstack([traj.actions, last])
+        loops.append(LoopAudit(label, traj.states, _frozen(actions), _frozen(deviation),
+                               _frozen(bound), _frozen(in_ball), source))
     shared = min(len(loop.states) for loop in loops)
     gaps = loops[0].states[:shared] - loops[1].states[:shared]
     divergence = _frozen(linalg.row_norms(gaps))

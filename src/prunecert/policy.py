@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -323,18 +323,20 @@ _TILE = 64
 
 def _chunk_formatter(items, inner: str):
     """For a flat list of finite floats, or a list of ``[int, int]`` pairs
-    whose brackets sit after ``inner``, the function that formats a slice
-    of it element by element; None for any other list."""
+    (lists or tuples) whose brackets sit after ``inner``, the function that
+    formats a slice of it, its elements joined; None for any other list."""
+    sep = ",\n" + inner
     types = {*map(type, items)}
     if types == {float} and all(map(math.isfinite, items)):
-        return partial(map, float.__repr__)
+        return lambda chunk: sep.join(map(float.__repr__, chunk))
     if (
-        types == {list}
+        types <= {list, tuple}
         and {*map(len, items)} == {2}
         and {*map(type, chain.from_iterable(items))} == {int}
     ):
-        pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]".__mod__
-        return lambda chunk: map(pair, map(tuple, chunk))
+        pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+        # one % per chunk, not one per pair
+        return lambda chunk: sep.join([pair] * len(chunk)) % tuple(chain.from_iterable(chunk))
     return None
 
 
@@ -378,7 +380,7 @@ def _write_value(write, value, pad: str) -> None:
             for start in range(0, len(value), _CHUNK):
                 if start:
                     write(sep)
-                write(sep.join(formatted(value[start : start + _CHUNK])))
+                write(formatted(value[start : start + _CHUNK]))
         else:
             for i, item in enumerate(value):
                 if i:

@@ -747,6 +747,24 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error: ") and "overflows" in err[0]
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("box", [(), ("--state-box-lo=-3,-8", "--state-box-hi=3,8")],
+                             ids=["no-box", "box"])
+    @pytest.mark.parametrize("x0", ["0.5,0,1", "0.5"])
+    def test_x0_of_the_wrong_dimension_is_named(self, tmp_path, capsys, box, x0):
+        # with a state box, x0 met the box bounds first and numpy's
+        # broadcasting message came out
+        model, pruned, cert = self._certified_pendulum(tmp_path)
+        capsys.readouterr()
+        code = main([
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(cert), "--dynamics", "pendulum", f"--x0={x0}", *box,
+            "--horizon", "5", "--out", str(tmp_path / "s"),
+        ])
+        assert code == EXIT_USAGE
+        dim = len(x0.split(","))
+        assert capsys.readouterr().err == f"error: x0 has dim {dim} but the dynamics expect 2\n"
+        assert not (tmp_path / "s").exists()
+
     def test_config_horizon_parses_like_the_flag(self, tmp_path):
         model, pruned, cert = self._certified_pendulum(tmp_path)
         cfg = {
@@ -950,12 +968,14 @@ class TestSimulateWarnings:
 class TestSimulateMatchesReference:
     """Trajectory CSVs and deviation report against the per-state reference.
 
-    States, flags, counts and the sentinel row must match exactly.  The
-    ``u``, ``deviation`` and ``bound`` cells, and ``max_in_ball_deviation``,
-    may differ in the last bits: the reference evaluates one state at a time
-    (a matrix-vector product), the command a whole trajectory at once (a
-    matrix-matrix product), and the two round differently.  They differ by
-    at most 2 ulps on these cases; the tolerance allows 64.
+    States, actions, flags, counts and the sentinel row must match exactly:
+    the ``u`` cells are the actions the loop applied, which the reference
+    also takes from ``forward``.  The ``deviation`` and ``bound`` cells, and
+    ``max_in_ball_deviation``, may differ in the last bits: the reference
+    evaluates one state at a time (a matrix-vector product), the command a
+    loop's distinct states at once (a matrix-matrix product), and the two
+    round differently.  They differ by at most 2 ulps on these cases; the
+    tolerance allows 64.
     """
 
     TOL = {"rel": 64 * np.finfo(float).eps, "abs": 64 * np.finfo(float).eps}
@@ -995,7 +1015,8 @@ class TestSimulateMatchesReference:
             [float(v) for v in x0.split(",")],
             horizon,
         )
-        approx = range(1 + d.state_dim, len(tables["original"][0]) - 1)
+        approx = range(1 + d.state_dim + load_policy(model).output_dim,
+                       len(tables["original"][0]) - 1)
         for label, table in tables.items():
             path = out / f"trajectory_{label}.csv"
             with open(path, newline="") as fh:

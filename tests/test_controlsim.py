@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import naive_step, random_policy, scaled_certificate
-from prunecert import linalg
-from prunecert.certifier import StateSpaceSpec, certify
+from prunecert import certifier, controlsim, linalg
+from prunecert.certifier import StateSpaceSpec, audit_states, certify
+from prunecert.cli import _write_trajectory_csv
 from prunecert.controlsim import (
     BlowUpError,
     DoubleIntegrator,
@@ -287,6 +288,16 @@ class TestPeriodicTail:
         states, actions, _ = _stepped(d, p, x0, T)
         assert traj.states.tobytes() == states.tobytes()
         assert traj.actions.tobytes() == actions.tobytes()
+        # the cycle map: each row's first visit, None without a repeat
+        first = {}
+        source = [first.setdefault(x.tobytes(), j) for j, x in enumerate(states)]
+        if _first_repeat(states) is None:
+            assert traj.source is None
+            assert traj.distinct == T + 1
+        else:
+            assert traj.source.tolist() == source
+            assert traj.distinct == _first_repeat(states) == len(first)
+            assert not traj.source.flags.writeable
         return traj
 
     def test_fixed_point_mid_horizon(self):
@@ -333,6 +344,7 @@ class TestPeriodicTail:
         assert err.value.t == t == 1023
         assert err.value.partial.states.tobytes() == states.tobytes()
         assert err.value.partial.actions.tobytes() == actions.tobytes()
+        assert err.value.partial.source is None
 
     @pytest.mark.parametrize("case", ["fixture", "cycle", "signed-zero", "no-repeat"])
     def test_policy_runs_only_up_to_the_first_repeat(self, case, monkeypatch):
@@ -373,9 +385,9 @@ class TestTrajectory:
             Trajectory(states=np.zeros(2), actions=np.zeros((1, 1)))
 
 
-def _pruned_pair(seed=1):
+def _pruned_pair(seed=1, fixture="pendulum_policy.json"):
     rng = np.random.default_rng(seed)
-    p = load_policy(FIXTURES / "pendulum_policy.json")
+    p = load_policy(FIXTURES / fixture)
     states = [rng.uniform(-1.0, 1.0, size=2) for _ in range(16)]
     calib = collect_calibration(p, states)
     entries = rank_weights(p, calib, [0], damping="auto")
@@ -510,3 +522,153 @@ class TestDeviationAudit:
         original, truncated = report.loops
         assert len(original.states) == 11
         assert len(truncated.states) == report.blowup[1] + 1
+
+
+def _clipped_cycle():
+    """A loop with a one-step transient and a period-3 cycle: A permutes the
+    coordinates, and the box clips x1 = (9, 1, 2) to (3, 1, 2), whose orbit
+    comes back at step 4.  The action enters no state, and the original
+    policy's output, relu of the first coordinate, is 1, 3, 2, 1 along the
+    first four states, while the pruned one outputs 0."""
+    box = (np.zeros(3), np.array([3.0, 3.0, 9.0]))
+    d = LinearSystem(a=np.roll(np.eye(3), 1, axis=0), b=np.zeros((3, 1)), state_box=box)
+    return d, _one_layer([[1.0, 0.0, 0.0]]), _one_layer([[0.0, 0.0, 0.0]]), [1.0, 2.0, 9.0]
+
+
+def _spy_audits(monkeypatch):
+    """Record the columns of every ``audit_states`` call ``deviation_audit`` makes."""
+    seen = []
+
+    def spy(original, pruned, delta_norms, states):
+        seen.append(np.array(states))
+        return audit_states(original, pruned, delta_norms, states)
+
+    monkeypatch.setattr(controlsim, "audit_states", spy)
+    return seen
+
+
+def _csv_row(t, x, u, dev, bound, inside):
+    return ",".join([str(t), *map(repr, x), *map(repr, u), repr(dev), repr(bound),
+                     str(int(inside))]) + "\r\n"
+
+
+def _loop_case(case):
+    """``(d, original, pruned, x0, T)``: both loops reach a fixed point mid
+    horizon, both enter a period-3 cycle at step 1, or neither repeats."""
+    if case == "fixed-point":
+        original, pruned = _pruned_pair(fixture="double_integrator_policy.json")
+        return (DoubleIntegrator(), original, pruned, [1.0, 0.0], 10_000)
+    if case == "clipped-cycle":
+        return (*_clipped_cycle(), 100)
+    return (Pendulum(action_limit=5.0), *_pruned_pair(), [0.5, 0.0], 300)
+
+
+class TestDistinctStateAudit:
+    """Each distinct state goes through ``audit_states`` once; a repeated
+    state's row is its first visit's, and every count counts every visit."""
+
+    def _cert(self, original, pruned, dim, radius, scale=1.0):
+        cert = certify(original, pruned, StateSpaceSpec(dim=dim, radius=radius), n=10, seed=0)
+        return scaled_certificate(cert, scale)
+
+    @pytest.mark.parametrize("case", ["fixed-point", "clipped-cycle", "no-repeat"])
+    def test_each_distinct_state_is_audited_once(self, case, monkeypatch):
+        d, original, pruned, x0, T = _loop_case(case)
+        cert = self._cert(original, pruned, len(x0), 5.0)
+        seen = _spy_audits(monkeypatch)
+        forward_batch_columns = []
+        forward_batch = certifier.forward_batch
+
+        def counted(p, states):
+            forward_batch_columns.append(states.shape[1])
+            return forward_batch(p, states)
+
+        monkeypatch.setattr(certifier, "forward_batch", counted)
+        report = deviation_audit(d, original, pruned, cert, x0, T)
+        assert len(seen) == 2
+        for loop, columns in zip(report.loops, seen, strict=True):
+            repeat = _first_repeat(loop.states)
+            assert columns.shape[1] == (T + 1 if repeat is None else repeat) == loop.distinct
+            assert columns.T.tobytes() == loop.states[: loop.distinct].tobytes()
+        # both policies see each audited column once
+        assert forward_batch_columns == [c.shape[1] for c in seen for _ in range(2)]
+        if case == "fixed-point":
+            assert 1_000 < seen[0].shape[1] < 9_000
+        elif case == "clipped-cycle":
+            assert [c.shape[1] for c in seen] == [4, 4]
+        else:
+            assert [c.shape[1] for c in seen] == [T + 1, T + 1]
+
+    def test_a_violating_cycle_state_counts_once_per_visit(self):
+        # bound 0.7 * |s| = 2.62 at each cycle state (|s| = sqrt 14), so only
+        # (3, 1, 2), whose deviation is 3, breaks it; x0 lies outside the ball
+        d, original, pruned, x0 = _clipped_cycle()
+        T = 100
+        cert = self._cert(original, pruned, 3, 5.0, scale=0.7)
+        report = deviation_audit(d, original, pruned, cert, x0, T)
+        # the per-row audit: every one of the T+1 states, repeats included
+        violations = inside = 0
+        for label, loop in zip(("original", "pruned"), report.loops, strict=True):
+            assert loop.label == label
+            full = audit_states(original, pruned, cert.delta_norms(),
+                                np.ascontiguousarray(loop.states.T))
+            in_ball = full.norm <= cert.radius
+            violations += int(np.count_nonzero(full.violation & in_ball))
+            inside += int(in_ball.sum())
+            assert (loop.in_ball == in_ball).all()
+            assert loop.bound.tobytes() == full.bound.tobytes()
+            assert loop.deviation.tobytes() == full.deviation.tobytes()
+        visits = len(range(1, T + 1, 3))  # (3, 1, 2) at steps 1, 4, 7, ...
+        assert violations == report.in_ball_violations == 2 * visits == 68
+        assert report.in_ball_count == inside == 2 * T
+        assert report.out_of_ball_count == 2
+        assert report.max_in_ball_deviation == 3.0
+
+    @pytest.mark.parametrize("case", ["fixed-point", "clipped-cycle", "no-repeat"])
+    def test_repeated_csv_rows_copy_their_source_row(self, case, tmp_path):
+        d, original, pruned, x0, T = _loop_case(case)
+        cert = self._cert(original, pruned, len(x0), 5.0)
+        report = deviation_audit(d, original, pruned, cert, x0, T)
+        for loop in report.loops:
+            path = tmp_path / f"{loop.label}.csv"
+            _write_trajectory_csv(path, loop, blowup=False)
+            lines = path.read_bytes().decode().splitlines(keepends=True)[1:]
+            # the old writer's bytes: every row formatted from its own cells
+            assert lines == [
+                _csv_row(t, *cells) for t, cells in enumerate(zip(
+                    loop.states.tolist(), loop.actions.tolist(), loop.deviation.tolist(),
+                    loop.bound.tolist(), loop.in_ball.tolist()))
+            ]
+            if loop.source is None:
+                assert case == "no-repeat"
+                continue
+            assert len(lines) == T + 1 > loop.distinct
+            for j, src in enumerate(loop.source.tolist()):
+                assert lines[j].split(",", 1) == [str(j), lines[src].split(",", 1)[1]]
+
+    @pytest.mark.parametrize("case", ["fixed-point", "clipped-cycle", "no-repeat"])
+    def test_actions_are_the_applied_ones(self, case):
+        # rows < T hold the actions rollout applied; the final row's is its
+        # source row's, which is forward at the final state
+        d, original, pruned, x0, T = _loop_case(case)
+        cert = self._cert(original, pruned, len(x0), 5.0)
+        report = deviation_audit(d, original, pruned, cert, x0, T)
+        for loop, p in zip(report.loops, (original, pruned), strict=True):
+            traj = rollout(d, p, x0, T)
+            assert loop.actions[:T].tobytes() == traj.actions.tobytes()
+            assert loop.actions[T].tobytes() == forward(p, loop.states[T]).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_blown_up_loop_audits_every_visited_state(self, monkeypatch):
+        # x doubles each step and overflows at t = 1023, before any repeat
+        d = LinearSystem(a=[[2.0]], b=np.zeros((1, 1)))
+        p = _zero_policy(1, 1)
+        cert = self._cert(p, p, 1, 1.0)
+        seen = _spy_audits(monkeypatch)
+        report = deviation_audit(d, p, p, cert, [1.0], 5_000)
+        assert report.blowup == ("original", 1023)
+        for loop, columns in zip(report.loops, seen, strict=True):
+            assert loop.source is None
+            assert columns.shape[1] == len(loop.states) == 1024
+            assert loop.actions.shape == (1024, 1)
+        assert report.in_ball_count + report.out_of_ball_count == 2 * 1024

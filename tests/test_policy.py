@@ -493,6 +493,8 @@ _json_leaves = (
     | st.lists(st.floats())
     | st.lists(st.lists(st.integers(), min_size=2, max_size=2))
     | st.lists(st.lists(st.integers() | st.booleans(), min_size=2, max_size=2))
+    | st.lists(st.tuples(st.integers(), st.integers()))
+    | st.lists(st.tuples(st.integers(), st.integers() | st.booleans()))
 )
 _json_values = st.recursive(
     _json_leaves,
@@ -543,8 +545,11 @@ class TestCanonicalJson:
     )
     def test_chunk_boundaries(self, tmp_path, n):
         rng = np.random.default_rng(n)
+        mask = rng.integers(-(2**40), 2**40, size=(n, 2))
         obj = {
-            "mask": rng.integers(-(2**40), 2**40, size=(n, 2)).tolist(),
+            "mask": mask.tolist(),
+            # the plan writer's form: (row, col) tuples, no list per pair
+            "pairs": list(zip(*mask.T.tolist())),
             "rows": [rng.standard_normal(n).tolist()],
         }
         path = tmp_path / "long.json"
