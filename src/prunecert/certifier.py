@@ -279,8 +279,6 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
 class StateAudit:
     """Per-state audit of a batch; entry (or column) i belongs to state i."""
 
-    original: np.ndarray  # (m, n): the original policy's outputs
-    pruned: np.ndarray  # (m, n): the pruned policy's outputs
     deviation: np.ndarray  # ||pi(s) - pi_hat(s)||_2
     bound: np.ndarray  # per_state_bounds at ||s||_2
     norm: np.ndarray  # ||s||_2
@@ -292,13 +290,13 @@ def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) ->
     (input_dim, n), each state judged against its bound.  The columns are
     used as given, since their layout fixes the order numpy sums norms in;
     ``certify`` and ``controlsim`` each keep the layout they always had."""
-    outs_orig, outs_pruned = forward_batch(original, states), forward_batch(pruned, states)
-    deviation = linalg.vector_norm(outs_orig - outs_pruned, axis=0)
+    diff = forward_batch(original, states) - forward_batch(pruned, states)
+    deviation = linalg.vector_norm(diff, axis=0)
     norm = linalg.vector_norm(states, axis=0)
     bound = per_state_bounds(original, delta_norms, norm)
     # negated so that a NaN deviation (inf - inf outputs) is a violation too
     violation = ~(deviation <= bound + AUDIT_SLACK)
-    return StateAudit(outs_orig, outs_pruned, deviation, bound, norm, violation)
+    return StateAudit(deviation, bound, norm, violation)
 
 
 def certify(

@@ -274,22 +274,91 @@ def obs_compensate(row, q: int, h_inv) -> np.ndarray:
     return out
 
 
-def _row_change_norm(original: np.ndarray, before: np.ndarray, after: np.ndarray) -> float:
-    """Upper bound on the 2-norm of the change one update makes to a row of
-    the computed delta, from ``fl(before - original)`` to ``fl(after - original)``.
+def _change_norm(v: np.ndarray) -> float:
+    """Upper bound on the 2-norm of the exact difference of two rows of the
+    computed delta ``fl(work - original)``, given ``v``, the difference as
+    computed.
 
-    Those rows are rounded exactly as ``_LayerWork.delta_norm`` rounds them.
-    Their difference ``v`` rounds once more, so the exact change is at most
-    ``||v|| / (1 - u)``, ``u = eps/2``.  ``np.linalg.norm(v)`` is
-    ``sqrt(v @ v)``; the dot product errs by at most ``gamma_n ||v||^2`` in
-    any summation order, fused multiply-add included (Higham sec. 3.1), plus
-    ``2^-1075`` per underflowing square, which the ``n 2^-1074`` term under
-    the root restores.  The add, root and multiply lose ``3u`` more, and
-    ``1 + (n + 4) eps`` covers all of it with room to spare.
+    ``v`` rounds once more, so the exact change is at most ``||v|| / (1 - u)``,
+    ``u = eps/2``.  ``np.linalg.norm(v)`` is ``sqrt(v @ v)``; the dot product
+    errs by at most ``gamma_n ||v||^2`` in any summation order, fused
+    multiply-add included (Higham sec. 3.1), plus ``2^-1075`` per
+    underflowing square, which the ``n 2^-1074`` term under the root
+    restores.  The add, root and multiply lose ``3u`` more, and
+    ``1 + (n + 4) eps`` covers all of it with room to spare.  A float row
+    ``v`` itself, with no rounding behind it, is covered all the more.
     """
-    v = (after - original) - (before - original)
     n = v.shape[0]
     return math.sqrt(float(v @ v) + n * 5e-324) * (1.0 + (n + 4) * _EPS)
+
+
+def _up(x: float) -> float:
+    """One ulp outward from a rounded result, so it is at least the exact one."""
+    return math.nextafter(x, math.inf)
+
+
+class _Anchor:
+    """A running bound on ``||delta||_2`` that starts again at each exact norm.
+
+    Write ``D0`` for the delta ``fl(work - original)`` that norm measured,
+    ``s`` for its value and ``E`` for the exact change since, nonzero only in
+    the changed rows ``R``.  For a unit vector ``x``,
+    ``||(D0 + E) x||^2 = sum_r (D0_r.x + E_r.x)^2``, and ``2 (a.x)(b.x)`` is
+    at most ``||a|| ||b|| + a.b`` (the largest eigenvalue of
+    ``a b^T + b a^T``), so
+
+        ||D0 + E||_2^2 <= s^2 + sum_{r in R} (||D0_r|| ||E_r|| + D0_r.E_r + ||E_r||^2).
+
+    A zero-only removal zeroes a weight ``D0_r`` does not touch, so
+    ``D0_r.E_r = 0``, and a row norm ``||D0_r||`` is far below ``s``: the
+    sum grows much more slowly than Weyl's ``2 s sum ||E_r||``.
+
+    Only the rows of ``D0`` in ``R`` are kept, each taken by ``keep`` just
+    before its first change.  An overflow makes the bound inf, and an inf
+    times 0 makes it NaN; the walk runs ``bound`` with those floating-point
+    warnings off.
+    """
+
+    def __init__(self, norm: float, rows: int):
+        self.square = _up(norm * norm)  # at least s^2; inf on overflow
+        self.kept: dict[int, np.ndarray] = {}  # D0_r of each changed row
+        self.stale: set[int] = set()  # rows changed since their term was taken
+        self.terms = np.zeros(rows)  # each changed row's term; 0 elsewhere
+
+    def keep(self, row: int, work: np.ndarray, original: np.ndarray) -> None:
+        """Row ``row`` of ``work`` is about to change.  Unchanged since the
+        anchor, ``fl(work - original)`` there is ``D0_r``, bit for bit."""
+        self.stale.add(row)
+        if row not in self.kept:
+            self.kept[row] = work - original[row]
+
+    def bound(self, work: np.ndarray, original: np.ndarray) -> float:
+        """Upper bound on ``||fl(work - original)||_2``, or inf or NaN, which
+        the walk never takes as a bound.
+
+        Each changed row's term is taken again from ``D0_r``, never adjusted.
+        ``||D0_r||`` and ``||E_r||`` are ``_change_norm`` of ``D0_r`` and of
+        ``v = fl(fl(work_r - original_r) - D0_r)``.  ``v`` errs by ``u = eps/2`` per entry,
+        and its computed dot product with ``D0_r`` by
+        ``gamma_n ||D0_r|| ||v||`` plus ``2^-1075`` per underflowing product,
+        so ``D0_r.E_r`` is at most the computed product plus
+        ``(n + 2) eps ||D0_r|| ||E_r|| + n 2^-1074``.  Every product and sum
+        of a term is stepped one ulp outward.  The terms are nonnegative, so
+        their sum with ``s^2``, in any order, is low by at most ``gamma_m``
+        relative, ``m`` the number of rows; the factor ``1 + (m + 3) eps``
+        covers that, the root and the multiply.
+        """
+        for row in self.stale:
+            d0 = self.kept[row]
+            v = (work[row] - original[row]) - d0
+            n = v.shape[0]
+            e = _change_norm(v)
+            ae = _up(_change_norm(d0) * e)
+            dot = _up(float(d0 @ v) + _up(_up((n + 2) * _EPS * ae) + n * 5e-324))
+            self.terms[row] = _up(_up(ae + dot) + _up(e * e))
+        self.stale.clear()
+        total = self.square + float(self.terms.sum())
+        return math.sqrt(total) * (1.0 + (self.terms.shape[0] + 3) * _EPS)
 
 
 class _LayerWork:
@@ -330,21 +399,32 @@ class _LayerWork:
             return len(entries)
         n = 0
         upper = 0.0  # never below ||delta||_2
+        anchor = _Anchor(0.0, self.work.shape[0])
         for row, col in zip(entries.row.tolist(), entries.col.tolist()):
             saved = self.work[row].copy()
+            anchor.keep(row, saved, self.original)
             self.remove(row, col, reestimate)
             if self.h_inv is None:
                 grow = abs(float(saved[col]))
             else:
-                grow = _row_change_norm(self.original[row], saved, self.work[row])
+                original = self.original[row]
+                grow = _change_norm((self.work[row] - original) - (saved - original))
             upper = math.nextafter(upper + grow, math.inf)
             if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
-                upper = self.delta_norm()
-                if upper > cap:
-                    # close the layer: taking later (higher-saliency) entries
-                    # instead of this one would reorder the plan nondeterministically
-                    self.work[row] = saved
-                    break
+                # an overflow makes the bound inf or NaN, and neither is taken
+                with np.errstate(over="ignore", invalid="ignore"):
+                    coupled = anchor.bound(self.work, self.original)
+                if coupled < upper:  # False for NaN
+                    upper = coupled
+                if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
+                    delta = self.work - self.original
+                    upper = linalg.spectral_norm(delta) if delta.any() else 0.0
+                    if upper > cap:
+                        # close the layer: taking later (higher-saliency) entries
+                        # instead of this one would reorder the plan nondeterministically
+                        self.work[row] = saved
+                        break
+                    anchor = _Anchor(upper, self.work.shape[0])
             n += 1
         return n
 
@@ -379,16 +459,20 @@ def prune_to_budget(
 
     An infinite cap needs no norm until the plan's own, and a zero-only
     layer under one is masked in a single assignment.  Under a finite cap
-    most removals need no eigen-solve either.  A running ``upper`` starts at
-    0 and never falls below ``||delta||_2``: each removal changes one row of
-    ``delta``, a rank-one change ``E`` whose ``||E||_2`` is that row
-    change's 2-norm (``|w_q|`` when only zeroing), and by Weyl
-    ``||delta + E||_2 <= upper + ||E||_2``.  The row norm is bounded by
-    ``_row_change_norm`` and the sum stepped one ulp outward, so no rounding
-    breaks the bound.  When ``linalg.spectral_norm_ceiling(upper)``, the
-    largest value the exact norm could return, is within the cap, the exact
-    norm is within it too and the removal is accepted.  Otherwise the exact
-    norm decides, as it always did, and becomes the new ``upper``.  So every
+    most removals need no eigen-solve either.  A running ``upper`` never
+    falls below ``||delta||_2``; it is the least of two bounds.  Weyl's:
+    each removal changes one row of ``delta``, a rank-one change ``E`` whose
+    ``||E||_2`` is that row change's 2-norm (``|w_q|`` when only zeroing),
+    so ``||delta + E||_2 <= upper + ||E||_2``.  And ``_Anchor``'s row
+    coupling, which starts again at each exact norm ``s`` of a delta ``D0``:
+    the rows changed since add ``||D0_r|| ||E_r|| + D0_r.E_r + ||E_r||^2`` to
+    ``s^2``.  Near the cap that grows far more slowly than Weyl's bound; the
+    walk computes it only when Weyl's no longer clears the cap.  Both are
+    rounded outward, so no rounding breaks either bound.  When
+    ``linalg.spectral_norm_ceiling(upper)``, the largest value the exact
+    norm could return, is within the cap, the exact norm is within it too
+    and the removal is accepted.  Otherwise the exact norm decides, as it
+    always did, and becomes the new ``upper`` and the new anchor.  So every
     decision, and with it the plan, is the one an exact norm per removal
     gives.
     """

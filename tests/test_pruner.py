@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from prunecert.linalg import (
 from prunecert.policy import ActivationKind, Layer, MlpPolicy, forward
 from prunecert.pruner import (
     CalibrationBatch,
+    _Anchor,
     PrunePlan,
     collect_calibration,
     obs_compensate,
@@ -771,3 +773,123 @@ class TestRankingMatchesReference:
         (undone,) = plan.layers
         assert (len(taken[2]), undone.mask.shape, undone.compensated) == (0, (0, 2), False)
         assert undone.delta_spectral_norm == 0.0
+
+
+def _exactly_within(bound, delta) -> bool:
+    """Oracle: ``||delta||_2 <= bound`` in exact rational arithmetic, as
+    ``bound^2 I - G`` positive semidefinite for the smaller Gram ``G``,
+    by an LDL^T factorization with no negative pivot."""
+    rows = [[Fraction(x) for x in r] for r in np.asarray(delta).tolist()]
+    if len(rows) > len(rows[0]):
+        rows = [list(c) for c in zip(*rows)]
+    b2 = Fraction(bound) ** 2
+    m = [
+        [(b2 if i == j else 0) - sum(x * y for x, y in zip(ri, rj)) for j, rj in enumerate(rows)]
+        for i, ri in enumerate(rows)
+    ]
+    for k in range(len(m)):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[k][j] for j in range(k + 1, len(m)))):
+            return False
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / pivot if pivot else 0
+            for j in range(k + 1, len(m)):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+class TestRowCouplingBound:
+    """``_Anchor.bound``, the walk's second running bound, against exact
+    arithmetic; the walk's decisions are only exact if it is sound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["row", "column", "square"]),
+        size=st.integers(1, 6),
+        # 1e-160: every square underflows; 1e160: every square overflows
+        scale=st.sampled_from([1.0, 1e-160, 1e150, 1e160]),
+        steps=st.lists(st.booleans(), min_size=1, max_size=6),
+    )
+    def test_bound_is_sound_after_every_change(self, seed, shape, size, scale, steps):
+        rng = np.random.default_rng(seed)
+        m, n = {"row": (1, size), "column": (size, 1), "square": (size, size)}[shape]
+        original = rng.normal(size=(m, n)) * scale
+        work = original.copy()
+        # the anchor's delta: some weights zeroed, some rows rewritten
+        hit = rng.random((m, n)) < 0.5
+        redrawn = rng.normal(size=int(hit.sum())) * scale
+        work[hit] = np.where(rng.random(redrawn.shape) < 0.5, 0.0, redrawn)
+        delta0 = work - original
+        anchor = _Anchor(spectral_norm(delta0) if delta0.any() else 0.0, m)
+        for compensated in steps:
+            row = int(rng.integers(m))
+            anchor.keep(row, work[row].copy(), original)
+            if compensated:
+                work[row] = rng.normal(size=n) * scale
+                work[row, rng.integers(n)] = 0.0
+            else:
+                work[row, rng.integers(n)] = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):  # as the walk runs it
+                bound = anchor.bound(work, original)
+            # inf or NaN is never taken as a bound: the walk takes the exact norm
+            if math.isfinite(bound):
+                assert _exactly_within(bound, work - original), (bound, work - original)
+            if scale == 1.0:
+                assert math.isfinite(bound)
+
+    def test_zero_only_changes_grow_the_bound_slowly(self):
+        # zeroing weights the anchor's delta leaves alone couples only through
+        # the row norms: far below Weyl's s + sum |w_q| after many removals
+        rng = np.random.default_rng(40)
+        original = rng.normal(size=(32, 32))
+        work = original.copy()
+        work[:, :16] = 0.0
+        delta0 = work - original
+        s = spectral_norm(delta0)
+        anchor = _Anchor(s, 32)
+        weyl = s
+        for row in range(32):
+            anchor.keep(row, work[row].copy(), original)
+            weyl += abs(work[row, 16])
+            work[row, 16] = 0.0
+        truth = spectral_norm(work - original)
+        assert truth <= anchor.bound(work, original) < s + 0.5 * (weyl - s)
+
+
+class TestPinnedNormCount:
+    """The row-coupling bound's saving on a capped width-64 walk, pinned."""
+
+    # the exact norms this walk takes; with Weyl's bound alone it took 191 and 125
+    @pytest.mark.parametrize("compensate, pinned", [(False, 48), (True, 18)])
+    def test_capped_relu_walk_norm_count(self, monkeypatch, compensate, pinned):
+        rng = np.random.default_rng(20)
+        dims = [8, 64, 64, 2]
+        relu = ActivationKind("relu")
+        p = MlpPolicy(layers=tuple(
+            Layer(rng.normal(0.0, d**-0.5, (e, d)), rng.normal(0.0, 0.1, e), relu)
+            for d, e in zip(dims, dims[1:])
+        ))
+        calib = collect_calibration(p, list(rng.uniform(-1.0, 1.0, (64, 8))))
+        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in range(3)}
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return spectral_norm(m)
+
+        monkeypatch.setattr(linalg, "spectral_norm", counted)
+        _, _, taken = prune_to_budget(
+            p, ranking, caps, compensate=compensate, damping="auto", calib=calib
+        )
+        monkeypatch.undo()
+        # every layer closes at a refused removal, which was tried too
+        sizes = [int((ranking.layer == k).sum()) for k in caps]
+        assert all(len(taken[k]) < size for k, size in zip(caps, sizes))
+        tried = sum(len(taken[k]) + 1 for k in caps)
+        assert len(calls) == pinned <= tried // 2
+        _budget_matches_reference(
+            p, calib, ranking, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps,
+            compensate, False,
+        )
