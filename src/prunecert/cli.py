@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -337,21 +338,24 @@ def _outdir(cfg: argparse.Namespace) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def _plan_dict(plan: PrunePlan, taken: dict[int, Ranking], cfg: argparse.Namespace) -> dict:
+def _plan_dict(plan: PrunePlan, ranking: Ranking, cfg: argparse.Namespace) -> dict:
+    """One row per pruned layer, its saliencies read off the ranking's head."""
     layers = []
     for lp in plan.layers:
+        saliency = ranking.saliency[ranking.layer == lp.layer][: len(lp.mask)].tolist()
         layers.append(
             {
                 "k": lp.layer,
-                "mask": list(zip(*lp.mask.T.tolist())),  # (row, col) tuples, written as pairs
-                "saliencies": taken[lp.layer].saliency.tolist(),
+                "removed": len(lp.mask),
+                "saliency_sum": math.fsum(saliency),
+                "saliency_max": max(saliency, default=0.0),
                 "delta_spectral": lp.delta_spectral_norm,
                 "compensated": lp.compensated,
             }
         )
     return {
         "layers": layers,
-        "pruned_weights": sum(len(lp.mask) for lp in plan.layers),
+        "pruned_weights": sum(layer["removed"] for layer in layers),
         "damping": cfg.damping,
         "seed": cfg.seed,
         "tool_version": __version__,
@@ -383,7 +387,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
         if cfg.sparsity is not None:
             ranking = ranking[: round(cfg.sparsity * len(ranking))]
-        pruned, plan, taken = prune_to_budget(
+        pruned, plan = prune_to_budget(
             p,
             ranking,
             caps,
@@ -396,7 +400,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     out = _outdir(cfg)
     _write(out / "pruned_model.json", lambda path: save_policy(pruned, path))
-    plan_dict = _plan_dict(plan, taken, cfg)
+    plan_dict = _plan_dict(plan, ranking, cfg)
     _write(out / "prune_plan.json", _write_json, plan_dict)
     print(f"pruned {plan_dict['pruned_weights']} weights across layers "
           f"{[lp.layer for lp in plan.layers]}")

@@ -321,25 +321,6 @@ _BLOCK = 2**21
 _TILE = 64
 
 
-def _chunk_formatter(items, inner: str):
-    """For a flat list of finite floats, or a list of ``[int, int]`` pairs
-    (lists or tuples) whose brackets sit after ``inner``, the function that
-    formats a slice of it, its elements joined; None for any other list."""
-    sep = ",\n" + inner
-    types = {*map(type, items)}
-    if types == {float} and all(map(math.isfinite, items)):
-        return lambda chunk: sep.join(map(float.__repr__, chunk))
-    if (
-        types <= {list, tuple}
-        and {*map(len, items)} == {2}
-        and {*map(type, chain.from_iterable(items))} == {int}
-    ):
-        pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-        # one % per chunk, not one per pair
-        return lambda chunk: sep.join([pair] * len(chunk)) % tuple(chain.from_iterable(chunk))
-    return None
-
-
 def _finite_json(value):
     """``value`` with each non-finite float, which RFC 8259 JSON cannot
     hold, replaced by the string ``float`` reads back: "NaN", "Infinity"
@@ -357,11 +338,11 @@ def _write_value(write, value, pad: str) -> None:
     """Write ``_finite_json(value)`` exactly as ``json.dump(indent=2,
     sort_keys=True)`` writes it when its closing bracket sits after ``pad``.
 
-    The weight rows, biases, saliencies and masks that make up almost all
-    of an artifact are formatted a chunk at a time with ``float.__repr__``
-    and ``%d``, the formatting ``json`` itself applies to ``float`` and
-    ``int``; everything else goes through ``json.dumps``, re-indented (a
-    JSON string holds no raw newline).
+    A list of finite floats, as are the weight rows and biases that make up
+    almost all of an artifact, is formatted a chunk at a time with
+    ``float.__repr__``, the formatting ``json`` itself applies to ``float``;
+    everything else goes through ``json.dumps``, re-indented (a JSON string
+    holds no raw newline).
     """
     inner = pad + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
@@ -375,12 +356,11 @@ def _write_value(write, value, pad: str) -> None:
     elif isinstance(value, (list, tuple)) and value:
         sep = ",\n" + inner
         write("[\n" + inner)
-        formatted = _chunk_formatter(value, inner)
-        if formatted is not None:
+        if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
             for start in range(0, len(value), _CHUNK):
                 if start:
                     write(sep)
-                write(formatted(value[start : start + _CHUNK]))
+                write(sep.join(map(float.__repr__, value[start : start + _CHUNK])))
         else:
             for i, item in enumerate(value):
                 if i:

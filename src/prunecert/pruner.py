@@ -7,9 +7,9 @@ once and returns a ``Ranking`` of parallel arrays in removal order; no
 per-weight Python object is built between scoring and the plan.
 ``prune_to_budget`` is the one walk down that ranking, with or without a
 cap on each layer's delta norm; sparsity mode walks a prefix of the
-ranking uncapped.  Plans record exactly which positions were zeroed and the
-spectral norm of the per-layer weight change, which is what the certifier
-consumes.
+ranking uncapped.  A plan records, per pruned layer, the positions zeroed
+in removal order and the spectral norm of the weight change, which is what
+the certifier consumes; the saliencies stay in the ranking.
 """
 
 from __future__ import annotations
@@ -194,6 +194,18 @@ def _layer_h_inv(x: np.ndarray, damping) -> np.ndarray | None:
     return linalg.damped_inverse(h, linalg.auto_damping(h)) if h.any() else None
 
 
+def _score(w: np.ndarray, d: np.ndarray, op) -> np.ndarray:
+    """``op(0.5 * w * w, d)``, ``d`` one value per column.  Where ``w * w``
+    overflows the score may still be finite, so an entry inf or NaN that way
+    is taken again as ``op(0.5 * w, d) * w``; every finite one keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sal = op(0.5 * w * w, d)
+        bad = ~np.isfinite(sal)
+        if bad.any():
+            sal[bad] = op(0.5 * w, d)[bad] * w[bad]
+    return sal
+
+
 def rank_weights(
     p: MlpPolicy,
     calib: CalibrationBatch,
@@ -207,8 +219,9 @@ def rank_weights(
     the damped inverse curvature block; ``diagonal=True`` swaps in the
     classic 1/H_qq approximation instead of the full inverse.  ``damping``
     may be a number or ``"auto"``; under ``"auto"`` a layer whose inputs are
-    all zero on the calibration batch scores every weight 0.  Ties break on
-    (layer, row, col) so rankings are reproducible.
+    all zero on the calibration batch scores every weight 0.  A score whose
+    squared weight overflows comes out finite when the score itself is.
+    Ties break on (layer, row, col) so rankings are reproducible.
     """
     ks = sorted({int(k) for k in layers})
     if not ks:
@@ -233,17 +246,17 @@ def rank_weights(
             hqq = np.diag(h) + lam
             # 1/(H_qq) as the inverse diagonal; a zero H_qq means the input
             # coordinate never fires, so removal is free
-            sal = np.where(hqq > 0.0, 0.5 * w * w * hqq[None, :], 0.0)
+            sal = np.where(hqq > 0.0, _score(w, hqq, np.multiply), 0.0)
         else:
             h_inv = _layer_h_inv(x, damping)
-            # a dead block scores each weight 0, its exact removal loss and the
-            # limit lam -> 0 of the damped zero block's inverse diagonal 1/lam
-            dinv = np.full(w.shape[1], np.inf) if h_inv is None else np.diag(h_inv)
-            if (dinv <= 0.0).any():
+            if h_inv is None:  # a dead block: each removal's exact loss is 0
+                sal = np.zeros(w.shape)
+            elif (np.diag(h_inv) <= 0.0).any():
                 raise ValueError(
                     f"layer {k}: Hessian inversion produced a nonpositive diagonal"
                 )
-            sal = 0.5 * w * w / dinv[None, :]
+            else:
+                sal = _score(w, np.diag(h_inv), np.divide)
         rows, cols = np.indices(sal.shape).reshape(2, -1)
         parts.append((np.full(sal.size, k, dtype=np.intp), rows, cols, sal.ravel()))
     layer, row, col, saliency = (np.concatenate(a) for a in zip(*parts))
@@ -437,7 +450,7 @@ def prune_to_budget(
     damping=0.0,
     calib: CalibrationBatch | None = None,
     reestimate: bool = False,
-) -> tuple[MlpPolicy, PrunePlan, dict[int, Ranking]]:
+) -> tuple[MlpPolicy, PrunePlan]:
     """Prune each capped layer down its ranking as far as its cap permits.
 
     The one removal walk.  Each layer ``k`` of ``caps`` takes its entries of
@@ -447,9 +460,9 @@ def prune_to_budget(
     Entries of layers missing from ``caps`` are skipped.  ``caps=None`` puts
     an infinite cap on every layer present in ``ranking``, so every entry is
     removed: ``prune_to_budget(p, ranking[:count])`` prunes the ``count``
-    lowest-saliency weights.  Returns the pruned policy, the plan (one row
-    per capped layer, ascending, its mask in ranking order) and per capped
-    layer the prefix of its ranking actually removed.
+    lowest-saliency weights.  Returns the pruned policy and the plan, one
+    row per capped layer, ascending; its mask is the ``(row, col)`` of the
+    layer's first ``len(mask)`` entries in ``ranking``, in that order.
 
     Zero-only pruning just masks weights.  With ``compensate`` the remaining
     entries of the row absorb each removal (``obs_compensate``) with the
@@ -487,7 +500,6 @@ def prune_to_budget(
         raise ValueError("a layer's cap is NaN")
     layers = list(p.layers)
     plan = []
-    taken: dict[int, Ranking] = {}
     for k in sorted(caps):
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
@@ -495,15 +507,13 @@ def prune_to_budget(
         work = _LayerWork(layers[k].weight, h_inv)
         entries = ranking[ranking.layer == k]
         n = work.walk(entries, float(caps[k]), reestimate)
-        # a whole layer's entries are kept as they are, not copied again
-        taken[k] = entries if n == len(entries) else entries[:n]
         plan.append(
             LayerPrune(
                 layer=k,
-                mask=np.column_stack((taken[k].row, taken[k].col)),
+                mask=np.column_stack((entries.row[:n], entries.col[:n])),
                 delta_spectral_norm=work.delta_norm(),
                 compensated=compensate and n > 0,
             )
         )
         layers[k] = Layer(weight=work.work, bias=layers[k].bias, activation=layers[k].activation)
-    return MlpPolicy(layers=tuple(layers)), PrunePlan(layers=tuple(plan)), taken
+    return MlpPolicy(layers=tuple(layers)), PrunePlan(layers=tuple(plan))

@@ -60,7 +60,7 @@ def test_criterion_1_single_layer_soundness_sweep():
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
-            pruned, _, _ = prune_to_budget(p, entries[:count])
+            pruned, _ = prune_to_budget(p, entries[:count])
             cert = certify(p, pruned, space, n=10_000, seed=int(rng.integers(2**32)))
             violations += cert.audit.violations
             cases += 1
@@ -87,7 +87,7 @@ def test_criterion_2_multi_layer_additivity_sweep():
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
-            pruned, _, _ = prune_to_budget(p, entries[:count])
+            pruned, _ = prune_to_budget(p, entries[:count])
             cert = certify(p, pruned, space, n=10_000, seed=int(rng.integers(2**32)))
             violations += cert.audit.violations
             cases += 1
@@ -231,7 +231,7 @@ def test_criterion_8_budget_round_trip():
         space = StateSpaceSpec(dim=p.input_dim, radius=float(rng.uniform(0.5, 5.0)))
         caps = admissible_magnitude(p, layers, epsilon, space)
         entries = rank_weights(p, calib, layers, damping="auto")
-        pruned, _, _ = prune_to_budget(p, entries, caps, damping="auto", calib=calib)
+        pruned, _ = prune_to_budget(p, entries, caps, damping="auto", calib=calib)
         cert = certify(p, pruned, space, n=100, seed=0)
         if not cert.budget <= epsilon + 1e-9:
             failures += 1

@@ -556,7 +556,7 @@ class TestAuditBound:
             calib = collect_calibration(p, states)
             k = int(rng.integers(p.num_layers))
             entries = rank_weights(p, calib, [k], damping="auto")
-            pruned, _, _ = prune_to_budget(p, entries[: len(entries) // 2])
+            pruned, _ = prune_to_budget(p, entries[: len(entries) // 2])
             space = StateSpaceSpec(dim=p.input_dim, radius=5.0)
             cert = certify(p, pruned, space, n=2000, seed=13)
             assert cert.audit.violations == 0
@@ -569,7 +569,7 @@ class TestAuditBound:
             states = [rng.normal(size=p.input_dim) for _ in range(16)]
             calib = collect_calibration(p, states)
             entries = rank_weights(p, calib, [0, 2], damping="auto")
-            pruned, _, _ = prune_to_budget(p, entries[: len(entries) // 2])
+            pruned, _ = prune_to_budget(p, entries[: len(entries) // 2])
             cert = certify(
                 p, pruned, StateSpaceSpec(dim=p.input_dim, radius=3.0), n=2000, seed=15
             )

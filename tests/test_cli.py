@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import astuple
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from prunecert.policy import (
     load_policy,
     save_policy,
 )
-from prunecert.pruner import collect_calibration
+from prunecert.pruner import PrunePlan, collect_calibration
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,10 +120,17 @@ class TestPrune:
         plan = json.loads((out / "prune_plan.json").read_text())
         assert plan["seed"] == 7
         assert plan["tool_version"]
-        layer = plan["layers"][0]
+        (layer,) = plan["layers"]
+        assert sorted(layer) == [
+            "compensated", "delta_spectral", "k", "removed", "saliency_max", "saliency_sum"
+        ]
         assert layer["k"] == 0
-        assert len(layer["mask"]) == len(layer["saliencies"]) == plan["pruned_weights"]
+        assert layer["removed"] == plan["pruned_weights"] > 0
+        assert 0.0 <= layer["saliency_max"] <= layer["saliency_sum"]
         assert layer["delta_spectral"] > 0
+        # the removed weights are the diff of the two models
+        original, pruned = load_policy(model), load_policy(out / "pruned_model.json")
+        assert (original.layers[0].weight != pruned.layers[0].weight).sum() == layer["removed"]
 
     def test_artifacts_are_canonical_json(self, tmp_path, random_model):
         model, calib = random_model
@@ -159,7 +167,7 @@ class TestPrune:
             # layer 1's free removals come first, then one weight of layer 0
             plan = json.loads((out / "prune_plan.json").read_text())
             assert [layer["k"] for layer in plan["layers"]] == [0, 1]
-            assert plan["layers"][1]["saliencies"] == [0.0, 0.0]
+            assert (plan["layers"][1]["removed"], plan["layers"][1]["saliency_sum"]) == (2, 0.0)
             assert load_policy(out / "pruned_model.json").layers[1].weight.tolist() == [[0.0, 0.0]]
 
     def test_parse_error_exit_code(self, tmp_path):
@@ -272,7 +280,7 @@ class TestBudgetInputs:
         even = plan()
         assert plan("--allocation-weights", "1,1") == even  # epsilon * 1 / 2 == epsilon / 2
         layers = json.loads(plan("--allocation-weights", "1,0"))["layers"]
-        assert [(layer["k"], len(layer["mask"]) > 0) for layer in layers] == [
+        assert [(layer["k"], layer["removed"] > 0) for layer in layers] == [
             (0, True), (1, False)
         ]
         assert plan("--allocation-weights", "1,0") != even
@@ -283,7 +291,7 @@ class TestBudgetInputs:
             code, out = self._prune(tmp_path, "--epsilon", "5", *flags)
             assert code == EXIT_OK
             plan = json.loads((out / "prune_plan.json").read_text())
-            return {layer["k"]: len(layer["mask"]) for layer in plan["layers"]}
+            return {layer["k"]: layer["removed"] for layer in plan["layers"]}
 
         ascending = removed("--layers", "0,1", "--allocation-weights", "3,1")
         assert ascending[0] == 2
@@ -307,28 +315,37 @@ class TestBudgetInputs:
         assert not any(layer.weight.any() for layer in load_policy(out / "pruned_model.json").layers)
 
 
-class TestPlanMatchesReference:
-    """prune_plan.json against a plan built entry by entry from the
-    pure-Python reference ranking."""
+_PLAN_MODELS = ["pendulum_policy.json", "double_integrator_policy.json", None]
 
-    @pytest.mark.parametrize(
-        "fixture", ["pendulum_policy.json", "double_integrator_policy.json", None]
-    )
+
+def _prune_plan_model(tmp_path, fixture, *flags):
+    """Prune a fixture, or for ``None`` a random [4, 7, 5, 2] policy, on 16
+    seeded calibration states; returns the policy, its calibration CSV and
+    the output directory."""
+    rng = np.random.default_rng(41)
+    if fixture is None:
+        model = tmp_path / "model.json"
+        save_policy(random_policy(rng, dims=[4, 7, 5, 2]), model)
+    else:
+        model = FIXTURES / fixture
+    p = load_policy(model)
+    calib_csv = tmp_path / "calib.csv"
+    _write_states_csv(calib_csv, rng.uniform(-2.0, 2.0, size=(16, p.input_dim)))
+    out = tmp_path / "out"
+    assert main([
+        "prune", "--model", str(model), "--calibration", str(calib_csv),
+        "--seed", "5", "--out", str(out), *flags,
+    ]) == EXIT_OK
+    return p, calib_csv, out
+
+
+class TestPlanMatchesReference:
+    """prune_plan.json and the pruned model against a plan built entry by
+    entry from the pure-Python reference ranking."""
+
+    @pytest.mark.parametrize("fixture", _PLAN_MODELS)
     def test_sparsity_plan(self, tmp_path, fixture):
-        rng = np.random.default_rng(41)
-        if fixture is None:
-            model = tmp_path / "model.json"
-            save_policy(random_policy(rng, dims=[4, 7, 5, 2]), model)
-        else:
-            model = FIXTURES / fixture
-        p = load_policy(model)
-        calib_csv = tmp_path / "calib.csv"
-        _write_states_csv(calib_csv, rng.uniform(-2.0, 2.0, size=(16, p.input_dim)))
-        out = tmp_path / "out"
-        assert main([
-            "prune", "--model", str(model), "--calibration", str(calib_csv),
-            "--sparsity", "0.5", "--seed", "5", "--out", str(out),
-        ]) == EXIT_OK
+        p, calib_csv, out = _prune_plan_model(tmp_path, fixture, "--sparsity", "0.5")
 
         states = np.loadtxt(calib_csv, delimiter=",", ndmin=2)
         calib = collect_calibration(p, list(states))
@@ -341,10 +358,13 @@ class TestPlanMatchesReference:
             for _, _, r, c in mine:
                 weights[k][r, c] = 0.0
             delta = weights[k] - p.layers[k].weight
+            saliencies = [sal for sal, _, _, _ in mine]
             layers.append({
                 "k": k,
-                "mask": [[r, c] for _, _, r, c in mine],
-                "saliencies": [sal for sal, _, _, _ in mine],
+                "removed": len(mine),
+                # the exact sum, rounded once
+                "saliency_sum": float(sum(map(Fraction, saliencies))),
+                "saliency_max": max(saliencies),
                 "delta_spectral": spectral_norm(delta) if delta.any() else 0.0,
                 "compensated": False,
             })
@@ -361,6 +381,25 @@ class TestPlanMatchesReference:
         pruned = load_policy(out / "pruned_model.json")
         for k, w in enumerate(weights):
             np.testing.assert_array_equal(pruned.layers[k].weight, w)
+
+    @pytest.mark.parametrize("fixture", _PLAN_MODELS)
+    @pytest.mark.parametrize(
+        # epsilon 10 leaves each fixture's layer 1 with nothing removed
+        "flags", [("--sparsity", "0.5"), ("--epsilon", "10", "--radius", "2")]
+    )
+    def test_rows_count_the_weights_the_model_pair_lost(self, tmp_path, fixture, flags):
+        p, _, out = _prune_plan_model(tmp_path, fixture, *flags)
+        plan = json.loads((out / "prune_plan.json").read_text())
+        lost = {
+            lp.layer: len(lp.mask)
+            for lp in PrunePlan.from_policies(p, load_policy(out / "pruned_model.json")).layers
+        }
+        rows = plan["layers"]
+        assert plan["pruned_weights"] == sum(row["removed"] for row in rows) > 0
+        assert {row["k"]: row["removed"] for row in rows if row["removed"]} == lost
+        for row in rows:
+            if not row["removed"]:
+                assert (row["saliency_sum"], row["saliency_max"]) == (0.0, 0.0)
 
 
 class TestCertify:

@@ -391,7 +391,7 @@ def _pruned_pair(seed=1, fixture="pendulum_policy.json"):
     states = [rng.uniform(-1.0, 1.0, size=2) for _ in range(16)]
     calib = collect_calibration(p, states)
     entries = rank_weights(p, calib, [0], damping="auto")
-    pruned, _, _ = prune_to_budget(p, entries[:2])  # 50% of layer 0
+    pruned, _ = prune_to_budget(p, entries[:2])  # 50% of layer 0
     return p, pruned
 
 

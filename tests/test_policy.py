@@ -548,7 +548,7 @@ class TestCanonicalJson:
         mask = rng.integers(-(2**40), 2**40, size=(n, 2))
         obj = {
             "mask": mask.tolist(),
-            # the plan writer's form: (row, col) tuples, no list per pair
+            # (row, col) tuples, no list per pair
             "pairs": list(zip(*mask.T.tolist())),
             "rows": [rng.standard_normal(n).tolist()],
         }

@@ -228,12 +228,50 @@ class TestRankWeights:
         assert ranking_tuples(ranking) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
         # a compensated removal there only zeroes the weight
         for reestimate in (False, True):
-            pruned, plan, _ = prune_to_budget(
+            pruned, plan = prune_to_budget(
                 p, ranking[:1], compensate=True, damping="auto", calib=calib,
                 reestimate=reestimate,
             )
             assert pruned.layers[1].weight.tolist() == [[0.0, -3.0]]
             assert plan.layers[0].delta_spectral_norm >= 2.0
+
+    def test_dead_layer_with_huge_weights_scores_zero(self):
+        # w * w overflows in the dead layer 1; dividing it by an infinite
+        # inverse diagonal scored inf / inf = NaN and ranked these free
+        # removals last
+        rng = np.random.default_rng(36)
+        relu = ActivationKind("relu")
+        p = MlpPolicy(
+            layers=(
+                Layer(weight=[[1.0, 0.5], [-0.5, 1.0]], bias=[-10.0, -10.0], activation=relu),
+                Layer(weight=[[2e200, -3e300]], bias=[0.0], activation=relu),
+            )
+        )
+        calib = collect_calibration(p, list(rng.uniform(-1.0, 1.0, size=(6, 2))))
+        assert not calib.inputs[1].any()
+        ranking = rank_weights(p, calib, [0, 1], damping="auto")
+        assert ranking_tuples(ranking[:2]) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
+        assert np.isfinite(ranking.saliency).all()
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_overflowing_square_keeps_a_finite_score(self, diagonal):
+        # w ~ 1e200 against states ~ 1e-100: w * w overflows, but the score
+        # 0.5 w^2 / (H^-1)_qq (or 0.5 w^2 H_qq) is about 1e200.  Scaling the
+        # weights by 2^-664 is exact and scales every score by 2^-1328.
+        rng = np.random.default_rng(37)
+        w = rng.normal(size=(3, 4)) * 1e200
+        states = list(rng.normal(size=(8, 4)) * 1e-100)
+
+        def ranked(weight):
+            p = MlpPolicy(layers=(Layer(weight, np.zeros(3), ActivationKind("identity")),))
+            return rank_weights(p, collect_calibration(p, states), [0], "auto", diagonal)
+
+        ranking, scaled = ranked(w), ranked(np.ldexp(w, -664))
+        assert np.isfinite(ranking.saliency).all()
+        assert _positions(ranking) == _positions(scaled)
+        np.testing.assert_allclose(
+            ranking.saliency, np.ldexp(scaled.saliency, 1328), rtol=4 * np.finfo(float).eps
+        )
 
     def test_diagonal_variant_matches_full_inverse_on_diagonal_gram(self):
         rng = np.random.default_rng(4)
@@ -320,7 +358,7 @@ class TestApplyPlan:
 
     def test_count_zero_identity(self):
         _, p, _, _, entries = self._setup()
-        pruned, plan, _ = prune_to_budget(p, entries[:0])
+        pruned, plan = prune_to_budget(p, entries[:0])
         assert plan.layers == ()
         np.testing.assert_array_equal(pruned.layers[0].weight, p.layers[0].weight)
 
@@ -331,16 +369,16 @@ class TestApplyPlan:
         ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
         for count in range(len(ranking) + 1):
             head = ranking[:count]
-            pruned, plan, taken = prune_to_budget(p, head)
+            pruned, plan = prune_to_budget(p, head)
             touched = sorted(set(head.layer.tolist()))
-            assert [lp.layer for lp in plan.layers] == sorted(taken) == touched
+            assert [lp.layer for lp in plan.layers] == touched
             assert sum(len(lp.mask) for lp in plan.layers) == count
             for k in set(range(p.num_layers)) - set(touched):
                 np.testing.assert_array_equal(pruned.layers[k].weight, p.layers[k].weight)
 
     def test_full_layer_zero_only(self):
         _, p, _, _, entries = self._setup()
-        pruned, plan, _ = prune_to_budget(p, entries)
+        pruned, plan = prune_to_budget(p, entries)
         assert not pruned.layers[0].weight.any()
         lp = plan.layers[0]
         np.testing.assert_array_equal(
@@ -353,7 +391,7 @@ class TestApplyPlan:
     def test_loss_additivity_with_orthogonal_calibration_rows(self):
         _, p, x, _, ranking = self._setup()
         w = p.layers[0].weight
-        pruned, plan, _ = prune_to_budget(p, ranking[:3])
+        pruned, plan = prune_to_budget(p, ranking[:3])
         total = _output_loss(w, pruned.layers[0].weight, x)
         parts = sum(_zero_only_loss(w, r, c, x) for r, c in _positions(ranking[:3]))
         assert total == pytest.approx(parts, rel=1e-12, abs=1e-15)
@@ -365,7 +403,7 @@ class TestApplyPlan:
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, range(p.num_layers), damping="auto")
         count = len(entries) // 2
-        pruned, plan, _ = prune_to_budget(p, entries[:count])
+        pruned, plan = prune_to_budget(p, entries[:count])
         for lp in plan.layers:
             w = pruned.layers[lp.layer].weight
             for r, c in lp.mask:
@@ -375,7 +413,7 @@ class TestApplyPlan:
 
     def test_zero_only_reconstruction_is_bitwise(self):
         rng, p, _, _, entries = self._setup(seed=10)
-        pruned, _, _ = prune_to_budget(p, entries[:5])
+        pruned, _ = prune_to_budget(p, entries[:5])
         delta = pruned.layers[0].weight - p.layers[0].weight
         rebuilt = MlpPolicy(
             layers=(
@@ -407,8 +445,8 @@ class TestApplyPlan:
             calib = CalibrationBatch(inputs=(x,))
             entries = rank_weights(p, calib, [0])
             count = int(rng.integers(1, d))
-            zero_p, _, _ = prune_to_budget(p, entries[:count])
-            comp_p, comp_plan, _ = prune_to_budget(
+            zero_p, _ = prune_to_budget(p, entries[:count])
+            comp_p, comp_plan = prune_to_budget(
                 p, entries[:count], compensate=True, calib=calib
             )
             assert comp_plan.layers[0].compensated
@@ -426,7 +464,7 @@ class TestApplyPlan:
         x = rng.normal(size=(d, d + 4))
         calib = CalibrationBatch(inputs=(x,))
         entries = rank_weights(p, calib, [0])
-        pruned, plan, _ = prune_to_budget(
+        pruned, plan = prune_to_budget(
             p, entries[: 2 * d], compensate=True, calib=calib, reestimate=True
         )
         lp = plan.layers[0]
@@ -434,7 +472,7 @@ class TestApplyPlan:
         for r, c in lp.mask:
             assert pruned.layers[0].weight[r, c] == 0.0
         # refreshed curvature never does worse than plain zeroing either
-        zero_p, _, _ = prune_to_budget(p, entries[: 2 * d])
+        zero_p, _ = prune_to_budget(p, entries[: 2 * d])
         assert _output_loss(w, pruned.layers[0].weight, x) <= _output_loss(
             w, zero_p.layers[0].weight, x
         ) + 1e-10
@@ -445,7 +483,7 @@ class TestApplyPlan:
         states = [rng.normal(size=p.input_dim) for _ in range(12)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [0, 1], damping="auto")
-        pruned, plan, _ = prune_to_budget(p, entries[: len(entries) // 3])
+        pruned, plan = prune_to_budget(p, entries[: len(entries) // 3])
         for lp in plan.layers:
             delta = pruned.layers[lp.layer].weight - p.layers[lp.layer].weight
             truth = spectral_norm(delta) if delta.any() else 0.0
@@ -473,7 +511,7 @@ class TestApplyPlan:
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        pruned, plan, _ = prune_to_budget(
+        pruned, plan = prune_to_budget(
             p, ranking[: len(ranking) * 2 // 3], compensate=compensate, damping="auto",
             calib=calib, reestimate=reestimate,
         )
@@ -512,7 +550,7 @@ class TestPrunePlanConstruction:
         states = [rng.normal(size=p.input_dim) for _ in range(10)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [1], damping="auto")
-        pruned, plan, _ = prune_to_budget(p, entries[: len(entries) // 2])
+        pruned, plan = prune_to_budget(p, entries[: len(entries) // 2])
         recovered = PrunePlan.from_policies(p, pruned)
         assert [lp.layer for lp in recovered.layers] == [lp.layer for lp in plan.layers]
         for lp_a, lp_b in zip(plan.layers, recovered.layers):
@@ -528,8 +566,8 @@ class TestPruneToBudget:
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
         calib = collect_calibration(p, states)
         ranking = rank_weights(p, calib, [0], damping="auto")
-        pruned, plan, taken = prune_to_budget(p, ranking, {0: 0.0})
-        assert len(taken[0]) == 0
+        pruned, plan = prune_to_budget(p, ranking, {0: 0.0})
+        assert plan.layers[0].mask.shape == (0, 2)
         np.testing.assert_array_equal(pruned.layers[0].weight, p.layers[0].weight)
 
     def test_caps_respected(self):
@@ -539,7 +577,7 @@ class TestPruneToBudget:
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [0, 1], damping="auto")
         caps = {0: 0.15, 1: 0.05}
-        _, plan, taken = prune_to_budget(p, entries, caps)
+        _, plan = prune_to_budget(p, entries, caps)
         for lp in plan.layers:
             assert lp.delta_spectral_norm <= caps[lp.layer] + 1e-12
 
@@ -556,8 +594,8 @@ class TestPruneToBudget:
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        pruned, plan, taken = prune_to_budget(p, entries, {0: np.inf})
-        assert len(taken[0]) == len(entries)
+        pruned, plan = prune_to_budget(p, entries, {0: np.inf})
+        assert plan.layers[0].mask.tolist() == np.column_stack((entries.row, entries.col)).tolist()
         assert not pruned.layers[0].weight.any()
         # no removal needs an exact norm; the plan's own norm is the only one
         assert calls == [p.layers[0].weight.shape]
@@ -647,15 +685,17 @@ def _budget_matches_reference(p, calib, ranking, reference, caps, compensate, re
     """Run ``prune_to_budget`` and ``_reference_budget`` with the same caps and
     check that both take, mask and leave the same weights; returns the
     pruned policy, the plan and the reference's taken entries."""
-    pruned, plan, taken = prune_to_budget(
+    pruned, plan = prune_to_budget(
         p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
         reestimate=reestimate,
     )
     work, expected = _reference_budget(p, reference, caps, calib, "auto", compensate, reestimate)
-    assert sorted(taken) == sorted(caps) == [lp.layer for lp in plan.layers]
+    assert sorted(caps) == [lp.layer for lp in plan.layers]
     for lp in plan.layers:
         k = lp.layer
-        assert ranking_tuples(taken[k]) == expected[k]
+        # the mask holds the taken head of the layer's ranking, in removal order
+        head = ranking[ranking.layer == k][: len(lp.mask)]
+        assert ranking_tuples(head) == expected[k]
         assert lp.mask.tolist() == [[r, c] for _, _, r, c in expected[k]]
         np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
         assert lp.compensated == (compensate and len(expected[k]) > 0)
@@ -759,19 +799,19 @@ class TestRankingMatchesReference:
     def test_closed_layer_records_no_compensation(self):
         p, calib = _tied_policy(np.random.default_rng(35))
         ranking = rank_weights(p, calib, [0, 2], damping="auto")
-        _, plan, taken = prune_to_budget(
+        _, plan = prune_to_budget(
             p, ranking, {0: 0.0, 2: np.inf}, compensate=True, damping="auto", calib=calib
         )
         closed, wide_open = plan.layers
-        assert (len(taken[0]), closed.mask.shape, closed.compensated) == (0, (0, 2), False)
-        assert (len(taken[2]), wide_open.compensated) == (p.layers[2].weight.size, True)
+        assert (closed.mask.shape, closed.compensated) == ((0, 2), False)
+        assert (len(wide_open.mask), wide_open.compensated) == (p.layers[2].weight.size, True)
         # a cap below the first removal's norm: that compensated removal is
         # tried and undone, so the layer keeps nothing and is not compensated
-        _, plan, taken = prune_to_budget(
+        _, plan = prune_to_budget(
             p, ranking, {2: 1e-300}, compensate=True, damping="auto", calib=calib
         )
         (undone,) = plan.layers
-        assert (len(taken[2]), undone.mask.shape, undone.compensated) == (0, (0, 2), False)
+        assert (undone.mask.shape, undone.compensated) == ((0, 2), False)
         assert undone.delta_spectral_norm == 0.0
 
 
@@ -880,14 +920,14 @@ class TestPinnedNormCount:
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        _, _, taken = prune_to_budget(
+        _, plan = prune_to_budget(
             p, ranking, caps, compensate=compensate, damping="auto", calib=calib
         )
         monkeypatch.undo()
         # every layer closes at a refused removal, which was tried too
-        sizes = [int((ranking.layer == k).sum()) for k in caps]
-        assert all(len(taken[k]) < size for k, size in zip(caps, sizes))
-        tried = sum(len(taken[k]) + 1 for k in caps)
+        sizes = [int((ranking.layer == lp.layer).sum()) for lp in plan.layers]
+        assert all(len(lp.mask) < size for lp, size in zip(plan.layers, sizes))
+        tried = sum(len(lp.mask) + 1 for lp in plan.layers)
         assert len(calls) == pinned <= tried // 2
         _budget_matches_reference(
             p, calib, ranking, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps,
