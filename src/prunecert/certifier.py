@@ -9,8 +9,9 @@ and ``||s||_2``.  Perturbing several layers adds the per-layer terms.
 off an (original, pruned) pair, weights them by the worst-case constants on
 the certified ball, and audits the sum on sampled states with
 ``audit_states``, the one per-state audit, which the simulator shares.  One
-private evaluator computes every constant, so the budget, the per-state
-bounds and the inverse problem's caps share the same arithmetic bit for bit.
+private evaluator computes every constant from plain tuples of weight and
+bias norms, with no policy in hand, so the budget, the per-state bounds and
+the inverse problem's caps share the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -146,14 +147,13 @@ class Certificate:
 # bound constants
 # ---------------------------------------------------------------------------
 
-def _constants(p: MlpPolicy, layers: Iterable[int], snorm) -> list:
+def _constants(norms: Sequence[float], biases: Sequence[float], layers: Iterable[int], snorm):
     """``C_k`` at the state norm ``snorm`` (a scalar or an array), one per
-    layer k of ``layers``: ``snorm`` times the norm product over the other
+    layer k of ``layers``, from plain tuples of each layer's weight spectral
+    norm and bias norm: ``snorm`` times the norm product over the other
     layers, plus one carry-over term per bias below layer k, each added in
     turn.  Every certified number comes from here, in this order."""
-    w = p.weight_spectral_norms
-    b = p.bias_norms
-    L = p.num_layers
+    L = len(norms)
     out = []
     for k in layers:
         if not 0 <= k < L:
@@ -161,13 +161,13 @@ def _constants(p: MlpPolicy, layers: Iterable[int], snorm) -> list:
         prod_rest = 1.0
         for m in range(L):
             if m != k:
-                prod_rest *= w[m]
+                prod_rest *= norms[m]
         c = snorm * prod_rest
         for j in range(k):
-            term = b[j]
+            term = biases[j]
             for m in range(j + 1, L):
                 if m != k:
-                    term *= w[m]
+                    term *= norms[m]
             c = c + term
         out.append(c)
     return out
@@ -190,7 +190,8 @@ def per_state_bounds(
     """
     sn = np.asarray(snorms, dtype=float)
     total = np.zeros_like(sn)
-    for (_, dn), c in zip(delta_norms, _constants(p, [k for k, _ in delta_norms], sn)):
+    cs = _constants(p.weight_spectral_norms, p.bias_norms, [k for k, _ in delta_norms], sn)
+    for (_, dn), c in zip(delta_norms, cs):
         total = total + dn * c
     return total
 
@@ -213,6 +214,8 @@ def admissible_magnitude(
     beside it, so each layer is listed once.  An infinite ``epsilon`` caps
     nothing; a layer with weight 0 gets a zero share even then.  A layer
     whose worst-case constant is zero cannot contribute: its cap is infinite.
+    A NaN constant (a norm product of 0 and inf) caps nothing soundly, so it
+    is an error that names the layer.
     """
     if not epsilon >= 0:
         raise ValueError(f"error budget must be nonnegative, got {epsilon}")
@@ -234,7 +237,10 @@ def admissible_magnitude(
     shares = [epsilon * w / total if w > 0.0 else 0.0 for w in ws]
     _check_space(p, space)
     caps = {}
-    for k, share, c_max in zip(ks, shares, _constants(p, ks, space.radius)):
+    c_maxes = _constants(p.weight_spectral_norms, p.bias_norms, ks, space.radius)
+    for k, share, c_max in zip(ks, shares, c_maxes):
+        if math.isnan(c_max):
+            raise ValueError(f"layer {k}: the worst-case constant is NaN, so no cap bounds it")
         caps[k] = share / c_max if c_max > 0 else math.inf
     return caps
 
@@ -313,7 +319,8 @@ def certify(
     """
     _check_space(original, space)
     delta_norms = PrunePlan.from_policies(original, pruned).delta_norms()
-    c_maxes = _constants(original, [k for k, _ in delta_norms], space.radius)
+    ks = [k for k, _ in delta_norms]
+    c_maxes = _constants(original.weight_spectral_norms, original.bias_norms, ks, space.radius)
     rows = tuple(
         CertificateRow(layer=k, c_max=float(c), delta_spectral=dn, contribution=float(c) * dn)
         for (k, dn), c in zip(delta_norms, c_maxes)

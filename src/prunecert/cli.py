@@ -574,11 +574,13 @@ def cmd_report(cfg: argparse.Namespace) -> int:
                 "violations": a.violations,
             }
         )
+    budgets = [e["budget"] for e in entries]
     summary = {
         "certificates": entries,
         "count": len(entries),
         "all_hold": all(e["holds"] for e in entries),
-        "max_budget": max(e["budget"] for e in entries),
+        # max skips a NaN unless it comes first; any NaN budget is the max
+        "max_budget": max(budgets) if not any(map(math.isnan, budgets)) else math.nan,
         "total_violations": sum(e["violations"] for e in entries),
         "timestamp": _timestamp(),
     }

@@ -45,6 +45,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _up(x: float) -> float:
+    """One ulp outward from a rounded result, so it is at least the exact one."""
+    return math.nextafter(x, math.inf)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a nonempty, finite, float64 2-D array."""
     m = np.asarray(a, dtype=float)
@@ -151,7 +156,7 @@ def spectral_norm(m) -> float:
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         out = float(np.ldexp(bound, exp))
     # scaling back into the subnormal range rounds; step one ulp outward
-    return math.nextafter(out, math.inf) if out < _TINY else out
+    return _up(out) if out < _TINY else out
 
 
 def spectral_norm_ceiling(sigma: float, shape) -> float:
@@ -171,7 +176,7 @@ def spectral_norm_ceiling(sigma: float, shape) -> float:
     n = min(shape)
     factor = math.sqrt(1.0 + 2.0 * _norm_allowance(shape) * n) * (1.0 + 16.0 * _EPS)
     out = sigma * factor
-    return math.nextafter(out, math.inf) if 0.0 < out < _TINY else out
+    return _up(out) if 0.0 < out < _TINY else out
 
 
 def _rescaled_norm(v: np.ndarray, axis) -> np.ndarray:

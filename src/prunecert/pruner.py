@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from prunecert import linalg
-from prunecert.linalg import _EPS, _frozen
+from prunecert.linalg import _EPS, _frozen, _up
 from prunecert.policy import Layer, MlpPolicy, _propagate
 
 __all__ = [
@@ -305,11 +305,6 @@ def _change_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v) + n * 5e-324) * (1.0 + (n + 4) * _EPS)
 
 
-def _up(x: float) -> float:
-    """One ulp outward from a rounded result, so it is at least the exact one."""
-    return math.nextafter(x, math.inf)
-
-
 class _Anchor:
     """A running bound on ``||delta||_2`` that starts again at each exact norm.
 
@@ -422,7 +417,7 @@ class _LayerWork:
             else:
                 original = self.original[row]
                 grow = _change_norm((self.work[row] - original) - (saved - original))
-            upper = math.nextafter(upper + grow, math.inf)
+            upper = _up(upper + grow)
             if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
                 # an overflow makes the bound inf or NaN, and neither is taken
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -430,8 +425,7 @@ class _LayerWork:
                 if coupled < upper:  # False for NaN
                     upper = coupled
                 if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
-                    delta = self.work - self.original
-                    upper = linalg.spectral_norm(delta) if delta.any() else 0.0
+                    upper = self.delta_norm()
                     if upper > cap:
                         # close the layer: taking later (higher-saliency) entries
                         # instead of this one would reorder the plan nondeterministically

@@ -42,6 +42,16 @@ def random_policy(
     return MlpPolicy(layers=tuple(layers))
 
 
+def inf_norm_policy() -> MlpPolicy:
+    """Two identity layers with unit biases whose first weight norm is inf:
+    every entry of layer 0 is 1e308, so at state norm 0 the constant of
+    layer 1 is 0 * inf + sqrt(2), which is NaN."""
+    weights = (np.full((2, 2), 1e308), np.array([[0.5, 0.25], [0.1, 0.2]]))
+    return MlpPolicy(
+        layers=tuple(Layer(w, np.ones(2), ActivationKind("identity")) for w in weights)
+    )
+
+
 def naive_forward(p: MlpPolicy, s):
     """Second, loop-based forward implementation used as an oracle."""
 

@@ -3,12 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import _ck_oracle, naive_forward, random_policy, scaled_certificate, scaled_norm
+from conftest import (
+    _ck_oracle,
+    inf_norm_policy,
+    naive_forward,
+    random_policy,
+    scaled_certificate,
+    scaled_norm,
+)
 from prunecert import linalg
 from prunecert.certifier import (
     AUDIT_SLACK,
     StateSpaceSpec,
+    _constants,
     admissible_magnitude,
     audit_states,
     certify,
@@ -200,6 +210,37 @@ class TestBoundConstantMax:
         p = _three_layer_fixture()
         space = StateSpaceSpec(dim=2, radius=2.5)
         assert _c_max(p, 1, space) == _constant(p, 1, [2.5, 0.0])
+
+
+# a weight or bias norm, or a state norm: zero, subnormals and 1e150, whose
+# cube overflows to inf (so 0 * inf makes NaN), drawn often on purpose
+_NORMS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e150]), st.floats(0.0, 1e150))
+
+
+class TestConstantsFromTuples:
+    """``_constants`` on plain float tuples, with no policy built."""
+
+    @given(
+        st.lists(st.tuples(_NORMS, _NORMS), min_size=1, max_size=5),
+        st.lists(_NORMS, min_size=1, max_size=4),
+    )
+    @example(
+        [(1e150, 1e150), (1e150, 0.0), (1e150, 5e-324), (0.0, 1e-310), (5e-324, 1e150)],
+        [0.0, 5e-324, 1e150],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_bit_for_bit(self, layers, snorms):
+        norms, biases = map(tuple, zip(*layers))
+        ks = range(len(norms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each scalar state norm, then all of them as one array
+            for snorm in (*snorms, np.array(snorms)):
+                got = _constants(norms, biases, ks, snorm)
+                want = [_ck_oracle(norms, biases, k + 1, snorm) for k in ks]
+                # compared as bytes, so a NaN must match a NaN
+                assert [np.asarray(c).tobytes() for c in got] == [
+                    np.asarray(c).tobytes() for c in want
+                ]
 
 
 def _equality_fixture():
@@ -394,6 +435,12 @@ class TestAdmissibleMagnitude:
         p = _diag_policy([1.0, 1.0])
         caps = admissible_magnitude(p, [0], 1.0, StateSpaceSpec(dim=2, radius=0.0))
         assert math.isinf(caps[0])
+
+    def test_nan_constant_is_an_error_naming_the_layer(self):
+        # at radius 0, layer 1's constant is 0 * inf + sqrt(2): NaN.  Taken
+        # as an infinite cap, it would let the walk remove all of layer 1
+        with pytest.raises(ValueError, match="layer 1"):
+            admissible_magnitude(inf_norm_policy(), [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
 
     def test_negative_budget_rejected(self):
         p = _diag_policy([1.0])

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     _ck_oracle,
+    inf_norm_policy,
     random_policy,
     reference_ranking,
     reference_simulation,
@@ -263,6 +264,23 @@ class TestBudgetInputs:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "pruned_model.json").exists()
+
+    def test_nan_constant_is_a_usage_error(self, tmp_path, capsys):
+        # ||W_0|| = inf makes layer 1's constant NaN at radius 0; taken as an
+        # infinite cap, it would let the walk remove all four weights of layer 1
+        model = tmp_path / "model.json"
+        save_policy(inf_norm_policy(), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        out = tmp_path / "out"
+        code = main([
+            "prune", "--model", str(model), "--calibration", str(calib), "--epsilon", "1",
+            "--radius", "0", "--layers", "1", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: layer 1")
         assert not (out / "pruned_model.json").exists()
 
     def test_reestimate_without_compensate_is_a_usage_error(self, tmp_path, capsys):
@@ -1200,6 +1218,30 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["count"] == 2
         assert summary["all_hold"] is True
+
+    def test_max_budget_is_nan_in_either_order(self, tmp_path, random_model):
+        # max skips a NaN unless it comes first, so one order would hide it
+        model, _ = random_model
+        main([
+            "certify", "--model", str(model), "--pruned", str(model),
+            "--radius", "1.0", "--samples", "10", "--out", str(tmp_path / "ok"),
+        ])
+        original = inf_norm_policy()
+        zeroed = Layer(np.zeros((2, 2)), np.ones(2), ActivationKind("identity"))
+        save_policy(original, tmp_path / "inf.json")
+        save_policy(MlpPolicy(layers=(original.layers[0], zeroed)), tmp_path / "pruned.json")
+        # at radius 0, layer 1's constant is 0 * inf + sqrt(2): NaN
+        main([
+            "certify", "--model", str(tmp_path / "inf.json"),
+            "--pruned", str(tmp_path / "pruned.json"), "--radius", "0", "--samples", "10",
+            "--out", str(tmp_path / "nan"),
+        ])
+        ok, nan = (str(tmp_path / name / "certificate.json") for name in ("ok", "nan"))
+        assert json.loads(Path(nan).read_text())["budget"] == "NaN"
+        for i, paths in enumerate(((ok, nan), (nan, ok))):
+            out = tmp_path / f"summary{i}"
+            assert main(["report", *paths, "--out", str(out)]) == EXIT_VIOLATION
+            assert json.loads((out / "summary.json").read_text())["max_budget"] == "NaN"
 
     def test_no_certificates_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_USAGE
