@@ -97,7 +97,7 @@ def _write(path, write, *args) -> None:
         raise UsageError(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
-def _load_states_csv(path, expected_dim: int) -> list[np.ndarray]:
+def _load_states_csv(path, expected_dim: int) -> np.ndarray:
     def parse(path) -> np.ndarray:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty file is the error below
@@ -112,7 +112,7 @@ def _load_states_csv(path, expected_dim: int) -> list[np.ndarray]:
             raise ValueError("states contain non-finite values")
         return data
 
-    return list(_read(path, parse))
+    return _read(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ OPTIONS = {
     "layers": (_numbers(int), None, _PRUNE,
                "layer indices to prune, comma separated (default all)"),
     "sparsity": (_number(float, 0.0, 1.0), None, _PRUNE,
-                 "fraction of selected weights to prune"),
+                 "fraction of the selected nonzero weights to prune"),
     "epsilon": (_number(float, 0.0), None, _PRUNE,
                 "control-error budget (inverse mode); inf caps nothing"),
     "compensate": (_switch, False, _PRUNE, "adjust surviving row entries after each removal"),

@@ -2,9 +2,9 @@
 
 Each layer's curvature is the shared block ``2 X X^T`` built from the
 calibration activations of the unpruned policy, so scoring never needs
-gradients or labels.  ``rank_weights`` scores every selected weight at
-once and returns a ``Ranking`` of parallel arrays in removal order; no
-per-weight Python object is built between scoring and the plan.
+gradients or labels.  ``rank_weights`` scores every nonzero selected
+weight at once and returns a ``Ranking`` of parallel arrays in removal
+order; no per-weight Python object is built between scoring and the plan.
 ``prune_to_budget`` is the one walk down that ranking, with or without a
 cap on each layer's delta norm; sparsity mode walks a prefix of the
 ranking uncapped.  A plan records, per pruned layer, the positions zeroed
@@ -165,22 +165,17 @@ class PrunePlan:
         return cls(layers=tuple(layers))
 
 
-def collect_calibration(p: MlpPolicy, states: Iterable) -> CalibrationBatch:
+def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
     """Forward a set of states and gather each layer's input activations.
 
-    Column j of ``inputs[k]`` is what state j presents to layer k; layer 0
-    sees the raw states.
+    ``states`` holds one state per row.  Column j of ``inputs[k]`` is what
+    state j presents to layer k; layer 0 sees the raw states.
     """
-    vecs = [linalg.as_vector(s, "state") for s in states]
-    if not vecs:
-        raise ValueError("need at least one calibration state")
-    for v in vecs:
-        if v.shape[0] != p.input_dim:
-            raise ValueError(
-                f"state has dim {v.shape[0]} but policy expects {p.input_dim}"
-            )
+    m = linalg.as_matrix(states, "states")
+    if m.shape[1] != p.input_dim:
+        raise ValueError(f"states have dim {m.shape[1]} but policy expects {p.input_dim}")
     mats: list[np.ndarray] = []
-    _propagate(p, np.stack(vecs, axis=1), mats)
+    _propagate(p, np.ascontiguousarray(m.T), mats)
     return CalibrationBatch(inputs=tuple(mats))
 
 
@@ -213,7 +208,8 @@ def rank_weights(
     damping=0.0,
     diagonal: bool = False,
 ) -> Ranking:
-    """Score every weight in the selected layers, ascending by saliency.
+    """Score every nonzero weight in the selected layers, ascending by
+    saliency.  A zero weight is not ranked: removing it changes nothing.
 
     The score divides each squared weight by the corresponding diagonal of
     the damped inverse curvature block; ``diagonal=True`` swaps in the
@@ -258,11 +254,15 @@ def rank_weights(
             else:
                 sal = _score(w, np.diag(h_inv), np.divide)
         rows, cols = np.indices(sal.shape).reshape(2, -1)
-        parts.append((np.full(sal.size, k, dtype=np.intp), rows, cols, sal.ravel()))
-    layer, row, col, saliency = (np.concatenate(a) for a in zip(*parts))
+        nonzero = w.ravel() != 0.0
+        parts.append((np.full(sal.size, k, dtype=np.intp), rows, cols, sal.ravel(), nonzero))
+    layer, row, col, saliency, nonzero = (np.concatenate(a) for a in zip(*parts))
     # the entries are concatenated in (layer, row, col) order, so a stable
-    # sort on saliency alone breaks its ties on (layer, row, col)
+    # sort on saliency alone breaks its ties on (layer, row, col); dropping
+    # the zero weights from the order, not from each layer's scores, adds no
+    # copy of the scores to the peak memory
     order = np.argsort(saliency, kind="stable")
+    order = order[nonzero[order]]
     return Ranking(layer[order], row[order], col[order], saliency[order])
 
 
@@ -274,15 +274,18 @@ def obs_compensate(row, q: int, h_inv) -> np.ndarray:
     constraint; entry ``q`` is forced to exactly 0 so masks stay bit-exact.
     """
     r = linalg.as_vector(row, "row")
-    hi = linalg.as_matrix(h_inv, "h_inv")
+    hi = np.asarray(h_inv, dtype=float)
     d = r.shape[0]
     if hi.shape != (d, d):
         raise ValueError(f"h_inv shape {hi.shape} does not match row dim {d}")
     if not 0 <= q < d:
         raise ValueError(f"column index {q} out of range 0..{d - 1}")
+    col = hi[:, q]  # the only column the update reads, so the only one checked
+    if not np.isfinite(col).all():
+        raise ValueError(f"h_inv column {q} contains non-finite entries")
     if not hi[q, q] > 0:
         raise ValueError(f"(H^-1)_qq must be positive, got {hi[q, q]}")
-    out = r - (r[q] / hi[q, q]) * hi[:, q]
+    out = r - (r[q] / hi[q, q]) * col
     out[q] = 0.0
     return out
 
@@ -402,36 +405,30 @@ class _LayerWork:
         ``cap``; return how many were removed."""
         if cap <= 0.0:
             return 0
-        if cap == math.inf and self.h_inv is None:
-            self.work[entries.row, entries.col] = 0.0
+        if cap == math.inf:
+            if self.h_inv is None:
+                self.work[entries.row, entries.col] = 0.0
+            else:
+                for row, col in zip(entries.row.tolist(), entries.col.tolist()):
+                    self.remove(row, col, reestimate)
             return len(entries)
         n = 0
-        upper = 0.0  # never below ||delta||_2
         anchor = _Anchor(0.0, self.work.shape[0])
         for row, col in zip(entries.row.tolist(), entries.col.tolist()):
             saved = self.work[row].copy()
             anchor.keep(row, saved, self.original)
             self.remove(row, col, reestimate)
-            if self.h_inv is None:
-                grow = abs(float(saved[col]))
-            else:
-                original = self.original[row]
-                grow = _change_norm((self.work[row] - original) - (saved - original))
-            upper = _up(upper + grow)
-            if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
-                # an overflow makes the bound inf or NaN, and neither is taken
-                with np.errstate(over="ignore", invalid="ignore"):
-                    coupled = anchor.bound(self.work, self.original)
-                if coupled < upper:  # False for NaN
-                    upper = coupled
-                if linalg.spectral_norm_ceiling(upper, self.work.shape) > cap:
-                    upper = self.delta_norm()
-                    if upper > cap:
-                        # close the layer: taking later (higher-saliency) entries
-                        # instead of this one would reorder the plan nondeterministically
-                        self.work[row] = saved
-                        break
-                    anchor = _Anchor(upper, self.work.shape[0])
+            # an overflow makes the bound inf or NaN, and neither clears the cap
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = anchor.bound(self.work, self.original)
+            if not linalg.spectral_norm_ceiling(bound, self.work.shape) <= cap:
+                norm = self.delta_norm()
+                if norm > cap:
+                    # close the layer: taking later (higher-saliency) entries
+                    # instead of this one would reorder the plan nondeterministically
+                    self.work[row] = saved
+                    break
+                anchor = _Anchor(norm, self.work.shape[0])
             n += 1
         return n
 
@@ -464,24 +461,22 @@ def prune_to_budget(
     refreshes the row's inverse block after every removal instead.  Biases
     are never modified.
 
-    An infinite cap needs no norm until the plan's own, and a zero-only
-    layer under one is masked in a single assignment.  Under a finite cap
-    most removals need no eigen-solve either.  A running ``upper`` never
-    falls below ``||delta||_2``; it is the least of two bounds.  Weyl's:
-    each removal changes one row of ``delta``, a rank-one change ``E`` whose
-    ``||E||_2`` is that row change's 2-norm (``|w_q|`` when only zeroing),
-    so ``||delta + E||_2 <= upper + ||E||_2``.  And ``_Anchor``'s row
-    coupling, which starts again at each exact norm ``s`` of a delta ``D0``:
-    the rows changed since add ``||D0_r|| ||E_r|| + D0_r.E_r + ||E_r||^2`` to
-    ``s^2``.  Near the cap that grows far more slowly than Weyl's bound; the
-    walk computes it only when Weyl's no longer clears the cap.  Both are
-    rounded outward, so no rounding breaks either bound.  When
-    ``linalg.spectral_norm_ceiling(upper)``, the largest value the exact
-    norm could return, is within the cap, the exact norm is within it too
-    and the removal is accepted.  Otherwise the exact norm decides, as it
-    always did, and becomes the new ``upper`` and the new anchor.  So every
-    decision, and with it the plan, is the one an exact norm per removal
-    gives.
+    An infinite cap needs no bound and no norm until the plan's own: each
+    entry is removed, and a zero-only layer is masked in a single
+    assignment.  Under a finite cap most removals need no eigen-solve
+    either.  One running bound never falls below ``||delta||_2``:
+    ``_Anchor``'s row coupling, which starts again at each exact norm ``s``
+    of a delta ``D0``.  The rows changed since, by ``E_r`` each, add
+    ``||D0_r|| ||E_r|| + D0_r.E_r + ||E_r||^2`` to ``s^2``, rounded outward,
+    so no rounding breaks the bound.  A row norm ``||D0_r||`` is at most
+    ``s``, so in exact arithmetic this is never above Weyl's
+    ``s + sum ||E_r||``, and a zero-only removal, with ``D0_r.E_r = 0``,
+    grows it far more slowly.  When ``linalg.spectral_norm_ceiling`` of the
+    bound, the largest value the exact norm could return, is within the
+    cap, the exact norm is within it too and the removal is accepted.
+    Otherwise (an overflowing bound is inf or NaN) the exact norm decides,
+    as it always did, and starts a new anchor.  So every decision, and with
+    it the plan, is the one an exact norm per removal gives.
     """
     if compensate and calib is None:
         raise ValueError("compensation needs the calibration batch to build H^-1")

@@ -116,8 +116,9 @@ def scaled_norm(v) -> float:
 
 def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
     """Per-weight reference for ``rank_weights``: ``(saliency, layer, row, col)``
-    tuples from the same saliency matrix, ordered by a Python sort key.  Under
-    auto damping an all-zero curvature block scores every weight 0."""
+    tuples from the same saliency matrix, ordered by a Python sort key.  A zero
+    weight is left out, and under auto damping an all-zero curvature block
+    scores every weight 0."""
     from prunecert import linalg
 
     entries = []
@@ -135,7 +136,8 @@ def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
             sal = 0.5 * w * w / np.diag(linalg.damped_inverse(h, lam))[None, :]
         for r in range(w.shape[0]):
             for c in range(w.shape[1]):
-                entries.append((float(sal[r, c]), k, r, c))
+                if w[r, c] != 0.0:
+                    entries.append((float(sal[r, c]), k, r, c))
     return sorted(entries, key=lambda e: (e[0], e[1], e[2], e[3]))
 
 

@@ -103,6 +103,23 @@ class TestPrune:
         original = load_policy(model)
         np.testing.assert_array_equal(pruned.layers[0].weight, original.layers[0].weight)
 
+    def test_sparsity_counts_only_nonzero_weights(self, tmp_path):
+        # a weight that is already 0 is not ranked, so it fills no slot of
+        # round(s * n): 0.5 of the three nonzero weights is two, both removed
+        model = _simple_model(tmp_path, weight=((0.0, 1.0), (2.0, -1.0)))
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).normal(size=(8, 2)))
+        out = tmp_path / "out"
+        assert main([
+            "prune", "--model", str(model), "--calibration", str(calib),
+            "--sparsity", "0.5", "--out", str(out),
+        ]) == EXIT_OK
+        plan = json.loads((out / "prune_plan.json").read_text())
+        original, pruned = load_policy(model), load_policy(out / "pruned_model.json")
+        (lost,) = PrunePlan.from_policies(original, pruned).layers
+        assert plan["pruned_weights"] == plan["layers"][0]["removed"] == len(lost.mask) == 2
+        assert pruned.layers[0].weight[0, 0] == 0.0
+
     def test_requires_exactly_one_mode(self, tmp_path, random_model):
         model, calib = random_model
         args = ["prune", "--model", str(model), "--calibration", str(calib),

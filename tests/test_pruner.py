@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_forward, random_policy, ranking_tuples, reference_ranking
-from prunecert import linalg
+from prunecert import linalg, pruner
 from prunecert.linalg import (
     SingularMatrixError,
     auto_damping,
@@ -96,6 +96,23 @@ class TestCollectCalibration:
         with pytest.raises(ValueError):
             collect_calibration(p, [np.array([1.0])])
 
+    def test_array_of_rows_matches_list_of_states(self):
+        # one state per row, as a matrix or as a list: the same C-contiguous
+        # columns, bit for bit
+        rng = np.random.default_rng(1)
+        p = random_policy(rng, depth=3, max_width=6)
+        states = rng.normal(size=(7, p.input_dim))
+        from_array = collect_calibration(p, states).inputs
+        from_list = collect_calibration(p, list(states)).inputs
+        for a, b in zip(from_array, from_list, strict=True):
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(from_array[0], states.T)
+
+    def test_non_finite_state_rejected(self):
+        p = MlpPolicy(layers=(Layer([[1.0, 0.0]], [0.0], ActivationKind("relu")),))
+        with pytest.raises(ValueError, match="non-finite"):
+            collect_calibration(p, [[1.0, 2.0], [math.nan, 0.0]])
+
     def test_batch_requires_equal_columns(self):
         with pytest.raises(ValueError):
             CalibrationBatch(inputs=(np.ones((2, 3)), np.ones((2, 4))))
@@ -119,7 +136,9 @@ class TestObdSaliency:
         assert self._saliency([[2.0]], [[1.0]]) == {(0, 0): 4.0}
 
     def test_zero_weight(self):
-        assert self._saliency([[0.0, 1.0]], np.eye(2))[(0, 0)] == 0.0
+        # removing a weight that is already 0 changes nothing, so it takes no
+        # slot of a sparsity budget; H = 2 I scores the 1 at 0.5*1/0.5
+        assert self._saliency([[0.0, 1.0]], np.eye(2)) == {(0, 1): 1.0}
 
     def test_nonpositive_curvature_rejected(self, monkeypatch):
         # a broken inversion must not yield negative or infinite saliencies
@@ -156,16 +175,31 @@ class TestRankWeights:
         assert ranking.saliency[0] < ranking.saliency[1]
 
     def test_all_zero_layer_lexicographic(self):
+        # a layer whose inputs are all zero (a dead block under auto damping)
+        # scores every weight 0, so its nonzero weights are ranked by
+        # position; its zero weight is not ranked
+        p = MlpPolicy(
+            layers=(
+                Layer(weight=[[2.0, 0.0], [-1.0, 3.0]], bias=np.zeros(2),
+                      activation=ActivationKind("relu")),
+            )
+        )
+        calib = CalibrationBatch(inputs=(np.zeros((2, 3)),))
+        ranking = rank_weights(p, calib, [0], damping="auto")
+        assert ranking.saliency.tolist() == [0.0] * 3
+        assert ranking.layer.tolist() == [0] * 3
+        assert _positions(ranking) == [(0, 0), (1, 0), (1, 1)]
+
+    def test_all_zero_layer_ranks_nothing(self):
         p = MlpPolicy(
             layers=(
                 Layer(weight=np.zeros((2, 2)), bias=np.zeros(2), activation=ActivationKind("relu")),
             )
         )
-        calib = CalibrationBatch(inputs=(np.eye(2),))
-        ranking = rank_weights(p, calib, [0])
-        assert ranking.saliency.tolist() == [0.0] * 4
-        assert ranking.layer.tolist() == [0] * 4
-        assert _positions(ranking) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        ranking = rank_weights(p, CalibrationBatch(inputs=(np.eye(2),)), [0])
+        assert len(ranking) == 0
+        _, plan = prune_to_budget(p, ranking)
+        assert plan.layers == ()
 
     def test_matches_brute_force_ranking_with_diagonal_gram(self):
         rng = np.random.default_rng(1)
@@ -323,6 +357,16 @@ class TestObsCompensate:
         h[1, 1] = 0.0
         with pytest.raises(ValueError):
             obs_compensate([1.0, 2.0], 1, h)
+
+    def test_non_finite_column_rejected(self):
+        # the update reads column q of H^-1, so a non-finite entry there is an
+        # error; an entry of another column is never read
+        for bad in (math.nan, math.inf):
+            h = np.eye(3)
+            h[2, 1] = bad
+            with pytest.raises(ValueError, match="column 1"):
+                obs_compensate([1.0, 2.0, 3.0], 1, h)
+            np.testing.assert_array_equal(obs_compensate([1.0, 2.0, 3.0], 0, h), [0.0, 2.0, 3.0])
 
     def test_never_worse_than_zero_only(self):
         rng = np.random.default_rng(7)
@@ -581,25 +625,40 @@ class TestPruneToBudget:
         for lp in plan.layers:
             assert lp.delta_spectral_norm <= caps[lp.layer] + 1e-12
 
-    def test_infinite_cap_prunes_everything(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "compensate, reestimate", [(False, False), (True, False), (True, True)]
+    )
+    def test_infinite_cap_prunes_everything(self, monkeypatch, compensate, reestimate):
         rng = np.random.default_rng(16)
         p = random_policy(rng, depth=1, max_width=5)
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
         calib = collect_calibration(p, states)
         entries = rank_weights(p, calib, [0], damping="auto")
-        calls = []
+        calls, anchors = [], []
 
         def counted(m):
             calls.append(np.shape(m))
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        pruned, plan = prune_to_budget(p, entries, {0: np.inf})
+        monkeypatch.setattr(pruner, "_Anchor", lambda *args: anchors.append(args))
+        pruned, plan = prune_to_budget(
+            p, entries, {0: np.inf}, compensate=compensate, damping="auto", calib=calib,
+            reestimate=reestimate,
+        )
+        monkeypatch.undo()
         assert plan.layers[0].mask.tolist() == np.column_stack((entries.row, entries.col)).tolist()
-        assert not pruned.layers[0].weight.any()
-        # no removal needs an exact norm; the plan's own norm is the only one
+        if reestimate or not compensate:  # a fixed inverse may refill an earlier zero
+            assert not pruned.layers[0].weight.any()
+        # no removal needs a bound or an exact norm; the plan's own norm is the only one
+        assert anchors == []
         assert calls == [p.layers[0].weight.shape]
-        assert plan.layers[0].delta_spectral_norm == spectral_norm(p.layers[0].weight)
+        delta = pruned.layers[0].weight - p.layers[0].weight
+        assert plan.layers[0].delta_spectral_norm == spectral_norm(delta)
+        _budget_matches_reference(
+            p, calib, entries, reference_ranking(p, calib, [0], damping="auto"),
+            {0: math.inf}, compensate, reestimate,
+        )
 
     def test_nan_cap_rejected(self):
         # a NaN cap never compares above a delta norm, so it would cap nothing
@@ -621,25 +680,30 @@ class TestPruneToBudget:
 
 
 def _tied_policy(rng):
-    """Three layers built for exact saliency ties: layer 0 has an all-zero row
-    and a duplicated column fed by duplicated state coordinates, layer 1 is
-    all zero, and layer 2 repeats one weight value along a row."""
+    """Four layers built for exact saliency ties.  Layer 0 has an all-zero row,
+    which is not ranked, and a duplicated column fed by duplicated state
+    coordinates.  The negative biases of layers 0 and 1 hold their outputs at
+    0, so layers 1 and 2 are dead blocks under auto damping whose weights all
+    score 0.  Layer 3 repeats one weight value along a row."""
     w0 = rng.normal(size=(5, 4))
     w0[2] = 0.0
     w0[:, 3] = w0[:, 1]
-    w2 = rng.normal(size=(2, 6))
-    w2[1, :] = 0.75
+    w3 = rng.normal(size=(2, 6))
+    w3[1, :] = 0.75
     relu = ActivationKind("relu")
     p = MlpPolicy(
         layers=(
-            Layer(weight=w0, bias=rng.normal(size=5), activation=relu),
-            Layer(weight=np.zeros((6, 5)), bias=rng.uniform(0.1, 1.0, size=6), activation=relu),
-            Layer(weight=w2, bias=np.zeros(2), activation=ActivationKind("identity")),
+            Layer(weight=w0, bias=np.full(5, -100.0), activation=relu),
+            Layer(weight=rng.normal(size=(6, 5)), bias=-rng.uniform(0.1, 1.0, size=6),
+                  activation=relu),
+            Layer(weight=rng.normal(size=(6, 6)), bias=rng.uniform(0.1, 1.0, size=6),
+                  activation=relu),
+            Layer(weight=w3, bias=np.zeros(2), activation=ActivationKind("identity")),
         )
     )
     states = rng.normal(size=(12, 4))
     states[:, 3] = states[:, 1]
-    return p, collect_calibration(p, list(states))
+    return p, collect_calibration(p, states)
 
 
 def _reference_budget(p, entries, caps, calib, damping, compensate, reestimate):
@@ -709,13 +773,16 @@ class TestRankingMatchesReference:
     @pytest.mark.parametrize("seed", [30, 31, 32])
     def test_tied_policy(self, seed, diagonal):
         p, calib = _tied_policy(np.random.default_rng(seed))
-        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto", diagonal=diagonal)
-        reference = reference_ranking(p, calib, [0, 1, 2], damping="auto", diagonal=diagonal)
+        ranking = rank_weights(p, calib, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
+        reference = reference_ranking(p, calib, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
         assert ranking_tuples(ranking) == reference
-        # the ties are real: zero saliency spans two layers, so every key
-        # (layer, row, col) takes part in the order
+        # the ties are real: zero saliency spans the two dead layers, so every
+        # key (layer, row, col) takes part in the order
+        assert not calib.inputs[1].any() and not calib.inputs[2].any()
         zero_layers = {k for sal, k, _, _ in reference if sal == 0.0}
-        assert zero_layers >= {0, 1}
+        assert zero_layers == {1, 2}
+        # layer 0's zero row is not ranked
+        assert len(reference) == sum(np.count_nonzero(layer.weight) for layer in p.layers)
         assert len({sal for sal, _, _, _ in reference}) < len(reference)
 
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -735,26 +802,27 @@ class TestRankingMatchesReference:
     )
     def test_prune_to_budget_taken_matches_reference_loop(self, compensate, reestimate):
         p, calib = _tied_policy(np.random.default_rng(34))
-        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
-        reference = reference_ranking(p, calib, [0, 1, 2], damping="auto")
+        ranking = rank_weights(p, calib, [0, 1, 2, 3], damping="auto")
+        reference = reference_ranking(p, calib, [0, 1, 2, 3], damping="auto")
 
         def check(caps):
             return _budget_matches_reference(
                 p, calib, ranking, reference, caps, compensate, reestimate
             )
 
-        # layer 1 is ranked but uncapped, so the walk must skip its entries
-        caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in (0, 2)}
+        # layers 1 and 2 are ranked but uncapped, so the walk must skip their entries
+        caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in (0, 3)}
         pruned, plan, expected = check(caps)
         for lp in plan.layers:
             assert 0 < len(expected[lp.layer]) < p.layers[lp.layer].weight.size
             assert lp.compensated == compensate
-        np.testing.assert_array_equal(pruned.layers[1].weight, p.layers[1].weight)
+        for k in (1, 2):
+            np.testing.assert_array_equal(pruned.layers[k].weight, p.layers[k].weight)
 
         # caps on the decision boundary: exactly the exact norm of each prefix's
         # delta, and one ulp below it, where that removal must be refused
         stops = 0
-        for k in (0, 2):
+        for k in (0, 3):
             layer_entries = [e for e in reference if e[1] == k]
             for j in range(1, len(layer_entries) + 1):
                 work, _ = _reference_budget(
@@ -798,17 +866,17 @@ class TestRankingMatchesReference:
 
     def test_closed_layer_records_no_compensation(self):
         p, calib = _tied_policy(np.random.default_rng(35))
-        ranking = rank_weights(p, calib, [0, 2], damping="auto")
+        ranking = rank_weights(p, calib, [0, 3], damping="auto")
         _, plan = prune_to_budget(
-            p, ranking, {0: 0.0, 2: np.inf}, compensate=True, damping="auto", calib=calib
+            p, ranking, {0: 0.0, 3: np.inf}, compensate=True, damping="auto", calib=calib
         )
         closed, wide_open = plan.layers
         assert (closed.mask.shape, closed.compensated) == ((0, 2), False)
-        assert (len(wide_open.mask), wide_open.compensated) == (p.layers[2].weight.size, True)
+        assert (len(wide_open.mask), wide_open.compensated) == (p.layers[3].weight.size, True)
         # a cap below the first removal's norm: that compensated removal is
         # tried and undone, so the layer keeps nothing and is not compensated
         _, plan = prune_to_budget(
-            p, ranking, {2: 1e-300}, compensate=True, damping="auto", calib=calib
+            p, ranking, {3: 1e-300}, compensate=True, damping="auto", calib=calib
         )
         (undone,) = plan.layers
         assert (undone.mask.shape, undone.compensated) == ((0, 2), False)
@@ -839,7 +907,7 @@ def _exactly_within(bound, delta) -> bool:
 
 
 class TestRowCouplingBound:
-    """``_Anchor.bound``, the walk's second running bound, against exact
+    """``_Anchor.bound``, the walk's one running bound, against exact
     arithmetic; the walk's decisions are only exact if it is sound."""
 
     @settings(max_examples=60, deadline=None)
@@ -933,3 +1001,52 @@ class TestPinnedNormCount:
             p, calib, ranking, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps,
             compensate, False,
         )
+
+
+class TestOutOfRangeBound:
+    """The walk's running bound where squares leave the float range: every
+    decision it cannot make goes through the exact norm, as the reference's do."""
+
+    @pytest.mark.parametrize(
+        "compensate, reestimate", [(False, False), (True, False), (True, True)]
+    )
+    # 1e160: a row's squared change overflows and the bound is inf;
+    # 1e-160: every square underflows
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_scaled_output_layer_matches_reference(
+        self, monkeypatch, scale, compensate, reestimate
+    ):
+        rng = np.random.default_rng(36)
+        dims = [4, 6, 5, 3]
+        relu = ActivationKind("relu")
+        weights = [rng.normal(0.0, d**-0.5, (e, d)) for d, e in zip(dims, dims[1:])]
+        # the output layer feeds no calibration input; at 1e160 every score
+        # overflows, so its entries are ranked by position
+        weights[-1] *= scale
+        p = MlpPolicy(layers=tuple(
+            Layer(w, rng.normal(0.0, 0.1, w.shape[0]), relu) for w in weights
+        ))
+        calib = collect_calibration(p, rng.uniform(-1.0, 1.0, (16, 4)))
+        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in range(3)}
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return spectral_norm(m)
+
+        monkeypatch.setattr(linalg, "spectral_norm", counted)
+        _, plan = prune_to_budget(
+            p, ranking, caps, compensate=compensate, damping="auto", calib=calib,
+            reestimate=reestimate,
+        )
+        monkeypatch.undo()
+        out = plan.layers[2]
+        assert 0 < len(out.mask) < int((ranking.layer == 2).sum())
+        if scale > 1.0:
+            # an inf bound clears no cap: each tried removal, the refused one
+            # included, takes an exact norm, and the plan takes its own
+            assert calls.count(weights[-1].shape) == len(out.mask) + 2
+        with np.errstate(over="ignore"):  # the reference's scores overflow to inf too
+            reference = reference_ranking(p, calib, [0, 1, 2], damping="auto")
+        _budget_matches_reference(p, calib, ranking, reference, caps, compensate, reestimate)
