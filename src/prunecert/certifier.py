@@ -173,6 +173,16 @@ def _constants(norms: Sequence[float], biases: Sequence[float], layers: Iterable
     return out
 
 
+def _worst_constants(p: MlpPolicy, layers: Sequence[int], radius: float) -> list[float]:
+    """``C_k,max`` of each layer of ``layers`` on the sphere of ``radius``; a NaN
+    constant (a norm product of 0 and inf) bounds nothing, so it is an error."""
+    c_maxes = _constants(p.weight_spectral_norms, p.bias_norms, layers, radius)
+    for k, c in zip(layers, c_maxes):
+        if math.isnan(c):
+            raise ValueError(f"layer {k}: the worst-case constant is NaN, so it bounds nothing")
+    return c_maxes
+
+
 def _check_space(p: MlpPolicy, space: StateSpaceSpec) -> None:
     if space.dim != p.input_dim:
         raise ValueError(
@@ -236,13 +246,8 @@ def admissible_magnitude(
     # weight's share is 0 even of an infinite budget, where 0 * inf is NaN
     shares = [epsilon * w / total if w > 0.0 else 0.0 for w in ws]
     _check_space(p, space)
-    caps = {}
-    c_maxes = _constants(p.weight_spectral_norms, p.bias_norms, ks, space.radius)
-    for k, share, c_max in zip(ks, shares, c_maxes):
-        if math.isnan(c_max):
-            raise ValueError(f"layer {k}: the worst-case constant is NaN, so no cap bounds it")
-        caps[k] = share / c_max if c_max > 0 else math.inf
-    return caps
+    c_maxes = _worst_constants(p, ks, space.radius)
+    return {k: share / c if c > 0 else math.inf for k, share, c in zip(ks, shares, c_maxes)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +319,13 @@ def certify(
     so a certificate always describes the models it was computed from.  The
     budget weights each layer's worst-case constant, which sits on the sphere
     of radius ``space.radius`` since ``C_k`` increases with ``||s||``, by its
-    delta norm and sums in ascending layer order.  The audit draws ``n``
-    states and counts those ``audit_states`` flags.
+    delta norm and sums in ascending layer order (a NaN constant is an
+    error).  The audit draws ``n`` states and counts ``audit_states``' flags.
     """
     _check_space(original, space)
     delta_norms = PrunePlan.from_policies(original, pruned).delta_norms()
     ks = [k for k, _ in delta_norms]
-    c_maxes = _constants(original.weight_spectral_norms, original.bias_norms, ks, space.radius)
+    c_maxes = _worst_constants(original, ks, space.radius)
     rows = tuple(
         CertificateRow(layer=k, c_max=float(c), delta_spectral=dn, contribution=float(c) * dn)
         for (k, dn), c in zip(delta_norms, c_maxes)

@@ -244,10 +244,9 @@ OPTIONS = {
                  "fraction of the selected nonzero weights to prune"),
     "epsilon": (_number(float, 0.0), None, _PRUNE,
                 "control-error budget (inverse mode); inf caps nothing"),
-    "compensate": (_switch, False, _PRUNE, "adjust surviving row entries after each removal"),
+    "compensate": (_switch, False, _PRUNE,
+                   "re-fit each pruned row's surviving weights over its removed set"),
     "diagonal": (_switch, False, _PRUNE, "use the diagonal curvature approximation"),
-    "reestimate": (_switch, False, _PRUNE,
-                   "refresh the row inverse after each removal (needs --compensate)"),
     # ReLU activations routinely leave rank-deficient curvature blocks, so
     # the CLI defaults to relative auto-damping rather than none
     "damping": (_damping, "auto", _PRUNE, "Hessian damping: a number or 'auto' (default auto)"),
@@ -366,8 +365,6 @@ def _plan_dict(plan: PrunePlan, ranking: Ranking, cfg: argparse.Namespace) -> di
 def cmd_prune(cfg: argparse.Namespace) -> int:
     if (cfg.sparsity is None) == (cfg.epsilon is None):
         raise UsageError("set exactly one of --sparsity or --epsilon")
-    if cfg.reestimate and not cfg.compensate:
-        raise UsageError("--reestimate without --compensate has no inverse to refresh")
     if cfg.sparsity is not None:
         # a config file's state space may be certify's; a flag's is prune's
         dead = [k for k in ("radius", "box_lo", "box_hi", "states") if k in cfg.flagged]
@@ -388,13 +385,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         if cfg.sparsity is not None:
             ranking = ranking[: round(cfg.sparsity * len(ranking))]
         pruned, plan = prune_to_budget(
-            p,
-            ranking,
-            caps,
-            compensate=cfg.compensate,
-            damping=cfg.damping,
-            calib=calib,
-            reestimate=cfg.reestimate,
+            p, ranking, caps, compensate=cfg.compensate, damping=cfg.damping, calib=calib
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -266,27 +266,30 @@ def rank_weights(
     return Ranking(layer[order], row[order], col[order], saliency[order])
 
 
-def obs_compensate(row, q: int, h_inv) -> np.ndarray:
-    """Zero entry ``q`` of a weight row, spreading the correction over the rest.
+def obs_compensate(row, cols, h_inv) -> np.ndarray:
+    """Zero the entries ``cols`` of a row of original weights ``w``, re-fitting the rest.
 
-    Applies the update ``-(w_q / (H^-1)_qq) * (H^-1) e_q``, the minimizer of
-    the layer's quadratic calibration loss subject to the zeroing
-    constraint; entry ``q`` is forced to exactly 0 so masks stay bit-exact.
+    ``cols`` is the row's whole removed set ``S`` (an index or a sequence, in
+    removal order).  Returns ``w - (H^-1)[:, S] ((H^-1)[S, S])^-1 w_S``, the
+    minimizer of the layer's quadratic calibration loss subject to
+    ``w_S = 0``; for one column ``q``, ``w - (w_q / (H^-1)_qq) (H^-1) e_q``.
+    The entries ``S`` are forced to exactly 0 so masks stay bit-exact.  A
+    singular ``(H^-1)[S, S]`` (a repeated column, say) is a ``ValueError``.
     """
     r = linalg.as_vector(row, "row")
     hi = np.asarray(h_inv, dtype=float)
     d = r.shape[0]
     if hi.shape != (d, d):
         raise ValueError(f"h_inv shape {hi.shape} does not match row dim {d}")
-    if not 0 <= q < d:
-        raise ValueError(f"column index {q} out of range 0..{d - 1}")
-    col = hi[:, q]  # the only column the update reads, so the only one checked
-    if not np.isfinite(col).all():
-        raise ValueError(f"h_inv column {q} contains non-finite entries")
-    if not hi[q, q] > 0:
-        raise ValueError(f"(H^-1)_qq must be positive, got {hi[q, q]}")
-    out = r - (r[q] / hi[q, q]) * col
-    out[q] = 0.0
+    s = np.asarray(cols, dtype=np.intp).reshape(-1)
+    if not ((0 <= s) & (s < d)).all():
+        raise ValueError(f"column index out of range 0..{d - 1}: {s.tolist()}")
+    block = hi[:, s]  # the only columns the update reads, so the only ones checked
+    bad = ~np.isfinite(block).all(axis=0)
+    if bad.any():
+        raise ValueError(f"h_inv column {s[bad][0]} contains non-finite entries")
+    out = r - block @ np.linalg.solve(block[s], r[s])
+    out[s] = 0.0
     return out
 
 
@@ -374,50 +377,49 @@ class _Anchor:
 
 class _LayerWork:
     """Mutable scratch for pruning one layer; ``h_inv`` is ``None`` when
-    removals only zero (zero-only pruning, or a dead curvature block)."""
+    removals only zero (zero-only pruning, or a dead curvature block).
+    Otherwise each touched row is re-fit from its original weights over
+    ``removed[row]``, its removed columns in removal order."""
 
     def __init__(self, weight: np.ndarray, h_inv: np.ndarray | None):
         self.original = weight
         self.work = weight.copy()
         self.h_inv = h_inv
-        self.row_h_inv: dict[int, np.ndarray] = {}
+        self.removed: dict[int, list[int]] = {}
 
-    def remove(self, row: int, col: int, reestimate: bool) -> None:
+    def remove(self, row: int, col: int) -> None:
         if self.h_inv is None:
             self.work[row, col] = 0.0
             return
-        hinv = self.row_h_inv.get(row, self.h_inv) if reestimate else self.h_inv
-        self.work[row] = obs_compensate(self.work[row], col, hinv)
-        if reestimate:
-            # fold the removed coordinate out of this row's inverse block;
-            # its row/column go to zero so later updates cannot touch it
-            updated = hinv - np.outer(hinv[:, col], hinv[col, :]) / hinv[col, col]
-            updated[col, :] = 0.0
-            updated[:, col] = 0.0
-            self.row_h_inv[row] = updated
+        cols = self.removed.setdefault(row, [])
+        cols.append(col)
+        self.work[row] = obs_compensate(self.original[row], cols, self.h_inv)
 
     def delta_norm(self) -> float:
         delta = self.work - self.original
         return linalg.spectral_norm(delta) if delta.any() else 0.0
 
-    def walk(self, entries: Ranking, cap: float, reestimate: bool) -> int:
+    def walk(self, entries: Ranking, cap: float) -> int:
         """Remove ``entries`` in order while ``||delta||_2`` stays within
         ``cap``; return how many were removed."""
         if cap <= 0.0:
             return 0
+        pairs = zip(entries.row.tolist(), entries.col.tolist())
         if cap == math.inf:
             if self.h_inv is None:
                 self.work[entries.row, entries.col] = 0.0
             else:
-                for row, col in zip(entries.row.tolist(), entries.col.tolist()):
-                    self.remove(row, col, reestimate)
+                for row, col in pairs:
+                    self.removed.setdefault(row, []).append(col)
+                for row, cols in self.removed.items():
+                    self.work[row] = obs_compensate(self.original[row], cols, self.h_inv)
             return len(entries)
         n = 0
         anchor = _Anchor(0.0, self.work.shape[0])
-        for row, col in zip(entries.row.tolist(), entries.col.tolist()):
+        for row, col in pairs:
             saved = self.work[row].copy()
             anchor.keep(row, saved, self.original)
-            self.remove(row, col, reestimate)
+            self.remove(row, col)
             # an overflow makes the bound inf or NaN, and neither clears the cap
             with np.errstate(over="ignore", invalid="ignore"):
                 bound = anchor.bound(self.work, self.original)
@@ -427,6 +429,8 @@ class _LayerWork:
                     # close the layer: taking later (higher-saliency) entries
                     # instead of this one would reorder the plan nondeterministically
                     self.work[row] = saved
+                    if self.h_inv is not None:
+                        self.removed[row].pop()
                     break
                 anchor = _Anchor(norm, self.work.shape[0])
             n += 1
@@ -440,7 +444,6 @@ def prune_to_budget(
     compensate: bool = False,
     damping=0.0,
     calib: CalibrationBatch | None = None,
-    reestimate: bool = False,
 ) -> tuple[MlpPolicy, PrunePlan]:
     """Prune each capped layer down its ranking as far as its cap permits.
 
@@ -455,15 +458,14 @@ def prune_to_budget(
     row per capped layer, ascending; its mask is the ``(row, col)`` of the
     layer's first ``len(mask)`` entries in ``ranking``, in that order.
 
-    Zero-only pruning just masks weights.  With ``compensate`` the remaining
-    entries of the row absorb each removal (``obs_compensate``) with the
-    curvature held fixed; ``reestimate``, which needs ``compensate``,
-    refreshes the row's inverse block after every removal instead.  Biases
-    are never modified.
+    Zero-only pruning just masks weights.  With ``compensate`` each pruned
+    row's surviving weights are re-fit over its whole removed set
+    (``obs_compensate`` from the row's original weights), so every masked
+    weight is 0 in the pruned policy.  Biases are never modified.
 
-    An infinite cap needs no bound and no norm until the plan's own: each
-    entry is removed, and a zero-only layer is masked in a single
-    assignment.  Under a finite cap most removals need no eigen-solve
+    An infinite cap needs no bound and no norm until the plan's own: a
+    zero-only layer is masked in a single assignment, and a compensated one
+    re-fits each touched row once.  Under a finite cap most removals need no eigen-solve
     either.  One running bound never falls below ``||delta||_2``:
     ``_Anchor``'s row coupling, which starts again at each exact norm ``s``
     of a delta ``D0``.  The rows changed since, by ``E_r`` each, add
@@ -480,8 +482,6 @@ def prune_to_budget(
     """
     if compensate and calib is None:
         raise ValueError("compensation needs the calibration batch to build H^-1")
-    if reestimate and not compensate:
-        raise ValueError("reestimate refreshes the compensation's inverse; it needs compensate")
     if caps is None:
         # bincount rather than np.unique, whose first call imports numpy.ma
         caps = dict.fromkeys(np.flatnonzero(np.bincount(ranking.layer)).tolist(), math.inf)
@@ -495,7 +495,7 @@ def prune_to_budget(
         h_inv = _layer_h_inv(calib.inputs[k], damping) if compensate else None
         work = _LayerWork(layers[k].weight, h_inv)
         entries = ranking[ranking.layer == k]
-        n = work.walk(entries, float(caps[k]), reestimate)
+        n = work.walk(entries, float(caps[k]))
         plan.append(
             LayerPrune(
                 layer=k,

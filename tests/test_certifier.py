@@ -290,6 +290,14 @@ class TestMultiLayerBudget:
         assert cert.budget == 0.0
         assert cert.rows == ()
 
+    def test_nan_constant_is_an_error_naming_the_layer(self):
+        # at radius 0, layer 1's constant is 0 * inf + sqrt(2): NaN, which
+        # bounds nothing, so no budget or audit is made of it
+        p = inf_norm_policy()
+        pruned = _perturbed(p, {1: -p.layers[1].weight})
+        with pytest.raises(ValueError, match="layer 1"):
+            certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
+
     def test_singleton_reduces_to_per_state_bound(self):
         p = _three_layer_fixture()
         pruned = _perturbed(p, {1: np.array([[0.0, 0.25], [0.0, 0.0]])})

@@ -176,7 +176,7 @@ class TestPrune:
         )), model)
         calib = tmp_path / "calib.csv"
         _write_states_csv(calib, [[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
-        for flags in ([], ["--compensate"], ["--compensate", "--reestimate"]):
+        for flags in ([], ["--compensate"]):
             out = tmp_path / f"out{len(flags)}"
             assert main([
                 "prune", "--model", str(model), "--calibration", str(calib),
@@ -230,7 +230,7 @@ class TestPrune:
             ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "0,0,0"],
             ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "1,1"],
             ["--sparsity", "0.5", "--allocation-weights", "1,1,1"],
-            ["--sparsity", "0.5", "--reestimate"],
+            ["--epsilon", "0.1", "--radius", "1", "--layers", "0,0", "--allocation-weights", "1,1"],
             ["--sparsity", "0.5", "--radius", "1"],
             ["--sparsity", "0.5", "--box-lo", "-1,-1,-1"],
             ["--sparsity", "0.5", "--box-hi", "1,1,1"],
@@ -298,12 +298,6 @@ class TestBudgetInputs:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: layer 1")
-        assert not (out / "pruned_model.json").exists()
-
-    def test_reestimate_without_compensate_is_a_usage_error(self, tmp_path, capsys):
-        code, out = self._prune(tmp_path, "--sparsity", "0.5", "--reestimate")
-        assert code == EXIT_USAGE
-        assert "compensate" in capsys.readouterr().err
         assert not (out / "pruned_model.json").exists()
 
     def test_allocation_weights_select_proportional_allocation(self, tmp_path):
@@ -419,8 +413,15 @@ class TestPlanMatchesReference:
 
     @pytest.mark.parametrize("fixture", _PLAN_MODELS)
     @pytest.mark.parametrize(
-        # epsilon 10 leaves each fixture's layer 1 with nothing removed
-        "flags", [("--sparsity", "0.5"), ("--epsilon", "10", "--radius", "2")]
+        # epsilon 10 leaves each fixture's layer 1 with nothing removed; a
+        # compensated row keeps every weight it lost at 0
+        "flags",
+        [
+            ("--sparsity", "0.5"),
+            ("--epsilon", "10", "--radius", "2"),
+            ("--sparsity", "0.5", "--compensate"),
+            ("--epsilon", "10", "--radius", "2", "--compensate"),
+        ],
     )
     def test_rows_count_the_weights_the_model_pair_lost(self, tmp_path, fixture, flags):
         p, _, out = _prune_plan_model(tmp_path, fixture, *flags)
@@ -450,6 +451,24 @@ class TestCertify:
         assert cert["budget"] == 0.0
         assert cert["holds"] is True
         assert cert["audit"]["max_dev"] == 0.0
+
+    def test_nan_constant_is_a_usage_error(self, tmp_path, capsys):
+        # ||W_0|| = inf makes layer 1's constant NaN at radius 0: no budget
+        # bounds that layer's change, so nothing is certified or audited
+        p = inf_norm_policy()
+        model, pruned = tmp_path / "model.json", tmp_path / "pruned.json"
+        save_policy(p, model)
+        zeroed = Layer(np.zeros((2, 2)), p.layers[1].bias, p.layers[1].activation)
+        save_policy(MlpPolicy(layers=(p.layers[0], zeroed)), pruned)
+        out = tmp_path / "cert"
+        code = main([
+            "certify", "--model", str(model), "--pruned", str(pruned),
+            "--radius", "0", "--samples", "10", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: layer 1")
+        assert not (out / "certificate.json").exists()
 
     def test_equality_fixture_tightness(self, tmp_path):
         original = _simple_model(tmp_path, [[1.0]], "orig.json")
@@ -1243,18 +1262,12 @@ class TestReport:
             "certify", "--model", str(model), "--pruned", str(model),
             "--radius", "1.0", "--samples", "10", "--out", str(tmp_path / "ok"),
         ])
-        original = inf_norm_policy()
-        zeroed = Layer(np.zeros((2, 2)), np.ones(2), ActivationKind("identity"))
-        save_policy(original, tmp_path / "inf.json")
-        save_policy(MlpPolicy(layers=(original.layers[0], zeroed)), tmp_path / "pruned.json")
-        # at radius 0, layer 1's constant is 0 * inf + sqrt(2): NaN
-        main([
-            "certify", "--model", str(tmp_path / "inf.json"),
-            "--pruned", str(tmp_path / "pruned.json"), "--radius", "0", "--samples", "10",
-            "--out", str(tmp_path / "nan"),
-        ])
+        # certify refuses a NaN constant, so the NaN budget is written by hand
         ok, nan = (str(tmp_path / name / "certificate.json") for name in ("ok", "nan"))
-        assert json.loads(Path(nan).read_text())["budget"] == "NaN"
+        cert = json.loads(Path(ok).read_text())
+        cert["budget"] = "NaN"
+        (tmp_path / "nan").mkdir()
+        Path(nan).write_text(json.dumps(cert))
         for i, paths in enumerate(((ok, nan), (nan, ok))):
             out = tmp_path / f"summary{i}"
             assert main(["report", *paths, "--out", str(out)]) == EXIT_VIOLATION
@@ -1652,6 +1665,16 @@ class TestConfigValues:
         assert len(err) == 1 and "'sample'" in err[0]
         assert not (tmp_path / "o" / "certificate.json").exists()
 
+    def test_reestimate_is_an_unknown_key(self, tmp_path, random_model, capsys):
+        # compensation has one formula, so there is no inverse to re-estimate
+        model, calib = random_model
+        cfg = {"model": str(model), "calibration": str(calib), "sparsity": 0.5,
+               "compensate": True, "reestimate": True}
+        assert self._run(tmp_path, "prune", cfg, "--out", str(tmp_path / "o")) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown config key 'reestimate'" in err[0]
+        assert not (tmp_path / "o" / "pruned_model.json").exists()
+
     def test_other_commands_keys_are_not_parsed(self, tmp_path, random_model):
         model, _ = random_model
         cfg = {
@@ -1850,7 +1873,7 @@ class TestHelp:
         assert not any(tmp_path.iterdir())
 
     def test_every_option_belongs_to_a_command(self):
-        assert len(cli.OPTIONS) == 31
+        assert len(cli.OPTIONS) == 30
         for key, (_, _, commands, _) in cli.OPTIONS.items():
             assert commands and set(commands) <= set(self.COMMANDS), key
 
