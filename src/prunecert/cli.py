@@ -462,31 +462,31 @@ def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
 
     Each distinct state's cells are formatted once: a repeated state's row is
     its own ``t`` and then its source row's text, kept for the cycle's rows
-    only."""
+    only.  The cells are read column by column, one ``tolist`` per column,
+    and each row is one ``%`` of the row's format over a ``zip`` of them."""
     names = [f"x{i}" for i in range(loop.states.shape[1])]
     names += [f"u{i}" for i in range(loop.actions.shape[1])]
     floats = len(names) + 2  # state, action, deviation and bound cells
     cells = ",%r" * floats + ",%d\r\n"
-    row = "%d" + cells
     distinct = loop.distinct
     # rows before the cycle stream out; the cycle's are formatted and kept
     cycle = distinct if loop.source is None else int(loop.source[distinct])
-    columns = zip(
-        loop.states[:distinct].tolist(),
-        loop.actions[:distinct].tolist(),
-        loop.deviation[:distinct].tolist(),
-        loop.bound[:distinct].tolist(),
-        loop.in_ball[:distinct].tolist(),
-    )
+    columns = [
+        iter(column)
+        for column in (
+            *loop.states[:distinct].T.tolist(),
+            *loop.actions[:distinct].T.tolist(),
+            loop.deviation[:distinct].tolist(),
+            loop.bound[:distinct].tolist(),
+            loop.in_ball[:distinct].tolist(),
+        )
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["t", *names, "deviation", "bound", "in_ball"]) + "\r\n")
         # zip takes from range first, so the cycle's first row stays in columns
-        fh.writelines(
-            row % (t, *x, *u, dev, bound, inside)
-            for t, (x, u, dev, bound, inside) in zip(range(cycle), columns)
-        )
+        fh.writelines(map(("%d" + cells).__mod__, zip(range(cycle), *columns)))
         if loop.source is not None:
-            text = [cells % (*x, *u, dev, bound, inside) for x, u, dev, bound, inside in columns]
+            text = list(map(cells.__mod__, zip(*columns)))
             fh.writelines(
                 f"{t}{text[j - cycle]}" for t, j in enumerate(loop.source[cycle:].tolist(), cycle)
             )

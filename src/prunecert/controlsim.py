@@ -24,7 +24,7 @@ import numpy as np
 from prunecert import linalg
 from prunecert.linalg import _frozen
 from prunecert.certifier import Certificate, audit_states
-from prunecert.policy import MlpPolicy, forward
+from prunecert.policy import MlpPolicy, _propagate, forward
 
 __all__ = [
     "BlowUpError",
@@ -79,8 +79,13 @@ class DoubleIntegrator:
         object.__setattr__(self, "state_box", box)
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The Euler map in Python floats: each ``+`` and ``*`` is the same
+        IEEE double operation numpy would run, so the bits are the same,
+        without numpy's per-call cost on two elements.  A float overflow
+        gives inf and sets no numpy warning, so no ``errstate`` is needed."""
         pos, vel = x.tolist()
-        return np.array([pos + self.dt * vel, vel + self.dt * u[0]])
+        (accel,) = u.tolist()
+        return np.array([pos + self.dt * vel, vel + self.dt * accel])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +115,23 @@ class Pendulum:
             inertia = math.inf
         if inertia == math.inf:
             raise ValueError(f"mass * length**2 overflows: mass {self.mass}, length {self.length}")
+        # _transition's float division by 0 would raise ZeroDivisionError
+        if inertia == 0.0:
+            raise ValueError(
+                f"mass * length**2 underflows to 0: mass {self.mass}, length {self.length}"
+            )
         _check_limit(self.action_limit, "action_limit")
         box = linalg.as_box(self.state_box, self.state_dim, "state box")
         object.__setattr__(self, "state_box", box)
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The Euler map in Python floats, as ``DoubleIntegrator``'s: the same
+        bits as numpy, and no numpy warning.  ``__post_init__`` keeps
+        ``m*l^2`` nonzero and finite, so the division never raises; a
+        quotient past the float range is inf, a blow-up ``step`` reports."""
         theta, omega = x.tolist()
-        # u[0] stays a numpy scalar: u / 0 (m*l^2 underflowed) is inf, no ZeroDivisionError
-        accel = -self.gravity / self.length * math.sin(theta) + u[0] / (
+        (torque,) = u.tolist()
+        accel = -self.gravity / self.length * math.sin(theta) + torque / (
             self.mass * self.length**2
         )
         return np.array([theta + self.dt * omega, omega + self.dt * accel])
@@ -154,7 +168,10 @@ class LinearSystem:
         return self.b.shape[1]
 
     def _transition(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.a @ x + self.b @ u
+        """``A x + B u`` in numpy, the one transition whose arithmetic can
+        warn: an overflow is a blow-up that ``step`` reports, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.a @ x + self.b @ u
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +213,13 @@ def _distinct(visited: int, source) -> int:
 
 
 def step(d, x, u) -> np.ndarray:
-    """One transition: clip the action, integrate, clip to the state box."""
+    """One transition: clip the action, integrate, clip to the state box.
+
+    A non-finite next state raises ``BlowUpError``.  The Euler maps compute
+    in Python floats, whose overflow gives inf without a numpy warning, so
+    only ``LinearSystem._transition`` enters ``np.errstate``, around its
+    matmuls.
+    """
     xv = linalg.as_vector(x, "state")
     uv = linalg.as_vector(u, "action")
     if xv.shape[0] != d.state_dim:
@@ -205,8 +228,7 @@ def step(d, x, u) -> np.ndarray:
         raise ValueError(f"action has dim {uv.shape[0]} but dynamics expect {d.action_dim}")
     if d.action_limit is not None:
         uv = uv.clip(-d.action_limit, d.action_limit)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nxt = d._transition(xv, uv)
+    nxt = d._transition(xv, uv)
     if not all(map(math.isfinite, nxt.tolist())):
         raise BlowUpError("transition produced a non-finite state; reduce dt")
     if d.state_box is not None:
@@ -227,6 +249,11 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
 
     A blow-up, a non-finite policy output included, raises ``BlowUpError``
     with the failing step index and the partial trajectory attached.
+
+    The policy's input dimension is checked once, before the loop, with
+    ``forward``'s message; each step then runs the policy's layers directly,
+    since every state it sees is x0 or a ``step`` output, both already
+    checked finite and of the state's dimension.
     """
     if T < 1:
         raise ValueError(f"horizon must be at least 1, got {T}")
@@ -237,12 +264,14 @@ def rollout(d, p: MlpPolicy, x0, T: int) -> Trajectory:
         (x < d.state_box[0]).any() or (x > d.state_box[1]).any()
     ):
         raise ValueError("x0 lies outside the state box")
+    if p.input_dim != x.shape[0]:
+        raise ValueError(f"state has dim {x.shape[0]} but policy expects {p.input_dim}")
     states = np.empty((T + 1, x.shape[0]))
     actions = np.empty((T, p.output_dim))
     states[0] = x
     first = {x.tobytes(): 0}  # state bytes -> the step that first visited them
     for t in range(T):
-        u = forward(p, x)
+        u = _propagate(p, x)
         try:
             if not all(map(math.isfinite, u.tolist())):
                 raise BlowUpError("the policy output is non-finite")

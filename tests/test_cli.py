@@ -840,6 +840,25 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error: ") and "overflows" in err[0]
         assert not (tmp_path / "s").exists()
 
+    def test_underflowing_pendulum_inertia_is_a_usage_error(self, tmp_path, capsys):
+        # m * l^2 = 1e-500 rounds to 0; the step divided by it with numpy's
+        # "divide by zero" warning and blew up at t=0
+        model, pruned, cert = self._certified_pendulum(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "simulate", "--model", str(model), "--pruned", str(pruned),
+                "--certificate", str(cert), "--dynamics", "pendulum",
+                "--mass", "1e-300", "--length", "1e-100",
+                "--x0", "0.5,0", "--horizon", "5", "--out", str(tmp_path / "s"),
+            ])
+        assert code == EXIT_USAGE
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "underflows" in err[0]
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("box", [(), ("--state-box-lo=-3,-8", "--state-box-hi=3,8")],
                              ids=["no-box", "box"])
     @pytest.mark.parametrize("x0", ["0.5,0,1", "0.5"])

@@ -46,6 +46,21 @@ def _zero_policy(state_dim, action_dim):
     )
 
 
+def _six_systems(rng):
+    """Both Euler maps and a linear system, with and without action limits
+    and state boxes; the linear system's matrices are drawn from ``rng``."""
+    box = (np.array([-1.0, -0.5]), np.array([0.25, 2.0]))
+    return (
+        DoubleIntegrator(dt=0.1),
+        DoubleIntegrator(dt=0.25, action_limit=1.5, state_box=box),
+        DoubleIntegrator(action_limit=0.5, state_box=box),
+        Pendulum(dt=0.05, action_limit=2.0, state_box=box),
+        Pendulum(gravity=3.7, length=0.3, mass=2.5, action_limit=0.75),
+        LinearSystem(a=rng.normal(size=(2, 2)), b=rng.normal(size=(2, 1)),
+                     action_limit=1.0, state_box=box),
+    )
+
+
 class TestStep:
     def test_identity_linear_system(self):
         d = LinearSystem(a=np.eye(2), b=np.zeros((2, 1)))
@@ -91,18 +106,8 @@ class TestStep:
         # zero's sign at a +-0.0 bound for scalar bounds and takes the bound's
         # for array bounds (numpy 2.4), so no oracle can pin that sign
         rng = np.random.default_rng(41)
-        box = (np.array([-1.0, -0.5]), np.array([0.25, 2.0]))
-        systems = (
-            DoubleIntegrator(dt=0.1),
-            DoubleIntegrator(dt=0.25, action_limit=1.5, state_box=box),
-            DoubleIntegrator(action_limit=0.5, state_box=box),
-            Pendulum(dt=0.05, action_limit=2.0, state_box=box),
-            Pendulum(gravity=3.7, length=0.3, mass=2.5, action_limit=0.75),
-            LinearSystem(a=rng.normal(size=(2, 2)), b=rng.normal(size=(2, 1)),
-                         action_limit=1.0, state_box=box),
-        )
         clipped = signed_zeros = 0
-        for d in systems:
+        for d in _six_systems(rng):
             lim = 1.0 if d.action_limit is None else d.action_limit
             lo, hi = d.state_box if d.state_box is not None else (-np.ones(2), np.ones(2))
             actions = [lim, -lim, 2.0 * lim + 1.0, -2.0 * lim - 1.0, 0.0, -0.0]
@@ -169,6 +174,31 @@ class TestParameterChecks:
         assert outcomes == {False, True}
         with pytest.raises(ValueError, match="overflows"):
             Pendulum(length=1e200)
+
+    def test_pendulum_inertia_underflow(self):
+        # _transition divides by mass * length**2 in floats, where / 0
+        # raises ZeroDivisionError; a product that rounds to 0 is refused
+        half_tiny = Fraction(math.ulp(0.0)) / 2  # the largest value that rounds to 0
+        rng = np.random.default_rng(15)
+        outcomes = set()
+        for _ in range(400):
+            length = float(10.0 ** rng.uniform(-170.0, 5.0))
+            mass = float(10.0 ** rng.uniform(-300.0, 10.0))
+            square = float(Fraction(length) ** 2)
+            underflows = Fraction(mass) * Fraction(square) <= half_tiny
+            outcomes.add(underflows)
+            if underflows:
+                with pytest.raises(ValueError, match="underflows"):
+                    Pendulum(length=length, mass=mass)
+            else:
+                d = Pendulum(length=length, mass=mass)
+                try:
+                    step(d, [0.1, 0.0], [1.0])
+                except BlowUpError:  # u / (m l^2) past the float range
+                    pass
+        assert outcomes == {False, True}
+        with pytest.raises(ValueError, match="underflows"):
+            Pendulum(mass=1e-300, length=1e-100)
 
     def test_linear_system(self):
         for limit in (NAN, -1.0, -INF):
@@ -249,6 +279,36 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(d, _zero_policy(2, 1), [2.0, 0.0], 5)
 
+    def test_matches_forward_and_step_bit_for_bit(self):
+        # rollout runs the policy's layers without forward's checks; on
+        # seeded policies and x0s at the box bounds, at signed zeros and
+        # inside, it must equal a forward + step loop in every byte
+        rng = np.random.default_rng(43)
+        repeats = 0
+        for d in _six_systems(rng):
+            lo, hi = d.state_box if d.state_box is not None else (-np.ones(2), np.ones(2))
+            for _ in range(8):
+                p = random_policy(rng, dims=[2, 6, 1])
+                x0 = [
+                    rng.choice([lo[i], hi[i], 0.0, -0.0])
+                    if rng.random() < 0.5 else rng.uniform(lo[i], hi[i])
+                    for i in range(2)
+                ]
+                repeats += _same_as_stepped(d, p, x0, 200).source is not None
+        assert 0 < repeats < 48
+
+    @pytest.mark.parametrize("dims", [[3, 4, 1], [1, 1]])
+    def test_policy_of_another_input_dim_fails_before_any_step(self, dims, monkeypatch):
+        p = random_policy(np.random.default_rng(5), dims=dims)
+        with pytest.raises(ValueError) as want:
+            forward(p, [0.5, 0.0])
+        steps = []
+        monkeypatch.setattr(controlsim, "step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError) as got:
+            rollout(Pendulum(), p, [0.5, 0.0], 10)
+        assert str(got.value) == str(want.value) == f"state has dim 2 but policy expects {dims[0]}"
+        assert steps == []
+
 
 def _stepped(d, p, x0, T):
     """Oracle for ``rollout``: ``forward`` then ``step`` at every one of the
@@ -279,31 +339,34 @@ def _identity_zero_policy(dim):
     return MlpPolicy((Layer(np.zeros((1, dim)), np.zeros(1), ActivationKind("identity")),))
 
 
+def _same_as_stepped(d, p, x0, T):
+    """``rollout`` checked bit for bit against ``_stepped``: states, actions
+    and the cycle map ``source``."""
+    traj = rollout(d, p, x0, T)
+    states, actions, _ = _stepped(d, p, x0, T)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.actions.tobytes() == actions.tobytes()
+    # the cycle map: each row's first visit, None without a repeat
+    first = {}
+    source = [first.setdefault(x.tobytes(), j) for j, x in enumerate(states)]
+    if _first_repeat(states) is None:
+        assert traj.source is None
+        assert traj.distinct == T + 1
+    else:
+        assert traj.source.tolist() == source
+        assert traj.distinct == _first_repeat(states) == len(first)
+        assert not traj.source.flags.writeable
+    return traj
+
+
 class TestPeriodicTail:
     """A loop whose state repeats exactly is completed from its cycle; every
     case is checked bit for bit against the per-step oracle."""
 
-    def _same_as_stepped(self, d, p, x0, T):
-        traj = rollout(d, p, x0, T)
-        states, actions, _ = _stepped(d, p, x0, T)
-        assert traj.states.tobytes() == states.tobytes()
-        assert traj.actions.tobytes() == actions.tobytes()
-        # the cycle map: each row's first visit, None without a repeat
-        first = {}
-        source = [first.setdefault(x.tobytes(), j) for j, x in enumerate(states)]
-        if _first_repeat(states) is None:
-            assert traj.source is None
-            assert traj.distinct == T + 1
-        else:
-            assert traj.source.tolist() == source
-            assert traj.distinct == _first_repeat(states) == len(first)
-            assert not traj.source.flags.writeable
-        return traj
-
     def test_fixed_point_mid_horizon(self):
         # the fixture's loop lands on the subnormal fixed point (2e-323, -2e-323)
         p = load_policy(FIXTURES / "double_integrator_policy.json")
-        traj = self._same_as_stepped(DoubleIntegrator(), p, [1.0, 0.0], 10_000)
+        traj = _same_as_stepped(DoubleIntegrator(), p, [1.0, 0.0], 10_000)
         j = _first_repeat(traj.states)
         assert 1_000 < j < 9_000
         assert traj.states[j - 1].tobytes() == traj.states[j].tobytes()
@@ -312,7 +375,7 @@ class TestPeriodicTail:
     def test_period_three_cycle(self, T):
         # A permutes the coordinates cyclically: x3 = x0, then every third step
         d = LinearSystem(a=np.roll(np.eye(3), 1, axis=0), b=np.zeros((3, 1)))
-        traj = self._same_as_stepped(d, _zero_policy(3, 1), [1.0, 2.0, 3.0], T)
+        traj = _same_as_stepped(d, _zero_policy(3, 1), [1.0, 2.0, 3.0], T)
         assert traj.states[1].tolist() == [3.0, 1.0, 2.0]
         assert (traj.states[::3] == [1.0, 2.0, 3.0]).all()
 
@@ -320,7 +383,7 @@ class TestPeriodicTail:
         # x0 = (-0.0, 0.0) and x1 = (+0.0, +0.0) compare equal as values; a
         # value-keyed detector would copy x0's -0.0 into every later row
         d = DoubleIntegrator(dt=0.1)
-        traj = self._same_as_stepped(d, _identity_zero_policy(2), [-0.0, 0.0], 50)
+        traj = _same_as_stepped(d, _identity_zero_policy(2), [-0.0, 0.0], 50)
         assert np.signbit(traj.states[0, 0])
         assert not np.signbit(traj.states[1:]).any()
         assert _first_repeat(traj.states) == 2
@@ -329,7 +392,7 @@ class TestPeriodicTail:
     @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.75, 0.0]])
     def test_x0_a_fixed_point(self, T, x0):
         # zero velocity and a zero action: the position stays put
-        traj = self._same_as_stepped(DoubleIntegrator(), _zero_policy(2, 1), x0, T)
+        traj = _same_as_stepped(DoubleIntegrator(), _zero_policy(2, 1), x0, T)
         assert traj.states.shape == (T + 1, 2)
         assert traj.actions.shape == (T, 1)
         assert {row.tobytes() for row in traj.states} == {np.array(x0).tobytes()}
@@ -357,7 +420,7 @@ class TestPeriodicTail:
             "no-repeat": (Pendulum(action_limit=5.0), load_policy(FIXTURES / "pendulum_policy.json"),
                           [0.5, 0.0], 300),
         }[case]
-        # every evaluation of the policy, forward's included, runs _propagate
+        # rollout evaluates the policy through the layer loop it imports
         calls = []
         propagate = policy._propagate
 
@@ -365,7 +428,7 @@ class TestPeriodicTail:
             calls.append(x.tobytes())
             return propagate(pol, x)
 
-        monkeypatch.setattr(policy, "_propagate", counted)
+        monkeypatch.setattr(controlsim, "_propagate", counted)
         traj = rollout(d, p, x0, T)
         repeat = _first_repeat(traj.states)
         assert len(calls) == (T if repeat is None else repeat)
