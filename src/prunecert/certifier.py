@@ -8,10 +8,14 @@ and ``||s||_2``.  Perturbing several layers adds the per-layer terms.
 ``certify`` is the one producer of a certificate: it reads the delta norms
 off an (original, pruned) pair, weights them by the worst-case constants on
 the certified ball, and audits the sum on sampled states with
-``audit_states``, the one per-state audit, which the simulator shares.  One
-private evaluator computes every constant from plain tuples of weight and
-bias norms, with no policy in hand, so the budget, the per-state bounds and
-the inverse problem's caps share the same arithmetic bit for bit.
+``audit_states``, the one per-state audit, which the simulator shares.  It
+flags a state when the state's bound is broken by more than the rounding of
+the arithmetic that measured it can explain, so a flag on a finite deviation
+and bound is a proven breach at any scale, and a certificate holds when no
+state is flagged.  One private evaluator computes every constant from plain
+tuples of weight and bias norms, with no policy in hand, so the budget, the
+per-state bounds and the inverse problem's caps share the same arithmetic
+bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from prunecert.policy import MlpPolicy, forward_batch
 from prunecert.pruner import PrunePlan
 
 __all__ = [
-    "AUDIT_SLACK",
     "StateSpaceSpec",
     "CertificateRow",
     "AuditSummary",
@@ -39,10 +42,6 @@ __all__ = [
     "sample_states",
     "per_state_bounds",
 ]
-
-# absolute slack absorbing float rounding; anything larger is a real violation
-AUDIT_SLACK = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceSpec:
@@ -81,16 +80,11 @@ class StateSpaceSpec:
         object.__setattr__(self, "box", box)
 
     @classmethod
-    def from_states(cls, states: Iterable) -> "StateSpaceSpec":
-        """Radius taken as the largest norm over a validation set of states."""
-        vecs = [linalg.as_vector(s, "state") for s in states]
-        if not vecs:
-            raise ValueError("need at least one state")
-        dim = vecs[0].shape[0]
-        if any(v.shape[0] != dim for v in vecs):
-            raise ValueError("states must share one dimension")
-        radius = max(float(linalg.vector_norm(v)) for v in vecs)
-        return cls(dim=dim, radius=radius, source="states")
+    def from_states(cls, states) -> "StateSpaceSpec":
+        """Radius taken as the largest norm over a validation set of states,
+        one per row; ``row_norms`` gives each row ``vector_norm``'s bits."""
+        rows = linalg.as_matrix(states, "states")
+        return cls(dim=rows.shape[1], radius=float(linalg.row_norms(rows).max()), source="states")
 
 
 @dataclass(frozen=True)
@@ -135,12 +129,8 @@ class Certificate:
 
     @property
     def holds(self) -> bool:
-        """Max deviation within the budget and no per-state violation."""
-        a = self.audit
-        return (
-            a.max_dev <= self.budget + AUDIT_SLACK * max(self.budget, 1.0)
-            and a.violations == 0
-        )
+        """No audited state breaks its bound (see ``audit_states``)."""
+        return self.audit.violations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +283,108 @@ class StateAudit:
     deviation: np.ndarray  # ||pi(s) - pi_hat(s)||_2
     bound: np.ndarray  # per_state_bounds at ||s||_2
     norm: np.ndarray  # ||s||_2
-    violation: np.ndarray  # not deviation <= bound + AUDIT_SLACK, so NaN counts
+    # not deviation <= (bound + a ||s|| + b) f (see _allowance), so NaN counts
+    violation: np.ndarray
+
+
+def _times(x: float, y: float) -> float:
+    """``x * y`` of two nonnegative bounds, one ulp up; 0 when either is 0,
+    even against inf, since a zero norm carries nothing."""
+    return linalg._up(x * y) if x and y else 0.0
+
+
+def _allowance(original: MlpPolicy, pruned: MlpPolicy, delta_norms) -> tuple[float, float, float]:
+    """``(a, b, f)`` such that a state whose computed deviation exceeds
+    ``(bound + a ||s|| + b) f``, all as computed, breaks its bound in exact
+    arithmetic: the rounding of ``audit_states`` cannot explain the excess.
+
+    Write ``u = eps/2``, ``gamma_k = k u / (1 - k u) <= k eps``, ``n`` for the
+    widest dimension of any layer and ``L`` for the depth (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3).
+
+    1. One layer, as ``_propagate`` computes it from its computed input
+       ``x``, is off from ``phi(W x + b)`` by at most
+       ``gamma_{n+4} (||W||_F ||x|| + ||b||)``: ``gamma_{n+1}`` for the matmul
+       in any summation order plus the bias add, and ``gamma_3`` of the
+       pre-activation for the activation's own rounding (none for ReLU and
+       identity, one multiply for leaky ReLU and PReLU, and for ELU a
+       multiply after ``expm1``, assumed within one ulp as libm documents:
+       the same kind of assumption ``spectral_norm`` makes of its
+       eigensolver).
+       ``||W||_F <= sqrt(min(shape)) N`` for any ``N >= ||W||_2``.
+    2. Each activation is 1-Lipschitz, so an error at a layer's input grows
+       by at most ``N``; for ``pi`` that is ``original``'s norm tuple, and for
+       ``pi_hat`` Weyl's ``||W_k|| + ||dW_k||`` with the delta norms as
+       given.  Carried layer by layer, with the computed input's own norm
+       bounded the same way (head ``hs ||s|| + h1``), the forward error of
+       each pass is at most ``es ||s|| + e1``, second-order terms included.
+       ``a`` and ``b`` sum both passes' ``es`` and ``e1``.
+    3. ``f = 1 + (6L + 3n + 14) eps`` covers the relative rest.  The bound's
+       products and sums (``gamma_{3L}``) and the state and bias norms it
+       reads (``gamma_{n+2}``) can each fall below the exact value, so the
+       exact bound is at most ``1 + gamma_{6L+2n+4}`` times the computed one
+       (``1 / (1 - gamma_k) <= 1 + gamma_{2k}``), and ``a`` and ``b``, built
+       from the same norms, take the same factor.  The output difference and
+       its norm add ``gamma_{n+2}``, and the test's own four roundings ``8u``.
+    4. Underflow adds at most ``2^-1075`` absolute per product, never
+       relative.  Fewer than ``count`` of them occur, each carried up by
+       at most ``||s||``, the largest delta norm and the norms above 1 of
+       the grown tuple, so ``count 5e-324`` times those carries is added to
+       ``a`` and to ``b``.
+
+    Every step rounds upward (``linalg._up``).  A zero norm carries 0, and
+    an overflow gives inf, never NaN, unless a delta norm is NaN, which
+    flags every state.  An output that overflows gives an inf or NaN
+    deviation, and a NaN bound fails the test too: the audit flags what it
+    cannot vouch for.
+    """
+    up = linalg._up
+    grown = list(original.weight_spectral_norms)
+    for k, dn in delta_norms:
+        grown[k] = up(grown[k] + dn)
+    n = max(max(layer.weight.shape) for layer in original.layers)
+    gamma = (n + 4) * linalg._EPS
+    a = b = 0.0
+    for p, norms in ((original, original.weight_spectral_norms), (pruned, grown)):
+        hs, h1, es, e1 = 1.0, 0.0, 0.0, 0.0
+        for layer, nk, bk in zip(p.layers, norms, p.bias_norms):
+            g = _times(_times(gamma, up(math.sqrt(min(layer.weight.shape)))), nk)
+            ls, l1 = _times(g, hs), up(_times(g, h1) + _times(gamma, bk))
+            es, e1 = up(_times(nk, es) + ls), up(_times(nk, e1) + l1)
+            hs, h1 = up(_times(nk, hs) + ls), up(up(_times(nk, h1) + bk) + l1)
+        a, b = up(a + es), up(b + e1)
+    L = len(grown)
+    carry = max([1.0, *(dn for _, dn in delta_norms)])
+    for nk in grown:
+        carry = _times(carry, max(nk, 1.0))
+    count = 2 * L * (n + 1) ** 2 + 4 * L * (L + 1) + 3
+    under = _times(count * 5e-324, carry)
+    return up(a + under), up(b + under), 1.0 + (6 * L + 3 * n + 14) * linalg._EPS
 
 
 def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) -> StateAudit:
     """The one per-state audit: both policies on the columns of ``states``
-    (input_dim, n), each state judged against its bound.  The columns are
-    used as given, since their layout fixes the order numpy sums norms in;
-    ``certify`` and ``controlsim`` each keep the layout they always had."""
+    (input_dim, n), each state judged against its bound.  A state is a
+    violation unless its deviation is within its bound plus the rounding
+    allowance of ``_allowance``, which scales with the state, so a flag on
+    a finite deviation and bound is a proven breach at any scale.  The
+    columns are used as given, since their layout fixes the order numpy
+    sums norms in; ``certify`` and ``controlsim`` each keep the layout they
+    always had."""
     diff = forward_batch(original, states) - forward_batch(pruned, states)
     deviation = linalg.vector_norm(diff, axis=0)
     norm = linalg.vector_norm(states, axis=0)
     bound = per_state_bounds(original, delta_norms, norm)
-    # negated so that a NaN deviation (inf - inf outputs) is a violation too
-    violation = ~(deviation <= bound + AUDIT_SLACK)
+    a, b, f = _allowance(original, pruned, delta_norms)
+    with np.errstate(over="ignore"):  # an overflowing limit is inf
+        # a ||s||, which is 0 at s = 0 even for an infinite a
+        limit = norm * a if math.isfinite(a) else np.where(norm > 0.0, a, 0.0)
+        limit += bound
+        limit += b
+        limit *= f
+    # negated so that a NaN deviation (inf - inf outputs) or a NaN bound is
+    # a violation too
+    violation = ~(deviation <= limit)
     return StateAudit(deviation, bound, norm, violation)
 
 
@@ -319,8 +397,10 @@ def certify(
     so a certificate always describes the models it was computed from.  The
     budget weights each layer's worst-case constant, which sits on the sphere
     of radius ``space.radius`` since ``C_k`` increases with ``||s||``, by its
-    delta norm and sums in ascending layer order (a NaN constant is an
-    error).  The audit draws ``n`` states and counts ``audit_states``' flags.
+    delta norm and sums in ascending layer order.  A NaN constant, or a NaN
+    contribution (a zero constant times an infinite delta norm), is an
+    error that names the layer, so the budget is never NaN.  The audit draws
+    ``n`` states and counts ``audit_states``' flags.
     """
     _check_space(original, space)
     delta_norms = PrunePlan.from_policies(original, pruned).delta_norms()
@@ -332,6 +412,8 @@ def certify(
     )
     budget = 0.0
     for r in rows:
+        if math.isnan(r.contribution):
+            raise ValueError(f"layer {r.layer}: the contribution is NaN, so it bounds nothing")
         budget = budget + r.contribution
     states = sample_states(space, n, np.random.default_rng(seed))
     audit = audit_states(original, pruned, delta_norms, states.T)

@@ -124,7 +124,7 @@ def _load_states_csv(path, expected_dim: int) -> np.ndarray:
 # certificates lack; None is no fallback.
 _CERT = {
     "layers": (_list(), None),
-    "budget": (_number(float), None),
+    "budget": (_number(float, 0.0), None),
     "radius": (_number(float, 0.0), None),
     "radius_source": (_choice("radius", "states"), "radius"),
     "audit": (_value, None),  # read by the _CERT_AUDIT table
@@ -565,13 +565,11 @@ def cmd_report(cfg: argparse.Namespace) -> int:
                 "violations": a.violations,
             }
         )
-    budgets = [e["budget"] for e in entries]
     summary = {
         "certificates": entries,
         "count": len(entries),
         "all_hold": all(e["holds"] for e in entries),
-        # max skips a NaN unless it comes first; any NaN budget is the max
-        "max_budget": max(budgets) if not any(map(math.isnan, budgets)) else math.nan,
+        "max_budget": max(e["budget"] for e in entries),
         "total_violations": sum(e["violations"] for e in entries),
         "timestamp": _timestamp(),
     }

@@ -94,6 +94,36 @@ def _ck_oracle(wnorms, bnorms, k1, snorm):
     return total
 
 
+def audit_threshold(original: MlpPolicy, pruned: MlpPolicy, delta_norms, snorm, bound):
+    """Oracle for the largest deviation the audit lets pass at state norm
+    ``snorm`` with bound ``bound``, written from the rounding analysis.
+
+    For each forward pass, each layer k adds
+    ``gamma (sqrt(min(shape_k)) N_k H_k + ||b_k||) prod_{m>k} N_m``, with
+    ``gamma = (n + 4) eps`` for the widest dimension n; ``H_k prod_{m>k} N_m``
+    is ``_ck_oracle``'s constant.  N is the original's norm tuple for pi and
+    ``||W_k|| + ||dW_k||`` for pi_hat.  The sum, to first order, is added to
+    the bound, and the total is scaled by ``1 + (6 L + 3 n + 14) eps`` for the
+    rounding of the bound, the difference, its norm and the test.
+    """
+    wnorms = original.weight_spectral_norms
+    grown = list(wnorms)
+    for k, dn in delta_norms:
+        grown[k] += dn
+    L = len(wnorms)
+    n = max(max(layer.weight.shape) for layer in original.layers)
+    eps = float(np.finfo(float).eps)
+    gamma = (n + 4) * eps
+    allowance = 0.0
+    for p, norms in ((original, wnorms), (pruned, grown)):
+        for k, layer in enumerate(p.layers):
+            above = math.prod(norms[k + 1 :])
+            head = _ck_oracle(norms, p.bias_norms, k + 1, snorm)
+            rank = math.sqrt(min(layer.weight.shape))
+            allowance += gamma * (rank * norms[k] * head + p.bias_norms[k] * above)
+    return (bound + allowance) * (1.0 + (6 * L + 3 * n + 14) * eps)
+
+
 def scaled_certificate(cert, factor: float):
     """``cert`` with every row's delta norm multiplied by ``factor``."""
     return replace(
@@ -200,9 +230,9 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
     without its ``dynamics``, ``horizon`` and ``timestamp`` fields.  A loop
     blows up when its action or its next state is non-finite.  Every norm
     is ``scaled_norm`` and every bound ``_ck_oracle``; an in-ball state is a
-    violation unless its deviation is at most bound + slack, so NaN is one.
+    violation unless its deviation is at most ``audit_threshold``, so NaN is
+    one.
     """
-    from prunecert.certifier import AUDIT_SLACK
     from prunecert.policy import forward
 
     loops = (("original", original), ("pruned", pruned))
@@ -243,7 +273,8 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
             inside = snorm <= cert.radius
             if inside:
                 inside_count += 1
-                violations += not dev <= bound + AUDIT_SLACK
+                limit = audit_threshold(original, pruned, cert.delta_norms(), snorm, bound)
+                violations += not dev <= limit
                 max_dev = max(max_dev, dev)
             else:
                 outside_count += 1

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,15 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     _ck_oracle,
+    audit_threshold,
     inf_norm_policy,
     naive_forward,
     random_policy,
     scaled_certificate,
     scaled_norm,
 )
-from prunecert import linalg
+from prunecert import certifier, linalg
 from prunecert.certifier import (
-    AUDIT_SLACK,
     StateSpaceSpec,
     _constants,
     admissible_magnitude,
@@ -101,6 +102,13 @@ class TestStateSpaceSpec:
 
     def test_from_states_tiny_norm(self):
         assert StateSpaceSpec.from_states([(3e-170, 4e-170)]).radius == 5e-170
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_from_states_radius_is_the_largest_vector_norm(self, scale):
+        # 8 dimensions, so a norm along an axis would sum in another order
+        rows = np.random.default_rng(36).normal(size=(50, 8)) * scale
+        radius = StateSpaceSpec.from_states(rows).radius
+        assert radius == max(float(linalg.vector_norm(r)) for r in rows)
 
     def test_huge_box_inside_ball_accepted(self):
         box = (np.full(2, -1e200), np.full(2, 1e200))
@@ -297,6 +305,18 @@ class TestMultiLayerBudget:
         pruned = _perturbed(p, {1: -p.layers[1].weight})
         with pytest.raises(ValueError, match="layer 1"):
             certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
+
+    def test_nan_contribution_is_an_error_naming_the_layer(self):
+        # layer 1 is zero, so layer 0's constant is 0, and zeroing layer 0's
+        # 1e308 entries has an infinite delta norm: 0 * inf made a NaN budget
+        identity = ActivationKind("identity")
+        original, pruned = (
+            MlpPolicy(layers=(Layer(w, np.zeros(2), identity),
+                              Layer(np.zeros((1, 2)), [0.0], identity)))
+            for w in (np.full((2, 2), 1e308), np.zeros((2, 2)))
+        )
+        with pytest.raises(ValueError, match="layer 0: the contribution is NaN"):
+            certify(original, pruned, StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0)
 
     def test_singleton_reduces_to_per_state_bound(self):
         p = _three_layer_fixture()
@@ -630,6 +650,19 @@ class TestAuditBound:
             )
             assert cert.audit.violations == 0
 
+    @pytest.mark.parametrize("radius", [1.0, 1e-9, 1e-200])
+    def test_a_grown_pair_fails_at_every_scale(self, radius):
+        # identity layers grown 1 -> 1.5: the deviation is 1.25 |s| against a
+        # budget of |s|, a 25% breach that an absolute slack hid below 1e-9
+        identity = ActivationKind("identity")
+        original, pruned = (
+            MlpPolicy(layers=(Layer(w * np.eye(2), np.zeros(2), identity),) * 2)
+            for w in (1.0, 1.5)
+        )
+        cert = certify(original, pruned, StateSpaceSpec(dim=2, radius=radius), n=1000, seed=0)
+        assert cert.audit.violations == 1000
+        assert not cert.holds
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nan_deviations_are_violations(self):
         # on the box [1, 2]^2 both outputs overflow to inf, so every deviation
@@ -726,24 +759,85 @@ class TestAuditStates:
             audit = self._check_against_oracles(original, pruned, states)
             assert np.isfinite(audit.deviation).all() and (audit.norm > 0).all()
 
-    def test_flags_exactly_the_states_beyond_bound_plus_slack(self):
+    @pytest.mark.parametrize("radius", [1.0, 1e-9, 1e-200])
+    def test_flags_every_nonzero_state_of_an_unbounded_doubling(self, radius):
         # identity x -> x against x -> 2x: the deviation at s is |s| exactly,
-        # and a zero delta norm makes every bound 0, so a state is flagged
-        # exactly when |s| > AUDIT_SLACK
+        # and a zero delta norm makes every bound 0, so every state but 0
+        # breaks its bound, however small the scale
         identity = ActivationKind("identity")
         p, q = (
             MlpPolicy(layers=(Layer(weight=[[w]], bias=[0.0], activation=identity),))
             for w in (1.0, 2.0)
         )
-        above = math.nextafter(AUDIT_SLACK, math.inf)
-        below = math.nextafter(AUDIT_SLACK, 0.0)
-        states = np.array([[0.0, below, AUDIT_SLACK, above, -above, 1.0]])
+        states = np.array([[0.0, radius * 1e-6, radius / 3, -radius, radius]])
         audit = audit_states(p, q, ((0, 0.0),), states)
         np.testing.assert_array_equal(audit.deviation, np.abs(states[0]))
-        np.testing.assert_array_equal(audit.bound, np.zeros(6))
-        assert audit.violation.tolist() == [False, False, False, True, True, True]
+        np.testing.assert_array_equal(audit.bound, np.zeros(5))
+        assert audit.violation.tolist() == [False, True, True, True, True]
         # a unit delta norm bounds every state: nothing is flagged
         assert not audit_states(p, q, ((0, 1.0),), states).violation.any()
+
+    def test_an_infinite_allowance_adds_nothing_at_zero(self):
+        # norms of 1e200 in both layers overflow the allowance's carry, so a
+        # and b are inf; a * 0 would be NaN and flag the zero state, whose
+        # deviation is 0
+        identity = ActivationKind("identity")
+        top = Layer(1e200 * np.eye(2), np.zeros(2), identity)
+        p, q = (MlpPolicy(layers=(Layer(w * np.eye(2), np.zeros(2), identity), top))
+                for w in (1e200, 1.5e200))
+        dn = PrunePlan.from_policies(p, q).delta_norms()
+        assert certifier._allowance(p, q, dn)[:2] == (math.inf, math.inf)
+        assert not audit_states(p, q, dn, np.zeros((2, 1))).violation.any()
+
+    @staticmethod
+    def _exact_squared_deviation(original, pruned, s):
+        """``||pi(s) - pi_hat(s)||^2`` in exact rational arithmetic, for
+        ReLU and identity layers."""
+        outs = []
+        for p in (original, pruned):
+            x = [Fraction(float(v)) for v in s]
+            for layer in p.layers:
+                z = [sum((Fraction(float(w)) * v for w, v in zip(row, x)), Fraction(float(b)))
+                     for row, b in zip(layer.weight, layer.bias)]
+                x = [max(v, Fraction(0)) for v in z] if layer.activation.kind == "relu" else z
+            outs.append(x)
+        return sum((a - b) ** 2 for a, b in zip(*outs))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-9, 1.0, 1e9, 1e200])
+    def test_every_flag_is_an_exact_breach(self, scale):
+        # a layer moved by about 2^-20: the two outputs cancel, so each
+        # deviation rounds at about 2^20 times its own last bit.  The pair's
+        # own delta norms bound it, and half of them often do not.  A flag
+        # must be a breach in exact arithmetic, and a state the audit passes
+        # must be within 0.1% of its bound: the allowance is far smaller.
+        rng = np.random.default_rng(35)
+        flagged = breaches = 0
+        for _ in range(8):
+            depth = int(rng.integers(1, 4))
+            dims = [int(rng.integers(1, 3))] + [int(rng.integers(1, 4)) for _ in range(depth)]
+            layers = tuple(
+                Layer(rng.normal(size=(e, d)), np.zeros(e),
+                      ActivationKind(str(rng.choice(["relu", "identity"]))))
+                for d, e in zip(dims, dims[1:])
+            )
+            original = MlpPolicy(layers=layers)
+            k = int(rng.integers(len(layers)))
+            pruned = _perturbed(original, {k: rng.normal(size=layers[k].weight.shape) * 2.0**-20})
+            states = rng.normal(size=(dims[0], 20)) * scale
+            for factor in (1.0, 0.5):
+                dn = tuple((j, d * factor) for j, d in
+                           PrunePlan.from_policies(original, pruned).delta_norms())
+                audit = audit_states(original, pruned, dn, states)
+                for i, s in enumerate(states.T):
+                    exact = self._exact_squared_deviation(original, pruned, s)
+                    bound = Fraction(float(audit.bound[i]))
+                    if audit.violation[i]:
+                        assert exact > bound**2
+                    else:
+                        assert exact <= (bound * Fraction(1001, 1000)) ** 2
+                    breaches += exact > bound**2
+                flagged += int(audit.violation.sum())
+        assert flagged > 0 and breaches > 0
 
     def test_flags_match_the_oracle_rule_on_understated_deltas(self):
         rng = np.random.default_rng(33)
@@ -759,10 +853,12 @@ class TestAuditStates:
             wnorms, bnorms = original.weight_spectral_norms, original.bias_norms
             for i, s in enumerate(states.T):
                 dev = scaled_norm(naive_forward(original, s) - naive_forward(pruned, s))
+                snorm = scaled_norm(s)
                 bound = 0.0
                 for k, d in dn:
-                    bound += d * _ck_oracle(wnorms, bnorms, k + 1, scaled_norm(s))
-                assert audit.violation[i] == (not dev <= bound + AUDIT_SLACK)
+                    bound += d * _ck_oracle(wnorms, bnorms, k + 1, snorm)
+                limit = audit_threshold(original, pruned, dn, snorm, bound)
+                assert audit.violation[i] == (not dev <= limit)
             flagged += int(audit.violation.sum())
         assert flagged > 0
 

@@ -470,6 +470,25 @@ class TestCertify:
         assert len(err) == 1 and err[0].startswith("error: layer 1")
         assert not (out / "certificate.json").exists()
 
+    def test_nan_contribution_is_a_usage_error(self, tmp_path, capsys):
+        # layer 1 is zero, so layer 0's constant is 0, and zeroing layer 0's
+        # 1e308 entries has an infinite delta norm: 0 * inf was written as a
+        # NaN budget with every state flagged
+        identity = ActivationKind("identity")
+        model, pruned = tmp_path / "model.json", tmp_path / "pruned.json"
+        for path, w in ((model, np.full((2, 2), 1e308)), (pruned, np.zeros((2, 2)))):
+            save_policy(MlpPolicy(layers=(Layer(w, np.zeros(2), identity),
+                                          Layer(np.zeros((1, 2)), [0.0], identity))), path)
+        out = tmp_path / "cert"
+        code = main([
+            "certify", "--model", str(model), "--pruned", str(pruned),
+            "--radius", "1", "--samples", "100", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: layer 0: the contribution is NaN, so it bounds nothing"]
+        assert not (out / "certificate.json").exists()
+
     def test_equality_fixture_tightness(self, tmp_path):
         original = _simple_model(tmp_path, [[1.0]], "orig.json")
         pruned = _simple_model(tmp_path, [[0.5]], "pruned.json")
@@ -1274,23 +1293,27 @@ class TestReport:
         assert summary["count"] == 2
         assert summary["all_hold"] is True
 
-    def test_max_budget_is_nan_in_either_order(self, tmp_path, random_model):
-        # max skips a NaN unless it comes first, so one order would hide it
+    def test_a_nan_budget_is_a_usage_error(self, tmp_path, capsys, random_model):
+        # certify never writes a NaN budget, so one is a hand-edited file;
+        # max skipped a NaN unless it came first, so one order hid it
         model, _ = random_model
         main([
             "certify", "--model", str(model), "--pruned", str(model),
             "--radius", "1.0", "--samples", "10", "--out", str(tmp_path / "ok"),
         ])
-        # certify refuses a NaN constant, so the NaN budget is written by hand
-        ok, nan = (str(tmp_path / name / "certificate.json") for name in ("ok", "nan"))
-        cert = json.loads(Path(ok).read_text())
+        ok, nan = (tmp_path / name / "certificate.json" for name in ("ok", "nan"))
+        cert = json.loads(ok.read_text())
         cert["budget"] = "NaN"
-        (tmp_path / "nan").mkdir()
-        Path(nan).write_text(json.dumps(cert))
+        nan.parent.mkdir()
+        nan.write_text(json.dumps(cert))
+        capsys.readouterr()
         for i, paths in enumerate(((ok, nan), (nan, ok))):
             out = tmp_path / f"summary{i}"
-            assert main(["report", *paths, "--out", str(out)]) == EXIT_VIOLATION
-            assert json.loads((out / "summary.json").read_text())["max_budget"] == "NaN"
+            assert main(["report", *map(str, paths), "--out", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {nan}: budget: must be at least 0.0, got nan"
+            ]
+            assert not out.exists()
 
     def test_no_certificates_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -1304,7 +1327,7 @@ class TestReport:
         ])
         cert = json.loads((out / "certificate.json").read_text())
         cert["holds"] = False
-        cert["audit"]["max_dev"] = cert["budget"] + 1.0
+        cert["audit"]["violations"] = 3
         bad = tmp_path / "failed_certificate.json"
         bad.write_text(json.dumps(cert))
         assert main(["report", str(bad), "--out", str(tmp_path / "sum")]) == EXIT_VIOLATION
@@ -1361,6 +1384,8 @@ class TestCertificateFields:
                          "must be at least 0, got -1", id="negative-seed"),
             pytest.param({"budget": "half"}, "budget",
                          "expected a number, got 'half'", id="text-budget"),
+            pytest.param({"budget": -1.0}, "budget",
+                         "must be at least 0.0, got -1.0", id="negative-budget"),
             pytest.param({"radius_source": "moon"}, "radius_source",
                          "expected one of radius, states, got 'moon'", id="radius-source"),
             pytest.param({"holds": "yes"}, "holds",
@@ -1422,7 +1447,12 @@ class TestCertificateFields:
         doctored["budget"] = "Infinity"
         restored = certificate_from_dict(doctored)
         assert math.isnan(restored.audit.max_dev) and restored.budget == math.inf
-        assert not restored.holds
+        # the per-state count decides
+        assert restored.holds is (restored.audit.violations == 0)
+        # a NaN budget bounds nothing, so it is refused
+        doctored["budget"] = "NaN"
+        with pytest.raises(ValueError, match="budget: must be at least 0.0, got nan"):
+            certificate_from_dict(doctored)
 
 
 def _exact(value):

@@ -8,7 +8,14 @@ import pytest
 
 from conftest import naive_step, random_policy, scaled_certificate
 from prunecert import certifier, controlsim, linalg
-from prunecert.certifier import StateSpaceSpec, audit_states, certify
+from prunecert.certifier import (
+    AuditSummary,
+    Certificate,
+    CertificateRow,
+    StateSpaceSpec,
+    audit_states,
+    certify,
+)
 from prunecert.cli import _write_trajectory_csv
 from prunecert.controlsim import (
     BlowUpError,
@@ -470,6 +477,19 @@ class TestDeviationAudit:
         assert report.max_in_ball_deviation == 0.0
         assert report.in_ball_violations == 0
         assert report.max_divergence == 0.0
+
+    def test_an_understated_certificate_fails_at_small_scale(self):
+        # x -> x against x -> 2x with a claimed delta of 0: every visited
+        # state breaks its zero bound by |x|, from x0 = 1e-9 down, where an
+        # absolute slack of 1e-9 passed them all
+        d = LinearSystem(a=[[0.5]], b=[[0.0]])
+        original, pruned = _one_layer([[1.0]]), _one_layer([[2.0]])
+        audit = AuditSummary(samples=1, max_dev=0.0, mean_dev=0.0, violations=0,
+                             tightness=0.0, margin=0.0, seed=0)
+        cert = Certificate((CertificateRow(0, 1.0, 0.0, 0.0),), 0.0, 1.0, "radius", audit)
+        report = deviation_audit(d, original, pruned, cert, [1e-9], 20)
+        assert report.in_ball_count == report.in_ball_violations == 42
+        assert report.max_in_ball_deviation == 1e-9
 
     def test_certified_pair_no_in_ball_violations(self):
         p, pruned = _pruned_pair()
