@@ -142,30 +142,40 @@ def _constants(norms: Sequence[float], biases: Sequence[float], layers: Iterable
     layer k of ``layers``, from plain tuples of each layer's weight spectral
     norm and bias norm: ``snorm`` times the norm product over the other
     layers, plus one carry-over term per bias below layer k, each added in
-    turn.  Every certified number comes from here, in this order."""
+    turn.  Every certified number comes from here, in this order.
+
+    A product with an exactly zero input (the state norm, a bias norm or a
+    weight norm) is 0, even against inf, since a zero norm carries nothing,
+    as in ``_times``.  Computed, such a product is 0 or NaN, so only a
+    product that is not finite needs the test.  A zero that a running product
+    underflowed to is not exact, so where it meets inf the constant is still
+    NaN."""
     L = len(norms)
     out = []
     for k in layers:
         if not 0 <= k < L:
             raise ValueError(f"layer index {k} out of range 0..{L - 1}")
-        prod_rest = 1.0
-        for m in range(L):
-            if m != k:
-                prod_rest *= norms[m]
-        c = snorm * prod_rest
+        others = [norms[m] for m in range(L) if m != k]
+        prod_rest = math.prod(others)  # left to right, as every product here
+        if 0.0 < prod_rest < math.inf:  # no input is 0, and no inf meets a 0
+            c = snorm * prod_rest
+        else:
+            with np.errstate(invalid="ignore"):
+                c = snorm * prod_rest
+            zero = (snorm == 0.0) | (0.0 in others)
+            c = np.where(zero, 0.0, c) if np.ndim(c) else (0.0 if zero else c)
         for j in range(k):
-            term = biases[j]
-            for m in range(j + 1, L):
-                if m != k:
-                    term *= norms[m]
-            c = c + term
+            factors = [biases[j], *(norms[m] for m in range(j + 1, L) if m != k)]
+            term = math.prod(factors)
+            c = c + (0.0 if math.isnan(term) and 0.0 in factors else term)
         out.append(c)
     return out
 
 
 def _worst_constants(p: MlpPolicy, layers: Sequence[int], radius: float) -> list[float]:
     """``C_k,max`` of each layer of ``layers`` on the sphere of ``radius``; a NaN
-    constant (a norm product of 0 and inf) bounds nothing, so it is an error."""
+    constant (a norm product that underflowed to 0 and met inf) bounds
+    nothing, so it is an error."""
     c_maxes = _constants(p.weight_spectral_norms, p.bias_norms, layers, radius)
     for k, c in zip(layers, c_maxes):
         if math.isnan(c):
@@ -201,43 +211,27 @@ def per_state_bounds(
 # ---------------------------------------------------------------------------
 
 def admissible_magnitude(
-    p: MlpPolicy,
-    layers: Iterable[int],
-    epsilon: float,
-    space: StateSpaceSpec,
-    weights: Sequence[float] | None = None,
+    p: MlpPolicy, layers: Iterable[int], epsilon: float, space: StateSpaceSpec
 ) -> dict[int, float]:
     """Largest per-layer delta norms whose contributions sum to ``epsilon``.
 
-    The budget is split evenly across the layers, or in proportion to
-    ``weights`` when given: one per layer, paired with the layer listed
-    beside it, so each layer is listed once.  An infinite ``epsilon`` caps
-    nothing; a layer with weight 0 gets a zero share even then.  A layer
-    whose worst-case constant is zero cannot contribute: its cap is infinite.
-    A NaN constant (a norm product of 0 and inf) caps nothing soundly, so it
-    is an error that names the layer.
+    The budget is split evenly over the distinct layers listed, and each
+    layer's cap is its share over its worst-case constant.  Any other split
+    is one call per layer with that layer's share.  An infinite share caps
+    nothing, and neither does a zero constant: that layer cannot contribute.
+    A NaN constant caps nothing soundly, so it is an error that names the
+    layer.
     """
     if not epsilon >= 0:
         raise ValueError(f"error budget must be nonnegative, got {epsilon}")
-    listed = [int(k) for k in layers]
-    if not listed:
+    ks = sorted({int(k) for k in layers})
+    if not ks:
         raise ValueError("need at least one layer")
-    if weights is not None and len(set(listed)) != len(listed):
-        raise ValueError("allocation weights pair with the layers as listed; list each layer once")
-    ws = [1.0] * len(listed) if weights is None else [float(w) for w in weights]
-    if len(ws) != len(listed):
-        raise ValueError(f"need one allocation weight per layer ({len(listed)}), got {len(ws)}")
-    # ascending layers, each with its weight; unweighted repeats count once
-    ks, ws = zip(*sorted(dict(zip(listed, ws)).items()))
-    total = sum(ws)
-    if not all(0.0 <= w < math.inf for w in ws) or not 0.0 < total < math.inf:
-        raise ValueError("allocation weights must be finite and nonnegative with a positive sum")
-    # unit weights give epsilon * 1 / n, which is exactly epsilon / n; a zero
-    # weight's share is 0 even of an infinite budget, where 0 * inf is NaN
-    shares = [epsilon * w / total if w > 0.0 else 0.0 for w in ws]
+    share = epsilon / len(ks)
     _check_space(p, space)
     c_maxes = _worst_constants(p, ks, space.radius)
-    return {k: share / c if c > 0 else math.inf for k, share, c in zip(ks, shares, c_maxes)}
+    return {k: share / c if 0.0 < c and share < math.inf else math.inf
+            for k, c in zip(ks, c_maxes)}
 
 
 # ---------------------------------------------------------------------------

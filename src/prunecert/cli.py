@@ -250,9 +250,6 @@ OPTIONS = {
     # ReLU activations routinely leave rank-deficient curvature blocks, so
     # the CLI defaults to relative auto-damping rather than none
     "damping": (_damping, "auto", _PRUNE, "Hessian damping: a number or 'auto' (default auto)"),
-    "allocation_weights": (_numbers(float), None, _PRUNE,
-                           "split the epsilon budget in proportion to these per-layer "
-                           "weights, comma separated (default an even split)"),
     "samples": (_number(int, 1), 10_000, _AUDIT, "audit sample count (default 10000)"),
     "radius": (_number(float), None, _SPACE, "certified state-ball radius"),
     "box_lo": (_numbers(float), None, _SPACE, "box low bounds, comma separated"),
@@ -368,8 +365,6 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
     if cfg.sparsity is not None:
         # a config file's state space may be certify's; a flag's is prune's
         dead = [k for k in ("radius", "box_lo", "box_hi", "states") if k in cfg.flagged]
-        if cfg.allocation_weights is not None:
-            dead.insert(0, "allocation_weights")
         if dead:
             raise UsageError(f"--sparsity takes no {_flags(dead)}; an --epsilon budget uses them")
     p = _read(cfg.model, load_policy)
@@ -377,9 +372,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
     try:
         caps = None  # sparsity mode: the walk without a cap, over the ranking's head
         if cfg.epsilon is not None:
-            caps = admissible_magnitude(
-                p, layers, cfg.epsilon, _state_space(cfg, p.input_dim), cfg.allocation_weights
-            )
+            caps = admissible_magnitude(p, layers, cfg.epsilon, _state_space(cfg, p.input_dim))
         calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
         ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
         if cfg.sparsity is not None:

@@ -44,9 +44,24 @@ def random_policy(
 
 def inf_norm_policy() -> MlpPolicy:
     """Two identity layers with unit biases whose first weight norm is inf:
-    every entry of layer 0 is 1e308, so at state norm 0 the constant of
-    layer 1 is 0 * inf + sqrt(2), which is NaN."""
+    every entry of layer 0 is 1e308.  At state norm 0 the constant of layer
+    1 is still sqrt(2), since a zero state norm carries nothing, even
+    against inf."""
     weights = (np.full((2, 2), 1e308), np.array([[0.5, 0.25], [0.1, 0.2]]))
+    return MlpPolicy(
+        layers=tuple(Layer(w, np.ones(2), ActivationKind("identity")) for w in weights)
+    )
+
+
+def underflow_policy() -> MlpPolicy:
+    """Five identity layers with unit biases whose layer 1 constant is NaN at
+    every state norm: layers 2 and 3 have weight norm 1e-200, so layer 0's
+    bias carried through both underflows to 0, a zero that is not exact,
+    and then meets layer 4's norm, inf (every entry is 1e308)."""
+    weights = (
+        np.eye(2), np.array([[0.5, 0.25], [0.1, 0.2]]), 1e-200 * np.eye(2), 1e-200 * np.eye(2),
+        np.full((2, 2), 1e308),
+    )
     return MlpPolicy(
         layers=tuple(Layer(w, np.ones(2), ActivationKind("identity")) for w in weights)
     )
@@ -78,18 +93,25 @@ def naive_forward(p: MlpPolicy, s):
 
 def _ck_oracle(wnorms, bnorms, k1, snorm):
     """Independent evaluation of the layer constant, written directly from the
-    1-indexed formula: ||s|| prod_{l != k} w_l + sum_{i<k} (prod_{l>i, l != k} w_l) b_i."""
+    1-indexed formula: ||s|| prod_{l != k} w_l + sum_{i<k} (prod_{l>i, l != k} w_l) b_i.
+
+    A product with an exactly zero input is 0, even against inf; a product
+    that underflowed to 0 before it met inf is NaN."""
     L = len(wnorms)
+    rest = [wnorms[l - 1] for l in range(1, L + 1) if l != k1]
     prod = 1.0
-    for l in range(1, L + 1):
-        if l != k1:
-            prod *= wnorms[l - 1]
-    total = snorm * prod
+    for w in rest:
+        prod *= w
+    with np.errstate(invalid="ignore"):
+        lead = np.where(np.equal(snorm, 0.0) | (0.0 in rest), 0.0, snorm * prod)
+    total = lead if np.ndim(snorm) else float(lead)
     for i in range(1, k1):
+        above = [wnorms[l - 1] for l in range(i + 1, L + 1) if l != k1]
         term = bnorms[i - 1]
-        for l in range(i + 1, L + 1):
-            if l != k1:
-                term *= wnorms[l - 1]
+        for w in above:
+            term *= w
+        if bnorms[i - 1] == 0.0 or 0.0 in above:
+            term = 0.0
         total += term
     return total
 

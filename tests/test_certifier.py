@@ -15,6 +15,7 @@ from conftest import (
     random_policy,
     scaled_certificate,
     scaled_norm,
+    underflow_policy,
 )
 from prunecert import certifier, linalg
 from prunecert.certifier import (
@@ -236,6 +237,12 @@ class TestConstantsFromTuples:
         [(1e150, 1e150), (1e150, 0.0), (1e150, 5e-324), (0.0, 1e-310), (5e-324, 1e150)],
         [0.0, 5e-324, 1e150],
     )
+    # zero norms against inf: a zero weight norm, bias norm and state norm
+    # each carry nothing, while 5e-324 * 5e-324 underflows and meets inf
+    @example(
+        [(5e-324, 1.0), (5e-324, 0.0), (1e150, 1.0), (1e150, 0.0), (1e150, 1e150), (0.0, 1.0)],
+        [0.0, 1.0, 1e150],
+    )
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_bit_for_bit(self, layers, snorms):
         norms, biases = map(tuple, zip(*layers))
@@ -299,12 +306,24 @@ class TestMultiLayerBudget:
         assert cert.rows == ()
 
     def test_nan_constant_is_an_error_naming_the_layer(self):
-        # at radius 0, layer 1's constant is 0 * inf + sqrt(2): NaN, which
-        # bounds nothing, so no budget or audit is made of it
-        p = inf_norm_policy()
+        # layer 0's bias carried through two norms of 1e-200 underflows to 0
+        # and meets an inf norm: layer 1's constant is NaN, which bounds
+        # nothing, so no budget or audit is made of it
+        p = underflow_policy()
         pruned = _perturbed(p, {1: -p.layers[1].weight})
         with pytest.raises(ValueError, match="layer 1"):
             certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
+
+    def test_zero_radius_carries_nothing_against_an_inf_norm(self):
+        # ||W_0|| = inf, but at radius 0 the state term is 0: layer 1's
+        # constant is its bias carry sqrt(2), not 0 * inf
+        p = inf_norm_policy()
+        pruned = _perturbed(p, {1: -p.layers[1].weight})
+        cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
+        (row,) = cert.rows
+        assert (row.layer, row.c_max) == (1, p.bias_norms[0])
+        assert cert.budget == row.contribution == row.c_max * row.delta_spectral
+        assert cert.holds
 
     def test_nan_contribution_is_an_error_naming_the_layer(self):
         # layer 1 is zero, so layer 0's constant is 0, and zeroing layer 0's
@@ -450,14 +469,6 @@ class TestAdmissibleMagnitude:
         d_excess = _norm_excess((2, 2), 1.0)
         assert 2.0 <= cert.budget <= 2.0 * (1.0 + d_excess) * (1.0 + 4.0 * np.finfo(float).eps)
 
-    def test_proportional_allocation(self):
-        p = _diag_policy([4.0, 2.0])
-        space = StateSpaceSpec(dim=2, radius=1.0)
-        caps = admissible_magnitude(p, [0, 1], 3.0, space, weights=[2.0, 1.0])
-        # contributions 2 and 1; c_max are 2 and 4
-        assert caps[0] == pytest.approx(1.0, rel=1e-12)
-        assert caps[1] == pytest.approx(0.25, rel=1e-12)
-
     def test_zero_constant_gives_infinite_cap(self):
         # radius 0 and no biases: c_max = 0 for every layer
         p = _diag_policy([1.0, 1.0])
@@ -465,10 +476,18 @@ class TestAdmissibleMagnitude:
         assert math.isinf(caps[0])
 
     def test_nan_constant_is_an_error_naming_the_layer(self):
-        # at radius 0, layer 1's constant is 0 * inf + sqrt(2): NaN.  Taken
-        # as an infinite cap, it would let the walk remove all of layer 1
+        # layer 1's constant is NaN: a bias carry underflowed to 0 and met
+        # an inf norm.  Taken as an infinite cap, it would let the walk
+        # remove all of layer 1
         with pytest.raises(ValueError, match="layer 1"):
-            admissible_magnitude(inf_norm_policy(), [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
+            admissible_magnitude(underflow_policy(), [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
+
+    def test_zero_radius_carries_nothing_against_an_inf_norm(self):
+        # at radius 0, layer 1's constant is sqrt(2), the bias carry, even
+        # though ||W_0|| = inf
+        p = inf_norm_policy()
+        caps = admissible_magnitude(p, [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
+        assert caps == {1: 1.0 / p.bias_norms[0]}
 
     def test_negative_budget_rejected(self):
         p = _diag_policy([1.0])
@@ -481,30 +500,15 @@ class TestAdmissibleMagnitude:
         with pytest.raises(ValueError, match="nonnegative"):
             admissible_magnitude(p, [0], math.nan, StateSpaceSpec(dim=2, radius=1.0))
 
-    @pytest.mark.parametrize(
-        "weights",
-        [[math.nan, 1.0], [math.inf, 1.0], [-1.0, 2.0], [0.0, 0.0], [1e308, 1e308], [1.0]],
-    )
-    def test_bad_allocation_weights_rejected(self, weights):
-        p = _diag_policy([4.0, 2.0])
-        with pytest.raises(ValueError, match="weight"):
-            admissible_magnitude(p, [0, 1], 1.0, StateSpaceSpec(dim=2, radius=1.0), weights)
-
-    def test_allocation_weights_pair_with_the_listed_layers(self):
-        p = _diag_policy([4.0, 2.0])
-        space = StateSpaceSpec(dim=2, radius=1.0)
-        ascending = admissible_magnitude(p, [0, 1], 2.0, space, weights=[3.0, 1.0])
-        assert admissible_magnitude(p, [1, 0], 2.0, space, weights=[1.0, 3.0]) == ascending
-        # layer 0 takes three quarters of the budget, layer 1 one quarter
-        assert ascending == admissible_magnitude(p, [0], 1.5, space) | admissible_magnitude(
-            p, [1], 0.5, space
-        )
-
-    @pytest.mark.parametrize("layers, weights", [([0, 0], [1.0]), ([0, 1, 0], [1.0, 1.0])])
-    def test_repeated_layer_with_allocation_weights_rejected(self, layers, weights):
-        p = _diag_policy([4.0, 2.0])
-        with pytest.raises(ValueError, match="once"):
-            admissible_magnitude(p, layers, 1.0, StateSpaceSpec(dim=2, radius=1.0), weights)
+    def test_per_layer_calls_compose_any_split(self):
+        p = random_policy(np.random.default_rng(8), dims=[4, 7, 5, 3])
+        space = StateSpaceSpec(dim=4, radius=1.5)
+        # the even split is one call per layer with epsilon / n, bit for bit
+        even = admissible_magnitude(p, [2, 0, 1], 2.0, space)
+        assert even == {k: admissible_magnitude(p, [k], 2.0 / 3, space)[k] for k in range(3)}
+        # any other split: share_k over the c_max certify reports
+        for k, share in zip(range(3), (0.5, 1.25, 1e-3)):
+            assert admissible_magnitude(p, [k], share, space)[k] == share / _c_max(p, k, space)
 
     def test_repeated_layer_without_weights_counts_once(self):
         p = _diag_policy([4.0, 2.0])
@@ -513,12 +517,14 @@ class TestAdmissibleMagnitude:
             p, [0, 1], 2.0, space
         )
 
-    def test_infinite_budget_caps_only_weighted_layers(self):
+    def test_infinite_budget_caps_nothing(self):
         p = _diag_policy([4.0, 2.0])
         space = StateSpaceSpec(dim=2, radius=1.0)
         assert admissible_magnitude(p, [0, 1], math.inf, space) == {0: math.inf, 1: math.inf}
-        caps = admissible_magnitude(p, [0, 1], math.inf, space, weights=[0.0, 1.0])
-        assert caps == {0: 0.0, 1: math.inf}
+        # ||W_0|| = inf makes layer 1's constant inf, and inf / inf is NaN:
+        # an infinite share still caps nothing
+        p = inf_norm_policy()
+        assert admissible_magnitude(p, [0, 1], math.inf, space) == {0: math.inf, 1: math.inf}
 
 
 class TestSampleStates:
@@ -789,6 +795,18 @@ class TestAuditStates:
         assert certifier._allowance(p, q, dn)[:2] == (math.inf, math.inf)
         assert not audit_states(p, q, dn, np.zeros((2, 1))).violation.any()
 
+    def test_a_zero_state_carries_nothing_against_an_inf_norm(self):
+        # ||W_0|| = inf and layer 1 halved: at s = 0 the deviation is 0.404
+        # and the bound sqrt(2) ||dW_1|| = 0.416, not 0 * inf
+        p = inf_norm_policy()
+        q = _perturbed(p, {1: -0.5 * p.layers[1].weight})
+        dn = PrunePlan.from_policies(p, q).delta_norms()
+        audit = audit_states(p, q, dn, np.zeros((2, 1)))
+        assert audit.bound.tolist() == [dn[0][1] * p.bias_norms[0]]
+        assert audit.deviation[0] == pytest.approx(0.404, abs=1e-3)
+        assert audit.bound[0] >= audit.deviation[0]
+        assert not audit.violation.any()
+
     @staticmethod
     def _exact_squared_deviation(original, pruned, s):
         """``||pi(s) - pi_hat(s)||^2`` in exact rational arithmetic, for
@@ -874,3 +892,45 @@ class TestAuditStates:
             columns = np.ascontiguousarray(rows.T)
             visited = audit_states(p, p, (), columns).norm
             np.testing.assert_array_equal(visited, linalg.vector_norm(columns, axis=0))
+
+
+class TestLinearWorstCase:
+    """The budget against the exact worst case over the ball, on the pairs
+    where the paper's bound is proven.  With identity layers and zero
+    biases, ``pi(s) - pi_hat(s) = (P - P_hat) s`` for ``P = W_{L-1} ... W_0``,
+    so the worst case at radius r is exactly ``r sigma_max(P - P_hat)``."""
+
+    def test_budget_covers_the_exact_worst_case(self):
+        rng = np.random.default_rng(37)
+        identity = ActivationKind("identity")
+        ratios = []
+        for _ in range(400):
+            dims = [int(d) for d in rng.integers(1, 5, size=int(rng.integers(3, 5)))]
+            weights = [rng.normal(size=(e, d)) / math.sqrt(d) for d, e in zip(dims, dims[1:])]
+            if rng.random() < 0.5:
+                # any change to one layer
+                k = int(rng.integers(len(weights)))
+                w = weights[k]
+                changed = {k: w + rng.normal(0.0, 0.3, w.shape) * (rng.random(w.shape) < 0.4)}
+            else:
+                # zeros in every layer, kept where no layer's norm grows
+                changed = {k: np.where(rng.random(w.shape) < 0.4, 0.0, w)
+                           for k, w in enumerate(weights)}
+                if any(np.linalg.norm(changed[k], 2) > np.linalg.norm(w, 2)
+                       for k, w in enumerate(weights)):
+                    continue
+            pruned_weights = [changed.get(k, w) for k, w in enumerate(weights)]
+            original, pruned = (
+                MlpPolicy(layers=tuple(Layer(w, np.zeros(w.shape[0]), identity) for w in ws))
+                for ws in (weights, pruned_weights)
+            )
+            radius = float(rng.choice([0.5, 1.0, 3.0]))
+            space = StateSpaceSpec(dim=dims[0], radius=radius)
+            budget = certify(original, pruned, space, n=1, seed=0).budget
+            p, p_hat = (np.linalg.multi_dot([*ws[::-1], np.eye(dims[0])])
+                        for ws in (weights, pruned_weights))
+            exact = radius * np.linalg.norm(p - p_hat, 2)
+            # 1e-12 relative for the rounding of the products and the SVD
+            assert budget >= exact * (1.0 - 1e-12)
+            ratios.append(exact / budget if budget > 0 else 0.0)
+        assert len(ratios) > 300 and max(ratios) > 0.99

@@ -20,6 +20,7 @@ from conftest import (
     reference_ranking,
     reference_simulation,
     scaled_norm,
+    underflow_policy,
 )
 from prunecert import __version__, cli
 from prunecert.cli import (
@@ -224,13 +225,13 @@ class TestPrune:
             ["--epsilon", "0.1"],  # no state space to split the budget over
             ["--epsilon", "nan", "--radius", "1"],
             ["--epsilon", "-0.1", "--radius", "1"],
-            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "nan,1,1"],
-            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "inf,1,1"],
-            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "-1,1,1"],
-            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "0,0,0"],
-            ["--epsilon", "0.1", "--radius", "1", "--allocation-weights", "1,1"],
-            ["--sparsity", "0.5", "--allocation-weights", "1,1,1"],
-            ["--epsilon", "0.1", "--radius", "1", "--layers", "0,0", "--allocation-weights", "1,1"],
+            ["--epsilon", "0.1", "--radius", "nan"],
+            ["--epsilon", "0.1", "--radius", "-1"],
+            ["--epsilon", "inf", "--radius", "inf"],
+            ["--epsilon", "0.1", "--radius", "1", "--layers", "3"],
+            ["--epsilon", "0.1", "--box-lo", "-1,-1,-1"],
+            ["--epsilon", "0.1", "--box-lo", "-1,-1", "--box-hi", "1,1"],
+            ["--epsilon", "0.1", "--radius", "1", "--states", "states.csv"],
             ["--sparsity", "0.5", "--radius", "1"],
             ["--sparsity", "0.5", "--box-lo", "-1,-1,-1"],
             ["--sparsity", "0.5", "--box-hi", "1,1,1"],
@@ -270,8 +271,6 @@ class TestBudgetInputs:
         "flags",
         [
             ["--epsilon", "nan"],
-            ["--epsilon", "0.01", "--allocation-weights", "nan,1"],
-            ["--epsilon", "0.01", "--allocation-weights", "inf,1"],
         ],
     )
     def test_nan_budget_is_a_usage_error(self, tmp_path, capsys, flags):
@@ -284,10 +283,11 @@ class TestBudgetInputs:
         assert not (out / "pruned_model.json").exists()
 
     def test_nan_constant_is_a_usage_error(self, tmp_path, capsys):
-        # ||W_0|| = inf makes layer 1's constant NaN at radius 0; taken as an
-        # infinite cap, it would let the walk remove all four weights of layer 1
+        # layer 0's bias carry underflows to 0 and meets an inf norm, so
+        # layer 1's constant is NaN; taken as an infinite cap, it would let
+        # the walk remove all four weights of layer 1
         model = tmp_path / "model.json"
-        save_policy(inf_norm_policy(), model)
+        save_policy(underflow_policy(), model)
         calib = tmp_path / "calib.csv"
         _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
         out = tmp_path / "out"
@@ -300,48 +300,37 @@ class TestBudgetInputs:
         assert len(err) == 1 and err[0].startswith("error: layer 1")
         assert not (out / "pruned_model.json").exists()
 
-    def test_allocation_weights_select_proportional_allocation(self, tmp_path):
-        def plan(*weights):
-            code, out = self._prune(tmp_path, "--epsilon", "5", *weights)
-            assert code == EXIT_OK
-            return _strip_timestamp(out / "prune_plan.json")
-
-        even = plan()
-        assert plan("--allocation-weights", "1,1") == even  # epsilon * 1 / 2 == epsilon / 2
-        layers = json.loads(plan("--allocation-weights", "1,0"))["layers"]
-        assert [(layer["k"], layer["removed"] > 0) for layer in layers] == [
-            (0, True), (1, False)
-        ]
-        assert plan("--allocation-weights", "1,0") != even
-
-    def test_allocation_weights_follow_the_listed_layers(self, tmp_path):
-        # one split listed two ways: layer 0 weighs 3 and layer 1 weighs 1
-        def removed(*flags):
-            code, out = self._prune(tmp_path, "--epsilon", "5", *flags)
-            assert code == EXIT_OK
-            plan = json.loads((out / "prune_plan.json").read_text())
-            return {layer["k"]: layer["removed"] for layer in plan["layers"]}
-
-        ascending = removed("--layers", "0,1", "--allocation-weights", "3,1")
-        assert ascending[0] == 2
-        assert removed("--layers", "1,0", "--allocation-weights", "1,3") == ascending
-
-    @pytest.mark.parametrize("layers, weights", [("0,0", "1"), ("0,1,0", "3,1")])
-    def test_repeated_layer_with_allocation_weights_is_a_usage_error(
-        self, tmp_path, capsys, layers, weights
-    ):
-        code, out = self._prune(
-            tmp_path, "--epsilon", "5", "--layers", layers, "--allocation-weights", weights
-        )
+    def test_allocation_weights_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the budget always splits evenly; any other split is one
+        # admissible_magnitude call per layer in the library
+        code, out = self._prune(tmp_path, "--epsilon", "5", "--allocation-weights", "1,1")
         assert code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "once" in err[0]
-        assert not (out / "pruned_model.json").exists()
+        assert len(err) == 1 and "--allocation-weights" in err[0]
+        assert not out.exists()
 
     def test_infinite_budget_prunes_every_weight(self, tmp_path):
         code, out = self._prune(tmp_path, "--epsilon", "inf")
         assert code == EXIT_OK
         assert not any(layer.weight.any() for layer in load_policy(out / "pruned_model.json").layers)
+
+    def test_infinite_budget_caps_a_layer_whose_constant_overflows(self, tmp_path):
+        # ||W_0|| = inf makes layer 1's constant inf, and inf / inf made a
+        # NaN cap: an infinite budget prunes what --sparsity 1 prunes
+        model = tmp_path / "model.json"
+        save_policy(inf_norm_policy(), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1e-160, 1e-160, size=(16, 2)))
+        pruned = []
+        for mode in (["--epsilon", "inf", "--radius", "1"], ["--sparsity", "1"]):
+            out = tmp_path / mode[0].lstrip("-")
+            assert main([
+                "prune", "--model", str(model), "--calibration", str(calib), "--layers", "1",
+                "--diagonal", *mode, "--out", str(out),
+            ]) == EXIT_OK
+            pruned.append((out / "pruned_model.json").read_bytes())
+        assert pruned[0] == pruned[1]
+        assert not load_policy(tmp_path / "epsilon" / "pruned_model.json").layers[1].weight.any()
 
 
 _PLAN_MODELS = ["pendulum_policy.json", "double_integrator_policy.json", None]
@@ -453,13 +442,14 @@ class TestCertify:
         assert cert["audit"]["max_dev"] == 0.0
 
     def test_nan_constant_is_a_usage_error(self, tmp_path, capsys):
-        # ||W_0|| = inf makes layer 1's constant NaN at radius 0: no budget
-        # bounds that layer's change, so nothing is certified or audited
-        p = inf_norm_policy()
+        # layer 0's bias carry underflows to 0 and meets an inf norm, so
+        # layer 1's constant is NaN: no budget bounds that layer's change,
+        # so nothing is certified or audited
+        p = underflow_policy()
         model, pruned = tmp_path / "model.json", tmp_path / "pruned.json"
         save_policy(p, model)
         zeroed = Layer(np.zeros((2, 2)), p.layers[1].bias, p.layers[1].activation)
-        save_policy(MlpPolicy(layers=(p.layers[0], zeroed)), pruned)
+        save_policy(MlpPolicy(layers=(p.layers[0], zeroed, *p.layers[2:])), pruned)
         out = tmp_path / "cert"
         code = main([
             "certify", "--model", str(model), "--pruned", str(pruned),
@@ -774,10 +764,9 @@ class TestNegativeCommaLists:
     def test_every_list_flag_takes_a_leading_minus(self):
         parser = build_parser()
         args = parser.parse_args([
-            "prune", "--layers", "-1,0", "--allocation-weights", "-1,2",
-            "--box-lo", "-0.5,-1", "--box-hi", "-.5,1",
+            "prune", "--layers", "-1,0", "--box-lo", "-0.5,-1", "--box-hi", "-.5,1",
         ])
-        assert (args.layers, args.allocation_weights) == ("-1,0", "-1,2")
+        assert args.layers == "-1,0"
         assert (args.box_lo, args.box_hi) == ("-0.5,-1", "-.5,1")
         args = parser.parse_args([
             "simulate", "--x0", "-0.5,0",
@@ -1724,6 +1713,16 @@ class TestConfigValues:
         assert len(err) == 1 and "unknown config key 'reestimate'" in err[0]
         assert not (tmp_path / "o" / "pruned_model.json").exists()
 
+    def test_allocation_weights_is_an_unknown_key(self, tmp_path, random_model, capsys):
+        # the epsilon budget always splits evenly over the layers
+        model, calib = random_model
+        cfg = {"model": str(model), "calibration": str(calib), "epsilon": 0.5, "radius": 1.0,
+               "allocation_weights": [1, 1, 1]}
+        assert self._run(tmp_path, "prune", cfg, "--out", str(tmp_path / "o")) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown config key 'allocation_weights'" in err[0]
+        assert not (tmp_path / "o" / "pruned_model.json").exists()
+
     def test_other_commands_keys_are_not_parsed(self, tmp_path, random_model):
         model, _ = random_model
         cfg = {
@@ -1922,7 +1921,7 @@ class TestHelp:
         assert not any(tmp_path.iterdir())
 
     def test_every_option_belongs_to_a_command(self):
-        assert len(cli.OPTIONS) == 30
+        assert len(cli.OPTIONS) == 29
         for key, (_, _, commands, _) in cli.OPTIONS.items():
             assert commands and set(commands) <= set(self.COMMANDS), key
 
