@@ -7,7 +7,10 @@ the same values in the same ranges.  One config seed feeds every random
 draw through named substreams, so a single number reproduces a full run.
 All emitted JSON is canonical (sorted keys, two-space indent) and floats
 round-trip exactly; reports are byte-identical across reruns except for
-their timestamp field.
+their timestamp field.  ``main`` is the one boundary to the library: any
+``ValueError`` is one ``error:`` line and exit 1, and no command prints a
+numpy floating-point warning, since overflow and NaN show in the artifacts
+and the exit code instead.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ STREAM_AUDIT = 2
 ENV_OUTDIR = "PRUNECERT_OUTDIR"
 
 
-class UsageError(Exception):
-    """Bad flags, unreadable files, malformed inputs: exit code 1."""
+class UsageError(ValueError):
+    """Bad flags, unreadable files, malformed inputs: exit code 1, as is
+    every ``ValueError`` the library raises on the inputs."""
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -93,8 +97,8 @@ def _write(path, write, *args) -> None:
     usage error, which names its path."""
     try:
         write(path, *args)
-    except OSError as exc:
-        raise UsageError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        raise UsageError(f"{path}: cannot write ({getattr(exc, 'strerror', None) or exc})") from exc
 
 
 def _load_states_csv(path, expected_dim: int) -> np.ndarray:
@@ -305,23 +309,17 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             if value is REQUIRED:
                 what = "at least one certificate file" if parse is _paths else _flags([key])
                 raise UsageError(f"{args.command} needs {what}")
-            try:
-                setattr(cfg, key, parse(value, key))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            setattr(cfg, key, parse(value, key))
     return cfg
 
 
 def _state_space(cfg: argparse.Namespace, dim: int) -> StateSpaceSpec:
-    try:
-        if cfg.states is None:
-            return StateSpaceSpec(dim=dim, radius=cfg.radius, box=(cfg.box_lo, cfg.box_hi))
-        given = [k for k in ("radius", "box_lo", "box_hi") if getattr(cfg, k) is not None]
-        if given:
-            raise UsageError(f"--states takes the radius from its states; drop {_flags(given)}")
-        return StateSpaceSpec.from_states(_load_states_csv(cfg.states, dim))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if cfg.states is None:
+        return StateSpaceSpec(dim=dim, radius=cfg.radius, box=(cfg.box_lo, cfg.box_hi))
+    given = [k for k in ("radius", "box_lo", "box_hi") if getattr(cfg, k) is not None]
+    if given:
+        raise UsageError(f"--states takes the radius from its states; drop {_flags(given)}")
+    return StateSpaceSpec.from_states(_load_states_csv(cfg.states, dim))
 
 
 def _outdir(cfg: argparse.Namespace) -> Path:
@@ -369,19 +367,16 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
             raise UsageError(f"--sparsity takes no {_flags(dead)}; an --epsilon budget uses them")
     p = _read(cfg.model, load_policy)
     layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
-    try:
-        caps = None  # sparsity mode: the walk without a cap, over the ranking's head
-        if cfg.epsilon is not None:
-            caps = admissible_magnitude(p, layers, cfg.epsilon, _state_space(cfg, p.input_dim))
-        calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
-        ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
-        if cfg.sparsity is not None:
-            ranking = ranking[: round(cfg.sparsity * len(ranking))]
-        pruned, plan = prune_to_budget(
-            p, ranking, caps, compensate=cfg.compensate, damping=cfg.damping, calib=calib
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    caps = None  # sparsity mode: the walk without a cap, over the ranking's head
+    if cfg.epsilon is not None:
+        caps = admissible_magnitude(p, layers, cfg.epsilon, _state_space(cfg, p.input_dim))
+    calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
+    ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
+    if cfg.sparsity is not None:
+        ranking = ranking[: round(cfg.sparsity * len(ranking))]
+    pruned, plan = prune_to_budget(
+        p, ranking, caps, compensate=cfg.compensate, damping=cfg.damping, calib=calib
+    )
     out = _outdir(cfg)
     _write(out / "pruned_model.json", lambda path: save_policy(pruned, path))
     plan_dict = _plan_dict(plan, ranking, cfg)
@@ -411,13 +406,7 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
     original = _read(cfg.model, load_policy)
     pruned = _read(cfg.pruned, load_policy)
     space = _state_space(cfg, original.input_dim)
-    seed = derive_seed(cfg.seed, STREAM_AUDIT)
-    # an overflowing pair fails the audit, and the certificate records it
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            cert = certify(original, pruned, space, cfg.samples, seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    cert = certify(original, pruned, space, cfg.samples, derive_seed(cfg.seed, STREAM_AUDIT))
     out = _outdir(cfg)
     _write(out / "certificate.json", _write_json, certificate_to_dict(cert))
     _print_certificate(cert)
@@ -441,12 +430,9 @@ def _dynamics(cfg: argparse.Namespace):
         if cfg.system is None:
             raise UsageError("linear dynamics need --system (JSON with A and B)")
         given = _read(cfg.system, _linear_system)
-    try:
-        # the dynamics check the box, once they know their state dimension
-        return cls(**given, action_limit=cfg.action_limit,
-                   state_box=(cfg.state_box_lo, cfg.state_box_hi))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # the dynamics check the box, once they know their state dimension
+    return cls(**given, action_limit=cfg.action_limit,
+               state_box=(cfg.state_box_lo, cfg.state_box_hi))
 
 
 def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
@@ -492,12 +478,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     pruned = _read(cfg.pruned, load_policy)
     cert = _read(cfg.certificate, _certificate)
     d = _dynamics(cfg)
-    try:
-        # an overflowing loop is a blow-up, and the report records it
-        with np.errstate(over="ignore"):
-            report = deviation_audit(d, original, pruned, cert, np.asarray(cfg.x0), cfg.horizon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = deviation_audit(d, original, pruned, cert, np.asarray(cfg.x0), cfg.horizon)
     out = _outdir(cfg)
     for loop in report.loops:
         _write(
@@ -629,8 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(build_config(args))
-    except UsageError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(build_config(args))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -47,7 +47,9 @@ class CalibrationBatch:
     inputs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(linalg.as_matrix(x, f"inputs[{i}]") for i, x in enumerate(self.inputs))
+        mats = tuple(
+            linalg.as_matrix(x, f"layer {i}'s calibration input") for i, x in enumerate(self.inputs)
+        )
         if not mats:
             raise ValueError("calibration batch needs at least one layer")
         n = mats[0].shape[1]
@@ -96,6 +98,10 @@ class LayerPrune:
 
     ``mask`` is an ``(n, 2)`` integer array of zeroed ``(row, col)``
     positions, in removal order when the plan came from a ranking.
+    ``compensated`` is whether an OBS re-fit ran on the layer: false for
+    zero-only pruning and for a dead curvature block, whose removals only
+    zero.  ``PrunePlan.from_policies`` reads it off the weights instead:
+    some weight changed without being zeroed.
     """
 
     layer: int
@@ -179,14 +185,27 @@ def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
     return CalibrationBatch(inputs=tuple(mats))
 
 
-def _layer_h_inv(x: np.ndarray, damping) -> np.ndarray | None:
+def _curvature(x: np.ndarray, k: int, damping) -> tuple[np.ndarray, float]:
+    """Layer ``k``'s curvature block ``2 X X^T`` and its damping, the number
+    given or ``auto_damping`` of the block.  A block, or under auto damping
+    its trace, past the float range is a ``ValueError`` naming the layer, in
+    every mode: the layer's weights would all score inf and rank by position."""
+    h = linalg.gram(x)
+    finite = np.isfinite(h).all()
+    if finite and damping == "auto":
+        damping = linalg.auto_damping(h)
+        finite = math.isfinite(damping)
+    if not finite:
+        raise ValueError(f"layer {k}: the calibration curvature 2 X X^T overflows")
+    return h, float(damping)
+
+
+def _layer_h_inv(x: np.ndarray, k: int, damping) -> np.ndarray | None:
     """Damped inverse curvature block, or ``None`` for an all-zero block
     under auto damping: a layer whose inputs are all zero on the
     calibration batch, where removing any weight changes no output."""
-    h = linalg.gram(x)
-    if damping != "auto":
-        return linalg.damped_inverse(h, float(damping))
-    return linalg.damped_inverse(h, linalg.auto_damping(h)) if h.any() else None
+    h, lam = _curvature(x, k, damping)
+    return None if damping == "auto" and not h.any() else linalg.damped_inverse(h, lam)
 
 
 def _score(w: np.ndarray, d: np.ndarray, op) -> np.ndarray:
@@ -237,14 +256,13 @@ def rank_weights(
                 f"layer {k}: calibration rows {x.shape[0]} != weight columns {w.shape[1]}"
             )
         if diagonal:
-            h = linalg.gram(x)
-            lam = linalg.auto_damping(h) if damping == "auto" else float(damping)
+            h, lam = _curvature(x, k, damping)
             hqq = np.diag(h) + lam
             # 1/(H_qq) as the inverse diagonal; a zero H_qq means the input
             # coordinate never fires, so removal is free
             sal = np.where(hqq > 0.0, _score(w, hqq, np.multiply), 0.0)
         else:
-            h_inv = _layer_h_inv(x, damping)
+            h_inv = _layer_h_inv(x, k, damping)
             if h_inv is None:  # a dead block: each removal's exact loss is 0
                 sal = np.zeros(w.shape)
             elif (np.diag(h_inv) <= 0.0).any():
@@ -492,7 +510,7 @@ def prune_to_budget(
     for k in sorted(caps):
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
-        h_inv = _layer_h_inv(calib.inputs[k], damping) if compensate else None
+        h_inv = _layer_h_inv(calib.inputs[k], k, damping) if compensate else None
         work = _LayerWork(layers[k].weight, h_inv)
         entries = ranking[ranking.layer == k]
         n = work.walk(entries, float(caps[k]))
@@ -501,7 +519,7 @@ def prune_to_budget(
                 layer=k,
                 mask=np.column_stack((entries.row[:n], entries.col[:n])),
                 delta_spectral_norm=work.delta_norm(),
-                compensated=compensate and n > 0,
+                compensated=work.h_inv is not None and n > 0,
             )
         )
         layers[k] = Layer(weight=work.work, bias=layers[k].bias, activation=layers[k].activation)

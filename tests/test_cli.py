@@ -68,6 +68,19 @@ def _simple_model(tmp_path: Path, weight=((1.0,),), name="model.json") -> Path:
     return path
 
 
+def _usage_error(capsys, argv) -> str:
+    """``main(argv)``, which must exit 1 with one ``error:`` line on stderr
+    and no RuntimeWarning; returns that line."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE and len(err) == 1 and err[0].startswith("error: "), (code, err)
+    return err[0]
+
+
 @pytest.fixture
 def random_model(tmp_path):
     rng = np.random.default_rng(100)
@@ -187,7 +200,12 @@ class TestPrune:
             plan = json.loads((out / "prune_plan.json").read_text())
             assert [layer["k"] for layer in plan["layers"]] == [0, 1]
             assert (plan["layers"][1]["removed"], plan["layers"][1]["saliency_sum"]) == (2, 0.0)
-            assert load_policy(out / "pruned_model.json").layers[1].weight.tolist() == [[0.0, 0.0]]
+            pruned = load_policy(out / "pruned_model.json")
+            assert pruned.layers[1].weight.tolist() == [[0.0, 0.0]]
+            # a dead block runs no re-fit, so its row is not compensated, as
+            # the model pair shows
+            pair = PrunePlan.from_policies(load_policy(model), pruned)
+            assert plan["layers"][1]["compensated"] is pair.layers[1].compensated is False
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -252,6 +270,38 @@ class TestPrune:
             "prune", "--model", str(model), "--calibration", str(calib),
             "--out", str(tmp_path / "o"), *mode,
         ]) == EXIT_USAGE
+
+
+class TestPruneOverflow:
+    """A calibration batch whose layer inputs or curvature overflow is one
+    usage error naming the layer, in every mode, with no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "scale, states, flags, message",
+        [
+            (1e300, None, [], "layer 1: the calibration curvature 2 X X^T overflows"),
+            (1e300, None, ["--diagonal", "--damping", "0.1"],
+             "layer 1: the calibration curvature 2 X X^T overflows"),
+            # a finite block whose trace, the sum auto damping takes, overflows
+            (3.5e153, [[1.0, 1.0]] * 4, ["--diagonal"],
+             "layer 1: the calibration curvature 2 X X^T overflows"),
+            (1e300, [[1e10, 1e10]] * 4, [],
+             "layer 1's calibration input contains non-finite entries"),
+        ],
+    )
+    def test_names_the_layer(self, tmp_path, capsys, scale, states, flags, message):
+        relu = ActivationKind("relu")
+        model = tmp_path / "model.json"
+        save_policy(MlpPolicy(layers=(Layer(np.eye(2) * scale, np.zeros(2), relu),
+                                      Layer([[1.0, 1.0]], [0.0], relu))), model)
+        calib = tmp_path / "calib.csv"
+        if states is None:
+            states = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2))
+        _write_states_csv(calib, states)
+        argv = ["prune", "--model", str(model), "--calibration", str(calib),
+                "--sparsity", "0.5", *flags, "--out", str(tmp_path / "out")]
+        assert _usage_error(capsys, argv) == f"error: {message}"
+        assert not (tmp_path / "out").exists()
 
 
 class TestBudgetInputs:
@@ -1084,6 +1134,24 @@ class TestSimulateWarnings:
         assert code == EXIT_USAGE
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_inf_minus_inf_deviation_emits_no_runtime_warning(self, tmp_path, capsys):
+        # both actions are +inf at x0, so the deviation there is inf - inf
+        model = _simple_model(tmp_path, weight=((1e300, 1e300),))
+        pruned = _simple_model(tmp_path, weight=((1e300, 0.0),), name="pruned.json")
+        main([
+            "certify", "--model", str(model), "--pruned", str(pruned),
+            "--radius", "1", "--samples", "10", "--out", str(tmp_path / "cert"),
+        ])
+        out = tmp_path / "sim"
+        assert _usage_error(capsys, [
+            "simulate", "--model", str(model), "--pruned", str(pruned),
+            "--certificate", str(tmp_path / "cert" / "certificate.json"),
+            "--x0=1e10,0", "--horizon", "3", "--dynamics", "double_integrator",
+            "--out", str(out),
+        ]) == "error: original trajectory blew up at t=0"
+        report = json.loads((out / "deviation_report.json").read_text())
+        assert report["blowup"] == {"trajectory": "original", "t": 0}
+
 
 class TestSimulateMatchesReference:
     """Trajectory CSVs and deviation report against the per-state reference.
@@ -1558,6 +1626,14 @@ class TestOutputPaths:
         assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {out / artifact}: cannot write (Is a directory)"]
+
+    def test_config_out_with_a_nul_byte(self, tmp_path, capsys, certificate):
+        # the OS refuses the path with a ValueError, not an OSError
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": "\u0000"}))
+        assert _usage_error(capsys, ["report", certificate, "--config", str(cfg)]) == (
+            "error: \0: cannot write (embedded null byte)"
+        )
 
 
 class TestConfigMerging:

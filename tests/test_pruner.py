@@ -266,6 +266,54 @@ class TestRankWeights:
         )
         assert pruned.layers[1].weight.tolist() == [[0.0, -3.0]]
         assert plan.layers[0].delta_spectral_norm >= 2.0
+        assert not plan.layers[0].compensated
+
+    @staticmethod
+    def _overflowing(scale, states):
+        # layer 1's inputs are layer 0's outputs, about ``scale`` times the states
+        relu = ActivationKind("relu")
+        p = MlpPolicy(layers=(Layer(np.eye(2) * scale, np.zeros(2), relu),
+                              Layer([[1.0, -1.0]], [0.0], ActivationKind("identity"))))
+        return p, collect_calibration(p, states)
+
+    @pytest.mark.parametrize(
+        "damping, diagonal, compensate",
+        [("auto", False, False), ("auto", True, False), (0.1, True, False),
+         ("auto", False, True), (0.1, False, True)],
+    )
+    def test_overflowing_curvature_names_the_layer(self, damping, diagonal, compensate):
+        # the inputs (~1e300) are finite, their curvature block 2 X X^T is
+        # not; unrefused, a fixed diagonal damping would score layer 1 inf
+        # and rank it by position alone
+        states = np.random.default_rng(40).uniform(-1.0, 1.0, size=(16, 2))
+        p, calib = self._overflowing(1e300, states)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^layer 1: the calibration curvature 2 X X\^T overflows$"
+        ):
+            if compensate:  # the re-fit's block, with layer 0 alone ranked
+                ranking = rank_weights(p, calib, [0], damping=damping, diagonal=diagonal)
+                prune_to_budget(p, ranking, {0: math.inf, 1: math.inf}, compensate=True,
+                                damping=damping, calib=calib)
+            else:
+                rank_weights(p, calib, [0, 1], damping=damping, diagonal=diagonal)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_overflowing_auto_damping_trace_names_the_layer(self, diagonal):
+        # each diagonal entry of the block, 2 * 4 * (3.5e153)^2 ~ 9.8e307, is
+        # finite, but the trace auto damping sums is not
+        p, calib = self._overflowing(3.5e153, np.ones((4, 2)))
+        assert np.isfinite(gram(calib.inputs[1])).all()
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^layer 1: the calibration curvature 2 X X\^T overflows$"
+        ):
+            rank_weights(p, calib, [1], damping="auto", diagonal=diagonal)
+
+    def test_overflowing_input_names_the_layer(self):
+        # layer 1's output is inf - inf = NaN, which calibration never reads
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^layer 1's calibration input contains non-finite entries$"
+        ):
+            self._overflowing(1e300, np.full((4, 2), 1e10))
 
     def test_dead_layer_with_huge_weights_scores_zero(self):
         # w * w overflows in the dead layer 1; dividing it by an infinite
@@ -785,7 +833,8 @@ def _budget_matches_reference(p, calib, ranking, reference, caps, compensate):
         np.testing.assert_array_equal(pruned.layers[k].weight, work[k])
         # every masked weight is 0 in the pruned model
         assert not pruned.layers[k].weight[lp.mask[:, 0], lp.mask[:, 1]].any()
-        assert lp.compensated == (compensate and len(expected[k]) > 0)
+        # a dead block (all-zero inputs under auto damping) runs no re-fit
+        assert lp.compensated == (compensate and calib.inputs[k].any() and len(expected[k]) > 0)
         delta = work[k] - p.layers[k].weight
         assert lp.delta_spectral_norm == (spectral_norm(delta) if delta.any() else 0.0)
     return pruned, plan, expected
