@@ -82,9 +82,10 @@ class StateSpaceSpec:
     @classmethod
     def from_states(cls, states) -> "StateSpaceSpec":
         """Radius taken as the largest norm over a validation set of states,
-        one per row; ``row_norms`` gives each row ``vector_norm``'s bits."""
+        one per row."""
         rows = linalg.as_matrix(states, "states")
-        return cls(dim=rows.shape[1], radius=float(linalg.row_norms(rows).max()), source="states")
+        return cls(dim=rows.shape[1], radius=float(linalg.vector_norm(rows, axis=1).max()),
+                   source="states")
 
 
 @dataclass(frozen=True)
@@ -361,10 +362,7 @@ def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) ->
     (input_dim, n), each state judged against its bound.  A state is a
     violation unless its deviation is within its bound plus the rounding
     allowance of ``_allowance``, which scales with the state, so a flag on
-    a finite deviation and bound is a proven breach at any scale.  The
-    columns are used as given, since their layout fixes the order numpy
-    sums norms in; ``certify`` and ``controlsim`` each keep the layout they
-    always had."""
+    a finite deviation and bound is a proven breach at any scale."""
     diff = forward_batch(original, states) - forward_batch(pruned, states)
     deviation = linalg.vector_norm(diff, axis=0)
     norm = linalg.vector_norm(states, axis=0)

@@ -203,9 +203,9 @@ def _damping(value, key: str) -> float | str:
     if isinstance(value, str) and value.strip() == "auto":
         return "auto"
     try:
-        return _number(float, 0.0)(value, key)
+        return _number(float, 0.0, sys.float_info.max)(value, key)
     except ValueError as exc:
-        raise ValueError(f"{key}: expected a number >= 0 or 'auto', got {value!r}") from exc
+        raise ValueError(f"{key}: expected a finite number >= 0 or 'auto', got {value!r}") from exc
 
 
 def _paths(value, key: str) -> tuple[str, ...]:
@@ -613,7 +613,9 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(build_config(args))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, whatever a path in the message holds: "\n" prints as \n
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

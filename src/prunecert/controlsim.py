@@ -365,9 +365,7 @@ def deviation_audit(
                 blowup = (label, exc.t)
             traj = exc.partial
         source = traj.source
-        # C-contiguous columns: the layout these reports' norms have summed in
-        columns = np.ascontiguousarray(traj.states[: traj.distinct].T)
-        audit = audit_states(original, pruned, cert.delta_norms(), columns)
+        audit = audit_states(original, pruned, cert.delta_norms(), traj.states[: traj.distinct].T)
         per_state = (audit.deviation, audit.bound, audit.norm <= cert.radius, audit.violation)
         if source is not None:
             per_state = tuple(a[source] for a in per_state)
@@ -379,7 +377,7 @@ def deviation_audit(
                                _frozen(bound), _frozen(in_ball), source))
     shared = min(len(loop.states) for loop in loops)
     gaps = loops[0].states[:shared] - loops[1].states[:shared]
-    divergence = _frozen(linalg.row_norms(gaps))
+    divergence = _frozen(linalg.vector_norm(gaps, axis=1))
     inside = np.concatenate([loop.in_ball for loop in loops])
     dev = np.concatenate([loop.deviation for loop in loops])[inside]
     return DeviationReport(

@@ -1,8 +1,10 @@
 """Dense matrix and vector primitives shared by the whole toolkit.
 
 Spectral norms are exact eigenvalue computations rounded outward, so every
-norm that feeds a certificate is a guaranteed upper bound.  The symmetric
-inverse accepts Tikhonov damping for rank-deficient curvature blocks.
+norm that feeds a certificate is a guaranteed upper bound.  A vector's
+Euclidean norm has the same bits alone or in any batch, in any memory
+layout.  The symmetric inverse accepts Tikhonov damping for rank-deficient
+curvature blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "spectral_norm",
     "spectral_norm_ceiling",
     "vector_norm",
-    "row_norms",
     "gram",
     "auto_damping",
     "damped_inverse",
@@ -179,56 +180,37 @@ def spectral_norm_ceiling(sigma: float, shape) -> float:
     return _up(out) if 0.0 < out < _TINY else out
 
 
-def _rescaled_norm(v: np.ndarray, axis) -> np.ndarray:
-    # max/min instead of abs(): no temporary the size of the input
-    exp = np.frexp(np.maximum(v.max(axis=axis), -v.min(axis=axis)))[1]
-    shift = exp if axis is None else np.expand_dims(exp, axis)
-    return np.ldexp(np.linalg.norm(np.ldexp(v, -shift), axis=axis), exp)
-
-
-def _stands(norm):
-    """Whether numpy's norm bits stand: the norm lies in [2^-400, 2^400)."""
-    return (_NORM_LOW <= norm) & (norm < _NORM_HIGH)
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    # each row's 1 x n @ n x 1 product runs the BLAS dot of a 1-D norm
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def vector_norm(a, axis=None):
-    """``np.linalg.norm(a, axis=axis)`` of a vector, or of each vector along
-    ``axis`` of a 2-D array, without overflow or underflow.
+    """Euclidean norm of a vector (``axis=None``: all entries of ``a``, in
+    C order), or of each vector along ``axis`` (0 or 1) of a 2-D array,
+    without overflow or underflow.
 
-    A norm in ``[2^-400, 2^400)`` was summed from squares that did not
-    overflow, and any square that underflowed is below ``2^-222`` of the
-    sum, so numpy's result stands, bit for bit.  Any other vector is taken
-    again after scaling by the power of two that brings its largest entry
-    into [1/2, 1), as in ``spectral_norm``, which is exact.  Its copy keeps
-    the layout of ``a``, which fixes the order numpy sums in.
+    Every vector's norm has the bits of ``np.linalg.norm`` of that vector
+    alone, the square root of its BLAS dot with itself, whatever batch it
+    sits in and whatever the batch's memory layout: BLAS rounds by operand
+    layout, so the vectors are taken as C-contiguous rows.  A norm in
+    ``[2^-400, 2^400)`` was summed from squares that did not overflow, and
+    any square that underflowed is below ``2^-222`` of the sum, so it
+    stands.  Any other vector is taken again after scaling by the power of
+    two that brings its largest entry into [1/2, 1), as in
+    ``spectral_norm``, which is exact.
     """
     v = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.linalg.norm(v, axis=axis)
-        if axis is None:
-            return out if _stands(out) else _rescaled_norm(v, None)
-        redo = ~_stands(out)
-        if redo.any():
-            sub = np.compress(redo, v, axis=1 - axis)  # C-ordered, whatever v is
-            sub = np.asfortranarray(sub) if v.flags.f_contiguous else sub
-            out[redo] = _rescaled_norm(sub, axis)
-    return out
-
-
-def row_norms(a) -> np.ndarray:
-    """``vector_norm`` of each row of a 2-D array, bit for bit.
-
-    Each row's 1 x n @ n x 1 product runs the dot kernel a 1-D norm runs,
-    so it has that norm's bits (a norm along axis 1 sums in another
-    order).  A row whose norm does not stand is taken again, rescaled, as
-    ``vector_norm`` takes it.
-    """
-    g = np.asarray(a, dtype=float)
+    rows = np.ascontiguousarray(v.reshape(1, -1) if axis is None else v.T if axis == 0 else v)
     with np.errstate(over="ignore", under="ignore"):
-        out = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
-        redo = ~_stands(out)
-        out[redo] = [_rescaled_norm(row, None) for row in g[redo]]
-    return out
+        out = _row_dots(rows)
+        redo = ~((_NORM_LOW <= out) & (out < _NORM_HIGH))
+        if redo.any():
+            sub = rows[redo]
+            # max/min instead of abs(): no temporary the size of the input
+            exp = np.frexp(np.maximum(sub.max(axis=1), -sub.min(axis=1)))[1]
+            out[redo] = np.ldexp(_row_dots(np.ldexp(sub, -exp[:, None])), exp)
+    return out[0] if axis is None else out
 
 
 def gram(x) -> np.ndarray:
@@ -255,8 +237,9 @@ def auto_damping(h) -> float:
 def damped_inverse(h, lam: float = 0.0) -> np.ndarray:
     """Inverse of ``h + lam*I`` for symmetric ``h``, symmetrized on output.
 
-    ``lam = 0`` on a rank-deficient matrix raises ``SingularMatrixError``;
-    retry with ``lam > 0`` (``auto_damping`` gives a sensible default).
+    ``lam`` must be a finite number >= 0.  ``lam = 0`` on a rank-deficient
+    matrix raises ``SingularMatrixError``; retry with ``lam > 0``
+    (``auto_damping`` gives a sensible default).
     """
     hm = as_matrix(h, "hessian")
     n = hm.shape[0]
@@ -265,8 +248,8 @@ def damped_inverse(h, lam: float = 0.0) -> np.ndarray:
     scale = float(np.abs(hm).max())
     if float(np.abs(hm - hm.T).max()) > 1e-10 * max(scale, 1.0):
         raise ValueError("hessian must be symmetric")
-    if lam < 0:
-        raise ValueError("damping must be nonnegative")
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"damping must be a finite number >= 0, got {lam!r}")
     a = hm + lam * np.eye(n)
     try:
         inv = np.linalg.inv(a)

@@ -181,20 +181,27 @@ def forward(p: MlpPolicy, s) -> np.ndarray:
     return _propagate(p, x)
 
 
+def _columns(p: MlpPolicy, states) -> np.ndarray:
+    """A batch of states stored as columns, (input_dim, n), checked and
+    C-contiguous: BLAS rounds by operand layout, so every batch runs in this
+    one layout and its outputs depend only on its values."""
+    x = linalg.as_matrix(states, "states")
+    if x.shape[0] != p.input_dim:
+        raise ValueError(f"states have dim {x.shape[0]} but policy expects {p.input_dim}")
+    return np.ascontiguousarray(x)
+
+
 def forward_batch(p: MlpPolicy, states) -> np.ndarray:
     """Evaluate the policy on a batch of states stored as columns.
 
-    ``states`` is (input_dim, n); the result is (output_dim, n).  The
+    ``states`` is (input_dim, n); the result is (output_dim, n), with the
+    same bits for any memory layout of ``states`` (see ``_columns``).  The
     columns go through in the fewest blocks that keep every layer's output
     within ``_BLOCK`` floats, so memory stays bounded however many states
     there are; a batch that fits in one block is a single call.  Block
     boundaries fall on whole ``_TILE``-column tiles, spread evenly.
     """
-    x = linalg.as_matrix(states, "states")
-    if x.shape[0] != p.input_dim:
-        raise ValueError(
-            f"states have dim {x.shape[0]} but policy expects {p.input_dim}"
-        )
+    x = _columns(p, states)
     n = x.shape[1]
     most = max(1, _BLOCK // max(layer.out_dim for layer in p.layers))
     tile = min(_TILE, most)

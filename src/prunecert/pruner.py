@@ -22,7 +22,7 @@ import numpy as np
 
 from prunecert import linalg
 from prunecert.linalg import _EPS, _frozen, _up
-from prunecert.policy import Layer, MlpPolicy, _propagate
+from prunecert.policy import Layer, MlpPolicy, _columns, _propagate
 
 __all__ = [
     "CalibrationBatch",
@@ -177,19 +177,20 @@ def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
     ``states`` holds one state per row.  Column j of ``inputs[k]`` is what
     state j presents to layer k; layer 0 sees the raw states.
     """
-    m = linalg.as_matrix(states, "states")
-    if m.shape[1] != p.input_dim:
-        raise ValueError(f"states have dim {m.shape[1]} but policy expects {p.input_dim}")
     mats: list[np.ndarray] = []
-    _propagate(p, np.ascontiguousarray(m.T), mats)
+    _propagate(p, _columns(p, np.asarray(states, dtype=float).T), mats)
     return CalibrationBatch(inputs=tuple(mats))
 
 
 def _curvature(x: np.ndarray, k: int, damping) -> tuple[np.ndarray, float]:
     """Layer ``k``'s curvature block ``2 X X^T`` and its damping, the number
-    given or ``auto_damping`` of the block.  A block, or under auto damping
-    its trace, past the float range is a ``ValueError`` naming the layer, in
-    every mode: the layer's weights would all score inf and rank by position."""
+    given or ``auto_damping`` of the block.  Any other damping than ``"auto"``
+    or a finite number >= 0 is a ``ValueError`` (an infinite one scores every
+    weight alike, a NaN one every weight 0), as is a block, or under auto
+    damping its trace, past the float range, which names the layer, in every
+    mode: the layer's weights would all score inf and rank by position."""
+    if damping != "auto" and not 0.0 <= float(damping) < math.inf:
+        raise ValueError(f"damping must be 'auto' or a finite number >= 0, got {damping!r}")
     h = linalg.gram(x)
     finite = np.isfinite(h).all()
     if finite and damping == "auto":

@@ -880,18 +880,22 @@ class TestAuditStates:
             flagged += int(audit.violation.sum())
         assert flagged > 0
 
-    def test_norms_follow_the_callers_layout(self):
-        # 8 dimensions: numpy sums a contiguous axis pairwise, a strided one
-        # in order, and the audit keeps each caller's layout at every scale
+    def test_outputs_and_audit_do_not_depend_on_the_layout(self):
+        # 300 states of dimension 8: BLAS rounds by operand layout, and
+        # numpy's reduction sums a contiguous axis pairwise and a strided one
+        # in order, so C- and F-ordered copies of the same states must give
+        # the same bytes at every scale
         rng = np.random.default_rng(34)
-        p = random_policy(rng, dims=[8, 4, 2])
+        p = random_policy(rng, dims=[8, 32, 2])
+        pruned = _perturbed(p, {0: rng.normal(0.0, 0.3, size=(32, 8))})
+        dn = PrunePlan.from_policies(p, pruned).delta_norms()
         for scale in (1.0, 1e200, 1e-200):
-            rows = rng.normal(size=(500, 8)) * scale
-            sampled = audit_states(p, p, (), rows.T).norm
-            np.testing.assert_array_equal(sampled, linalg.vector_norm(rows, axis=1))
-            columns = np.ascontiguousarray(rows.T)
-            visited = audit_states(p, p, (), columns).norm
-            np.testing.assert_array_equal(visited, linalg.vector_norm(columns, axis=0))
+            states = rng.normal(size=(8, 300)) * scale
+            c, f = np.ascontiguousarray(states), np.asfortranarray(states)
+            assert forward_batch(p, c).tobytes() == forward_batch(p, f).tobytes()
+            a, b = audit_states(p, pruned, dn, c), audit_states(p, pruned, dn, f)
+            for field in ("deviation", "bound", "norm", "violation"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (scale, field)
 
 
 class TestLinearWorstCase:

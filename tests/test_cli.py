@@ -32,9 +32,9 @@ from prunecert.cli import (
     derive_seed,
     main,
 )
-from prunecert.certifier import StateSpaceSpec, certify
+from prunecert.certifier import StateSpaceSpec, certify, per_state_bounds
 from prunecert.controlsim import DoubleIntegrator, LinearSystem, Pendulum
-from prunecert.linalg import spectral_norm
+from prunecert.linalg import spectral_norm, vector_norm
 from prunecert.policy import (
     ActivationKind,
     Layer,
@@ -270,6 +270,38 @@ class TestPrune:
             "prune", "--model", str(model), "--calibration", str(calib),
             "--out", str(tmp_path / "o"), *mode,
         ]) == EXIT_USAGE
+
+
+class TestInfiniteDamping:
+    """``--damping`` is ``auto`` or a finite number >= 0: an infinite one,
+    by flag or by config, is a usage error in both modes, raised before any
+    file is read.  Unrefused, it failed as a singular matrix, or under
+    ``--diagonal`` scored every weight alike and wrote "Infinity"."""
+
+    @pytest.mark.parametrize("diagonal", [[], ["--diagonal"]])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_is_a_usage_error(self, tmp_path, capsys, diagonal, source):
+        model = tmp_path / "model.json"
+        save_policy(MlpPolicy(layers=(
+            Layer(np.eye(2), np.zeros(2), ActivationKind("identity")),
+            Layer([[1.0, -2.0]], [0.0], ActivationKind("relu")),
+        )), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.ones((4, 2)))
+        if source == "flag":
+            damping, got = ["--damping", "inf"], "'inf'"
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"damping": "Infinity"}))
+            damping, got = ["--config", str(cfg)], "'Infinity'"
+        argv = ["prune", "--model", str(model), "--calibration", str(calib), "--layers", "1",
+                "--sparsity", "0.5", *diagonal, *damping, "--out", str(tmp_path / "out")]
+        expected = f"error: damping: expected a finite number >= 0 or 'auto', got {got}"
+        assert _usage_error(capsys, argv) == expected
+        assert not (tmp_path / "out").exists()
+        # no file is read first: a missing model gives the same error
+        model.unlink()
+        assert _usage_error(capsys, argv) == expected
 
 
 class TestPruneOverflow:
@@ -1262,6 +1294,34 @@ class TestSimulateMatchesReference:
         assert expected["in_ball_count"] > 0 and expected["out_of_ball_count"] > 0
         assert code == (EXIT_OK if expected["in_ball_violations"] == 0 else EXIT_VIOLATION)
 
+    @pytest.mark.parametrize(
+        "fixture, dynamics, x0",
+        [("pendulum_policy.json", "pendulum", "0.5,0"),
+         ("double_integrator_policy.json", "double_integrator", "1.0,0.5")],
+    )
+    def test_bound_cells_are_the_bound_at_each_states_own_norm(self, tmp_path, fixture,
+                                                               dynamics, x0):
+        # the loop's states are audited as one batch, yet each row's bound is
+        # per_state_bounds at the 1-D norm of that row's state, bit for bit
+        model = FIXTURES / fixture
+        pruned = self._prune(tmp_path, model, seed=8)
+        cert = self._certify(tmp_path, model, pruned, "3")
+        out = tmp_path / "sim"
+        main([
+            "simulate", "--model", str(model), "--pruned", str(pruned), "--certificate", str(cert),
+            "--dynamics", dynamics, f"--x0={x0}", "--horizon", "500", "--out", str(out),
+        ])
+        original = load_policy(model)
+        delta_norms = certificate_from_dict(json.loads(cert.read_text())).delta_norms()
+        for label in ("original", "pruned"):
+            with open(out / f"trajectory_{label}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 501
+            for row in rows:
+                norm = vector_norm([float(row["x0"]), float(row["x1"])])
+                bound = per_state_bounds(original, delta_norms, [norm])[0]
+                assert row["bound"] == repr(float(bound)), (label, row["t"])
+
     def test_three_layer_linear_system(self, tmp_path):
         rng = np.random.default_rng(12)
         model = tmp_path / "model.json"
@@ -1627,12 +1687,29 @@ class TestOutputPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {out / artifact}: cannot write (Is a directory)"]
 
+    def test_a_newline_in_a_path_stays_on_the_one_error_line(self, tmp_path, capsys):
+        # each character that does not print is escaped, as repr escapes it
+        model = str(FIXTURES / "pendulum_policy.json")
+        missing = str(tmp_path / "no\nsuch.json")
+        assert _usage_error(capsys, ["certify", "--model", missing, "--pruned", model,
+                                     "--radius", "1", "--out", str(tmp_path / "c")]) == (
+            f"error: {tmp_path}/no\\nsuch.json: No such file or directory"
+        )
+        (tmp_path / "a_file").write_text("")
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        out = str(tmp_path / "a_file" / "x\ny")
+        assert _usage_error(capsys, ["prune", "--model", model, "--calibration", str(calib),
+                                     "--sparsity", "0.5", "--out", out]) == (
+            f"error: {tmp_path}/a_file/x\\ny: cannot write (Not a directory)"
+        )
+
     def test_config_out_with_a_nul_byte(self, tmp_path, capsys, certificate):
         # the OS refuses the path with a ValueError, not an OSError
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"out": "\u0000"}))
         assert _usage_error(capsys, ["report", certificate, "--config", str(cfg)]) == (
-            "error: \0: cannot write (embedded null byte)"
+            "error: \\x00: cannot write (embedded null byte)"
         )
 
 

@@ -693,8 +693,7 @@ class TestDistinctStateAudit:
         violations = inside = 0
         for label, loop in zip(("original", "pruned"), report.loops, strict=True):
             assert loop.label == label
-            full = audit_states(original, pruned, cert.delta_norms(),
-                                np.ascontiguousarray(loop.states.T))
+            full = audit_states(original, pruned, cert.delta_norms(), loop.states.T)
             in_ball = full.norm <= cert.radius
             violations += int(np.count_nonzero(full.violation & in_ball))
             inside += int(in_ball.sum())

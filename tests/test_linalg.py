@@ -15,7 +15,6 @@ from prunecert.linalg import (
     auto_damping,
     damped_inverse,
     gram,
-    row_norms,
     spectral_norm,
     spectral_norm_ceiling,
     vector_norm,
@@ -179,11 +178,13 @@ class TestFrobeniusNorm:
 
 class TestVectorNorm:
     def test_bit_identical_to_numpy_in_range(self):
+        # a vector alone, or in a batch along either axis, has the bits of
+        # numpy's 1-D norm of that vector
         rng = np.random.default_rng(21)
         a = rng.normal(size=(9, 300)) * np.exp2(rng.integers(-390, 390, size=300))
-        for axis in (0, 1):
+        for axis, vectors in ((0, a.T), (1, a)):
             got = vector_norm(a, axis=axis)
-            assert np.array_equal(got, np.linalg.norm(a, axis=axis))
+            assert got.tolist() == [np.linalg.norm(v) for v in vectors]
         for v in a.T:
             assert vector_norm(v) == np.linalg.norm(v)
 
@@ -200,14 +201,15 @@ class TestVectorNorm:
         assert vector_norm(batch.T, axis=1).tolist() == got.tolist()
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-    def test_bits_follow_the_memory_layout(self, scale):
-        # 8 entries per vector: numpy sums a contiguous axis pairwise and a
-        # strided one in order.  The rescaled copy keeps the input's layout,
-        # so a transposed view gives the same bits at every scale.
+    def test_bits_do_not_depend_on_the_memory_layout(self, scale):
+        # 8 entries per vector: numpy's reduction sums a contiguous axis
+        # pairwise and a strided one in order, and BLAS rounds by operand
+        # layout; at 1e+-200 every vector is rescaled first
         rows = np.random.default_rng(22).normal(size=(2000, 8)) * scale
-        assert np.array_equal(vector_norm(rows.T, axis=0), vector_norm(rows, axis=1))
         cols = np.ascontiguousarray(rows.T)
-        assert np.array_equal(vector_norm(cols.T, axis=1), vector_norm(cols, axis=0))
+        got = vector_norm(rows, axis=1)
+        for batch, axis in ((rows.T, 0), (cols, 0), (cols.T, 1)):
+            assert np.array_equal(vector_norm(batch, axis=axis), got)
 
     def test_subnormal_entries(self):
         assert vector_norm([5e-324, 0.0]) == 5e-324
@@ -220,6 +222,9 @@ class TestVectorNorm:
 
 
 class TestRowNorms:
+    """``vector_norm`` of each vector of a batch, in every layout the batch
+    may come in: each norm has the bits of that vector's 1-D norm."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64, 300])
     def test_bits_match_vector_norm_per_row(self, dim):
         # rows from 1e-300 to 1e300, so some squares underflow or overflow,
@@ -230,13 +235,22 @@ class TestRowNorms:
         rows[1, 0] = 5e-324
         rows[2, :] = 1.5e308
         rows[3, 0] = np.inf
-        got = row_norms(rows)
-        assert got.tobytes() == np.array([vector_norm(r) for r in rows]).tobytes()
+        alone = np.array([vector_norm(r) for r in rows]).tobytes()
+        wide = np.zeros((rows.shape[0], 2 * dim))
+        wide[:, ::2] = rows
+        cols = np.ascontiguousarray(rows.T)
+        # rows, their transposed view, C-ordered columns and its transposed
+        # view, and strided slices of a wider batch
+        for batch, axis in ((rows, 1), (rows.T, 0), (cols, 0), (cols.T, 1),
+                            (wide[:, ::2], 1), (wide.T[::2], 0)):
+            assert vector_norm(batch, axis=axis).tobytes() == alone, (batch.strides, axis)
+        got = vector_norm(rows, axis=1)
         assert got[0] == 0.0 and got[1] == 5e-324 and got[3] == np.inf
+        assert got[2] == pytest.approx(1.5e308 * math.sqrt(dim))  # inf past the float range
 
     def test_in_range_bits_are_numpys_1d_norm(self):
         rows = np.random.default_rng(24).normal(size=(1000, 6))
-        assert row_norms(rows).tolist() == [np.linalg.norm(r) for r in rows]
+        assert vector_norm(rows, axis=1).tolist() == [np.linalg.norm(r) for r in rows]
 
 
 class TestAsBox:
@@ -337,6 +351,11 @@ class TestDampedInverse:
     def test_rejects_negative_damping(self):
         with pytest.raises(ValueError):
             damped_inverse(np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_non_finite_damping(self, lam):
+        with pytest.raises(ValueError, match="damping must be a finite number >= 0"):
+            damped_inverse(np.eye(2), lam)
 
 
 class TestAutoDamping:

@@ -308,6 +308,18 @@ class TestRankWeights:
         ):
             rank_weights(p, calib, [1], damping="auto", diagonal=diagonal)
 
+    @pytest.mark.parametrize("damping", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_damping_must_be_auto_or_a_finite_number_at_least_zero(self, damping, diagonal):
+        # unrefused, an infinite damping scored every weight alike (diagonal)
+        # or failed as a singular matrix, and a NaN one scored every weight 0
+        relu = ActivationKind("relu")
+        p = MlpPolicy(layers=(Layer(np.eye(2), np.zeros(2), ActivationKind("identity")),
+                              Layer([[1.0, -2.0]], [0.0], relu)))
+        calib = collect_calibration(p, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="^damping must be 'auto' or a finite number >= 0"):
+            rank_weights(p, calib, [1], damping=damping, diagonal=diagonal)
+
     def test_overflowing_input_names_the_layer(self):
         # layer 1's output is inf - inf = NaN, which calibration never reads
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
