@@ -8,9 +8,10 @@ draw through named substreams, so a single number reproduces a full run.
 All emitted JSON is canonical (sorted keys, two-space indent) and floats
 round-trip exactly; reports are byte-identical across reruns except for
 their timestamp field.  ``main`` is the one boundary to the library: any
-``ValueError`` is one ``error:`` line and exit 1, and no command prints a
-numpy floating-point warning, since overflow and NaN show in the artifacts
-and the exit code instead.
+``ValueError``, and any ``MemoryError`` from a request too big to allocate,
+is one ``error:`` line and exit 1, and no command prints a numpy
+floating-point warning, since overflow and NaN show in the artifacts and
+the exit code instead.
 """
 
 from __future__ import annotations
@@ -612,9 +613,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(build_config(args))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # one line, whatever a path in the message holds: "\n" prints as \n
-        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        text = str(exc) or "out of memory"
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 

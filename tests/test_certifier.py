@@ -900,11 +900,22 @@ class TestAuditStates:
 
 class TestLinearWorstCase:
     """The budget against the exact worst case over the ball, on the pairs
-    where the paper's bound is proven.  With identity layers and zero
-    biases, ``pi(s) - pi_hat(s) = (P - P_hat) s`` for ``P = W_{L-1} ... W_0``,
-    so the worst case at radius r is exactly ``r sigma_max(P - P_hat)``."""
+    where the paper's bound is proven.  With identity layers,
+    ``pi(s) - pi_hat(s) = (P - P_hat) s + d`` for ``P = W_{L-1} ... W_0``
+    and ``d`` the difference of the two bias chains.  With zero biases the
+    worst case at radius r is exactly ``r sigma_max(P - P_hat)``; with
+    biases, the states ``+-r v``, for v the top right singular vector of
+    ``P - P_hat``, prove it at least ``sqrt(r^2 sigma_max^2 + ||d||^2)``."""
 
     def test_budget_covers_the_exact_worst_case(self):
+        # the same pairs twice: with zero biases, and with biases drawn from
+        # N(0, 0.5^2) by a second seed
+        for bias_rng in (None, np.random.default_rng(41)):
+            ratios = self._sweep(bias_rng)
+            assert len(ratios) > 300 and max(ratios) > 0.99
+
+    @staticmethod
+    def _sweep(bias_rng):
         rng = np.random.default_rng(37)
         identity = ActivationKind("identity")
         ratios = []
@@ -924,8 +935,10 @@ class TestLinearWorstCase:
                        for k, w in enumerate(weights)):
                     continue
             pruned_weights = [changed.get(k, w) for k, w in enumerate(weights)]
+            biases = [np.zeros(e) if bias_rng is None else bias_rng.normal(0.0, 0.5, e)
+                      for e in dims[1:]]
             original, pruned = (
-                MlpPolicy(layers=tuple(Layer(w, np.zeros(w.shape[0]), identity) for w in ws))
+                MlpPolicy(layers=tuple(Layer(w, b, identity) for w, b in zip(ws, biases)))
                 for ws in (weights, pruned_weights)
             )
             radius = float(rng.choice([0.5, 1.0, 3.0]))
@@ -933,8 +946,15 @@ class TestLinearWorstCase:
             budget = certify(original, pruned, space, n=1, seed=0).budget
             p, p_hat = (np.linalg.multi_dot([*ws[::-1], np.eye(dims[0])])
                         for ws in (weights, pruned_weights))
-            exact = radius * np.linalg.norm(p - p_hat, 2)
+            chains = []
+            for ws in (weights, pruned_weights):
+                c = np.zeros(dims[0])
+                for w, b in zip(ws, biases):
+                    c = w @ c + b
+                chains.append(c)
+            worst = math.hypot(radius * np.linalg.norm(p - p_hat, 2),
+                               np.linalg.norm(chains[0] - chains[1]))
             # 1e-12 relative for the rounding of the products and the SVD
-            assert budget >= exact * (1.0 - 1e-12)
-            ratios.append(exact / budget if budget > 0 else 0.0)
-        assert len(ratios) > 300 and max(ratios) > 0.99
+            assert budget >= worst * (1.0 - 1e-12)
+            ratios.append(worst / budget if budget > 0 else 0.0)
+        return ratios

@@ -16,13 +16,14 @@ import pytest
 from conftest import (
     _ck_oracle,
     inf_norm_policy,
+    naive_step,
     random_policy,
     reference_ranking,
     reference_simulation,
     scaled_norm,
     underflow_policy,
 )
-from prunecert import __version__, cli
+from prunecert import __version__, cli, policy
 from prunecert.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -40,6 +41,7 @@ from prunecert.policy import (
     Layer,
     MlpPolicy,
     _write_json,
+    forward,
     load_policy,
     save_policy,
 )
@@ -214,9 +216,11 @@ class TestPrune:
                      "--sparsity", "0.1"]) == EXIT_USAGE
 
     def test_budget_mode_recertifies_under_epsilon(self, tmp_path, random_model):
+        # 0.5 removes weights from both listed layers; 0.05 removed none,
+        # so its certify checked a budget of 0
         model, calib = random_model
         out = tmp_path / "out"
-        epsilon = 0.05
+        epsilon = 0.5
         code = main([
             "prune", "--model", str(model), "--calibration", str(calib),
             "--layers", "0,1", "--epsilon", str(epsilon), "--radius", "2.0",
@@ -229,9 +233,10 @@ class TestPrune:
             "--radius", "2.0", "--samples", "500", "--out", str(cert_out),
         ])
         assert code == EXIT_OK
+        plan = json.loads((out / "prune_plan.json").read_text())
+        assert [(row["k"], row["removed"] > 0) for row in plan["layers"]] == [(0, True), (1, True)]
         cert = json.loads((cert_out / "certificate.json").read_text())
-        assert cert["budget"] <= epsilon + 1e-9
-
+        assert cert["budget"] <= epsilon * (1 + 1e-12)
 
     @pytest.mark.parametrize(
         "mode",
@@ -395,6 +400,13 @@ class TestBudgetInputs:
         code, out = self._prune(tmp_path, "--epsilon", "inf")
         assert code == EXIT_OK
         assert not any(layer.weight.any() for layer in load_policy(out / "pruned_model.json").layers)
+        # the same bytes as a sparsity-1 prune on the same calibration
+        assert main(["prune", "--model", str(FIXTURES / "pendulum_policy.json"),
+                     "--calibration", str(tmp_path / "calib.csv"), "--sparsity", "1",
+                     "--out", str(tmp_path / "all")]) == EXIT_OK
+        assert (out / "pruned_model.json").read_bytes() == (
+            tmp_path / "all" / "pruned_model.json"
+        ).read_bytes()
 
     def test_infinite_budget_caps_a_layer_whose_constant_overflows(self, tmp_path):
         # ||W_0|| = inf makes layer 1's constant inf, and inf / inf made a
@@ -728,6 +740,68 @@ class TestCertify:
         flags = ", ".join(f"--{k.replace('_', '-')}" for k in extra)
         assert err == [f"error: --states takes the radius from its states; drop {flags}"]
         assert not (out / "certificate.json").exists()
+
+    @pytest.mark.parametrize("fixture", ["pendulum_policy.json", "double_integrator_policy.json"])
+    @pytest.mark.parametrize(
+        "mode",
+        [("--epsilon", "20", "--radius", "3"), ("--epsilon", "20", "--radius", "3", "--compensate"),
+         ("--sparsity", "0.5", "--compensate")],
+        ids=["epsilon", "epsilon-compensated", "sparsity-compensated"],
+    )
+    def test_a_fixture_prune_certifies_and_holds(self, tmp_path, fixture, mode):
+        # each plan's count is the weights the model lost, its certificate
+        # holds, and an epsilon-mode budget is at most epsilon
+        model = FIXTURES / fixture
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        out = tmp_path / "out"
+        assert main(["prune", "--model", str(model), "--calibration", str(calib), *mode,
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["certify", "--model", str(model), "--pruned", str(out / "pruned_model.json"),
+                     "--radius", "3", "--samples", "2000", "--seed", "7",
+                     "--out", str(out)]) == EXIT_OK
+        pair = PrunePlan.from_policies(load_policy(model), load_policy(out / "pruned_model.json"))
+        plan = json.loads((out / "prune_plan.json").read_text())
+        assert plan["pruned_weights"] == sum(len(lp.mask) for lp in pair.layers) > 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["holds"] is True and cert["audit"]["violations"] == 0
+        if mode[0] == "--epsilon":
+            assert cert["budget"] <= 20 * (1 + 1e-12)
+
+    def test_an_audit_in_column_blocks_certifies_as_one_pass(self, tmp_path, monkeypatch):
+        # a [8, 4096, 2] model: the 2,000 audit states go through each
+        # policy in four blocks, and the certificate is the one a single
+        # block gives
+        rng = np.random.default_rng(0)
+        dims = [8, 4096, 2]
+        model = tmp_path / "wide.json"
+        save_policy(MlpPolicy(tuple(
+            Layer(rng.normal(0.0, d**-0.5, (e, d)), rng.normal(0.0, 0.1, e), ActivationKind("relu"))
+            for d, e in zip(dims, dims[1:])
+        )), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(1).uniform(-1.0, 1.0, size=(64, 8)))
+        assert main(["prune", "--model", str(model), "--calibration", str(calib), "--layers", "0",
+                     "--sparsity", "0.5", "--out", str(tmp_path / "p")]) == EXIT_OK
+        widths = []
+
+        def recording(p, x, inputs=None):
+            widths.append(x.shape[1])
+            return propagate(p, x, inputs)
+
+        propagate = policy._propagate
+        monkeypatch.setattr(policy, "_propagate", recording)
+        certified = {}
+        for name, block in (("blocks", policy._BLOCK), ("one", 2**24)):
+            monkeypatch.setattr(policy, "_BLOCK", block)
+            widths.clear()
+            assert main(["certify", "--model", str(model),
+                         "--pruned", str(tmp_path / "p" / "pruned_model.json"), "--radius", "3",
+                         "--samples", "2000", "--seed", "7", "--out", str(tmp_path / name)]) == EXIT_OK
+            certified[name] = (widths.copy(), _strip_timestamp(tmp_path / name / "certificate.json"))
+        assert certified["blocks"][0] == [512, 512, 512, 464] * 2
+        assert certified["one"][0] == [2000] * 2
+        assert certified["blocks"][1] == certified["one"][1]
 
 
 class TestBoxFlags:
@@ -1170,10 +1244,10 @@ class TestSimulateWarnings:
         # both actions are +inf at x0, so the deviation there is inf - inf
         model = _simple_model(tmp_path, weight=((1e300, 1e300),))
         pruned = _simple_model(tmp_path, weight=((1e300, 0.0),), name="pruned.json")
-        main([
+        assert main([
             "certify", "--model", str(model), "--pruned", str(pruned),
             "--radius", "1", "--samples", "10", "--out", str(tmp_path / "cert"),
-        ])
+        ]) == EXIT_OK
         out = tmp_path / "sim"
         assert _usage_error(capsys, [
             "simulate", "--model", str(model), "--pruned", str(pruned),
@@ -1321,6 +1395,63 @@ class TestSimulateMatchesReference:
                 norm = vector_norm([float(row["x0"]), float(row["x1"])])
                 bound = per_state_bounds(original, delta_norms, [norm])[0]
                 assert row["bound"] == repr(float(bound)), (label, row["t"])
+
+    @pytest.mark.parametrize(
+        "fixture, d, flags, x0, horizon, repeats_at",
+        [
+            # the original loop first repeats a state at row 7,114 and is
+            # completed from its cycle
+            pytest.param("double_integrator_policy.json", DoubleIntegrator(),
+                         ("--dynamics", "double_integrator"), "1.0,0.0", 20000, 7114,
+                         id="repeating"),
+            # the benchmark's action limit and state box, both of which act
+            pytest.param("pendulum_policy.json",
+                         Pendulum(action_limit=5.0, state_box=([-3.2, -8.0], [3.2, 8.0])),
+                         ("--dynamics", "pendulum", "--action-limit", "5.0",
+                          "--state-box-lo=-3.2,-8", "--state-box-hi=3.2,8"), "3.0,7.5", 2000,
+                         None, id="clipped"),
+        ],
+    )
+    def test_rows_replay_a_forward_and_step_loop(self, tmp_path, fixture, d, flags, x0, horizon,
+                                                 repeats_at):
+        # every row's t, state and action cells are the per-step loop's,
+        # its bound cell the bound at the 1-D norm of its state, bit for
+        # bit, and a repeated state's row copies the cells of the row that
+        # first visited it, byte for byte
+        model = FIXTURES / fixture
+        pruned = self._prune(tmp_path, model, seed=8)
+        cert = self._certify(tmp_path, model, pruned, "3")
+        out = tmp_path / "sim"
+        assert main([
+            "simulate", "--model", str(model), "--pruned", str(pruned), "--certificate", str(cert),
+            *flags, f"--x0={x0}", "--horizon", str(horizon), "--out", str(out),
+        ]) == EXIT_OK
+        original = load_policy(model)
+        delta_norms = certificate_from_dict(json.loads(cert.read_text())).delta_norms()
+        for label, p in (("original", original), ("pruned", load_policy(pruned))):
+            with open(out / f"trajectory_{label}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == horizon + 1
+            x = np.array([float(v) for v in x0.split(",")])
+            first, first_repeat = {}, None
+            for t, row in enumerate(rows):
+                u = forward(p, x)
+                bound = per_state_bounds(original, delta_norms, [vector_norm(x)])[0]
+                cells = [str(t), *map(repr, [*x.tolist(), float(u[0]), float(bound)])]
+                assert [*row[:4], row[5]] == cells, (label, t)
+                s = first.setdefault(x.tobytes(), t)
+                assert row[1:] == rows[s][1:], (label, t, s)
+                if s < t and first_repeat is None:
+                    first_repeat = t
+                x = naive_step(d, x, u)
+            if label == "original":
+                assert first_repeat == repeats_at
+                if d.state_box is not None:
+                    # the action clip and the state box both acted along the loop
+                    hi = d.state_box[1].tolist()
+                    assert any(abs(float(row[3])) > d.action_limit for row in rows)
+                    assert any(abs(float(row[1])) == hi[0] or abs(float(row[2])) == hi[1]
+                               for row in rows)
 
     def test_three_layer_linear_system(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -1926,7 +2057,8 @@ def _argv(command, options, out):
 class TestRequiredOptions:
     """Each command's full option set runs; dropping a required option, or
     adding one the chosen dynamics do not take, is one usage error that
-    names the flag, and nothing is written."""
+    names the flag, and nothing is written.  So is a size too big to
+    allocate."""
 
     @pytest.fixture(scope="class")
     def full(self, tmp_path_factory):
@@ -1968,6 +2100,15 @@ class TestRequiredOptions:
         assert main(_argv(command, options, out)) == EXIT_USAGE
         what = "at least one certificate file" if key == "paths" else f"--{key}"
         assert capsys.readouterr().err.splitlines() == [f"error: {command} needs {what}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("simulate", "horizon"), ("certify", "samples")])
+    def test_a_size_too_big_to_allocate(self, full, tmp_path, capsys, command, key):
+        # 10^15 rows of states lie beyond any address space, so numpy's
+        # allocation fails at once; its MemoryError printed a traceback
+        out = tmp_path / "o"
+        argv = _argv(command, {**full[command], key: str(10**15)}, out)
+        assert _usage_error(capsys, argv).startswith("error: Unable to allocate ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
