@@ -13,15 +13,16 @@ flags a state when the state's bound is broken by more than the rounding of
 the arithmetic that measured it can explain, so a flag on a finite deviation
 and bound is a proven breach at any scale, and a certificate holds when no
 state is flagged.  One private evaluator computes every constant from plain
-tuples of weight and bias norms, with no policy in hand, so the budget, the
-per-state bounds and the inverse problem's caps share the same arithmetic
-bit for bit.
+tuples of weight and bias norms in one telescoping pass, every step rounded
+up, so the budget, the per-state bounds and the inverse problem's caps are
+at least their exact values and share that arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,7 +117,8 @@ class Certificate:
     """Per-layer deviation constants, their weighted sum, and audit evidence.
 
     ``budget`` is the plain left-to-right sum of the row contributions in
-    ascending layer order, so reported numbers always re-add exactly.
+    ascending layer order, so reported numbers always re-add exactly; it is
+    still at least the exact sum, as ``_constants`` explains.
     """
 
     rows: tuple[CertificateRow, ...]
@@ -138,50 +140,62 @@ class Certificate:
 # bound constants
 # ---------------------------------------------------------------------------
 
+def _times(x: float, y: float) -> float:
+    """``x * y`` of two nonnegative bounds, one ulp up; 0 when either is 0,
+    even against inf, since a zero norm carries nothing."""
+    return linalg._up(x * y) if x and y else 0.0
+
+
+def _plus(x: float, y: float) -> float:
+    """``x + y`` of two nonnegative bounds, one ulp up; exact when either is 0."""
+    return linalg._up(x + y) if x and y else x + y
+
+
+def _affine(a: float, b: float, snorm):
+    """``a ||s|| + b`` at the state norms ``snorm`` (or one), for ``a, b >= 0``, each step
+    one ulp up under the zero rule of ``_times`` and ``_plus``: ``b`` at ``||s|| = 0``."""
+    sn = np.asarray(snorm, dtype=float)
+    live = (sn != 0.0) & (a != 0.0)  # where a ||s|| is not exactly 0
+    with np.errstate(over="ignore"):
+        out = _up_where(np.multiply(a, sn, out=np.zeros_like(sn), where=live), live)
+        return _up_where(np.add(out, b, out=out), live) if b else out
+
+
+def _up_where(x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``np.nextafter(x, inf)`` in place where ``where`` holds, for ``x`` of +0 or
+    more: one more on the bits of a finite float, far cheaper; inf and NaN stay."""
+    bits = x.view(np.int64)
+    np.add(bits, 1, out=bits, where=where & (x < math.inf))
+    return x
+
+
 def _constants(norms: Sequence[float], biases: Sequence[float], layers: Iterable[int], snorm):
     """``C_k`` at the state norm ``snorm`` (a scalar or an array), one per
     layer k of ``layers``, from plain tuples of each layer's weight spectral
-    norm and bias norm: ``snorm`` times the norm product over the other
-    layers, plus one carry-over term per bias below layer k, each added in
-    turn.  Every certified number comes from here, in this order.
+    norm ``N_m`` and bias norm ``beta_m``, in one telescoping pass each way::
 
-    A product with an exactly zero input (the state norm, a bias norm or a
-    weight norm) is 0, even against inf, since a zero norm carries nothing,
-    as in ``_times``.  Computed, such a product is 0 or NaN, so only a
-    product that is not finite needs the test.  A zero that a running product
-    underflowed to is not exact, so where it meets inf the constant is still
-    NaN."""
+        C_k(s) = tail_k (a_k ||s|| + b_k),  tail_k = (1 + L eps) prod_{m>k} N_m,
+        a_0 = 1, b_0 = 0,  a_{m+1} = N_m a_m,  b_{m+1} = N_m b_m + beta_m.
+
+    The head bounds layer k's input norm and the tail the Lipschitz constant
+    above it; ``N_k`` is never read.  Every product and sum rounds one ulp
+    up, and ``1 + L eps`` covers the plain sum of at most L contributions in
+    the budget and ``per_state_bounds``.  No constant is NaN: a zero operand
+    is exact (a zero norm carries nothing, even against inf), and an
+    underflow rounds up to 5e-324, so 0 never meets inf; overflow gives inf."""
     L = len(norms)
+    tails = list(accumulate(norms[:0:-1], _times, initial=1.0 + L * linalg._EPS))[::-1]
+    heads = [(1.0, 0.0)]
+    for n, beta in zip(norms[:-1], biases):
+        a, b = heads[-1]
+        heads.append((_times(n, a), _plus(_times(n, b), beta)))
     out = []
     for k in layers:
         if not 0 <= k < L:
             raise ValueError(f"layer index {k} out of range 0..{L - 1}")
-        others = [norms[m] for m in range(L) if m != k]
-        prod_rest = math.prod(others)  # left to right, as every product here
-        if 0.0 < prod_rest < math.inf:  # no input is 0, and no inf meets a 0
-            c = snorm * prod_rest
-        else:
-            with np.errstate(invalid="ignore"):
-                c = snorm * prod_rest
-            zero = (snorm == 0.0) | (0.0 in others)
-            c = np.where(zero, 0.0, c) if np.ndim(c) else (0.0 if zero else c)
-        for j in range(k):
-            factors = [biases[j], *(norms[m] for m in range(j + 1, L) if m != k)]
-            term = math.prod(factors)
-            c = c + (0.0 if math.isnan(term) and 0.0 in factors else term)
-        out.append(c)
+        (a, b), tail = heads[k], tails[k]
+        out.append(_affine(_times(tail, a), _times(tail, b), snorm))
     return out
-
-
-def _worst_constants(p: MlpPolicy, layers: Sequence[int], radius: float) -> list[float]:
-    """``C_k,max`` of each layer of ``layers`` on the sphere of ``radius``; a NaN
-    constant (a norm product that underflowed to 0 and met inf) bounds
-    nothing, so it is an error."""
-    c_maxes = _constants(p.weight_spectral_norms, p.bias_norms, layers, radius)
-    for k, c in zip(layers, c_maxes):
-        if math.isnan(c):
-            raise ValueError(f"layer {k}: the worst-case constant is NaN, so it bounds nothing")
-    return c_maxes
 
 
 def _check_space(p: MlpPolicy, space: StateSpaceSpec) -> None:
@@ -203,7 +217,7 @@ def per_state_bounds(
     total = np.zeros_like(sn)
     cs = _constants(p.weight_spectral_norms, p.bias_norms, [k for k, _ in delta_norms], sn)
     for (_, dn), c in zip(delta_norms, cs):
-        total = total + dn * c
+        total = total + _affine(dn, 0.0, c)  # certify's _times(c_max, dn)
     return total
 
 
@@ -220,8 +234,7 @@ def admissible_magnitude(
     layer's cap is its share over its worst-case constant.  Any other split
     is one call per layer with that layer's share.  An infinite share caps
     nothing, and neither does a zero constant: that layer cannot contribute.
-    A NaN constant caps nothing soundly, so it is an error that names the
-    layer.
+    An infinite constant caps the layer at 0.
     """
     if not epsilon >= 0:
         raise ValueError(f"error budget must be nonnegative, got {epsilon}")
@@ -230,7 +243,7 @@ def admissible_magnitude(
         raise ValueError("need at least one layer")
     share = epsilon / len(ks)
     _check_space(p, space)
-    c_maxes = _worst_constants(p, ks, space.radius)
+    c_maxes = map(float, _constants(p.weight_spectral_norms, p.bias_norms, ks, space.radius))
     return {k: share / c if 0.0 < c and share < math.inf else math.inf
             for k, c in zip(ks, c_maxes)}
 
@@ -280,12 +293,6 @@ class StateAudit:
     norm: np.ndarray  # ||s||_2
     # not deviation <= (bound + a ||s|| + b) f (see _allowance), so NaN counts
     violation: np.ndarray
-
-
-def _times(x: float, y: float) -> float:
-    """``x * y`` of two nonnegative bounds, one ulp up; 0 when either is 0,
-    even against inf, since a zero norm carries nothing."""
-    return linalg._up(x * y) if x and y else 0.0
 
 
 def _allowance(original: MlpPolicy, pruned: MlpPolicy, delta_norms) -> tuple[float, float, float]:
@@ -369,11 +376,7 @@ def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) ->
     bound = per_state_bounds(original, delta_norms, norm)
     a, b, f = _allowance(original, pruned, delta_norms)
     with np.errstate(over="ignore"):  # an overflowing limit is inf
-        # a ||s||, which is 0 at s = 0 even for an infinite a
-        limit = norm * a if math.isfinite(a) else np.where(norm > 0.0, a, 0.0)
-        limit += bound
-        limit += b
-        limit *= f
+        limit = (_affine(a, b, norm) + bound) * f
     # negated so that a NaN deviation (inf - inf outputs) or a NaN bound is
     # a violation too
     violation = ~(deviation <= limit)
@@ -389,23 +392,21 @@ def certify(
     so a certificate always describes the models it was computed from.  The
     budget weights each layer's worst-case constant, which sits on the sphere
     of radius ``space.radius`` since ``C_k`` increases with ``||s||``, by its
-    delta norm and sums in ascending layer order.  A NaN constant, or a NaN
-    contribution (a zero constant times an infinite delta norm), is an
-    error that names the layer, so the budget is never NaN.  The audit draws
-    ``n`` states and counts ``audit_states``' flags.
+    delta norm, one ulp up (``_times``: a zero constant carries nothing,
+    even against an infinite delta norm), and sums in ascending layer
+    order.  The audit draws ``n`` states and counts ``audit_states``' flags.
     """
     _check_space(original, space)
     delta_norms = PrunePlan.from_policies(original, pruned).delta_norms()
     ks = [k for k, _ in delta_norms]
-    c_maxes = _worst_constants(original, ks, space.radius)
+    c_maxes = map(float, _constants(
+        original.weight_spectral_norms, original.bias_norms, ks, space.radius))
     rows = tuple(
-        CertificateRow(layer=k, c_max=float(c), delta_spectral=dn, contribution=float(c) * dn)
+        CertificateRow(layer=k, c_max=c, delta_spectral=dn, contribution=_times(c, dn))
         for (k, dn), c in zip(delta_norms, c_maxes)
     )
     budget = 0.0
     for r in rows:
-        if math.isnan(r.contribution):
-            raise ValueError(f"layer {r.layer}: the contribution is NaN, so it bounds nothing")
         budget = budget + r.contribution
     states = sample_states(space, n, np.random.default_rng(seed))
     audit = audit_states(original, pruned, delta_norms, states.T)

@@ -66,11 +66,6 @@ STREAM_AUDIT = 2
 ENV_OUTDIR = "PRUNECERT_OUTDIR"
 
 
-class UsageError(ValueError):
-    """Bad flags, unreadable files, malformed inputs: exit code 1, as is
-    every ``ValueError`` the library raises on the inputs."""
-
-
 def derive_seed(seed: int, stream: int) -> int:
     """Deterministic child seed for a named substream of the run seed."""
     return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
@@ -86,11 +81,11 @@ def _read(path, parse):
     try:
         return parse(path)
     except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write(path, write, *args) -> None:
@@ -99,7 +94,7 @@ def _write(path, write, *args) -> None:
     try:
         write(path, *args)
     except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
-        raise UsageError(f"{path}: cannot write ({getattr(exc, 'strerror', None) or exc})") from exc
+        raise ValueError(f"{path}: cannot write ({getattr(exc, 'strerror', None) or exc})") from exc
 
 
 def _load_states_csv(path, expected_dim: int) -> np.ndarray:
@@ -290,10 +285,10 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.config is not None:
         file_cfg = _read(args.config, _read_json)
         if not isinstance(file_cfg, dict):
-            raise UsageError(f"{args.config}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(file_cfg) - set(OPTIONS))
         if unknown:
-            raise UsageError(
+            raise ValueError(
                 f"{args.config}: unknown config key {', '.join(map(repr, unknown))}"
             )
     # flagged: the options given as flags rather than by the config file
@@ -309,7 +304,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
                 value = default
             if value is REQUIRED:
                 what = "at least one certificate file" if parse is _paths else _flags([key])
-                raise UsageError(f"{args.command} needs {what}")
+                raise ValueError(f"{args.command} needs {what}")
             setattr(cfg, key, parse(value, key))
     return cfg
 
@@ -319,7 +314,7 @@ def _state_space(cfg: argparse.Namespace, dim: int) -> StateSpaceSpec:
         return StateSpaceSpec(dim=dim, radius=cfg.radius, box=(cfg.box_lo, cfg.box_hi))
     given = [k for k in ("radius", "box_lo", "box_hi") if getattr(cfg, k) is not None]
     if given:
-        raise UsageError(f"--states takes the radius from its states; drop {_flags(given)}")
+        raise ValueError(f"--states takes the radius from its states; drop {_flags(given)}")
     return StateSpaceSpec.from_states(_load_states_csv(cfg.states, dim))
 
 
@@ -360,12 +355,12 @@ def _plan_dict(plan: PrunePlan, ranking: Ranking, cfg: argparse.Namespace) -> di
 
 def cmd_prune(cfg: argparse.Namespace) -> int:
     if (cfg.sparsity is None) == (cfg.epsilon is None):
-        raise UsageError("set exactly one of --sparsity or --epsilon")
+        raise ValueError("set exactly one of --sparsity or --epsilon")
     if cfg.sparsity is not None:
         # a config file's state space may be certify's; a flag's is prune's
         dead = [k for k in ("radius", "box_lo", "box_hi", "states") if k in cfg.flagged]
         if dead:
-            raise UsageError(f"--sparsity takes no {_flags(dead)}; an --epsilon budget uses them")
+            raise ValueError(f"--sparsity takes no {_flags(dead)}; an --epsilon budget uses them")
     p = _read(cfg.model, load_policy)
     layers = cfg.layers if cfg.layers is not None else tuple(range(p.num_layers))
     caps = None  # sparsity mode: the walk without a cap, over the ranking's head
@@ -426,10 +421,10 @@ def _dynamics(cfg: argparse.Namespace):
     given = {key: value for key, value in given.items() if value is not None}
     foreign = [key for key in given if key not in takes]
     if foreign:
-        raise UsageError(f"--dynamics {cfg.dynamics} takes no {_flags(foreign)}")
+        raise ValueError(f"--dynamics {cfg.dynamics} takes no {_flags(foreign)}")
     if cls is LinearSystem:
         if cfg.system is None:
-            raise UsageError("linear dynamics need --system (JSON with A and B)")
+            raise ValueError("linear dynamics need --system (JSON with A and B)")
         given = _read(cfg.system, _linear_system)
     # the dynamics check the box, once they know their state dimension
     return cls(**given, action_limit=cfg.action_limit,
@@ -570,7 +565,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):  # map argparse's default exit(2) onto exit 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

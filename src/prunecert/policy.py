@@ -150,7 +150,11 @@ class MlpPolicy:
 
     @cached_property
     def bias_norms(self) -> tuple[float, ...]:
-        return tuple(float(linalg.vector_norm(layer.bias)) for layer in self.layers)
+        # upper bounds (pruner._change_norm's argument): times 1 + (n + 4) eps, one ulp up
+        return tuple(
+            linalg._up(float(linalg.vector_norm(b)) * (1.0 + (b.size + 4) * linalg._EPS))
+            if b.any() else 0.0 for b in (layer.bias for layer in self.layers)
+        )
 
 
 def _propagate(p: MlpPolicy, x: np.ndarray, inputs: list | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,10 +55,10 @@ def inf_norm_policy() -> MlpPolicy:
 
 
 def underflow_policy() -> MlpPolicy:
-    """Five identity layers with unit biases whose layer 1 constant is NaN at
-    every state norm: layers 2 and 3 have weight norm 1e-200, so layer 0's
-    bias carried through both underflows to 0, a zero that is not exact,
-    and then meets layer 4's norm, inf (every entry is 1e308)."""
+    """Five identity layers with unit biases whose layer 1 constant is inf at
+    every state norm: layers 2 and 3 have weight norm 1e-200, so they carry
+    layer 0's bias by a factor that underflows, but is not 0, to layer 4,
+    whose norm is inf (every entry is 1e308)."""
     weights = (
         np.eye(2), np.array([[0.5, 0.25], [0.1, 0.2]]), 1e-200 * np.eye(2), 1e-200 * np.eye(2),
         np.full((2, 2), 1e308),
@@ -91,29 +92,31 @@ def naive_forward(p: MlpPolicy, s):
     return np.array(x)
 
 
-def _ck_oracle(wnorms, bnorms, k1, snorm):
-    """Independent evaluation of the layer constant, written directly from the
-    1-indexed formula: ||s|| prod_{l != k} w_l + sum_{i<k} (prod_{l>i, l != k} w_l) b_i.
-
-    A product with an exactly zero input is 0, even against inf; a product
-    that underflowed to 0 before it met inf is NaN."""
-    L = len(wnorms)
-    rest = [wnorms[l - 1] for l in range(1, L + 1) if l != k1]
-    prod = 1.0
-    for w in rest:
-        prod *= w
-    with np.errstate(invalid="ignore"):
-        lead = np.where(np.equal(snorm, 0.0) | (0.0 in rest), 0.0, snorm * prod)
-    total = lead if np.ndim(snorm) else float(lead)
-    for i in range(1, k1):
-        above = [wnorms[l - 1] for l in range(i + 1, L + 1) if l != k1]
-        term = bnorms[i - 1]
-        for w in above:
-            term *= w
-        if bnorms[i - 1] == 0.0 or 0.0 in above:
-            term = 0.0
-        total += term
+def exact_constant(wnorms, bnorms, k, snorm) -> Fraction:
+    """Layer k's constant (0-based) in exact rational arithmetic, written
+    from the sum form of the formula, with each float input taken as the
+    rational it is: ||s|| prod_{m != k} w_m + sum_{j<k} b_j prod_{m>j, m != k} w_m."""
+    w = [Fraction(v) for v in wnorms]
+    total = Fraction(snorm) * math.prod(v for m, v in enumerate(w) if m != k)
+    for j in range(k):
+        total += Fraction(bnorms[j]) * math.prod(v for m, v in enumerate(w) if m > j and m != k)
     return total
+
+
+def outward_rounding(depth: int) -> float:
+    """The named tolerance of a certified number over its exact value, for a
+    policy of ``depth`` layers, relative.  Each step that rounds one ulp up
+    adds at most ``3u = 1.5 eps``; a term passes at most ``2 depth + 2``
+    of them (the tail, the head, the state term and the contribution), the
+    tail's factor adds ``depth eps`` and the plain sum ``(depth - 1) u``.
+    It holds where no product underflows or overflows (``moderate``)."""
+    return (5 * depth + 5) * float(np.finfo(float).eps)
+
+
+def moderate(*values) -> bool:
+    """Every nonzero value in [2^-120, 2^120], so no product of eight of them
+    leaves the normal range."""
+    return all(v == 0.0 or 2.0**-120 <= v <= 2.0**120 for v in values)
 
 
 def audit_threshold(original: MlpPolicy, pruned: MlpPolicy, delta_norms, snorm, bound):
@@ -123,7 +126,7 @@ def audit_threshold(original: MlpPolicy, pruned: MlpPolicy, delta_norms, snorm, 
     For each forward pass, each layer k adds
     ``gamma (sqrt(min(shape_k)) N_k H_k + ||b_k||) prod_{m>k} N_m``, with
     ``gamma = (n + 4) eps`` for the widest dimension n; ``H_k prod_{m>k} N_m``
-    is ``_ck_oracle``'s constant.  N is the original's norm tuple for pi and
+    is ``exact_constant``.  N is the original's norm tuple for pi and
     ``||W_k|| + ||dW_k||`` for pi_hat.  The sum, to first order, is added to
     the bound, and the total is scaled by ``1 + (6 L + 3 n + 14) eps`` for the
     rounding of the bound, the difference, its norm and the test.
@@ -140,7 +143,7 @@ def audit_threshold(original: MlpPolicy, pruned: MlpPolicy, delta_norms, snorm, 
     for p, norms in ((original, wnorms), (pruned, grown)):
         for k, layer in enumerate(p.layers):
             above = math.prod(norms[k + 1 :])
-            head = _ck_oracle(norms, p.bias_norms, k + 1, snorm)
+            head = float(exact_constant(norms, p.bias_norms, k, snorm))
             rank = math.sqrt(min(layer.weight.shape))
             allowance += gamma * (rank * norms[k] * head + p.bias_norms[k] * above)
     return (bound + allowance) * (1.0 + (6 * L + 3 * n + 14) * eps)
@@ -251,7 +254,7 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
     trajectory CSV as lists of cells, header first, and the deviation report
     without its ``dynamics``, ``horizon`` and ``timestamp`` fields.  A loop
     blows up when its action or its next state is non-finite.  Every norm
-    is ``scaled_norm`` and every bound ``_ck_oracle``; an in-ball state is a
+    is ``scaled_norm`` and every bound from ``exact_constant``; an in-ball state is a
     violation unless its deviation is at most ``audit_threshold``, so NaN is
     one.
     """
@@ -291,7 +294,7 @@ def reference_simulation(d, original: MlpPolicy, pruned: MlpPolicy, cert, x0, ho
             snorm = scaled_norm(x)
             bound = 0.0
             for k, dn in cert.delta_norms():
-                bound += dn * _ck_oracle(wnorms, bnorms, k + 1, snorm)
+                bound += dn * float(exact_constant(wnorms, bnorms, k, snorm))
             inside = snorm <= cert.radius
             if inside:
                 inside_count += 1

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _ck_oracle,
     audit_threshold,
+    exact_constant,
     inf_norm_policy,
+    moderate,
     naive_forward,
+    outward_rounding,
     random_policy,
     scaled_certificate,
     scaled_norm,
@@ -33,10 +35,15 @@ from prunecert.pruner import PrunePlan, collect_calibration, prune_to_budget, ra
 
 
 def _constant(p, k, s) -> float:
-    """The layer-k constant C_k(s) as the pipeline evaluates it:
-    ``per_state_bounds`` with a unit delta norm on layer k alone, which is
-    ``0 + 1 * C_k(s)``, so C_k(s) bit for bit."""
-    return float(per_state_bounds(p, ((k, 1.0),), [float(np.linalg.norm(s))])[0])
+    """The layer-k constant C_k(s) as the pipeline evaluates it, from the
+    policy's norm tuples."""
+    return float(_constants(p.weight_spectral_norms, p.bias_norms, [k], linalg.vector_norm(s))[0])
+
+
+def _within(got, exact, depth) -> bool:
+    """``got`` is at least the rational ``exact`` and above it by the named
+    tolerance at most."""
+    return exact <= Fraction(float(got)) <= exact * (1 + Fraction(outward_rounding(depth)))
 
 
 def _perturbed(p, deltas):
@@ -139,7 +146,7 @@ class TestBoundConstantState:
     def test_three_layer_mixed_norms_instance(self):
         p = _three_layer_fixture()
         got = _constant(p, 1, [1.0, 0.0])
-        expected = _ck_oracle([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], k1=2, snorm=1.0)
+        expected = float(exact_constant([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], 1, 1.0))
         assert expected == pytest.approx(9.0, abs=1e-12)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -156,16 +163,19 @@ class TestBoundConstantState:
             )
 
     def test_matches_oracle_on_random_policies(self):
-        # bit for bit, through per_state_bounds and through certify's rows
+        # at least the exact value and within the named tolerance, through
+        # _constants, per_state_bounds and certify's rows
         rng = np.random.default_rng(1)
         delta_rng = np.random.default_rng(101)
         for _ in range(20):
             p = random_policy(rng, depth=int(rng.integers(1, 5)), max_width=8)
             s = rng.normal(size=p.input_dim)
             k = int(rng.integers(p.num_layers))
-            wnorms, bnorms = list(p.weight_spectral_norms), list(p.bias_norms)
-            snorm = float(np.linalg.norm(s))
-            assert _constant(p, k, s) == _ck_oracle(wnorms, bnorms, k1=k + 1, snorm=snorm)
+            wnorms, bnorms, depth = p.weight_spectral_norms, p.bias_norms, p.num_layers
+            snorm = float(linalg.vector_norm(s))
+            exact = exact_constant(wnorms, bnorms, k, snorm)
+            assert _within(_constant(p, k, s), exact, depth)
+            assert _within(per_state_bounds(p, ((k, 1.0),), [snorm])[0], exact, depth)
             deltas = {
                 m: delta_rng.normal(scale=0.05, size=layer.weight.shape)
                 for m, layer in enumerate(p.layers)
@@ -175,8 +185,8 @@ class TestBoundConstantState:
             assert [row.layer for row in cert.rows] == list(range(p.num_layers))
             acc = 0.0
             for row in cert.rows:
-                assert row.c_max == _ck_oracle(wnorms, bnorms, k1=row.layer + 1, snorm=snorm)
-                assert row.contribution == row.c_max * row.delta_spectral
+                assert _within(row.c_max, exact_constant(wnorms, bnorms, row.layer, snorm), depth)
+                assert row.contribution == certifier._times(row.c_max, row.delta_spectral)
                 acc = acc + row.contribution
             assert cert.budget == acc
 
@@ -222,7 +232,7 @@ class TestBoundConstantMax:
 
 
 # a weight or bias norm, or a state norm: zero, subnormals and 1e150, whose
-# cube overflows to inf (so 0 * inf makes NaN), drawn often on purpose
+# cube overflows to inf, drawn often on purpose
 _NORMS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e150]), st.floats(0.0, 1e150))
 
 
@@ -243,19 +253,32 @@ class TestConstantsFromTuples:
         [(5e-324, 1.0), (5e-324, 0.0), (1e150, 1.0), (1e150, 0.0), (1e150, 1e150), (0.0, 1.0)],
         [0.0, 1.0, 1e150],
     )
+    @example([(0.7, 0.1), (3.0, 0.0), (1.1, 2.5), (0.3, 0.9)], [0.0, 0.5, 3.7])
     @settings(max_examples=200, deadline=None)
-    def test_matches_oracle_bit_for_bit(self, layers, snorms):
+    def test_bounds_the_exact_value(self, layers, snorms):
+        # never NaN, never below the exact value, and within the named
+        # tolerance of it where nothing can underflow or overflow
         norms, biases = map(tuple, zip(*layers))
         ks = range(len(norms))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # each scalar state norm, then all of them as one array
-            for snorm in (*snorms, np.array(snorms)):
-                got = _constants(norms, biases, ks, snorm)
-                want = [_ck_oracle(norms, biases, k + 1, snorm) for k in ks]
-                # compared as bytes, so a NaN must match a NaN
-                assert [np.asarray(c).tobytes() for c in got] == [
-                    np.asarray(c).tobytes() for c in want
-                ]
+        batch = _constants(norms, biases, ks, np.array(snorms))
+        for i, snorm in enumerate(snorms):
+            got = _constants(norms, biases, ks, snorm)
+            # an array of state norms gives each the bits it gets alone
+            assert [c.tobytes() for c in got] == [c[i].tobytes() for c in batch]
+            for k, c in zip(ks, map(float, got)):
+                exact = exact_constant(norms, biases, k, snorm)
+                assert c == math.inf or exact <= Fraction(c)
+                if moderate(*norms, *biases, snorm):
+                    assert _within(c, exact, len(norms))
+
+
+    def test_the_bit_step_is_nextafter(self):
+        x = np.array([0.0, 5e-324, 1e-310, 2.0**-1022, 1.0, 1e300, np.finfo(float).max, math.inf])
+        stepped = certifier._up_where(x.copy(), np.ones(x.size, dtype=bool))
+        with np.errstate(over="ignore"):  # the largest float steps to inf
+            assert stepped.tobytes() == np.nextafter(x, math.inf).tobytes()
+        # where the mask is off, the value is left alone
+        assert certifier._up_where(x.copy(), np.zeros(x.size, dtype=bool)).tobytes() == x.tobytes()
 
 
 def _equality_fixture():
@@ -305,14 +328,19 @@ class TestMultiLayerBudget:
         assert cert.budget == 0.0
         assert cert.rows == ()
 
-    def test_nan_constant_is_an_error_naming_the_layer(self):
-        # layer 0's bias carried through two norms of 1e-200 underflows to 0
-        # and meets an inf norm: layer 1's constant is NaN, which bounds
-        # nothing, so no budget or audit is made of it
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_an_underflowed_carry_against_an_inf_norm_is_an_inf_budget(self):
+        # layer 0's bias carried through two norms of 1e-200 underflows and
+        # meets an inf norm: the product rounds up to inf, a bound that
+        # bounds nothing, where a carry rounded to 0 made a NaN constant
         p = underflow_policy()
         pruned = _perturbed(p, {1: -p.layers[1].weight})
-        with pytest.raises(ValueError, match="layer 1"):
-            certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
+        cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
+        (row,) = cert.rows
+        assert (row.layer, row.c_max, row.contribution) == (1, math.inf, math.inf)
+        assert cert.budget == math.inf
+        # both outputs overflow, so the audit cannot vouch for any state
+        assert cert.audit.violations == 10
 
     def test_zero_radius_carries_nothing_against_an_inf_norm(self):
         # ||W_0|| = inf, but at radius 0 the state term is 0: layer 1's
@@ -321,21 +349,46 @@ class TestMultiLayerBudget:
         pruned = _perturbed(p, {1: -p.layers[1].weight})
         cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
         (row,) = cert.rows
-        assert (row.layer, row.c_max) == (1, p.bias_norms[0])
-        assert cert.budget == row.contribution == row.c_max * row.delta_spectral
+        assert row.layer == 1 and _within(row.c_max, Fraction(p.bias_norms[0]), 2)
+        assert cert.budget == row.contribution == certifier._times(row.c_max, row.delta_spectral)
         assert cert.holds
 
-    def test_nan_contribution_is_an_error_naming_the_layer(self):
+    def test_a_zero_constant_carries_nothing_against_an_inf_delta_norm(self):
         # layer 1 is zero, so layer 0's constant is 0, and zeroing layer 0's
-        # 1e308 entries has an infinite delta norm: 0 * inf made a NaN budget
+        # 1e308 entries has an infinite delta norm: the contribution is 0,
+        # where 0 * inf made a NaN budget
         identity = ActivationKind("identity")
         original, pruned = (
             MlpPolicy(layers=(Layer(w, np.zeros(2), identity),
                               Layer(np.zeros((1, 2)), [0.0], identity)))
             for w in (np.full((2, 2), 1e308), np.zeros((2, 2)))
         )
-        with pytest.raises(ValueError, match="layer 0: the contribution is NaN"):
-            certify(original, pruned, StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0)
+        cert = certify(original, pruned, StateSpaceSpec(dim=2, radius=1.0), n=100, seed=0)
+        (row,) = cert.rows
+        assert (row.layer, row.c_max, row.delta_spectral) == (0, 0.0, math.inf)
+        assert row.contribution == 0.0
+        assert cert.budget == 0.0 and cert.holds
+
+    def test_budget_is_at_least_the_exact_sum(self):
+        # the exact constants of the policy's norm tuples times the delta
+        # norms, summed in rationals: a budget rounded to nearest falls
+        # below that sum on about half of these pairs
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            p = random_policy(rng, depth=int(rng.integers(1, 6)), max_width=8)
+            ks = sorted(rng.choice(p.num_layers, size=int(rng.integers(1, p.num_layers + 1)),
+                                   replace=False).tolist())
+            deltas = {k: rng.normal(scale=0.05, size=p.layers[k].weight.shape) for k in ks}
+            radius = float(rng.uniform(0.1, 3.0))
+            cert = certify(
+                p, _perturbed(p, deltas), StateSpaceSpec(dim=p.input_dim, radius=radius),
+                n=1, seed=0,
+            )
+            exact = sum(
+                exact_constant(p.weight_spectral_norms, p.bias_norms, k, radius) * Fraction(dn)
+                for k, dn in cert.delta_norms()
+            )
+            assert _within(cert.budget, exact, p.num_layers)
 
     def test_singleton_reduces_to_per_state_bound(self):
         p = _three_layer_fixture()
@@ -353,8 +406,7 @@ class TestMultiLayerBudget:
             },
         )
         cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=1.0), n=16, seed=0)
-        c0 = _ck_oracle([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], 1, 1.0)
-        c1 = _ck_oracle([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], 2, 1.0)
+        c0, c1 = (float(exact_constant([2.0, 7.0, 3.0], [1.0, 0.0, 0.0], k, 1.0)) for k in (0, 1))
         assert cert.budget == pytest.approx(0.1 * c0 + 0.2 * c1, rel=1e-12)
 
     def test_contributions_re_add_to_budget_exactly(self):
@@ -368,7 +420,7 @@ class TestMultiLayerBudget:
         )
         acc = 0.0
         for row in cert.rows:
-            assert row.contribution == row.c_max * row.delta_spectral
+            assert row.contribution == certifier._times(row.c_max, row.delta_spectral)
             acc = acc + row.contribution
         assert acc == cert.budget  # bitwise: same summation order
 
@@ -409,7 +461,7 @@ class TestPerStateBounds:
         got = per_state_bounds(p, dn, snorms)
         for i, s in enumerate(states):
             direct = sum(
-                d * _ck_oracle(p.weight_spectral_norms, p.bias_norms, k + 1, snorms[i])
+                d * float(exact_constant(p.weight_spectral_norms, p.bias_norms, k, snorms[i]))
                 for k, d in dn
             )
             assert got[i] == pytest.approx(direct, rel=1e-12)
@@ -475,19 +527,19 @@ class TestAdmissibleMagnitude:
         caps = admissible_magnitude(p, [0], 1.0, StateSpaceSpec(dim=2, radius=0.0))
         assert math.isinf(caps[0])
 
-    def test_nan_constant_is_an_error_naming_the_layer(self):
-        # layer 1's constant is NaN: a bias carry underflowed to 0 and met
-        # an inf norm.  Taken as an infinite cap, it would let the walk
-        # remove all of layer 1
-        with pytest.raises(ValueError, match="layer 1"):
-            admissible_magnitude(underflow_policy(), [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
+    def test_an_infinite_constant_caps_at_zero(self):
+        # layer 1's constant is inf: a bias carry underflowed and met an inf
+        # norm.  Where it was NaN, taken as an infinite cap, it would have
+        # let the walk remove all of layer 1
+        caps = admissible_magnitude(underflow_policy(), [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
+        assert caps == {1: 0.0}
 
     def test_zero_radius_carries_nothing_against_an_inf_norm(self):
         # at radius 0, layer 1's constant is sqrt(2), the bias carry, even
         # though ||W_0|| = inf
         p = inf_norm_policy()
-        caps = admissible_magnitude(p, [1], 1.0, StateSpaceSpec(dim=2, radius=0.0))
-        assert caps == {1: 1.0 / p.bias_norms[0]}
+        (cap,) = admissible_magnitude(p, [1], 1.0, StateSpaceSpec(dim=2, radius=0.0)).values()
+        assert 1 - Fraction(outward_rounding(2)) <= Fraction(cap) * Fraction(p.bias_norms[0]) <= 1
 
     def test_negative_budget_rejected(self):
         p = _diag_policy([1.0])
@@ -740,7 +792,7 @@ class TestAuditStates:
             assert audit.norm[i] == pytest.approx(snorm, rel=1e-15)
             bound = 0.0
             for k, d in dn:
-                bound += d * _ck_oracle(wnorms, bnorms, k + 1, snorm)
+                bound += d * float(exact_constant(wnorms, bnorms, k, snorm))
             assert audit.bound[i] == pytest.approx(bound, rel=1e-14)
         assert not audit.violation.any()
         return audit
@@ -802,7 +854,7 @@ class TestAuditStates:
         q = _perturbed(p, {1: -0.5 * p.layers[1].weight})
         dn = PrunePlan.from_policies(p, q).delta_norms()
         audit = audit_states(p, q, dn, np.zeros((2, 1)))
-        assert audit.bound.tolist() == [dn[0][1] * p.bias_norms[0]]
+        assert _within(audit.bound[0], Fraction(dn[0][1]) * Fraction(p.bias_norms[0]), 2)
         assert audit.deviation[0] == pytest.approx(0.404, abs=1e-3)
         assert audit.bound[0] >= audit.deviation[0]
         assert not audit.violation.any()
@@ -874,7 +926,7 @@ class TestAuditStates:
                 snorm = scaled_norm(s)
                 bound = 0.0
                 for k, d in dn:
-                    bound += d * _ck_oracle(wnorms, bnorms, k + 1, snorm)
+                    bound += d * float(exact_constant(wnorms, bnorms, k, snorm))
                 limit = audit_threshold(original, pruned, dn, snorm, bound)
                 assert audit.violation[i] == (not dev <= limit)
             flagged += int(audit.violation.sum())
@@ -896,6 +948,47 @@ class TestAuditStates:
             a, b = audit_states(p, pruned, dn, c), audit_states(p, pruned, dn, f)
             for field in ("deviation", "bound", "norm", "violation"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (scale, field)
+
+
+class TestGrownNorms:
+    """The budget reads only the unpruned norms, so it is proven only when
+    pruning grows no layer's spectral norm.  These repros stay open until
+    the sound budget of ROADMAP item 1 lands."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the budget misses the growth term")
+    def test_a_grown_pair_is_covered(self):
+        # identity layers grown 1 -> 1.5: the deviation is 1.25 |s|
+        identity = ActivationKind("identity")
+        original, pruned = (
+            MlpPolicy(layers=(Layer(w * np.eye(2), np.zeros(2), identity),) * 2)
+            for w in (1.0, 1.5)
+        )
+        cert = certify(original, pruned, StateSpaceSpec(dim=2, radius=1.0), n=1000, seed=0)
+        assert cert.budget >= cert.audit.max_dev
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: epsilon caps read unpruned norms")
+    def test_an_epsilon_prune_stays_within_epsilon_under_the_mirrored_budgets(self):
+        # the library calls of ``prune --epsilon 2.9 --radius 1``: the walk
+        # zeroes entry (0, 1) of both layers, which grows each norm from
+        # sqrt(2) to 1.618
+        identity = ActivationKind("identity")
+        p = MlpPolicy(layers=(Layer([[1.0, 1.0], [1.0, -1.0]], np.zeros(2), identity),) * 2)
+        space, epsilon = StateSpaceSpec(dim=2, radius=1.0), 2.9
+        caps = admissible_magnitude(p, [0, 1], epsilon, space)
+        calib = collect_calibration(p, np.random.default_rng(0).normal(size=(16, 2)))
+        ranking = rank_weights(p, calib, [0, 1], damping="auto")
+        pruned, _ = prune_to_budget(p, ranking, caps, damping="auto", calib=calib)
+
+        def budget(below, above):
+            # layer k's constant never reads N_k, so one hybrid tuple per layer
+            total = 0.0
+            for k, dn in PrunePlan.from_policies(p, pruned).delta_norms():
+                (c,) = _constants(below[:k] + above[k:], p.bias_norms, [k], space.radius)
+                total = total + certifier._times(float(c), dn)
+            return total
+
+        norms, grown = p.weight_spectral_norms, pruned.weight_spectral_norms
+        assert min(budget(grown, norms), budget(norms, grown)) <= epsilon
 
 
 class TestLinearWorstCase:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import (
-    _ck_oracle,
+    exact_constant,
     inf_norm_policy,
     naive_step,
+    outward_rounding,
     random_policy,
     reference_ranking,
     reference_simulation,
@@ -369,12 +370,13 @@ class TestBudgetInputs:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (out / "pruned_model.json").exists()
 
-    def test_nan_constant_is_a_usage_error(self, tmp_path, capsys):
-        # layer 0's bias carry underflows to 0 and meets an inf norm, so
-        # layer 1's constant is NaN; taken as an infinite cap, it would let
-        # the walk remove all four weights of layer 1
+    def test_an_infinite_constant_caps_its_layer_at_zero(self, tmp_path):
+        # layer 0's bias carry underflows and meets an inf norm, so layer
+        # 1's constant is inf and its cap 0; a NaN constant, taken as an
+        # infinite cap, let the walk remove all four weights of layer 1
+        p = underflow_policy()
         model = tmp_path / "model.json"
-        save_policy(underflow_policy(), model)
+        save_policy(p, model)
         calib = tmp_path / "calib.csv"
         _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
         out = tmp_path / "out"
@@ -382,10 +384,10 @@ class TestBudgetInputs:
             "prune", "--model", str(model), "--calibration", str(calib), "--epsilon", "1",
             "--radius", "0", "--layers", "1", "--out", str(out),
         ])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: layer 1")
-        assert not (out / "pruned_model.json").exists()
+        assert code == EXIT_OK
+        assert json.loads((out / "prune_plan.json").read_text())["pruned_weights"] == 0
+        kept = load_policy(out / "pruned_model.json").layers[1].weight
+        np.testing.assert_array_equal(kept, p.layers[1].weight)
 
     def test_allocation_weights_flag_is_a_usage_error(self, tmp_path, capsys):
         # the budget always splits evenly; any other split is one
@@ -535,10 +537,10 @@ class TestCertify:
         assert cert["holds"] is True
         assert cert["audit"]["max_dev"] == 0.0
 
-    def test_nan_constant_is_a_usage_error(self, tmp_path, capsys):
-        # layer 0's bias carry underflows to 0 and meets an inf norm, so
-        # layer 1's constant is NaN: no budget bounds that layer's change,
-        # so nothing is certified or audited
+    def test_an_infinite_constant_certifies_an_infinite_budget(self, tmp_path):
+        # layer 0's bias carry underflows and meets an inf norm, so layer
+        # 1's constant is inf: the budget bounds nothing, where a NaN
+        # constant was refused
         p = underflow_policy()
         model, pruned = tmp_path / "model.json", tmp_path / "pruned.json"
         save_policy(p, model)
@@ -549,15 +551,16 @@ class TestCertify:
             "certify", "--model", str(model), "--pruned", str(pruned),
             "--radius", "0", "--samples", "10", "--out", str(out),
         ])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: layer 1")
-        assert not (out / "certificate.json").exists()
+        # both outputs overflow at the origin, so the audit flags every state
+        assert code == EXIT_VIOLATION
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["budget"], cert["layers"][0]["c_max"]) == ("Infinity", "Infinity")
+        assert cert["audit"]["violations"] == 10
 
-    def test_nan_contribution_is_a_usage_error(self, tmp_path, capsys):
+    def test_a_zero_constant_times_an_infinite_delta_norm_is_zero(self, tmp_path):
         # layer 1 is zero, so layer 0's constant is 0, and zeroing layer 0's
-        # 1e308 entries has an infinite delta norm: 0 * inf was written as a
-        # NaN budget with every state flagged
+        # 1e308 entries has an infinite delta norm: the contribution is 0,
+        # where 0 * inf was written as a NaN budget with every state flagged
         identity = ActivationKind("identity")
         model, pruned = tmp_path / "model.json", tmp_path / "pruned.json"
         for path, w in ((model, np.full((2, 2), 1e308)), (pruned, np.zeros((2, 2)))):
@@ -568,10 +571,11 @@ class TestCertify:
             "certify", "--model", str(model), "--pruned", str(pruned),
             "--radius", "1", "--samples", "100", "--out", str(out),
         ])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: layer 0: the contribution is NaN, so it bounds nothing"]
-        assert not (out / "certificate.json").exists()
+        assert code == EXIT_OK
+        cert = json.loads((out / "certificate.json").read_text())
+        (row,) = cert["layers"]
+        assert row["delta_spectral"] == "Infinity"
+        assert row["contribution"] == cert["budget"] == 0.0
 
     def test_equality_fixture_tightness(self, tmp_path):
         original = _simple_model(tmp_path, [[1.0]], "orig.json")
@@ -1201,10 +1205,14 @@ class TestSimulate:
                 x = [float(row["x0"]), float(row["x1"])]
                 snorm = scaled_norm(x)
                 tiny += 0.0 < max(map(abs, x)) < 2.0**-400
-                want = 0.0
-                for k, dn in cert.delta_norms():
-                    want += dn * _ck_oracle(p.weight_spectral_norms, p.bias_norms, k + 1, snorm)
-                assert float(row["bound"]) == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0)
+                exact = sum(
+                    Fraction(dn) * exact_constant(p.weight_spectral_norms, p.bias_norms, k, snorm)
+                    for k, dn in cert.delta_norms()
+                )
+                bound = Fraction(float(row["bound"]))
+                assert exact <= bound
+                if exact > 2.0**-1000:  # no product of the bound underflowed
+                    assert bound <= exact * (1 + Fraction(outward_rounding(p.num_layers)))
         assert tiny > 1000
 
     def test_csv_columns(self, tmp_path):
