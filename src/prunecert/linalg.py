@@ -40,7 +40,21 @@ class SingularMatrixError(ValueError):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """Read-only copy, so frozen dataclasses cannot be mutated through arrays."""
+    """``a`` itself when no writable array shares its memory, else a read-only
+    copy, so frozen dataclasses cannot be mutated through arrays.
+
+    ``a`` is kept when it is read-only and so is the array that owns its data,
+    ``a`` itself or its base: code that marks an array read-only as soon as it
+    builds it, before any view of it is taken, passes it and its slices (a
+    view of a read-only array is read-only) on with no copy.  Anything else is
+    copied: a writable array, a read-only view of a writable base, and an
+    array over another object's buffer.  Whoever holds a read-only owner can
+    still make it writable again; the rule trusts them not to.
+    """
+    owner = a if a.base is None else a.base
+    if (isinstance(owner, np.ndarray) and owner.base is None
+            and not a.flags.writeable and not owner.flags.writeable):
+        return a
     out = a.copy()
     out.setflags(write=False)
     return out

@@ -322,7 +322,10 @@ _CHUNK = 4096
 # floats per layer output in one block of ``forward_batch``: 16 MB.  The
 # blocks are nearly equal, so none is a thin remainder that falls under the
 # size where OpenBLAS switches to a small-matrix kernel that rounds
-# differently.
+# differently.  On the wide-sparsity benchmark these blocks of `certify`'s
+# audit set the peak memory, but a smaller constant changes the bits: at
+# 2**19 the blocks of a width-1024 batch no longer match the single call
+# (`test_blocks_keep_the_whole_batch_bits`).
 _BLOCK = 2**21
 
 # columns per tile of ``forward_batch``'s block boundaries.  BLAS runs a

@@ -64,7 +64,8 @@ class Ranking:
 
     Entry ``i`` is weight ``(row[i], col[i])`` of layer ``layer[i]``, scored
     ``saliency[i]``; lower saliency means safer to remove.  Indexing with a
-    slice or a boolean mask gives another ``Ranking`` in the same order.
+    slice or a boolean mask gives another ``Ranking`` in the same order: a
+    slice of views, a mask of fresh arrays.  The arrays are read-only.
     """
 
     layer: np.ndarray
@@ -88,7 +89,11 @@ class Ranking:
         return self.layer.shape[0]
 
     def __getitem__(self, index) -> "Ranking":
-        return Ranking(self.layer[index], self.row[index], self.col[index], self.saliency[index])
+        # a slice is a read-only view already; a mask's fresh gather is ours
+        parts = [a[index] for a in (self.layer, self.row, self.col, self.saliency)]
+        for a in parts:
+            a.setflags(write=False)
+        return Ranking(*parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +184,10 @@ def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
     """
     mats: list[np.ndarray] = []
     _propagate(p, _columns(p, np.asarray(states, dtype=float).T), mats)
+    # every input past layer 0 is a fresh activation; layer 0's may be the
+    # caller's states, which the batch copies
+    for m in mats[1:]:
+        m.setflags(write=False)
     return CalibrationBatch(inputs=tuple(mats))
 
 
@@ -246,7 +255,7 @@ def rank_weights(
         raise ValueError(
             f"calibration has {len(calib.inputs)} layers but policy has {p.num_layers}"
         )
-    parts = []
+    scores, masks = [], []
     for k in ks:
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
@@ -272,17 +281,30 @@ def rank_weights(
                 )
             else:
                 sal = _score(w, np.diag(h_inv), np.divide)
-        rows, cols = np.indices(sal.shape).reshape(2, -1)
-        nonzero = w.ravel() != 0.0
-        parts.append((np.full(sal.size, k, dtype=np.intp), rows, cols, sal.ravel(), nonzero))
-    layer, row, col, saliency, nonzero = (np.concatenate(a) for a in zip(*parts))
-    # the entries are concatenated in (layer, row, col) order, so a stable
+        scores.append(sal.ravel())
+        masks.append(w.ravel() != 0.0)
+    saliency = np.concatenate(scores)
+    del scores
+    # the scores are concatenated in (layer, row, col) order, so a stable
     # sort on saliency alone breaks its ties on (layer, row, col); dropping
     # the zero weights from the order, not from each layer's scores, adds no
     # copy of the scores to the peak memory
     order = np.argsort(saliency, kind="stable")
-    order = order[nonzero[order]]
-    return Ranking(layer[order], row[order], col[order], saliency[order])
+    order = order[np.concatenate(masks)[order]]
+    del masks
+    saliency = saliency[order]
+    # each flat index names its layer by the last start at or below it, and
+    # its (row, col) by its offset in that layer over the layer's width
+    starts = np.cumsum([0] + [p.layers[k].weight.size for k in ks[:-1]], dtype=np.intp)
+    at = np.searchsorted(starts, order, side="right")
+    at -= 1
+    order -= starts[at]
+    row, col = np.divmod(order, np.array([p.layers[k].in_dim for k in ks], dtype=np.intp)[at])
+    del order
+    layer = np.array(ks, dtype=np.intp)[at]
+    for a in (layer, row, col, saliency):
+        a.setflags(write=False)
+    return Ranking(layer, row, col, saliency)
 
 
 def obs_compensate(row, cols, h_inv) -> np.ndarray:
@@ -515,10 +537,12 @@ def prune_to_budget(
         work = _LayerWork(layers[k].weight, h_inv)
         entries = ranking[ranking.layer == k]
         n = work.walk(entries, float(caps[k]))
+        mask = np.column_stack((entries.row[:n], entries.col[:n]))
+        mask.setflags(write=False)
         plan.append(
             LayerPrune(
                 layer=k,
-                mask=np.column_stack((entries.row[:n], entries.col[:n])),
+                mask=mask,
                 delta_spectral_norm=work.delta_norm(),
                 compensated=work.h_inv is not None and n > 0,
             )

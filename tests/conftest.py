@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,6 +42,19 @@ def random_policy(
         b = rng.normal(0.0, bias_scale, size=fan_out)
         layers.append(Layer(weight=w, bias=b, activation=random_activation(rng)))
     return MlpPolicy(layers=tuple(layers))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``tracemalloc`` traces while ``fn(*args)`` runs, its
+    result included.  Tracing that is already on would fold the caller's
+    allocations into the peak, so it fails the test."""
+    assert not tracemalloc.is_tracing(), "tracemalloc is already tracing"
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def inf_norm_policy() -> MlpPolicy:

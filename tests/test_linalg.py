@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_policy
 from prunecert.linalg import (
     SingularMatrixError,
+    _frozen,
     _norm_allowance,
     as_box,
     as_matrix,
@@ -18,6 +20,14 @@ from prunecert.linalg import (
     spectral_norm,
     spectral_norm_ceiling,
     vector_norm,
+)
+from prunecert.pruner import (
+    CalibrationBatch,
+    LayerPrune,
+    Ranking,
+    collect_calibration,
+    prune_to_budget,
+    rank_weights,
 )
 
 
@@ -251,6 +261,67 @@ class TestRowNorms:
     def test_in_range_bits_are_numpys_1d_norm(self):
         rows = np.random.default_rng(24).normal(size=(1000, 6))
         assert vector_norm(rows, axis=1).tolist() == [np.linalg.norm(r) for r in rows]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class TestFrozen:
+    """``_frozen`` keeps an array that no writable array shares memory with
+    and copies anything else into a new read-only array."""
+
+    def test_a_read_only_array_that_owns_its_data_is_kept(self):
+        a = _read_only(np.arange(4.0))
+        assert _frozen(a) is a
+
+    def test_a_read_only_view_of_a_read_only_owner_is_kept(self):
+        a = _read_only(np.arange(6.0).reshape(2, 3).copy())
+        for view in (a[1:], a.T, a.ravel()):
+            assert _frozen(view) is view
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.arange(4.0),
+            lambda: _read_only(np.arange(5.0)[1:]),
+            lambda: _read_only(np.frombuffer(bytearray(32))),
+        ],
+        ids=["writable", "read-only-view-of-a-writable-base", "read-only-over-a-bytearray"],
+    )
+    def test_anything_else_is_copied(self, make):
+        a = make()
+        out = _frozen(a)
+        assert out is not a and not np.shares_memory(out, a)
+        assert not out.flags.writeable and out.tobytes() == a.tobytes()
+
+    def test_pruner_arrays_are_read_only_and_share_no_writable_memory(self):
+        rng = np.random.default_rng(35)
+        p = random_policy(rng, dims=[3, 5, 4, 2])
+        # Fortran order: the states' transpose is the C-contiguous batch
+        # itself, so layer 0's input would alias the caller's memory
+        states = np.asfortranarray(rng.normal(size=(7, 3)))
+        calib = collect_calibration(p, states)
+        ranking = rank_weights(p, calib, [0, 2])
+        head = ranking[:5]
+        _, plan = prune_to_budget(p, head)
+        built = (
+            ranking,
+            head,
+            ranking[ranking.layer == 2],
+            Ranking(*(np.array(a) for a in (ranking.layer, ranking.row, ranking.col,
+                                            ranking.saliency))),
+        )
+        arrays = [a for r in built for a in (r.layer, r.row, r.col, r.saliency)]
+        arrays += [lp.mask for lp in plan.layers]
+        arrays += [LayerPrune(0, np.zeros((1, 2), dtype=np.intp), 0.0, False).mask]
+        arrays += list(calib.inputs) + list(CalibrationBatch((states.T, states.T)).inputs)
+        assert all(not a.flags.writeable for a in arrays)
+        assert all(not np.shares_memory(a, states) for a in arrays)
+        assert np.shares_memory(head.layer, ranking.layer)  # a slice is a view
+        assert all(a.dtype == np.intp for r in built for a in (r.layer, r.row, r.col))
+        assert all(r.saliency.dtype == np.float64 for r in built)
 
 
 class TestAsBox:

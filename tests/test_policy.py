@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFIED_SAMPLES, naive_forward, random_policy
+from conftest import CERTIFIED_SAMPLES, naive_forward, random_policy, traced_peak
 from prunecert import policy
 from prunecert.certifier import audit_states
 from prunecert.policy import (
@@ -23,7 +22,7 @@ from prunecert.policy import (
     policy_to_dict,
     save_policy,
 )
-from prunecert.pruner import collect_calibration
+from prunecert.pruner import collect_calibration, rank_weights
 
 
 class TestActivationKind:
@@ -264,13 +263,19 @@ class TestForwardBatchBlocks:
                                                 la.weight), la.bias, la.activation)
                                  for la in original.layers))
         states = rng.normal(size=(8, 10_000))
-        tracemalloc.start()
-        try:
-            audit_states(original, pruned, ((0, 1.0), (1, 1.0), (2, 1.0)), states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(audit_states, original, pruned, ((0, 1.0), (1, 1.0), (2, 1.0)), states)
         assert peak < 48 * 2**20
+
+
+class TestRankingMemory:
+    def test_rank_weights_memory_is_bounded(self):
+        # the ranking holds 32 bytes per ranked weight, 8.2 MB here; per-layer
+        # index arrays and their copies (~146 bytes per weight) pass 24 MB
+        rng = np.random.default_rng(17)
+        p = random_policy(rng, dims=[8, 512, 512, 2])
+        p = MlpPolicy(tuple(Layer(la.weight, la.bias, ActivationKind("relu")) for la in p.layers))
+        calib = collect_calibration(p, rng.normal(size=(1024, 8)))
+        assert traced_peak(rank_weights, p, calib, [0, 1, 2], "auto") < 24 * 2**20
 
 
 class TestLipschitzUpper:

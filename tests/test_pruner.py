@@ -868,6 +868,12 @@ class TestRankingMatchesReference:
         # layer 0's zero row is not ranked
         assert len(reference) == sum(np.count_nonzero(layer.weight) for layer in p.layers)
         assert len({sal for sal, _, _, _ in reference}) < len(reference)
+        # widths 4 and 6 with two layers skipped, and 5 and 6 tied at zero:
+        # each flat index maps back to its own layer, row and column
+        for subset in ([0, 3], [1, 2]):
+            ranking = rank_weights(p, calib, subset, damping="auto", diagonal=diagonal)
+            reference = reference_ranking(p, calib, subset, damping="auto", diagonal=diagonal)
+            assert ranking_tuples(ranking) == reference
 
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_random_policies_layer_subsets(self, diagonal):
