@@ -181,8 +181,11 @@ def certificate_from_dict(d) -> Certificate:
     return _named(Certificate, got)
 
 
-def _certificate(path) -> Certificate:
-    return certificate_from_dict(_read_json(path))
+def _certificate(path) -> tuple[Certificate, bytes]:
+    """The certificate at ``path`` and the bytes it was parsed from, so that
+    a digest of them names exactly the file that was read."""
+    data = Path(path).read_bytes()
+    return certificate_from_dict(json.loads(data.decode("utf-8"))), data
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +371,17 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
         caps = admissible_magnitude(p, layers, cfg.epsilon, _state_space(cfg, p.input_dim))
     calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
     ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
+    if not cfg.compensate:
+        calib = None  # only the compensated walk reads the batch again
     if cfg.sparsity is not None:
         ranking = ranking[: round(cfg.sparsity * len(ranking))]
     pruned, plan = prune_to_budget(
         p, ranking, caps, compensate=cfg.compensate, damping=cfg.damping, calib=calib
     )
+    plan_dict = _plan_dict(plan, ranking, cfg)
+    del ranking, calib  # a sliced ranking still holds the full one
     out = _outdir(cfg)
     _write(out / "pruned_model.json", lambda path: save_policy(pruned, path))
-    plan_dict = _plan_dict(plan, ranking, cfg)
     _write(out / "prune_plan.json", _write_json, plan_dict)
     print(f"pruned {plan_dict['pruned_weights']} weights across layers "
           f"{[lp.layer for lp in plan.layers]}")
@@ -472,7 +478,7 @@ def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     original = _read(cfg.model, load_policy)
     pruned = _read(cfg.pruned, load_policy)
-    cert = _read(cfg.certificate, _certificate)
+    cert, _ = _read(cfg.certificate, _certificate)
     d = _dynamics(cfg)
     report = deviation_audit(d, original, pruned, cert, np.asarray(cfg.x0), cfg.horizon)
     out = _outdir(cfg)
@@ -520,13 +526,18 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: argparse.Namespace) -> int:
+    # imported here, not at the top: hashlib loads OpenSSL, which adds about
+    # 3 MB to the peak memory of every command, and only report hashes
+    import hashlib
+
     entries = []
     for path in cfg.paths:
-        cert = _read(path, _certificate)
+        cert, data = _read(path, _certificate)
         a = cert.audit
         entries.append(
             {
                 "path": str(path),
+                "sha256": hashlib.sha256(data).hexdigest(),
                 "budget": cert.budget,
                 "radius": cert.radius,
                 "holds": cert.holds,

@@ -319,14 +319,16 @@ def _fields(obj, where: str, table: dict, got: dict) -> dict:
 # keeping the number of writes small
 _CHUNK = 4096
 
-# floats per layer output in one block of ``forward_batch``: 16 MB.  The
+# floats per layer output in one block of ``forward_batch``: 8 MB.  The
 # blocks are nearly equal, so none is a thin remainder that falls under the
 # size where OpenBLAS switches to a small-matrix kernel that rounds
-# differently.  On the wide-sparsity benchmark these blocks of `certify`'s
-# audit set the peak memory, but a smaller constant changes the bits: at
-# 2**19 the blocks of a width-1024 batch no longer match the single call
-# (`test_blocks_keep_the_whole_batch_bits`).
-_BLOCK = 2**21
+# differently.  This is the smallest power of two that keeps the bits: at
+# 2**19 the blocks of width-512 and width-1024 batches no longer match the
+# single call (`test_blocks_keep_the_whole_batch_bits`).  At 2**20
+# `certify`'s audit stays under `prune`'s peak memory on the wide-sparsity
+# benchmark; on budget-inverse it still sets the peak, about 10 MB above
+# `prune`'s.
+_BLOCK = 2**20
 
 # columns per tile of ``forward_batch``'s block boundaries.  BLAS runs a
 # matmul in tiles of a few columns and rounds the last, partial tile with

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from conftest import (
     reference_ranking,
     reference_simulation,
     scaled_norm,
+    traced_peak,
     underflow_policy,
 )
 from prunecert import __version__, cli, policy
@@ -340,6 +342,24 @@ class TestPruneOverflow:
                 "--sparsity", "0.5", *flags, "--out", str(tmp_path / "out")]
         assert _usage_error(capsys, argv) == f"error: {message}"
         assert not (tmp_path / "out").exists()
+
+
+class TestPruneMemory:
+    def test_zero_only_prune_memory_is_bounded(self, tmp_path):
+        # the calibration batch (8.1 MB here) is dropped once the weights
+        # are ranked, and the full ranking before the model is written;
+        # holding both to the end peaked at 30.9 MB
+        rng = np.random.default_rng(18)
+        p = random_policy(rng, dims=[8, 512, 512, 2])
+        model = tmp_path / "model.json"
+        save_policy(MlpPolicy(tuple(Layer(la.weight, la.bias, ActivationKind("relu"))
+                                    for la in p.layers)), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, rng.normal(size=(1024, 8)))
+        argv = ["prune", "--model", str(model), "--calibration", str(calib),
+                "--sparsity", "0.5", "--out", str(tmp_path / "p")]
+        assert traced_peak(main, argv) < 27 * 2**20
+        assert (tmp_path / "p" / "pruned_model.json").exists()
 
 
 class TestBudgetInputs:
@@ -773,11 +793,11 @@ class TestCertify:
             assert cert["budget"] <= 20 * (1 + 1e-12)
 
     def test_an_audit_in_column_blocks_certifies_as_one_pass(self, tmp_path, monkeypatch):
-        # a [8, 4096, 2] model: the 2,000 audit states go through each
-        # policy in four blocks, and the certificate is the one a single
-        # block gives
+        # a hidden layer _BLOCK // 512 wide: the 2,000 audit states go
+        # through each policy in four blocks, and the certificate is the one
+        # a single block gives
         rng = np.random.default_rng(0)
-        dims = [8, 4096, 2]
+        dims = [8, policy._BLOCK // 512, 2]
         model = tmp_path / "wide.json"
         save_policy(MlpPolicy(tuple(
             Layer(rng.normal(0.0, d**-0.5, (e, d)), rng.normal(0.0, 0.1, e), ActivationKind("relu"))
@@ -1536,10 +1556,11 @@ class TestReport:
         model, _ = random_model
         certs = []
         for i in range(2):
+            # distinct sample counts, so the two files and their digests differ
             out = tmp_path / f"c{i}"
             main([
                 "certify", "--model", str(model), "--pruned", str(model),
-                "--radius", "1.0", "--samples", "10", "--out", str(out),
+                "--radius", "1.0", "--samples", str(10 + i), "--out", str(out),
             ])
             certs.append(str(out / "certificate.json"))
         out = tmp_path / "summary"
@@ -1548,6 +1569,9 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["count"] == 2
         assert summary["all_hold"] is True
+        assert [e["sha256"] for e in summary["certificates"]] == [
+            hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in certs
+        ]
 
     def test_a_nan_budget_is_a_usage_error(self, tmp_path, capsys, random_model):
         # certify never writes a NaN budget, so one is a hand-edited file;
@@ -2236,3 +2260,11 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "prunecert" in result.stdout
+
+    def test_import_leaves_hashlib_to_report(self):
+        # hashlib loads OpenSSL, about 3 MB of peak memory that only report's
+        # digests need
+        code = "import sys, prunecert.cli; print('hashlib' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
