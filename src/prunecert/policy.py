@@ -87,7 +87,13 @@ def apply_activation(kind: ActivationKind, v) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """One affine layer ``x -> activation(weight @ x + bias)``."""
+    """One affine layer ``x -> activation(weight @ x + bias)``.
+
+    ``weight`` and ``bias`` are stored read-only by ``linalg._frozen``: a
+    read-only array whose data's owner is read-only too is shared, anything
+    else is copied.  A caller who shares its array and then re-enables
+    writes on it changes the layer.
+    """
 
     weight: np.ndarray
     bias: np.ndarray
@@ -200,14 +206,15 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
 
     ``states`` is (input_dim, n); the result is (output_dim, n), with the
     same bits for any memory layout of ``states`` (see ``_columns``).  The
-    columns go through in the fewest blocks that keep every layer's output
-    within ``_BLOCK`` floats, so memory stays bounded however many states
-    there are; a batch that fits in one block is a single call.  Block
-    boundaries fall on whole ``_TILE``-column tiles, spread evenly.
+    columns go through in the fewest blocks of at most ``_COLUMNS`` columns
+    that keep every layer's output within ``_BLOCK`` floats, so memory stays
+    bounded however many states there are; a batch that fits in one block is
+    a single call.  Block boundaries fall on whole ``_TILE``-column tiles,
+    spread evenly.
     """
     x = _columns(p, states)
     n = x.shape[1]
-    most = max(1, _BLOCK // max(layer.out_dim for layer in p.layers))
+    most = max(1, min(_BLOCK // max(layer.out_dim for layer in p.layers), _COLUMNS))
     tile = min(_TILE, most)
     tiles = -(-n // tile)
     blocks = -(-tiles // (most // tile))
@@ -326,14 +333,24 @@ _CHUNK = 4096
 # 2**19 the blocks of width-512 and width-1024 batches no longer match the
 # single call (`test_blocks_keep_the_whole_batch_bits`).  At 2**20
 # `certify`'s audit stays under `prune`'s peak memory on the wide-sparsity
-# benchmark; on budget-inverse it still sets the peak, about 10 MB above
-# `prune`'s.
+# benchmark; on budget-inverse, in blocks of at most ``_COLUMNS``, it still
+# sets the peak, about 6 MB above `prune`'s in a fresh process.
 _BLOCK = 2**20
+
+# columns per block of ``forward_batch`` at most, so that a narrow policy's
+# audit holds 2 MB per layer output at width 128.  Width-512 batches already
+# run in blocks this wide, so only batches whose widest layer is under 512
+# change blocks; a lower cap would split width-512 batches as a ``_BLOCK``
+# of 2**19 does, which loses their single-call bits at 10^4 states.
+_COLUMNS = _BLOCK // 512
 
 # columns per tile of ``forward_batch``'s block boundaries.  BLAS runs a
 # matmul in tiles of a few columns and rounds the last, partial tile with
-# another kernel; boundaries on multiples of 64 give every block the whole
-# batch's tiles, so blocking keeps the single call's bits.
+# another kernel, so boundaries fall on multiples of 64.  That keeps the
+# single call's bits for the shapes and batch sizes that
+# `test_blocks_keep_the_whole_batch_bits` checks, the benchmark's audits
+# among them, but not for every batch: where a block's small output-layer
+# product takes another OpenBLAS kernel, its last bits can move.
 _TILE = 64
 
 

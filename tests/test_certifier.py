@@ -390,6 +390,32 @@ class TestMultiLayerBudget:
             )
             assert _within(cert.budget, exact, p.num_layers)
 
+    def test_the_tail_factor_covers_a_sum_that_drops_every_small_term(self):
+        # certify's arithmetic on norm tuples built so that round-to-nearest
+        # loses more than the ulp-up steps gain: layer 0's exact contribution
+        # is 4 + 122.66 ulps of 4, and each of the 11 later ones is just under
+        # half an ulp of 4, so a plain add drops every one (5.5 ulps lost).
+        # Without the tail's 1 + L eps, layer 0's rounded-up product is
+        # 4 + 127 ulps and the budget stays there, 1.16 ulps below the exact sum
+        norms = tuple(map(float.fromhex, """
+            0x1p+0 0x1.f1f7959ffedc5p+0 0x1.fe8d21b816eafp+0 0x1.02fe9796a77f8p+0
+            0x1.067f592215b52p+0 0x1.f4df51e9c9b59p+0 0x1.f7bfc1b9d59a1p+0 0x1.017d0e375cfd5p+0
+            0x1.fe8e010ac096cp+0 0x1.fee3ff7bd3ecbp+0 0x1.fed482b1166d2p+0 0x1.ffe686ed27d48p+0
+        """.split()))
+        deltas = tuple(map(float.fromhex, """
+            0x1.009915929c5d3p-6 0x1.f3215c8eea0d8p-59 0x1.ffbe6f1735f9ap-59 0x1.039977927654ap-59
+            0x1.071c515d22519p-59 0x1.f60ad596e9627p-59 0x1.f8ecfdc7d78bap-59 0x1.021707a794ce5p-59
+            0x1.ffbf4eef6ade6p-59 0x1.000ac0666773ep-58 0x1.0002fd5f9710ep-58 0x1.008c516b6f5b1p-58
+        """.split()))
+        radius, biases = float.fromhex("0x1.083114584f5b7p+0"), (0.0,) * len(norms)
+        budget = 0.0
+        for c, dn in zip(_constants(norms, biases, range(len(norms)), radius), deltas):
+            budget = budget + certifier._times(float(c), dn)
+        exact = [exact_constant(norms, biases, k, radius) * Fraction(dn)
+                 for k, dn in enumerate(deltas)]
+        assert all(term < Fraction(math.ulp(4.0)) / 2 for term in exact[1:])
+        assert _within(budget, sum(exact), len(norms))
+
     def test_singleton_reduces_to_per_state_bound(self):
         p = _three_layer_fixture()
         pruned = _perturbed(p, {1: np.array([[0.0, 0.25], [0.0, 0.0]])})

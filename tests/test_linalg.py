@@ -21,6 +21,7 @@ from prunecert.linalg import (
     spectral_norm_ceiling,
     vector_norm,
 )
+from prunecert.policy import ActivationKind, Layer
 from prunecert.pruner import (
     CalibrationBatch,
     LayerPrune,
@@ -295,6 +296,21 @@ class TestFrozen:
         out = _frozen(a)
         assert out is not a and not np.shares_memory(out, a)
         assert not out.flags.writeable and out.tobytes() == a.tobytes()
+
+    def test_a_layer_shares_a_read_only_owner_and_copies_a_writable_array(self):
+        relu = ActivationKind("relu")
+        shared = _read_only(np.eye(2))
+        layer = Layer(shared, np.zeros(2), relu)
+        assert layer.weight is shared
+        # the rule trusts the owner: re-enabling writes on it changes the layer
+        shared.setflags(write=True)
+        shared[0, 0] = 9.0
+        assert layer.weight[0, 0] == 9.0
+        writable = np.eye(2)
+        layer = Layer(writable, np.zeros(2), relu)
+        assert not np.shares_memory(layer.weight, writable) and not layer.weight.flags.writeable
+        writable[0, 0] = 9.0
+        assert layer.weight[0, 0] == 1.0
 
     def test_pruner_arrays_are_read_only_and_share_no_writable_memory(self):
         rng = np.random.default_rng(35)

@@ -213,8 +213,8 @@ class TestForward:
 
 class TestForwardBatchBlocks:
     """``forward_batch`` runs the columns through ``_propagate`` in the fewest
-    blocks whose widest layer output holds at most ``_BLOCK`` floats, with
-    boundaries on whole ``_TILE``-column tiles."""
+    blocks of at most ``_COLUMNS`` columns whose widest layer output holds at
+    most ``_BLOCK`` floats, with boundaries on whole ``_TILE``-column tiles."""
 
     def _recorded(self, monkeypatch, p, n):
         calls = []
@@ -237,18 +237,28 @@ class TestForwardBatchBlocks:
         joined = np.concatenate([block for _, block in calls], axis=1)
         assert out.tobytes() == joined.tobytes()
 
+    def test_narrow_batch_runs_in_capped_blocks(self, monkeypatch):
+        # 128 wide, _BLOCK floats would take 8,192 columns: the column cap
+        # splits 10^4 states into five blocks of whole tiles, not two
+        p = random_policy(np.random.default_rng(13), dims=[8, 128, 128, 2])
+        out, calls = self._recorded(monkeypatch, p, 10_000)
+        assert [width for width, _ in calls] == [1984, 1984, 2048, 1984, 2000]
+        joined = np.concatenate([block for _, block in calls], axis=1)
+        assert out.tobytes() == joined.tobytes()
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocks_keep_the_whole_batch_bits(self, order):
         # several blocks per batch, each a whole number of tiles: equal
         # blocks that end in a partial tile moved some bits.  The widths 512
         # and 128 at 10^4 states are the benchmark's audits; at a _BLOCK of
         # 2**19 the width-512 and width-1024 batches lose the single call's
-        # bits, so 2**20 is the smallest block that keeps them
+        # bits, so 2**20 is the smallest block that keeps them.  The width-128
+        # and width-2 batches run in five blocks of at most _COLUMNS columns
         for seed, dims, n in ((16, [8, 1024, 2], 5000), (17, [8, 512, 512, 2], 10_000),
-                              (18, [8, 128, 128, 2], 10_000)):
+                              (18, [8, 128, 128, 2], 10_000), (19, [2, 2, 1], 10_000)):
             rng = np.random.default_rng(seed)
             p = random_policy(rng, dims=dims)
-            states = np.asarray(rng.uniform(-3.0, 3.0, size=(8, n)), order=order)
+            states = np.asarray(rng.uniform(-3.0, 3.0, size=(dims[0], n)), order=order)
             assert forward_batch(p, states).tobytes() == policy._propagate(p, states).tobytes()
 
     def test_batch_within_one_block_is_one_call(self, monkeypatch):
@@ -260,12 +270,15 @@ class TestForwardBatchBlocks:
     @pytest.mark.parametrize("name, width, bound", [
         pytest.param("relu", 512, 20, id="relu"),
         pytest.param("elu", 512, 30, id="elu"),
-        pytest.param("relu", 128, 13, id="relu-128"),
+        pytest.param("relu", 128, 6, id="relu-128"),
+        pytest.param("elu", 128, 9, id="elu-128"),
     ])
     def test_audit_memory_is_bounded(self, name, width, bound):
         # the unblocked pass held three 512 x 10^4 arrays per layer, ~117 MB;
-        # blocks of 2**21 floats peaked at 26.5, 41.1 and 19.8 MB here, and
-        # blocks of 2**20 floats at 16.4, 25.3 and 10.1 MB
+        # blocks of 2**21 floats peaked at 26.5, 41.1 and 19.8 MB here,
+        # blocks of 2**20 floats at 16.4, 25.3, 10.1 and 15.6 MB, and blocks
+        # of at most 2,048 columns leave width 512 and take width 128 to
+        # 4.4 and 6.6 MB
         rng = np.random.default_rng(15)
         original = random_policy(rng, dims=[8, width, width, 2])
         original = MlpPolicy(tuple(Layer(la.weight, la.bias, ActivationKind(name, 0.5))
