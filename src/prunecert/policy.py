@@ -163,18 +163,20 @@ class MlpPolicy:
         )
 
 
-def _propagate(p: MlpPolicy, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
+def _propagate(p: MlpPolicy, x: np.ndarray, visit=None) -> np.ndarray:
     """The one layer loop: push a state (vector) or a batch (columns) through
-    every layer, appending each layer's input to ``inputs`` when given.
+    every layer, passing each layer's input to ``visit`` when given, before
+    the layer reads it (``visit=inputs.append`` records them all).
 
     Each layer's output is a fresh matmul result that the bias and the
     activation then overwrite in place, with no temporary of its size but
-    ELU's one, and neither ``x`` nor any array appended to ``inputs`` is
-    ever written.
+    ELU's one, and neither ``x`` nor any array passed to ``visit`` is ever
+    written.  An array ``visit`` does not keep is freed once the next layer
+    has read it.
     """
     for layer in p.layers:
-        if inputs is not None:
-            inputs.append(x)
+        if visit is not None:
+            visit(x)
         y = layer.weight @ x
         y += layer.bias[:, None] if x.ndim == 2 else layer.bias
         x = _activate(layer.activation, y)

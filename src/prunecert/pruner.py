@@ -1,10 +1,13 @@
 """Second-order weight pruning: saliency scoring, masking, compensation.
 
-Each layer's curvature is the shared block ``2 X X^T`` built from the
-calibration activations of the unpruned policy, so scoring never needs
-gradients or labels.  ``rank_weights`` scores every nonzero selected
-weight at once and returns a ``Ranking`` of parallel arrays in removal
-order; no per-weight Python object is built between scoring and the plan.
+Each layer's curvature is the shared block ``2 X X^T`` of its inputs on a
+calibration batch run through the unpruned policy, so scoring never needs
+gradients or labels.  Scoring and the OBS re-fit read a layer through that
+block alone, so ``collect_calibration`` keeps the blocks, each formed once
+in the one forward pass, and no activation.  ``rank_weights`` scores every
+nonzero selected weight at once and returns a ``Ranking`` of parallel arrays
+in removal order; no per-weight Python object is built between scoring and
+the plan.
 ``prune_to_budget`` is the one walk down that ranking, with or without a
 cap on each layer's delta norm; sparsity mode walks a prefix of the
 ranking uncapped.  A plan records, per pruned layer, the positions zeroed
@@ -38,24 +41,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CalibrationBatch:
-    """Per-layer input activations; column j belongs to calibration state j.
+    """Per-layer curvature blocks of a calibration batch, read-only.
 
-    ``inputs[k]`` is the (in_dim_k x n) matrix feeding layer k, collected
-    from the unpruned policy.
+    ``curvature[k]`` is the square block ``2 X_k X_k^T`` (``linalg.gram``)
+    of the (in_dim_k x n) matrix ``X_k`` feeding layer k, one column per
+    calibration state, collected from the unpruned policy.  A block may hold
+    inf or NaN where ``2 X X^T`` overflows: ranking or re-fitting that layer
+    rejects it, and a layer that is neither never reads it.
     """
 
-    inputs: tuple[np.ndarray, ...]
+    curvature: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(
-            linalg.as_matrix(x, f"layer {i}'s calibration input") for i, x in enumerate(self.inputs)
-        )
-        if not mats:
+        blocks = tuple(np.asarray(h, dtype=float) for h in self.curvature)
+        if not blocks:
             raise ValueError("calibration batch needs at least one layer")
-        n = mats[0].shape[1]
-        if any(m.shape[1] != n for m in mats):
-            raise ValueError("calibration matrices must share one column per state")
-        object.__setattr__(self, "inputs", tuple(_frozen(m) for m in mats))
+        for k, h in enumerate(blocks):
+            if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+                raise ValueError(
+                    f"layer {k}'s curvature block must be a nonempty square matrix, "
+                    f"got shape {h.shape}"
+                )
+        object.__setattr__(self, "curvature", tuple(_frozen(h) for h in blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,44 +184,51 @@ class PrunePlan:
 
 
 def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
-    """Forward a set of states and gather each layer's input activations.
+    """Forward a set of states and keep each layer's curvature block.
 
-    ``states`` holds one state per row.  Column j of ``inputs[k]`` is what
-    state j presents to layer k; layer 0 sees the raw states.
+    ``states`` holds one state per row; layer 0 sees the raw states.  The
+    one forward pass hands each layer's input ``X_k`` (column j is what
+    state j presents to layer k) to a visitor that checks it finite and
+    keeps ``gram(X_k)``, so no activation outlives the next layer's read.  A
+    block past the float range is kept as computed, with no warning: it is
+    an error only for a layer that is ranked or re-fit.
     """
-    mats: list[np.ndarray] = []
-    _propagate(p, _columns(p, np.asarray(states, dtype=float).T), mats)
-    # every input past layer 0 is a fresh activation; layer 0's may be the
-    # caller's states, which the batch copies
-    for m in mats[1:]:
-        m.setflags(write=False)
-    return CalibrationBatch(inputs=tuple(mats))
+    blocks: list[np.ndarray] = []
+
+    def visit(x: np.ndarray) -> None:
+        linalg.as_matrix(x, f"layer {len(blocks)}'s calibration input")
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = linalg.gram(x)
+        h.setflags(write=False)  # a fresh array: the batch keeps it uncopied
+        blocks.append(h)
+
+    _propagate(p, _columns(p, np.asarray(states, dtype=float).T), visit)
+    return CalibrationBatch(curvature=tuple(blocks))
 
 
-def _curvature(x: np.ndarray, k: int, damping) -> tuple[np.ndarray, float]:
-    """Layer ``k``'s curvature block ``2 X X^T`` and its damping, the number
-    given or ``auto_damping`` of the block.  Any other damping than ``"auto"``
-    or a finite number >= 0 is a ``ValueError`` (an infinite one scores every
+def _damping(h: np.ndarray, k: int, damping) -> float:
+    """The damping of layer ``k``'s curvature block ``h``: the number given
+    or ``auto_damping`` of the block.  Any other damping than ``"auto"`` or
+    a finite number >= 0 is a ``ValueError`` (an infinite one scores every
     weight alike, a NaN one every weight 0), as is a block, or under auto
     damping its trace, past the float range, which names the layer, in every
     mode: the layer's weights would all score inf and rank by position."""
     if damping != "auto" and not 0.0 <= float(damping) < math.inf:
         raise ValueError(f"damping must be 'auto' or a finite number >= 0, got {damping!r}")
-    h = linalg.gram(x)
     finite = np.isfinite(h).all()
     if finite and damping == "auto":
         damping = linalg.auto_damping(h)
         finite = math.isfinite(damping)
     if not finite:
         raise ValueError(f"layer {k}: the calibration curvature 2 X X^T overflows")
-    return h, float(damping)
+    return float(damping)
 
 
-def _layer_h_inv(x: np.ndarray, k: int, damping) -> np.ndarray | None:
-    """Damped inverse curvature block, or ``None`` for an all-zero block
-    under auto damping: a layer whose inputs are all zero on the
-    calibration batch, where removing any weight changes no output."""
-    h, lam = _curvature(x, k, damping)
+def _layer_h_inv(h: np.ndarray, k: int, damping) -> np.ndarray | None:
+    """Damped inverse of layer ``k``'s curvature block ``h``, or ``None`` for
+    an all-zero block under auto damping: a layer whose inputs are all zero
+    on the calibration batch, where removing any weight changes no output."""
+    lam = _damping(h, k, damping)
     return None if damping == "auto" and not h.any() else linalg.damped_inverse(h, lam)
 
 
@@ -251,28 +265,27 @@ def rank_weights(
     ks = sorted({int(k) for k in layers})
     if not ks:
         raise ValueError("need at least one layer to rank")
-    if len(calib.inputs) != p.num_layers:
+    if len(calib.curvature) != p.num_layers:
         raise ValueError(
-            f"calibration has {len(calib.inputs)} layers but policy has {p.num_layers}"
+            f"calibration has {len(calib.curvature)} layers but policy has {p.num_layers}"
         )
     scores, masks = [], []
     for k in ks:
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
-        x = calib.inputs[k]
+        h = calib.curvature[k]
         w = p.layers[k].weight
-        if x.shape[0] != w.shape[1]:
+        if h.shape[0] != w.shape[1]:
             raise ValueError(
-                f"layer {k}: calibration rows {x.shape[0]} != weight columns {w.shape[1]}"
+                f"layer {k}: calibration rows {h.shape[0]} != weight columns {w.shape[1]}"
             )
         if diagonal:
-            h, lam = _curvature(x, k, damping)
-            hqq = np.diag(h) + lam
+            hqq = np.diag(h) + _damping(h, k, damping)
             # 1/(H_qq) as the inverse diagonal; a zero H_qq means the input
             # coordinate never fires, so removal is free
             sal = np.where(hqq > 0.0, _score(w, hqq, np.multiply), 0.0)
         else:
-            h_inv = _layer_h_inv(x, k, damping)
+            h_inv = _layer_h_inv(h, k, damping)
             if h_inv is None:  # a dead block: each removal's exact loss is 0
                 sal = np.zeros(w.shape)
             elif (np.diag(h_inv) <= 0.0).any():
@@ -294,14 +307,17 @@ def rank_weights(
     del masks
     saliency = saliency[order]
     # each flat index names its layer by the last start at or below it, and
-    # its (row, col) by its offset in that layer over the layer's width
+    # its (row, col) by its offset in that layer over the layer's width; the
+    # widths and the (row, col) pairs are decoded into the two index buffers
+    # in place, so the ranking's four arrays are the only ones left
     starts = np.cumsum([0] + [p.layers[k].weight.size for k in ks[:-1]], dtype=np.intp)
     at = np.searchsorted(starts, order, side="right")
     at -= 1
     order -= starts[at]
-    row, col = np.divmod(order, np.array([p.layers[k].in_dim for k in ks], dtype=np.intp)[at])
-    del order
     layer = np.array(ks, dtype=np.intp)[at]
+    # mode="clip" (the indices are in range) writes ``out`` without a copy
+    np.take(np.array([p.layers[k].in_dim for k in ks], dtype=np.intp), at, out=at, mode="clip")
+    row, col = np.divmod(order, at, out=(order, at))
     for a in (layer, row, col, saliency):
         a.setflags(write=False)
     return Ranking(layer, row, col, saliency)
@@ -440,21 +456,21 @@ class _LayerWork:
         delta = self.work - self.original
         return linalg.spectral_norm(delta) if delta.any() else 0.0
 
-    def walk(self, entries: Ranking, cap: float) -> int:
-        """Remove ``entries`` in order while ``||delta||_2`` stays within
-        ``cap``; return how many were removed."""
+    def walk(self, rows: np.ndarray, cols: np.ndarray, cap: float) -> int:
+        """Remove the weights ``(rows[i], cols[i])`` in order while
+        ``||delta||_2`` stays within ``cap``; return how many were removed."""
         if cap <= 0.0:
             return 0
-        pairs = zip(entries.row.tolist(), entries.col.tolist())
+        if cap == math.inf and self.h_inv is None:
+            self.work[rows, cols] = 0.0  # one assignment, no per-weight Python object
+            return len(rows)
+        pairs = zip(rows.tolist(), cols.tolist())
         if cap == math.inf:
-            if self.h_inv is None:
-                self.work[entries.row, entries.col] = 0.0
-            else:
-                for row, col in pairs:
-                    self.removed.setdefault(row, []).append(col)
-                for row, cols in self.removed.items():
-                    self.work[row] = obs_compensate(self.original[row], cols, self.h_inv)
-            return len(entries)
+            for row, col in pairs:
+                self.removed.setdefault(row, []).append(col)
+            for row, removed in self.removed.items():
+                self.work[row] = obs_compensate(self.original[row], removed, self.h_inv)
+            return len(rows)
         n = 0
         anchor = _Anchor(0.0, self.work.shape[0])
         for row, col in pairs:
@@ -533,19 +549,28 @@ def prune_to_budget(
     for k in sorted(caps):
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
-        h_inv = _layer_h_inv(calib.inputs[k], k, damping) if compensate else None
+        h_inv = _layer_h_inv(calib.curvature[k], k, damping) if compensate else None
         work = _LayerWork(layers[k].weight, h_inv)
-        entries = ranking[ranking.layer == k]
-        n = work.walk(entries, float(caps[k]))
-        mask = np.column_stack((entries.row[:n], entries.col[:n]))
-        mask.setflags(write=False)
+        # the layer's rows and columns alone, not its layer numbers and
+        # saliencies, gathered into one read-only buffer whose head the mask views
+        at = np.flatnonzero(ranking.layer == k)
+        pos = np.empty((2, at.shape[0]), dtype=np.intp)
+        for out, a in zip(pos, (ranking.row, ranking.col)):
+            # mode="clip" (the indices are in range) writes ``out`` without a copy
+            np.take(a, at, out=out, mode="clip")
+        del at
+        pos.setflags(write=False)
+        n = work.walk(pos[0], pos[1], float(caps[k]))
         plan.append(
             LayerPrune(
                 layer=k,
-                mask=mask,
+                mask=pos[:, :n].T,
                 delta_spectral_norm=work.delta_norm(),
                 compensated=work.h_inv is not None and n > 0,
             )
         )
+        work.work.setflags(write=False)  # the pruned layer keeps it uncopied
         layers[k] = Layer(weight=work.work, bias=layers[k].bias, activation=layers[k].activation)
+        # the next layer's inverse is formed after this layer's scratch is freed
+        del h_inv, work, pos
     return MlpPolicy(layers=tuple(layers)), PrunePlan(layers=tuple(plan))

@@ -183,18 +183,46 @@ def scaled_norm(v) -> float:
     return math.ldexp(float(np.linalg.norm(np.ldexp(v, -exp))), exp)
 
 
-def reference_ranking(p: MlpPolicy, calib, layers, damping=0.0, diagonal=False):
-    """Per-weight reference for ``rank_weights``: ``(saliency, layer, row, col)``
-    tuples from the same saliency matrix, ordered by a Python sort key.  A zero
-    weight is left out, and under auto damping an all-zero curvature block
-    scores every weight 0."""
+def where_activation(kind, x):
+    """The activations as out-of-place ``np.where`` formulas: the oracle the
+    in-place activation must match bit for bit."""
+    if kind.kind == "relu":
+        return np.maximum(x, 0.0)
+    if kind.kind in ("leaky_relu", "prelu"):
+        return np.where(x >= 0.0, x, kind.alpha * x)
+    if kind.kind == "elu":
+        return np.where(x >= 0.0, x, kind.alpha * np.expm1(np.minimum(x, 0.0)))
+    return x.copy()
+
+
+def naive_inputs(p: MlpPolicy, states) -> list:
+    """Each layer's input on ``states`` (one state per row) as columns: a
+    plain batched forward pass, written out with the ``where_activation``
+    formulas, that keeps every activation.  It runs the policy's products on
+    the same C-contiguous columns as ``collect_calibration``, so its inputs,
+    and their ``gram`` blocks, are the library's bit for bit."""
+    x = np.ascontiguousarray(np.asarray(states, dtype=float).T)
+    inputs = [x]
+    for layer in p.layers[:-1]:
+        x = where_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
+        inputs.append(x)
+    return inputs
+
+
+def reference_ranking(p: MlpPolicy, states, layers, damping=0.0, diagonal=False):
+    """Per-weight reference for ``rank_weights`` on the calibration ``states``:
+    ``(saliency, layer, row, col)`` tuples from the same saliency matrix,
+    ordered by a Python sort key.  Each curvature block is ``gram`` of
+    ``naive_inputs``, not read off a ``CalibrationBatch``.  A zero weight is
+    left out, and under auto damping an all-zero curvature block scores every
+    weight 0."""
     from prunecert import linalg
 
+    inputs = naive_inputs(p, states)
     entries = []
     for k in sorted(set(layers)):
-        x = calib.inputs[k]
         w = p.layers[k].weight
-        h = linalg.gram(x)
+        h = linalg.gram(inputs[k])
         lam = linalg.auto_damping(h) if damping == "auto" else float(damping)
         if diagonal:
             hqq = np.diag(h) + lam

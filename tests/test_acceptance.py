@@ -126,7 +126,7 @@ def test_criterion_4_saliency_matches_exact_loss_ranking():
         # orthogonal calibration rows make the curvature block diagonal
         x = np.zeros((d, d + 2))
         x[:, :d] = np.diag(rng.uniform(0.5, 2.0, size=d))
-        calib = CalibrationBatch(inputs=(x,))
+        calib = CalibrationBatch((gram(x),))
         entries = rank_weights(p, calib, [0], damping=0.0)
         brute = []
         for r in range(w.shape[0]):

@@ -48,7 +48,7 @@ from prunecert.policy import (
     load_policy,
     save_policy,
 )
-from prunecert.pruner import PrunePlan, collect_calibration
+from prunecert.pruner import PrunePlan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -344,11 +344,34 @@ class TestPruneOverflow:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("compensate", [[], ["--compensate"]])
+    def test_an_unranked_overflowing_layer_is_never_read(self, tmp_path, compensate):
+        # layer 1's inputs reach 1e200, so its curvature block overflows, but
+        # only layer 0 is ranked and walked: nothing reads that block
+        relu = ActivationKind("relu")
+        model = tmp_path / "model.json"
+        save_policy(MlpPolicy(layers=(Layer(np.eye(2) * 1e200, np.zeros(2), relu),
+                                      Layer([[1.0, 1.0]], [0.0], relu))), model)
+        calib = tmp_path / "calib.csv"
+        _write_states_csv(calib, np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2)))
+        argv = ["prune", "--model", str(model), "--calibration", str(calib), "--layers", "0",
+                "--sparsity", "0.5", *compensate, "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_OK
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        plan = json.loads((tmp_path / "out" / "prune_plan.json").read_text())
+        assert [row["k"] for row in plan["layers"]] == [0]
+
+
 class TestPruneMemory:
-    def test_zero_only_prune_memory_is_bounded(self, tmp_path):
-        # the calibration batch (8.1 MB here) is dropped once the weights
-        # are ranked, and the full ranking before the model is written;
-        # holding both to the end peaked at 30.9 MB
+    """``prune`` on a [8, 512, 512, 2] policy and 1,024 calibration states.
+    The batch keeps one curvature block per layer (4.2 MB here), formed once,
+    in place of the layers' activations (8.4 MB); the walk gathers only each
+    layer's rows and columns, and the full ranking is dropped before the
+    model is written."""
+
+    def _peak(self, tmp_path, *flags):
         rng = np.random.default_rng(18)
         p = random_policy(rng, dims=[8, 512, 512, 2])
         model = tmp_path / "model.json"
@@ -357,9 +380,20 @@ class TestPruneMemory:
         calib = tmp_path / "calib.csv"
         _write_states_csv(calib, rng.normal(size=(1024, 8)))
         argv = ["prune", "--model", str(model), "--calibration", str(calib),
-                "--sparsity", "0.5", "--out", str(tmp_path / "p")]
-        assert traced_peak(main, argv) < 27 * 2**20
+                "--sparsity", "0.5", *flags, "--out", str(tmp_path / "p")]
+        peak = traced_peak(main, argv)
         assert (tmp_path / "p" / "pruned_model.json").exists()
+        return peak
+
+    def test_zero_only_prune_memory_is_bounded(self, tmp_path):
+        # holding the activations and the ranking to the end peaked at
+        # 30.9 MB, dropping both early at 24.6 MB, and keeping blocks at 19.6 MB
+        assert self._peak(tmp_path) < 22 * 2**20
+
+    def test_compensated_prune_memory_is_bounded(self, tmp_path):
+        # the activations kept for the re-fit, whose blocks were formed
+        # twice, peaked at 41.6 MB; the blocks kept from ranking, at 27.5 MB
+        assert self._peak(tmp_path, "--compensate") < 34 * 2**20
 
 
 class TestBudgetInputs:
@@ -482,8 +516,7 @@ class TestPlanMatchesReference:
         p, calib_csv, out = _prune_plan_model(tmp_path, fixture, "--sparsity", "0.5")
 
         states = np.loadtxt(calib_csv, delimiter=",", ndmin=2)
-        calib = collect_calibration(p, list(states))
-        ranked = reference_ranking(p, calib, range(p.num_layers), damping="auto")
+        ranked = reference_ranking(p, states, range(p.num_layers), damping="auto")
         count = int(round(0.5 * len(ranked)))
         layers = []
         weights = [layer.weight.copy() for layer in p.layers]
@@ -809,9 +842,9 @@ class TestCertify:
                      "--sparsity", "0.5", "--out", str(tmp_path / "p")]) == EXIT_OK
         widths = []
 
-        def recording(p, x, inputs=None):
+        def recording(p, x, visit=None):
             widths.append(x.shape[1])
-            return propagate(p, x, inputs)
+            return propagate(p, x, visit)
 
         propagate = policy._propagate
         monkeypatch.setattr(policy, "_propagate", recording)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_policy
+from conftest import naive_inputs, random_policy
 from prunecert.linalg import (
     SingularMatrixError,
     _frozen,
@@ -144,6 +144,13 @@ class TestSpectralNorm:
             norm = spectral_norm(np.array([row]))
             assert sub <= norm <= spectral_norm_ceiling(sub, (1, len(row)))
         assert spectral_norm(np.full((2, 2), 1e308)) == math.inf
+
+    @pytest.mark.parametrize("s", [1.0, 0.7, 3.0, 1e-3, 12345.678])
+    def test_ceiling_covers_a_one_by_one_norm(self, s):
+        # the ceiling's 1 + 16 eps is what lifts it past the norm that
+        # spectral_norm returns for [[s]]; without it each s here falls below
+        for a in ([[s]], [[-s]]):
+            assert spectral_norm(np.array(a)) <= spectral_norm_ceiling(abs(s), (1, 1))
 
     def test_agrees_with_svd_oracle_on_random_matrices(self):
         rng = np.random.default_rng(42)
@@ -316,9 +323,14 @@ class TestFrozen:
         rng = np.random.default_rng(35)
         p = random_policy(rng, dims=[3, 5, 4, 2])
         # Fortran order: the states' transpose is the C-contiguous batch
-        # itself, so layer 0's input would alias the caller's memory
+        # itself, so layer 0's input aliases the caller's memory
         states = np.asfortranarray(rng.normal(size=(7, 3)))
         calib = collect_calibration(p, states)
+        assert [h.tobytes() for h in calib.curvature] == [
+            gram(x).tobytes() for x in naive_inputs(p, states)
+        ]
+        # a caller's writable block is copied
+        block = gram(states.T)
         ranking = rank_weights(p, calib, [0, 2])
         head = ranking[:5]
         _, plan = prune_to_budget(p, head)
@@ -332,9 +344,10 @@ class TestFrozen:
         arrays = [a for r in built for a in (r.layer, r.row, r.col, r.saliency)]
         arrays += [lp.mask for lp in plan.layers]
         arrays += [LayerPrune(0, np.zeros((1, 2), dtype=np.intp), 0.0, False).mask]
-        arrays += list(calib.inputs) + list(CalibrationBatch((states.T, states.T)).inputs)
+        arrays += list(calib.curvature) + list(CalibrationBatch((block, block)).curvature)
         assert all(not a.flags.writeable for a in arrays)
-        assert all(not np.shares_memory(a, states) for a in arrays)
+        assert all(not np.shares_memory(a, states) and not np.shares_memory(a, block)
+                   for a in arrays)
         assert np.shares_memory(head.layer, ranking.layer)  # a slice is a view
         assert all(a.dtype == np.intp for r in built for a in (r.layer, r.row, r.col))
         assert all(r.saliency.dtype == np.float64 for r in built)

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFIED_SAMPLES, naive_forward, random_policy, traced_peak
+from conftest import (
+    CERTIFIED_SAMPLES,
+    naive_forward,
+    random_policy,
+    traced_peak,
+    where_activation,
+)
 from prunecert import policy
 from prunecert.certifier import audit_states
 from prunecert.policy import (
@@ -22,6 +29,7 @@ from prunecert.policy import (
     policy_to_dict,
     save_policy,
 )
+from prunecert.linalg import gram
 from prunecert.pruner import collect_calibration, rank_weights
 
 
@@ -39,18 +47,6 @@ class TestActivationKind:
 
     def test_alpha_one_allowed(self):
         assert ActivationKind("elu", 1.0).alpha == 1.0
-
-
-def _where_activation(kind, x):
-    """The activations as out-of-place ``np.where`` formulas: the oracle the
-    in-place activation must match bit for bit."""
-    if kind.kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind.kind in ("leaky_relu", "prelu"):
-        return np.where(x >= 0.0, x, kind.alpha * x)
-    if kind.kind == "elu":
-        return np.where(x >= 0.0, x, kind.alpha * np.expm1(np.minimum(x, 0.0)))
-    return x.copy()
 
 
 _TINY = np.finfo(float).smallest_subnormal
@@ -71,7 +67,7 @@ class TestApplyActivation:
         for v in (x, x.reshape(4, -1), x.reshape(-1, 4).T, x[::3]):
             y = apply_activation(kind, v)
             assert y.shape == v.shape
-            assert y.tobytes() == _where_activation(kind, v).tobytes()
+            assert y.tobytes() == where_activation(kind, v).tobytes()
             assert not np.shares_memory(y, v)
         assert x.tobytes() == before
 
@@ -84,9 +80,13 @@ class TestApplyActivation:
             x = states.T
             for layer in p.layers:
                 expected.append(x)
-                x = _where_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
-            got = collect_calibration(p, list(states)).inputs
+                x = where_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
+            got = []
+            policy._propagate(p, policy._columns(p, states.T), visit=got.append)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+            # calibration keeps each input's curvature block, bit for bit
+            blocks = collect_calibration(p, list(states)).curvature
+            assert [h.tobytes() for h in blocks] == [gram(a).tobytes() for a in expected]
 
     def test_relu(self):
         np.testing.assert_array_equal(
@@ -219,8 +219,8 @@ class TestForwardBatchBlocks:
     def _recorded(self, monkeypatch, p, n):
         calls = []
 
-        def recording(q, x, inputs=None):
-            out = propagate(q, x, inputs)
+        def recording(q, x, visit=None):
+            out = propagate(q, x, visit)
             calls.append((x.shape[1], out.copy()))
             return out
 
@@ -294,12 +294,17 @@ class TestForwardBatchBlocks:
 class TestRankingMemory:
     def test_rank_weights_memory_is_bounded(self):
         # the ranking holds 32 bytes per ranked weight, 8.2 MB here; per-layer
-        # index arrays and their copies (~146 bytes per weight) pass 24 MB
+        # index arrays and their copies (~146 bytes per weight) passed 24 MB.
+        # Forming each curvature block again and decoding (row, col) into
+        # fresh arrays peaked at 14.25 MB; ranking the kept blocks and
+        # decoding in place peaks at 10.35 MB
         rng = np.random.default_rng(17)
         p = random_policy(rng, dims=[8, 512, 512, 2])
         p = MlpPolicy(tuple(Layer(la.weight, la.bias, ActivationKind("relu")) for la in p.layers))
         calib = collect_calibration(p, rng.normal(size=(1024, 8)))
-        assert traced_peak(rank_weights, p, calib, [0, 1, 2], "auto") < 24 * 2**20
+        # the batch keeps one d x d block per layer, no activation
+        assert sum(h.nbytes for h in calib.curvature) == (8 * 8 + 512 * 512 * 2) * 8
+        assert traced_peak(rank_weights, p, calib, [0, 1, 2], "auto") < 13 * 2**20
 
 
 class TestLipschitzUpper:
@@ -346,6 +351,15 @@ class TestLipschitzUpper:
             b = rng.normal(size=p.input_dim)
             lhs = np.linalg.norm(forward(p, a) - forward(p, b))
             assert lhs <= lip * np.linalg.norm(a - b) + 1e-9
+
+
+class TestBiasNorms:
+    @pytest.mark.parametrize("x, n", [(1.170219427601678, 205), (1.4481816435931316, 139)])
+    def test_a_bias_norm_bounds_the_exact_norm(self, x, n):
+        # the exact norm of n copies of x is sqrt(n) |x|; the computed 2-norm
+        # falls below it here, and the factor 1 + (n + 4) eps lifts it back
+        p = MlpPolicy((Layer(np.zeros((n, 1)), [x] * n, ActivationKind("relu")),))
+        assert Fraction(p.bias_norms[0]) ** 2 >= n * Fraction(x) ** 2
 
 
 class TestStructuralValidation:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_forward, random_policy, ranking_tuples, reference_ranking
+from conftest import (
+    naive_forward,
+    naive_inputs,
+    random_policy,
+    ranking_tuples,
+    reference_ranking,
+)
 from prunecert import linalg, pruner
 from prunecert.linalg import (
     SingularMatrixError,
@@ -56,35 +62,41 @@ def _zero_only_loss(w, r, c, x):
 
 
 class TestCollectCalibration:
+    """The batch keeps ``gram`` of each layer's input, bit for bit, and no
+    activation."""
+
     def test_single_state_single_layer(self):
         p = MlpPolicy(
             layers=(Layer(weight=[[1.0, 0.0]], bias=[0.0], activation=ActivationKind("relu")),)
         )
         calib = collect_calibration(p, [np.array([3.0, 4.0])])
-        assert len(calib.inputs) == 1
-        np.testing.assert_array_equal(calib.inputs[0], [[3.0], [4.0]])
+        assert len(calib.curvature) == 1
+        # 2 x x^T of the one column (3, 4)
+        assert calib.curvature[0].tolist() == [[18.0, 24.0], [24.0, 32.0]]
 
     def test_columns_follow_input_order(self):
         p = MlpPolicy(
             layers=(Layer(weight=[[1.0]], bias=[0.0], activation=ActivationKind("relu")),)
         )
         calib = collect_calibration(p, [np.array([1.0]), np.array([2.0])])
-        np.testing.assert_array_equal(calib.inputs[0], [[1.0, 2.0]])
+        assert calib.curvature[0].tobytes() == gram([[1.0, 2.0]]).tobytes()
 
     def test_deeper_layers_match_naive_forward(self):
         rng = np.random.default_rng(0)
         p = random_policy(rng, depth=3, max_width=6)
         states = [rng.normal(size=p.input_dim) for _ in range(5)]
         calib = collect_calibration(p, states)
-        assert calib.inputs[0].shape[1] == 5
+        inputs = naive_inputs(p, states)
+        assert [h.tobytes() for h in calib.curvature] == [gram(x).tobytes() for x in inputs]
+        assert [h.shape for h in calib.curvature] == [(la.in_dim,) * 2 for la in p.layers]
         for j, s in enumerate(states):
-            np.testing.assert_array_equal(calib.inputs[0][:, j], np.asarray(s, dtype=float))
+            np.testing.assert_array_equal(inputs[0][:, j], np.asarray(s, dtype=float))
             for k in range(1, p.num_layers):
                 # layer k's input is layer k-1's output on layer k-1's input
                 sub = MlpPolicy(layers=(p.layers[k - 1],))
                 np.testing.assert_allclose(
-                    calib.inputs[k][:, j],
-                    naive_forward(sub, calib.inputs[k - 1][:, j]),
+                    inputs[k][:, j],
+                    naive_forward(sub, inputs[k - 1][:, j]),
                     rtol=1e-12,
                     atol=1e-14,
                 )
@@ -98,24 +110,30 @@ class TestCollectCalibration:
 
     def test_array_of_rows_matches_list_of_states(self):
         # one state per row, as a matrix or as a list: the same C-contiguous
-        # columns, bit for bit
+        # columns, so the same blocks, bit for bit
         rng = np.random.default_rng(1)
         p = random_policy(rng, depth=3, max_width=6)
         states = rng.normal(size=(7, p.input_dim))
-        from_array = collect_calibration(p, states).inputs
-        from_list = collect_calibration(p, list(states)).inputs
+        from_array = collect_calibration(p, states).curvature
+        from_list = collect_calibration(p, list(states)).curvature
         for a, b in zip(from_array, from_list, strict=True):
-            assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
-        np.testing.assert_array_equal(from_array[0], states.T)
+            assert a.tobytes() == b.tobytes()
+        assert from_array[0].tobytes() == gram(np.ascontiguousarray(states.T)).tobytes()
 
     def test_non_finite_state_rejected(self):
         p = MlpPolicy(layers=(Layer([[1.0, 0.0]], [0.0], ActivationKind("relu")),))
         with pytest.raises(ValueError, match="non-finite"):
             collect_calibration(p, [[1.0, 2.0], [math.nan, 0.0]])
 
-    def test_batch_requires_equal_columns(self):
-        with pytest.raises(ValueError):
-            CalibrationBatch(inputs=(np.ones((2, 3)), np.ones((2, 4))))
+    def test_batch_requires_square_blocks(self):
+        for blocks in ((np.ones((2, 3)),), (np.eye(2), np.ones(4)), (np.ones((0, 0)),), ()):
+            with pytest.raises(ValueError):
+                CalibrationBatch(blocks)
+
+    def test_batch_keeps_a_non_finite_block(self):
+        # an overflowing block is refused only where a layer reads it
+        calib = CalibrationBatch((np.eye(2), np.full((1, 1), math.inf)))
+        assert calib.curvature[1].tolist() == [[math.inf]]
 
 
 class TestObdSaliency:
@@ -126,7 +144,7 @@ class TestObdSaliency:
         p = MlpPolicy(
             layers=(Layer(weight=w, bias=np.zeros(len(w)), activation=ActivationKind("relu")),)
         )
-        ranking = rank_weights(p, CalibrationBatch(inputs=(np.asarray(x),)), [0])
+        ranking = rank_weights(p, CalibrationBatch((gram(x),)), [0])
         return {(r, c): s for r, c, s in zip(
             ranking.row.tolist(), ranking.col.tolist(), ranking.saliency.tolist()
         )}
@@ -157,19 +175,11 @@ class TestObdSaliency:
 
 
 class TestRankWeights:
-    def _calib_for(self, p, x0):
-        mats = [x0]
-        cur = x0
-        for layer in p.layers[:-1]:
-            cur = np.maximum(layer.weight @ cur + layer.bias[:, None], 0.0)
-            mats.append(cur)
-        return CalibrationBatch(inputs=tuple(mats))
-
     def test_monotone_in_weight_for_equal_curvature(self):
         p = MlpPolicy(
             layers=(Layer(weight=[[1.0, 2.0]], bias=[0.0], activation=ActivationKind("relu")),)
         )
-        calib = CalibrationBatch(inputs=(np.eye(2),))
+        calib = CalibrationBatch((gram(np.eye(2)),))
         ranking = rank_weights(p, calib, [0])
         assert _positions(ranking) == [(0, 0), (0, 1)]
         assert ranking.saliency[0] < ranking.saliency[1]
@@ -184,7 +194,7 @@ class TestRankWeights:
                       activation=ActivationKind("relu")),
             )
         )
-        calib = CalibrationBatch(inputs=(np.zeros((2, 3)),))
+        calib = CalibrationBatch((gram(np.zeros((2, 3))),))
         ranking = rank_weights(p, calib, [0], damping="auto")
         assert ranking.saliency.tolist() == [0.0] * 3
         assert ranking.layer.tolist() == [0] * 3
@@ -196,7 +206,7 @@ class TestRankWeights:
                 Layer(weight=np.zeros((2, 2)), bias=np.zeros(2), activation=ActivationKind("relu")),
             )
         )
-        ranking = rank_weights(p, CalibrationBatch(inputs=(np.eye(2),)), [0])
+        ranking = rank_weights(p, CalibrationBatch((gram(np.eye(2)),)), [0])
         assert len(ranking) == 0
         _, plan = prune_to_budget(p, ranking)
         assert plan.layers == ()
@@ -208,7 +218,7 @@ class TestRankWeights:
             layers=(Layer(weight=w, bias=np.zeros(4), activation=ActivationKind("relu")),)
         )
         x = _diagonal_gram_states(rng, 4)
-        calib = CalibrationBatch(inputs=(x,))
+        calib = CalibrationBatch((gram(x),))
         ranking = rank_weights(p, calib, [0], damping=0.0)
         brute = sorted(
             (
@@ -242,7 +252,7 @@ class TestRankWeights:
                 Layer(weight=np.ones((1, 3)), bias=[0.0], activation=ActivationKind("relu")),
             )
         )
-        calib = CalibrationBatch(inputs=(np.ones((3, 1)),))  # rank-1 gram
+        calib = CalibrationBatch((gram(np.ones((3, 1))),))  # rank-1 gram
         with pytest.raises(SingularMatrixError):
             rank_weights(p, calib, [0], damping=0.0)
         # damping (or auto) unblocks the same call
@@ -257,7 +267,7 @@ class TestRankWeights:
             )
         )
         calib = collect_calibration(p, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        assert not calib.inputs[1].any()  # layer 1's curvature block is all zero
+        assert not calib.curvature[1].any()  # layer 1's inputs are all zero
         ranking = rank_weights(p, calib, [1], damping="auto")
         assert ranking_tuples(ranking) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
         # a compensated removal there only zeroes the weight
@@ -297,12 +307,27 @@ class TestRankWeights:
             else:
                 rank_weights(p, calib, [0, 1], damping=damping, diagonal=diagonal)
 
+    @pytest.mark.parametrize("compensate", [False, True])
+    def test_an_unranked_overflowing_block_is_never_read(self, compensate):
+        # layer 1's inputs (~1e200) are finite and its block 2 X X^T is not;
+        # with layer 0 alone ranked and walked, nothing reads that block, so
+        # there is no error and no warning (the suite makes a warning fail)
+        states = np.random.default_rng(40).uniform(-1.0, 1.0, size=(16, 2))
+        p, calib = self._overflowing(1e200, states)
+        assert not np.isfinite(calib.curvature[1]).all()
+        ranking = rank_weights(p, calib, [0], damping="auto")
+        pruned, plan = prune_to_budget(
+            p, ranking[:2], compensate=compensate, damping="auto", calib=calib
+        )
+        assert [(lp.layer, len(lp.mask)) for lp in plan.layers] == [(0, 2)]
+        assert pruned.layers[1].weight is p.layers[1].weight
+
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_overflowing_auto_damping_trace_names_the_layer(self, diagonal):
         # each diagonal entry of the block, 2 * 4 * (3.5e153)^2 ~ 9.8e307, is
         # finite, but the trace auto damping sums is not
         p, calib = self._overflowing(3.5e153, np.ones((4, 2)))
-        assert np.isfinite(gram(calib.inputs[1])).all()
+        assert np.isfinite(calib.curvature[1]).all()
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"^layer 1: the calibration curvature 2 X X\^T overflows$"
         ):
@@ -340,7 +365,7 @@ class TestRankWeights:
             )
         )
         calib = collect_calibration(p, list(rng.uniform(-1.0, 1.0, size=(6, 2))))
-        assert not calib.inputs[1].any()
+        assert not calib.curvature[1].any()
         ranking = rank_weights(p, calib, [0, 1], damping="auto")
         assert ranking_tuples(ranking[:2]) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
         assert np.isfinite(ranking.saliency).all()
@@ -372,7 +397,7 @@ class TestRankWeights:
             layers=(Layer(weight=w, bias=np.zeros(3), activation=ActivationKind("relu")),)
         )
         x = _diagonal_gram_states(rng, 3)
-        calib = CalibrationBatch(inputs=(x,))
+        calib = CalibrationBatch((gram(x),))
         full = rank_weights(p, calib, [0], damping=0.0)
         diag = rank_weights(p, calib, [0], damping=0.0, diagonal=True)
         assert _positions(full) == _positions(diag)
@@ -486,7 +511,7 @@ class TestApplyPlan:
             layers=(Layer(weight=w, bias=np.zeros(d), activation=ActivationKind("relu")),)
         )
         x = _diagonal_gram_states(rng, d)
-        calib = CalibrationBatch(inputs=(x,))
+        calib = CalibrationBatch((gram(x),))
         entries = rank_weights(p, calib, [0])
         return rng, p, x, calib, entries
 
@@ -576,7 +601,7 @@ class TestApplyPlan:
                 layers=(Layer(weight=w, bias=np.zeros(d), activation=ActivationKind("relu")),)
             )
             x = rng.normal(size=(d, d + 4))
-            calib = CalibrationBatch(inputs=(x,))
+            calib = CalibrationBatch((gram(x),))
             entries = rank_weights(p, calib, [0])
             count = int(rng.integers(1, d))
             zero_p, _ = prune_to_budget(p, entries[:count])
@@ -737,7 +762,7 @@ class TestPruneToBudget:
         delta = pruned.layers[0].weight - p.layers[0].weight
         assert plan.layers[0].delta_spectral_norm == spectral_norm(delta)
         _budget_matches_reference(
-            p, calib, entries, reference_ranking(p, calib, [0], damping="auto"),
+            p, states, calib, entries, reference_ranking(p, states, [0], damping="auto"),
             {0: math.inf}, compensate,
         )
 
@@ -765,7 +790,8 @@ def _tied_policy(rng):
     which is not ranked, and a duplicated column fed by duplicated state
     coordinates.  The negative biases of layers 0 and 1 hold their outputs at
     0, so layers 1 and 2 are dead blocks under auto damping whose weights all
-    score 0.  Layer 3 repeats one weight value along a row."""
+    score 0.  Layer 3 repeats one weight value along a row.  Returns the
+    policy, its calibration states and their batch."""
     w0 = rng.normal(size=(5, 4))
     w0[2] = 0.0
     w0[:, 3] = w0[:, 1]
@@ -784,20 +810,22 @@ def _tied_policy(rng):
     )
     states = rng.normal(size=(12, 4))
     states[:, 3] = states[:, 1]
-    return p, collect_calibration(p, states)
+    return p, states, collect_calibration(p, states)
 
 
-def _reference_budget(p, entries, caps, calib, damping, compensate):
+def _reference_budget(p, entries, caps, states, damping, compensate):
     """The per-entry loop ``prune_to_budget`` replaces: walk the reference
     ranking, try each removal in a capped layer, undo and close the layer
     at the first one whose delta norm exceeds the cap.  A compensated
     removal re-fits the row's original weights over its whole removed set,
-    ``w - H^-1[:, S] (H^-1[S, S])^-1 w_S``, written out with raw numpy."""
+    ``w - H^-1[:, S] (H^-1[S, S])^-1 w_S``, written out with raw numpy, with
+    each curvature block ``gram`` of ``naive_inputs`` on ``states``."""
     work = {k: p.layers[k].weight.copy() for k in caps}
     h_inv = {}
     if compensate:
+        inputs = naive_inputs(p, states)
         for k in caps:
-            h = gram(calib.inputs[k])
+            h = gram(inputs[k])
             lam = auto_damping(h) if damping == "auto" else float(damping)
             # a dead layer (an all-zero block under auto damping) only zeroes
             h_inv[k] = damped_inverse(h, lam) if damping != "auto" or h.any() else None
@@ -827,14 +855,16 @@ def _reference_budget(p, entries, caps, calib, damping, compensate):
     return work, taken
 
 
-def _budget_matches_reference(p, calib, ranking, reference, caps, compensate):
-    """Run ``prune_to_budget`` and ``_reference_budget`` with the same caps and
-    check that both take, mask and leave the same weights; returns the
-    pruned policy, the plan and the reference's taken entries."""
+def _budget_matches_reference(p, states, calib, ranking, reference, caps, compensate):
+    """Run ``prune_to_budget`` on ``calib``, the batch of ``states``, and
+    ``_reference_budget`` on ``states`` with the same caps and check that
+    both take, mask and leave the same weights; returns the pruned policy,
+    the plan and the reference's taken entries."""
     pruned, plan = prune_to_budget(
         p, ranking, caps, compensate=compensate, damping="auto", calib=calib
     )
-    work, expected = _reference_budget(p, reference, caps, calib, "auto", compensate)
+    work, expected = _reference_budget(p, reference, caps, states, "auto", compensate)
+    inputs = naive_inputs(p, states)
     assert sorted(caps) == [lp.layer for lp in plan.layers]
     for lp in plan.layers:
         k = lp.layer
@@ -846,7 +876,7 @@ def _budget_matches_reference(p, calib, ranking, reference, caps, compensate):
         # every masked weight is 0 in the pruned model
         assert not pruned.layers[k].weight[lp.mask[:, 0], lp.mask[:, 1]].any()
         # a dead block (all-zero inputs under auto damping) runs no re-fit
-        assert lp.compensated == (compensate and calib.inputs[k].any() and len(expected[k]) > 0)
+        assert lp.compensated == (compensate and inputs[k].any() and len(expected[k]) > 0)
         delta = work[k] - p.layers[k].weight
         assert lp.delta_spectral_norm == (spectral_norm(delta) if delta.any() else 0.0)
     return pruned, plan, expected
@@ -856,13 +886,13 @@ class TestRankingMatchesReference:
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("seed", [30, 31, 32])
     def test_tied_policy(self, seed, diagonal):
-        p, calib = _tied_policy(np.random.default_rng(seed))
+        p, states, calib = _tied_policy(np.random.default_rng(seed))
         ranking = rank_weights(p, calib, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
-        reference = reference_ranking(p, calib, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
+        reference = reference_ranking(p, states, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
         assert ranking_tuples(ranking) == reference
         # the ties are real: zero saliency spans the two dead layers, so every
         # key (layer, row, col) takes part in the order
-        assert not calib.inputs[1].any() and not calib.inputs[2].any()
+        assert not calib.curvature[1].any() and not calib.curvature[2].any()
         zero_layers = {k for sal, k, _, _ in reference if sal == 0.0}
         assert zero_layers == {1, 2}
         # layer 0's zero row is not ranked
@@ -872,7 +902,7 @@ class TestRankingMatchesReference:
         # each flat index maps back to its own layer, row and column
         for subset in ([0, 3], [1, 2]):
             ranking = rank_weights(p, calib, subset, damping="auto", diagonal=diagonal)
-            reference = reference_ranking(p, calib, subset, damping="auto", diagonal=diagonal)
+            reference = reference_ranking(p, states, subset, damping="auto", diagonal=diagonal)
             assert ranking_tuples(ranking) == reference
 
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -880,21 +910,24 @@ class TestRankingMatchesReference:
         rng = np.random.default_rng(33)
         for _ in range(10):
             p = random_policy(rng, depth=3, max_width=7)
-            calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(9)])
+            states = [rng.normal(size=p.input_dim) for _ in range(9)]
+            calib = collect_calibration(p, states)
             layers = [0, 2]
             ranking = rank_weights(p, calib, layers, damping=0.05, diagonal=diagonal)
             assert ranking_tuples(ranking) == reference_ranking(
-                p, calib, layers, damping=0.05, diagonal=diagonal
+                p, states, layers, damping=0.05, diagonal=diagonal
             )
 
     @pytest.mark.parametrize("compensate", [False, True])
     def test_prune_to_budget_taken_matches_reference_loop(self, compensate):
-        p, calib = _tied_policy(np.random.default_rng(34))
+        p, states, calib = _tied_policy(np.random.default_rng(34))
         ranking = rank_weights(p, calib, [0, 1, 2, 3], damping="auto")
-        reference = reference_ranking(p, calib, [0, 1, 2, 3], damping="auto")
+        reference = reference_ranking(p, states, [0, 1, 2, 3], damping="auto")
 
         def check(caps):
-            return _budget_matches_reference(p, calib, ranking, reference, caps, compensate)
+            return _budget_matches_reference(
+                p, states, calib, ranking, reference, caps, compensate
+            )
 
         # layers 1 and 2 are ranked but uncapped, so the walk must skip their entries
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in (0, 3)}
@@ -912,7 +945,7 @@ class TestRankingMatchesReference:
             layer_entries = [e for e in reference if e[1] == k]
             for j in range(1, len(layer_entries) + 1):
                 work, _ = _reference_budget(
-                    p, layer_entries[:j], {k: math.inf}, calib, "auto", compensate
+                    p, layer_entries[:j], {k: math.inf}, states, "auto", compensate
                 )
                 delta = work[k] - p.layers[k].weight
                 norm = spectral_norm(delta) if delta.any() else 0.0
@@ -938,7 +971,8 @@ class TestRankingMatchesReference:
     ):
         rng = np.random.default_rng(seed)
         p = random_policy(rng, depth=3, max_width=6)
-        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
+        states = [rng.normal(size=p.input_dim) for _ in range(8)]
+        calib = collect_calibration(p, states)
         # an infinite fraction is the uncapped walk, checked against the same loop
         caps = {
             k: f if f == math.inf else f * spectral_norm(p.layers[k].weight)
@@ -946,14 +980,14 @@ class TestRankingMatchesReference:
             if f is not None
         }
         _, plan, _ = _budget_matches_reference(
-            p, calib, rank_weights(p, calib, [0, 1, 2], damping="auto"),
-            reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps, compensate,
+            p, states, calib, rank_weights(p, calib, [0, 1, 2], damping="auto"),
+            reference_ranking(p, states, [0, 1, 2], damping="auto"), caps, compensate,
         )
         for lp in plan.layers:
             assert lp.delta_spectral_norm <= caps[lp.layer]
 
     def test_closed_layer_records_no_compensation(self):
-        p, calib = _tied_policy(np.random.default_rng(35))
+        p, _, calib = _tied_policy(np.random.default_rng(35))
         ranking = rank_weights(p, calib, [0, 3], damping="auto")
         _, plan = prune_to_budget(
             p, ranking, {0: 0.0, 3: np.inf}, compensate=True, damping="auto", calib=calib
@@ -1067,7 +1101,8 @@ class TestPinnedNormCount:
             Layer(rng.normal(0.0, d**-0.5, (e, d)), rng.normal(0.0, 0.1, e), relu)
             for d, e in zip(dims, dims[1:])
         ))
-        calib = collect_calibration(p, list(rng.uniform(-1.0, 1.0, (64, 8))))
+        states = list(rng.uniform(-1.0, 1.0, (64, 8)))
+        calib = collect_calibration(p, states)
         ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in range(3)}
         calls = []
@@ -1087,8 +1122,8 @@ class TestPinnedNormCount:
         tried = sum(len(lp.mask) + 1 for lp in plan.layers)
         assert len(calls) == pinned <= tried // 2
         _budget_matches_reference(
-            p, calib, ranking, reference_ranking(p, calib, [0, 1, 2], damping="auto"), caps,
-            compensate,
+            p, states, calib, ranking, reference_ranking(p, states, [0, 1, 2], damping="auto"),
+            caps, compensate,
         )
 
 
@@ -1111,7 +1146,8 @@ class TestOutOfRangeBound:
         p = MlpPolicy(layers=tuple(
             Layer(w, rng.normal(0.0, 0.1, w.shape[0]), relu) for w in weights
         ))
-        calib = collect_calibration(p, rng.uniform(-1.0, 1.0, (16, 4)))
+        states = rng.uniform(-1.0, 1.0, (16, 4))
+        calib = collect_calibration(p, states)
         ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in range(3)}
         calls = []
@@ -1132,5 +1168,5 @@ class TestOutOfRangeBound:
             # included, takes an exact norm, and the plan takes its own
             assert calls.count(weights[-1].shape) == len(out.mask) + 2
         with np.errstate(over="ignore"):  # the reference's scores overflow to inf too
-            reference = reference_ranking(p, calib, [0, 1, 2], damping="auto")
-        _budget_matches_reference(p, calib, ranking, reference, caps, compensate)
+            reference = reference_ranking(p, states, [0, 1, 2], damping="auto")
+        _budget_matches_reference(p, states, calib, ranking, reference, caps, compensate)
