@@ -30,12 +30,15 @@ import numpy as np
 from prunecert import linalg
 from prunecert.policy import MlpPolicy, forward_batch
 from prunecert.pruner import PrunePlan
+from prunecert.schema import _certificate_fields, _read_json_bytes
 
 __all__ = [
     "StateSpaceSpec",
     "CertificateRow",
     "AuditSummary",
     "Certificate",
+    "certificate_from_dict",
+    "load_certificate",
     "StateAudit",
     "audit_states",
     "certify",
@@ -134,6 +137,21 @@ class Certificate:
     def holds(self) -> bool:
         """No audited state breaks its bound (see ``audit_states``)."""
         return self.audit.violations == 0
+
+
+def certificate_from_dict(d) -> Certificate:
+    """Parse the certificate schema back into a Certificate; a field that
+    breaks its table row in ``schema`` is an error that names it."""
+    got = _certificate_fields(d)
+    rows = tuple(CertificateRow(**r) for r in got["rows"])
+    return Certificate(**got | {"rows": rows, "audit": AuditSummary(**got["audit"])})
+
+
+def load_certificate(path) -> tuple[Certificate, bytes]:
+    """The certificate at ``path`` and the bytes it was parsed from, so that
+    a digest of them names exactly the file that was read."""
+    d, data = _read_json_bytes(path)
+    return certificate_from_dict(d), data
 
 
 # ---------------------------------------------------------------------------

@@ -17,25 +17,21 @@ the exit code instead.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import re
 import sys
 import warnings
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from prunecert import __version__
 from prunecert.certifier import (
-    AuditSummary,
     Certificate,
-    CertificateRow,
     StateSpaceSpec,
     admissible_magnitude,
     certify,
+    load_certificate,
 )
 from prunecert.controlsim import (
     DoubleIntegrator,
@@ -44,16 +40,11 @@ from prunecert.controlsim import (
     Pendulum,
     deviation_audit,
 )
-from prunecert.policy import (
-    _choice, _fields, _list, _number, _numbers, _read_json, _rows, _switch, _value, _write_json,
-    load_policy, save_policy,
-)
-from prunecert.pruner import (
-    PrunePlan,
-    Ranking,
-    collect_calibration,
-    prune_to_budget,
-    rank_weights,
+from prunecert.policy import load_policy, save_policy
+from prunecert.pruner import collect_calibration, prune_to_budget, rank_weights
+from prunecert.schema import (
+    _choice, _number, _numbers, _plan_dict, _read, _read_json, _read_system, _report_dict,
+    _summary_dict, _switch, _write_json, certificate_to_dict,
 )
 
 EXIT_OK = 0
@@ -69,23 +60,6 @@ ENV_OUTDIR = "PRUNECERT_OUTDIR"
 def derive_seed(seed: int, stream: int) -> int:
     """Deterministic child seed for a named substream of the run seed."""
     return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _read(path, parse):
-    """``parse(path)``; a file that cannot be opened or parsed is one usage
-    error, which names the file once."""
-    try:
-        return parse(path)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write(path, write, *args) -> None:
@@ -113,79 +87,6 @@ def _load_states_csv(path, expected_dim: int) -> np.ndarray:
         return data
 
     return _read(path, parse)
-
-
-# ---------------------------------------------------------------------------
-# certificate JSON schema
-# ---------------------------------------------------------------------------
-
-# key -> (parse, fallback) for ``policy._fields``, one row per certificate
-# field for its reader and writer alike.  A fallback fills a field older
-# certificates lack; None is no fallback.
-_CERT = {
-    "layers": (_list(), None),
-    "budget": (_number(float, 0.0), None),
-    "radius": (_number(float, 0.0), None),
-    "radius_source": (_choice("radius", "states"), "radius"),
-    "audit": (_value, None),  # read by the _CERT_AUDIT table
-    "holds": (_switch, None),  # required, though ``Certificate.holds`` derives it
-}
-_CERT_ROW = {
-    "k": (_number(int, 0), None),
-    "c_max": (_number(float), None),
-    "delta_spectral": (_number(float), None),
-    "contribution": (_number(float), None),
-}
-_CERT_AUDIT = {
-    "samples": (_number(int, 1), None),
-    "max_dev": (_number(float), None),
-    "mean_dev": (_number(float), lambda got: got["max_dev"]),
-    "violations": (_number(int, 0), None),
-    "tightness": (_number(float), 0.0),
-    "margin": (_number(float), lambda got: got["budget"] - got["max_dev"]),
-    "seed": (_number(int, 0), None),
-}
-
-# certificate key -> the attribute that holds it, where the two differ
-_ATTRS = {"layers": "rows", "k": "layer"}
-
-
-def _attrs(obj, table: dict) -> dict:
-    return {key: getattr(obj, _ATTRS.get(key, key)) for key in table}
-
-
-def _named(make, got: dict):
-    return make(**{_ATTRS.get(key, key): value for key, value in got.items()})
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    """Serialize a certificate with its audit evidence."""
-    return {
-        **_attrs(cert, _CERT),
-        "layers": [_attrs(r, _CERT_ROW) for r in cert.rows],
-        "audit": _attrs(cert.audit, _CERT_AUDIT),
-        "timestamp": _timestamp(),
-    }
-
-
-def certificate_from_dict(d) -> Certificate:
-    """Parse the certificate schema back into a Certificate, each field by
-    its table row; a field that breaks its row is an error that names it."""
-    got = _fields(d, "", _CERT, {})
-    del got["holds"]
-    got["layers"] = tuple(
-        _named(CertificateRow, _fields(r, f"layers[{i}].", _CERT_ROW, got))
-        for i, r in enumerate(got["layers"])
-    )
-    got["audit"] = _named(AuditSummary, _fields(got["audit"], "audit.", _CERT_AUDIT, got))
-    return _named(Certificate, got)
-
-
-def _certificate(path) -> tuple[Certificate, bytes]:
-    """The certificate at ``path`` and the bytes it was parsed from, so that
-    a digest of them names exactly the file that was read."""
-    data = Path(path).read_bytes()
-    return certificate_from_dict(json.loads(data.decode("utf-8"))), data
 
 
 # ---------------------------------------------------------------------------
@@ -331,31 +232,6 @@ def _outdir(cfg: argparse.Namespace) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def _plan_dict(plan: PrunePlan, ranking: Ranking, cfg: argparse.Namespace) -> dict:
-    """One row per pruned layer, its saliencies read off the ranking's head."""
-    layers = []
-    for lp in plan.layers:
-        saliency = ranking.saliency[ranking.layer == lp.layer][: len(lp.mask)].tolist()
-        layers.append(
-            {
-                "k": lp.layer,
-                "removed": len(lp.mask),
-                "saliency_sum": math.fsum(saliency),
-                "saliency_max": max(saliency, default=0.0),
-                "delta_spectral": lp.delta_spectral_norm,
-                "compensated": lp.compensated,
-            }
-        )
-    return {
-        "layers": layers,
-        "pruned_weights": sum(layer["removed"] for layer in layers),
-        "damping": cfg.damping,
-        "seed": cfg.seed,
-        "tool_version": __version__,
-        "timestamp": _timestamp(),
-    }
-
-
 def cmd_prune(cfg: argparse.Namespace) -> int:
     if (cfg.sparsity is None) == (cfg.epsilon is None):
         raise ValueError("set exactly one of --sparsity or --epsilon")
@@ -378,7 +254,7 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
     pruned, plan = prune_to_budget(
         p, ranking, caps, compensate=cfg.compensate, damping=cfg.damping, calib=calib
     )
-    plan_dict = _plan_dict(plan, ranking, cfg)
+    plan_dict = _plan_dict(plan, ranking, cfg.damping, cfg.seed, __version__)
     del ranking, calib  # a sliced ranking still holds the full one
     out = _outdir(cfg)
     _write(out / "pruned_model.json", lambda path: save_policy(pruned, path))
@@ -416,11 +292,6 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if cert.holds else EXIT_VIOLATION
 
 
-def _linear_system(path) -> dict:
-    got = _fields(_read_json(path), "", {"A": (_rows, None), "B": (_rows, None)}, {})
-    return {"a": got["A"], "b": got["B"]}
-
-
 def _dynamics(cfg: argparse.Namespace):
     cls, takes = _DYNAMICS[cfg.dynamics]
     given = {key: getattr(cfg, key) for _, keys in _DYNAMICS.values() for key in keys}
@@ -431,7 +302,7 @@ def _dynamics(cfg: argparse.Namespace):
     if cls is LinearSystem:
         if cfg.system is None:
             raise ValueError("linear dynamics need --system (JSON with A and B)")
-        given = _read(cfg.system, _linear_system)
+        given = _read(cfg.system, _read_system)
     # the dynamics check the box, once they know their state dimension
     return cls(**given, action_limit=cfg.action_limit,
                state_box=(cfg.state_box_lo, cfg.state_box_hi))
@@ -478,7 +349,7 @@ def _write_trajectory_csv(path, loop: LoopAudit, blowup: bool) -> None:
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     original = _read(cfg.model, load_policy)
     pruned = _read(cfg.pruned, load_policy)
-    cert, _ = _read(cfg.certificate, _certificate)
+    cert, _ = _read(cfg.certificate, load_certificate)
     d = _dynamics(cfg)
     report = deviation_audit(d, original, pruned, cert, np.asarray(cfg.x0), cfg.horizon)
     out = _outdir(cfg)
@@ -489,26 +360,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
             loop,
             report.blowup is not None and report.blowup[0] == loop.label,
         )
-    _write(
-        out / "deviation_report.json",
-        _write_json,
-        {
-            "dynamics": cfg.dynamics,
-            "horizon": cfg.horizon,
-            "budget": report.budget,
-            "radius": report.radius,
-            "in_ball_count": report.in_ball_count,
-            "out_of_ball_count": report.out_of_ball_count,
-            "in_ball_violations": report.in_ball_violations,
-            "max_in_ball_deviation": report.max_in_ball_deviation,
-            "max_divergence_observed_uncertified": report.max_divergence,
-            "blowup": None
-            if report.blowup is None
-            else {"trajectory": report.blowup[0], "t": report.blowup[1]},
-            "holds_along_visited_states": report.in_ball_violations == 0,
-            "timestamp": _timestamp(),
-        },
-    )
+    _write(out / "deviation_report.json", _write_json,
+           _report_dict(report, cfg.dynamics, cfg.horizon))
     print(
         f"max certified deviation {report.max_in_ball_deviation:.6g} "
         f"vs budget {report.budget:.6g}; "
@@ -526,34 +379,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: argparse.Namespace) -> int:
-    # imported here, not at the top: hashlib loads OpenSSL, which adds about
-    # 3 MB to the peak memory of every command, and only report hashes
-    import hashlib
-
-    entries = []
-    for path in cfg.paths:
-        cert, data = _read(path, _certificate)
-        a = cert.audit
-        entries.append(
-            {
-                "path": str(path),
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "budget": cert.budget,
-                "radius": cert.radius,
-                "holds": cert.holds,
-                "samples": a.samples,
-                "max_dev": a.max_dev,
-                "violations": a.violations,
-            }
-        )
-    summary = {
-        "certificates": entries,
-        "count": len(entries),
-        "all_hold": all(e["holds"] for e in entries),
-        "max_budget": max(e["budget"] for e in entries),
-        "total_violations": sum(e["violations"] for e in entries),
-        "timestamp": _timestamp(),
-    }
+    summary = _summary_dict((path, *_read(path, load_certificate)) for path in cfg.paths)
     out = _outdir(cfg)
     _write(out / "summary.json", _write_json, summary)
     print(

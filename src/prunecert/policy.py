@@ -2,25 +2,22 @@
 
 Every activation in the registry anchors at zero and never amplifies
 distances, which keeps each layer's output norm below its input norm; the
-deviation certificates lean on exactly that property.  The canonical JSON
-lives here too: one writer, one parser per value type, and ``_fields``,
-which reads an object from a table of one row per field, for the model
-schema here and the certificate schema in ``cli`` alike.
+deviation certificates lean on exactly that property.  A policy's JSON
+form is read and written through ``schema``, which holds the model's
+fields; ``policy_from_dict`` builds the layers from them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from prunecert import linalg
 from prunecert.linalg import _frozen
+from prunecert.schema import _model_layers, _read_json, _write_json, policy_to_dict
 
 __all__ = [
     "CERTIFIED_KINDS",
@@ -227,107 +224,6 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# canonical JSON: one parser per value type, one field walker, one writer,
-# and the model schema
-# ---------------------------------------------------------------------------
-
-def _number(kind, low=None, high=None):
-    """Parser of one ``kind`` number in ``[low, high]``; ``None`` passes.
-
-    The value may be the number itself or its text, so "NaN" and "Infinity"
-    read as floats.  Booleans, and fractional numbers where an integer is
-    wanted, are rejected.
-    """
-
-    def parse(value, key: str):
-        if value is None:
-            return None
-        try:
-            # type(), not isinstance(): a JSON true is no number
-            v = kind(value) if isinstance(value, str) or type(value) in (int, kind) else None
-        except (ValueError, OverflowError):
-            v = None
-        if v is None:
-            raise ValueError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
-                             f"got {value!r}")
-        if (low is not None and not v >= low) or (high is not None and not v <= high):
-            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise ValueError(f"{key}: must be {span}, got {v}")
-        return v
-
-    return parse
-
-
-def _numbers(kind):
-    """Parser of a comma-separated string or a JSON list of ``kind`` numbers."""
-    item = _number(kind)
-
-    def parse(value, key: str) -> tuple | None:
-        items = value.split(",") if isinstance(value, str) else value
-        if items is not None and (not isinstance(items, list) or None in items):
-            raise ValueError(f"{key}: expected a comma-separated list, got {value!r}")
-        return None if items is None else tuple(item(v, key) for v in items)
-
-    return parse
-
-
-def _choice(*names: str):
-    def parse(value, key: str):
-        if value is not None and value not in names:
-            raise ValueError(f"{key}: expected one of {', '.join(names)}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _switch(value, key: str) -> bool:
-    """A JSON ``true`` or ``false``."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key}: expected true or false, got {value!r}")
-    return value
-
-
-def _list(nonempty: bool = False):
-    def parse(value, key: str) -> list:
-        if not isinstance(value, list) or (nonempty and not value):
-            raise ValueError(f"{key}: expected a {'nonempty ' if nonempty else ''}list")
-        return value
-
-    return parse
-
-
-def _value(value, key: str):
-    """Any value: an object read by its own table, or checked by its class."""
-    return value
-
-
-def _fields(obj, where: str, table: dict, got: dict) -> dict:
-    """The fields of the JSON object ``obj`` that ``table`` lists, by key.
-
-    ``table`` maps each key to ``(parse, fallback)``.  A key ``obj`` lacks
-    takes the fallback, called, when callable, with the fields read so far:
-    ``got`` (the enclosing object's) and this table's rows above it.  A field
-    still absent, or null, is missing; any other value goes through
-    ``parse(value, where + key)``, whose error names the field.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where[:-1] or 'top level'}: expected an object")
-    out = {}
-    for key, (parse, fallback) in table.items():
-        value = obj.get(key, fallback)
-        if key not in obj and callable(fallback):
-            value = fallback(got | out)
-        if value is None:
-            raise ValueError(f"missing field '{where}{key}'")
-        out[key] = parse(value, where + key)
-    return out
-
-
-# elements per write of a long list: bounds the memory of one write while
-# keeping the number of writes small
-_CHUNK = 4096
-
 # floats per layer output in one block of ``forward_batch``: 8 MB.  The
 # blocks are nearly equal, so none is a thin remainder that falls under the
 # size where OpenBLAS switches to a small-matrix kernel that rounds
@@ -356,108 +252,10 @@ _COLUMNS = _BLOCK // 512
 _TILE = 64
 
 
-def _finite_json(value):
-    """``value`` with each non-finite float, which RFC 8259 JSON cannot
-    hold, replaced by the string ``float`` reads back: "NaN", "Infinity"
-    or "-Infinity"."""
-    if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [*map(_finite_json, value)]
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
-    return value
-
-
-def _write_value(write, value, pad: str) -> None:
-    """Write ``_finite_json(value)`` exactly as ``json.dump(indent=2,
-    sort_keys=True)`` writes it when its closing bracket sits after ``pad``.
-
-    A list of finite floats, as are the weight rows and biases that make up
-    almost all of an artifact, is formatted a chunk at a time with
-    ``float.__repr__``, the formatting ``json`` itself applies to ``float``;
-    everything else goes through ``json.dumps``, re-indented (a JSON string
-    holds no raw newline).
-    """
-    inner = pad + "  "
-    if isinstance(value, dict) and value and all(type(k) is str for k in value):
-        sep = "\n" + inner
-        write("{")
-        for key in sorted(value):
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_value(write, value[key], inner)
-            sep = ",\n" + inner
-        write("\n" + pad + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        sep = ",\n" + inner
-        write("[\n" + inner)
-        if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
-            for start in range(0, len(value), _CHUNK):
-                if start:
-                    write(sep)
-                write(sep.join(map(float.__repr__, value[start : start + _CHUNK])))
-        else:
-            for i, item in enumerate(value):
-                if i:
-                    write(sep)
-                _write_value(write, item, inner)
-        write("\n" + pad + "]")
-    else:
-        write(json.dumps(_finite_json(value), indent=2, sort_keys=True).replace("\n", "\n" + pad))
-
-
-def _write_json(path, obj) -> None:
-    """The one canonical JSON writer: the bytes of ``json.dump(obj, fh,
-    indent=2, sort_keys=True)`` plus a newline, streamed in bounded chunks,
-    with non-finite floats written as strings (see ``_finite_json``)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_value(fh.write, obj, "")
-        fh.write("\n")
-
-
-def policy_to_dict(p: MlpPolicy) -> dict:
-    """Canonical dict form of a policy (weights row-major, outer index =
-    output neuron)."""
-    return {"layers": [
-        {"weights": layer.weight.tolist(), "bias": layer.bias.tolist(),
-         "activation": {"kind": layer.activation.kind, "alpha": layer.activation.alpha}}
-        for layer in p.layers
-    ]}
-
-
-def _rows(value, key: str) -> list:
-    """A matrix: a nonempty list of rows of one length, each entry a JSON
-    number.  A boolean, a numeric string or a null, which ``float`` would
-    read, is refused; one scan of the entries' types checks them all."""
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise ValueError(f"{key}: expected a nonempty list of rows")
-    if len({*map(len, value)}) > 1:
-        raise ValueError(f"{key}: rows must all have equal length")
-    # type(), not isinstance(): a JSON true is no number
-    if not {*map(type, chain.from_iterable(value))} <= {int, float}:
-        bad = next(v for v in chain.from_iterable(value) if type(v) not in (int, float))
-        raise ValueError(f"{key}: expected a number, got {bad!r}")
-    return value
-
-
-def _row(value, key: str) -> list:
-    """A vector: a nonempty list of JSON numbers, checked as ``_rows`` checks."""
-    if not isinstance(value, list) or not value:
-        raise ValueError(f"{key}: expected a nonempty list of numbers")
-    return _rows([value], key)[0]
-
-
-# key -> (parse, fallback) for ``_fields``, one row per model field; None is
-# no fallback.  Layer and ActivationKind check the values they are built from.
-_MODEL = {"layers": (_list(nonempty=True), None)}
-_LAYER = {"weights": (_rows, None), "bias": (_row, None), "activation": (_value, None)}
-_ACTIVATION = {"kind": (_value, None), "alpha": (_number(float), 1.0)}
-
-
-def _build(where: str, make, *args):
-    """``make(*args)``, an error of its own checks prefixed with ``where``."""
+def _build(where: str, make, fields: dict):
+    """``make(**fields)``, an error of its own checks prefixed with ``where``."""
     try:
-        return make(*args)
+        return make(**fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -465,23 +263,15 @@ def _build(where: str, make, *args):
 def policy_from_dict(d) -> MlpPolicy:
     """Parse the model schema; an error names the offending field's path."""
     layers = []
-    for i, raw in enumerate(_fields(d, "model.", _MODEL, {})["layers"]):
-        where = f"model.layers[{i}]"
-        got = _fields(raw, where + ".", _LAYER, {})
-        act = _fields(got["activation"], where + ".activation.", _ACTIVATION, {})
-        activation = _build(where + ".activation", ActivationKind, act["kind"], act["alpha"])
-        layers.append(_build(where, Layer, got["weights"], got["bias"], activation))
-    return _build("model", MlpPolicy, tuple(layers))
+    for where, got in _model_layers(d):
+        got["activation"] = _build(where + ".activation", ActivationKind, got["activation"])
+        layers.append(_build(where, Layer, got))
+    return _build("model", MlpPolicy, {"layers": tuple(layers)})
 
 
 def save_policy(p: MlpPolicy, path) -> None:
     """Write the canonical JSON form (stable bytes for identical values)."""
     _write_json(path, policy_to_dict(p))
-
-
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def load_policy(path) -> MlpPolicy:

@@ -272,6 +272,26 @@ class TestConstantsFromTuples:
                     assert _within(c, exact, len(norms))
 
 
+    @pytest.mark.parametrize(
+        "norms, biases",
+        [
+            # _times: (1 + 2 eps)(1 + 2^-3) rounds down by a quarter ulp
+            ((1.0, 1.0), (1.0 + 2.0**-3, 0.0)),
+            # _plus: 1.5 + 2^-53 ties down to 1.5, whose product with
+            # 1 + 3 eps then ties down too, losing one ulp in all
+            ((1.0, 1.0, 1.0), (math.nextafter(2.0**-53, 0.0), 1.5, 0.0)),
+        ],
+        ids=["times", "plus"],
+    )
+    def test_each_step_rounds_up_over_the_tail_factor(self, norms, biases):
+        # the budget's plain sum leans on the tail factor 1 + L eps, so the
+        # constant must bound that factor times the exact value; a product
+        # or sum rounded to nearest, not one ulp up, falls below it here
+        L = len(norms)
+        c = float(_constants(norms, biases, [L - 1], 0.0)[0])
+        factor = 1 + L * Fraction(float(np.finfo(float).eps))
+        assert Fraction(c) >= factor * exact_constant(norms, biases, L - 1, 0.0)
+
     def test_the_bit_step_is_nextafter(self):
         x = np.array([0.0, 5e-324, 1e-310, 2.0**-1022, 1.0, 1e300, np.finfo(float).max, math.inf])
         stepped = certifier._up_where(x.copy(), np.ones(x.size, dtype=bool))
@@ -934,6 +954,20 @@ class TestAuditStates:
                     breaches += exact > bound**2
                 flagged += int(audit.violation.sum())
         assert flagged > 0 and breaches > 0
+
+    def test_the_factor_f_passes_what_rounding_could_explain(self):
+        # W = [[1]] pruned to [[0.5]], at s = 1, with the delta norm
+        # understated so that the deviation 0.5 exceeds the bound plus the
+        # allowance's absolute terms by 23 ulps, within their f = 1 + 23 eps
+        identity = ActivationKind("identity")
+        original = MlpPolicy(layers=(Layer([[1.0]], [0.0], identity),))
+        pruned = MlpPolicy(layers=(Layer([[0.5]], [0.0], identity),))
+        dn = ((0, 0.4999999999999943),)
+        audit = audit_states(original, pruned, dn, np.array([[1.0]]))
+        a, b, f = certifier._allowance(original, pruned, dn)
+        assert audit.deviation[0] > audit.bound[0] + certifier._affine(a, b, 1.0)
+        assert audit.deviation[0] <= audit_threshold(original, pruned, dn, 1.0, audit.bound[0])
+        assert not audit.violation[0]
 
     def test_flags_match_the_oracle_rule_on_understated_deltas(self):
         rng = np.random.default_rng(33)

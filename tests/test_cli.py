@@ -26,29 +26,28 @@ from conftest import (
     traced_peak,
     underflow_policy,
 )
-from prunecert import __version__, cli, policy
+from prunecert import __version__, cli, policy, schema
 from prunecert.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
     build_parser,
-    certificate_from_dict,
     derive_seed,
     main,
 )
-from prunecert.certifier import StateSpaceSpec, certify, per_state_bounds
+from prunecert.certifier import StateSpaceSpec, certificate_from_dict, certify, per_state_bounds
 from prunecert.controlsim import DoubleIntegrator, LinearSystem, Pendulum
 from prunecert.linalg import spectral_norm, vector_norm
 from prunecert.policy import (
     ActivationKind,
     Layer,
     MlpPolicy,
-    _write_json,
     forward,
     load_policy,
     save_policy,
 )
-from prunecert.pruner import PrunePlan
+from prunecert.pruner import PrunePlan, collect_calibration, prune_to_budget, rank_weights
+from prunecert.schema import _write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -394,6 +393,33 @@ class TestPruneMemory:
         # the activations kept for the re-fit, whose blocks were formed
         # twice, peaked at 41.6 MB; the blocks kept from ranking, at 27.5 MB
         assert self._peak(tmp_path, "--compensate") < 34 * 2**20
+
+
+class TestPlanMemory:
+    """The plan's saliency sum and max on a [8, 512, 512, 2] policy at 50%
+    sparsity, whose layer 1 loses 132,609 weights."""
+
+    @pytest.fixture(scope="class")
+    def pruned(self):
+        rng = np.random.default_rng(18)
+        p = random_policy(rng, dims=[8, 512, 512, 2])
+        calib = collect_calibration(p, rng.normal(size=(1024, 8)))
+        ranking = rank_weights(p, calib, range(p.num_layers), damping="auto")
+        ranking = ranking[: round(0.5 * len(ranking))]
+        return prune_to_budget(p, ranking, None)[1], ranking
+
+    def test_the_saliencies_keep_the_bits_of_their_list(self, pruned):
+        plan, ranking = pruned
+        for row, lp in zip(schema._plan_dict(plan, ranking, "auto", 0, __version__)["layers"],
+                           plan.layers, strict=True):
+            head = ranking.saliency[ranking.layer == lp.layer][: len(lp.mask)].tolist()
+            assert row["saliency_sum"].hex() == math.fsum(head).hex()
+            assert row["saliency_max"].hex() == max(head, default=0.0).hex()
+
+    def test_the_saliencies_take_no_list(self, pruned):
+        # a list of the head's 132,609 Python floats peaked at 5.1 MB; the
+        # head's own copy and the layer mask take 1.1 MB
+        assert traced_peak(schema._plan_dict, *pruned, "auto", 0, __version__) < 2 * 2**20
 
 
 class TestBudgetInputs:
@@ -1810,15 +1836,15 @@ class TestCertificateRoundTrip:
     @staticmethod
     def _written(tmp_path, cert):
         path = tmp_path / "certificate.json"
-        _write_json(path, cli.certificate_to_dict(cert))
+        _write_json(path, schema.certificate_to_dict(cert))
         return json.loads(path.read_bytes())
 
     def test_the_written_keys_are_the_tables_keys(self, tmp_path, cert):
         written = self._written(tmp_path, cert)
-        assert set(written) == {*cli._CERT, "timestamp"}
-        assert set(written["audit"]) == set(cli._CERT_AUDIT)
+        assert set(written) == {*schema._CERT, "timestamp"}
+        assert set(written["audit"]) == set(schema._CERT_AUDIT)
         assert len(written["layers"]) == len(cert.rows)
-        assert all(set(row) == set(cli._CERT_ROW) for row in written["layers"])
+        assert all(set(row) == set(schema._CERT_ROW) for row in written["layers"])
 
     def test_the_written_bytes_read_back_bit_for_bit(self, tmp_path, cert):
         restored = certificate_from_dict(self._written(tmp_path, cert))
@@ -2208,6 +2234,27 @@ class TestRequiredOptions:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, key, field",
+        [("prune", "model", "weights"), ("certify", "model", "bias"),
+         ("certify", "pruned", "weights")],
+    )
+    def test_an_integer_past_the_float_range_is_named(
+        self, full, tmp_path, capsys, command, key, field
+    ):
+        # 10^400 read as a JSON integer and overflowed float() with an
+        # OverflowError traceback
+        model = json.loads((FIXTURES / "pendulum_policy.json").read_text())
+        layer = model["layers"][1]
+        layer[field][0] = 10**400 if field == "bias" else [10**400, *layer[field][0][1:]]
+        bad = tmp_path / "huge_model.json"
+        bad.write_text(json.dumps(model))
+        out = tmp_path / "o"
+        assert _usage_error(capsys, _argv(command, {**full[command], key: str(bad)}, out)) == (
+            f"error: {bad}: model.layers[1].{field}: an integer lies past the float range"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "system, message",
         [
             ({"A": [[1.0, True], [0.0, 1.0]], "B": [[0.0], [0.01]]}, "A: expected a number, got True"),
@@ -2227,6 +2274,24 @@ class TestRequiredOptions:
         out = tmp_path / "o"
         assert main(_argv("simulate", options, out)) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "system, field",
+        [({"A": [[1.0, 0.01], [0.0, 10**400]], "B": [[0.0], [0.01]]}, "A"),
+         ({"A": [[1.0, 0.01], [0.0, 1.0]], "B": [[0.0], [-(10**400)]]}, "B")],
+    )
+    def test_a_system_integer_past_the_float_range_is_named(
+        self, full, tmp_path, capsys, system, field
+    ):
+        # 10^400 in A or B overflowed float() with an OverflowError traceback
+        bad = tmp_path / "huge_system.json"
+        bad.write_text(json.dumps(system))
+        options = {**full["simulate"], "dynamics": "linear", "system": str(bad)}
+        out = tmp_path / "o"
+        assert _usage_error(capsys, _argv("simulate", options, out)) == (
+            f"error: {bad}: {field}: an integer lies past the float range"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

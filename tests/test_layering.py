@@ -1,4 +1,5 @@
-"""Each ``prunecert`` module imports only the modules below it.
+"""Each ``prunecert`` module imports only the modules below it, and only
+``schema`` reads or writes JSON.
 
 ``LAYERS`` lists, bottom up, the package modules each module may import.
 A module may only name modules listed before it, so the imports form no
@@ -18,12 +19,13 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 # itself, as in ``from prunecert import __version__``
 LAYERS = {
     "linalg": set(),
-    "policy": {"linalg"},
+    "schema": set(),
+    "policy": {"linalg", "schema"},
     "pruner": {"linalg", "policy"},
-    "certifier": {"linalg", "policy", "pruner"},
+    "certifier": {"linalg", "schema", "policy", "pruner"},
     "controlsim": {"linalg", "policy", "certifier"},
     "__init__": {"linalg", "policy", "pruner", "certifier", "controlsim"},
-    "cli": {"__init__", "linalg", "policy", "pruner", "certifier", "controlsim"},
+    "cli": {"__init__", "linalg", "schema", "policy", "pruner", "certifier", "controlsim"},
     "__main__": {"cli"},
 }
 
@@ -75,3 +77,53 @@ def test_every_module_has_a_row_and_rows_name_only_lower_modules():
 def test_imports_stay_within_the_layer(module):
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
     assert package_imports(source) <= LAYERS[module]
+
+
+# the json functions that read or write a document; only ``schema`` calls them
+JSON_CALLS = {"load", "loads", "dump", "dumps"}
+
+
+def json_calls(source: str) -> set[str]:
+    """The ``JSON_CALLS`` that ``source`` makes, as ``json.loads(...)``, or
+    through a name bound by ``import json as j`` or ``from json import ...``."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names.update((a.asname or a.name, a.name) for a in node.names)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+            found.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in names:
+            found.add(names[f.id])
+    return found & JSON_CALLS
+
+
+def test_the_json_check_reads_every_call_form():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import dump as write, JSONDecodeError\n"
+        "json.loads(s)\n"
+        "j.load(fh)\n"
+        "write(obj, fh)\n"
+        "json.JSONDecodeError\n"
+        "other.dumps(obj)\n"
+    )
+    assert json_calls(source) == {"loads", "load", "dump"}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_only_schema_reads_or_writes_json(module):
+    calls = json_calls((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    if module == "schema":
+        # the reader's load and loads, and the writer's dumps of each scalar
+        assert calls == {"load", "loads", "dumps"}
+    else:
+        assert calls == set()

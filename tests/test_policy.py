@@ -15,7 +15,7 @@ from conftest import (
     traced_peak,
     where_activation,
 )
-from prunecert import policy
+from prunecert import policy, schema
 from prunecert.certifier import audit_states
 from prunecert.policy import (
     ActivationKind,
@@ -579,12 +579,12 @@ class TestCanonicalJson:
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_json_dumps(self, tmp_path_factory, obj):
         path = tmp_path_factory.getbasetemp() / "canonical.json"
-        policy._write_json(path, obj)
+        schema._write_json(path, obj)
         assert path.read_bytes() == _dumped(obj).encode("utf-8")
         json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
     @pytest.mark.parametrize(
-        "n", [policy._CHUNK - 1, policy._CHUNK, policy._CHUNK + 1, 2 * policy._CHUNK + 1]
+        "n", [schema._CHUNK - 1, schema._CHUNK, schema._CHUNK + 1, 2 * schema._CHUNK + 1]
     )
     def test_chunk_boundaries(self, tmp_path, n):
         rng = np.random.default_rng(n)
@@ -596,7 +596,7 @@ class TestCanonicalJson:
             "rows": [rng.standard_normal(n).tolist()],
         }
         path = tmp_path / "long.json"
-        policy._write_json(path, obj)
+        schema._write_json(path, obj)
         assert path.read_text(encoding="utf-8") == _dumped(obj)
 
     @pytest.mark.parametrize("fixture", ["pendulum_policy.json", "double_integrator_policy.json"])
