@@ -88,7 +88,7 @@ class StateSpaceSpec:
         """Radius taken as the largest norm over a validation set of states,
         one per row."""
         rows = linalg.as_matrix(states, "states")
-        return cls(dim=rows.shape[1], radius=float(linalg.vector_norm(rows, axis=1).max()),
+        return cls(dim=rows.shape[1], radius=float(linalg.vector_norm(rows).max()),
                    source="states")
 
 
@@ -171,7 +171,11 @@ def _plus(x: float, y: float) -> float:
 
 def _affine(a: float, b: float, snorm):
     """``a ||s|| + b`` at the state norms ``snorm`` (or one), for ``a, b >= 0``, each step
-    one ulp up under the zero rule of ``_times`` and ``_plus``: ``b`` at ``||s|| = 0``."""
+    one ulp up under the zero rule of ``_times`` and ``_plus``: ``b`` at ``||s|| = 0``.
+
+    No case that needs the sum's step has been built: without it every test
+    passes, since the sum loses at most half an ulp and the one-ulp steps
+    that formed its terms gained at least that in every case searched."""
     sn = np.asarray(snorm, dtype=float)
     live = (sn != 0.0) & (a != 0.0)  # where a ||s|| is not exactly 0
     with np.errstate(over="ignore"):
@@ -289,7 +293,7 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
         dirs = dirs / np.where(norms == 0.0, 1.0, norms)
         radii = space.radius * rng.random(n) ** (1.0 / space.dim)
         states = dirs * radii[:, None]
-    ns = linalg.vector_norm(states, axis=1)
+    ns = linalg.vector_norm(states)
     if (ns > space.radius * (1.0 + 1e-9)).any():
         raise RuntimeError("sampler bug: drew a state outside the certified space")
     over = np.flatnonzero(ns > space.radius)
@@ -297,14 +301,14 @@ def sample_states(space: StateSpaceSpec, n: int, rng: np.random.Generator) -> np
     while over.size:
         states[over] *= factor
         # the product rounds: shrink any state left outside, more each pass
-        over = over[linalg.vector_norm(states[over], axis=1) > space.radius]
+        over = over[linalg.vector_norm(states[over]) > space.radius]
         factor, shrink = 1.0 - shrink, 2.0 * shrink
     return states
 
 
 @dataclass(frozen=True, eq=False)
 class StateAudit:
-    """Per-state audit of a batch; entry (or column) i belongs to state i."""
+    """Per-state audit of a batch; entry i belongs to state i."""
 
     deviation: np.ndarray  # ||pi(s) - pi_hat(s)||_2
     bound: np.ndarray  # per_state_bounds at ||s||_2
@@ -383,14 +387,14 @@ def _allowance(original: MlpPolicy, pruned: MlpPolicy, delta_norms) -> tuple[flo
 
 
 def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) -> StateAudit:
-    """The one per-state audit: both policies on the columns of ``states``
-    (input_dim, n), each state judged against its bound.  A state is a
+    """The one per-state audit: both policies on the rows of ``states``
+    (n, input_dim), each state judged against its bound.  A state is a
     violation unless its deviation is within its bound plus the rounding
     allowance of ``_allowance``, which scales with the state, so a flag on
     a finite deviation and bound is a proven breach at any scale."""
     diff = forward_batch(original, states) - forward_batch(pruned, states)
-    deviation = linalg.vector_norm(diff, axis=0)
-    norm = linalg.vector_norm(states, axis=0)
+    deviation = linalg.vector_norm(diff)
+    norm = linalg.vector_norm(states)
     bound = per_state_bounds(original, delta_norms, norm)
     a, b, f = _allowance(original, pruned, delta_norms)
     with np.errstate(over="ignore"):  # an overflowing limit is inf
@@ -427,7 +431,7 @@ def certify(
     for r in rows:
         budget = budget + r.contribution
     states = sample_states(space, n, np.random.default_rng(seed))
-    audit = audit_states(original, pruned, delta_norms, states.T)
+    audit = audit_states(original, pruned, delta_norms, states)
     max_dev = float(audit.deviation.max())
     summary = AuditSummary(
         samples=int(n),

@@ -245,15 +245,13 @@ def cmd_prune(cfg: argparse.Namespace) -> int:
     caps = None  # sparsity mode: the walk without a cap, over the ranking's head
     if cfg.epsilon is not None:
         caps = admissible_magnitude(p, layers, cfg.epsilon, _state_space(cfg, p.input_dim))
-    calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim))
-    ranking = rank_weights(p, calib, layers, damping=cfg.damping, diagonal=cfg.diagonal)
+    calib = collect_calibration(p, _load_states_csv(cfg.calibration, p.input_dim), cfg.damping)
+    ranking = rank_weights(p, calib, layers, diagonal=cfg.diagonal)
     if not cfg.compensate:
         calib = None  # only the compensated walk reads the batch again
     if cfg.sparsity is not None:
         ranking = ranking[: round(cfg.sparsity * len(ranking))]
-    pruned, plan = prune_to_budget(
-        p, ranking, caps, compensate=cfg.compensate, damping=cfg.damping, calib=calib
-    )
+    pruned, plan = prune_to_budget(p, ranking, caps, calib)
     plan_dict = _plan_dict(plan, ranking, cfg.damping, cfg.seed, __version__)
     del ranking, calib  # a sliced ranking still holds the full one
     out = _outdir(cfg)

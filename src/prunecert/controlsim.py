@@ -350,8 +350,8 @@ def deviation_audit(
     state's bound whenever the state lies in the certified ball.  The bound
     holds pointwise, so a repeated state takes its first visit's row, and
     the counts count every visit.  Each row's action is the one the loop
-    applied there; the final state's, never applied, is its source row's or
-    one more ``forward``.  A blow-up in either loop truncates that loop and
+    applied there; the final state's, never applied, is one more
+    ``forward``.  A blow-up in either loop truncates that loop and
     is recorded instead of raised, so partial evidence still comes back.
     """
     blowup = None
@@ -365,19 +365,18 @@ def deviation_audit(
                 blowup = (label, exc.t)
             traj = exc.partial
         source = traj.source
-        audit = audit_states(original, pruned, cert.delta_norms(), traj.states[: traj.distinct].T)
+        audit = audit_states(original, pruned, cert.delta_norms(), traj.states[: traj.distinct])
         per_state = (audit.deviation, audit.bound, audit.norm <= cert.radius, audit.violation)
         if source is not None:
             per_state = tuple(a[source] for a in per_state)
         deviation, bound, in_ball, violation = per_state
         violations += int(np.count_nonzero(violation & in_ball))
-        last = forward(p, traj.states[-1]) if source is None else traj.actions[source[-1]]
-        actions = np.vstack([traj.actions, last])
+        actions = np.vstack([traj.actions, forward(p, traj.states[-1])])
         loops.append(LoopAudit(label, traj.states, _frozen(actions), _frozen(deviation),
                                _frozen(bound), _frozen(in_ball), source))
     shared = min(len(loop.states) for loop in loops)
     gaps = loops[0].states[:shared] - loops[1].states[:shared]
-    divergence = _frozen(linalg.vector_norm(gaps, axis=1))
+    divergence = _frozen(linalg.vector_norm(gaps))
     inside = np.concatenate([loop.in_ball for loop in loops])
     dev = np.concatenate([loop.deviation for loop in loops])[inside]
     return DeviationReport(

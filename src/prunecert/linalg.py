@@ -199,10 +199,9 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def vector_norm(a, axis=None):
-    """Euclidean norm of a vector (``axis=None``: all entries of ``a``, in
-    C order), or of each vector along ``axis`` (0 or 1) of a 2-D array,
-    without overflow or underflow.
+def vector_norm(a):
+    """Euclidean norm of a vector, or of each row of a 2-D array, without
+    overflow or underflow.
 
     Every vector's norm has the bits of ``np.linalg.norm`` of that vector
     alone, the square root of its BLAS dot with itself, whatever batch it
@@ -215,7 +214,7 @@ def vector_norm(a, axis=None):
     ``spectral_norm``, which is exact.
     """
     v = np.asarray(a, dtype=float)
-    rows = np.ascontiguousarray(v.reshape(1, -1) if axis is None else v.T if axis == 0 else v)
+    rows = np.ascontiguousarray(v if v.ndim == 2 else v.reshape(1, -1))
     with np.errstate(over="ignore", under="ignore"):
         out = _row_dots(rows)
         redo = ~((_NORM_LOW <= out) & (out < _NORM_HIGH))
@@ -224,7 +223,7 @@ def vector_norm(a, axis=None):
             # max/min instead of abs(): no temporary the size of the input
             exp = np.frexp(np.maximum(sub.max(axis=1), -sub.min(axis=1)))[1]
             out[redo] = np.ldexp(_row_dots(np.ldexp(sub, -exp[:, None])), exp)
-    return out[0] if axis is None else out
+    return out if v.ndim == 2 else out[0]
 
 
 def gram(x) -> np.ndarray:

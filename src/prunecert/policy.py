@@ -161,7 +161,7 @@ class MlpPolicy:
 
 
 def _propagate(p: MlpPolicy, x: np.ndarray, visit=None) -> np.ndarray:
-    """The one layer loop: push a state (vector) or a batch (columns) through
+    """The one layer loop: push a state (vector) or a batch (``_columns``) through
     every layer, passing each layer's input to ``visit`` when given, before
     the layer reads it (``visit=inputs.append`` records them all).
 
@@ -191,29 +191,29 @@ def forward(p: MlpPolicy, s) -> np.ndarray:
 
 
 def _columns(p: MlpPolicy, states) -> np.ndarray:
-    """A batch of states stored as columns, (input_dim, n), checked and
-    C-contiguous: BLAS rounds by operand layout, so every batch runs in this
-    one layout and its outputs depend only on its values."""
+    """A batch of states, one per row, checked and turned into the C-contiguous
+    columns (input_dim, n) that ``_propagate`` runs on: BLAS rounds by operand
+    layout, so every batch runs in this one layout and its outputs depend
+    only on its values."""
     x = linalg.as_matrix(states, "states")
-    if x.shape[0] != p.input_dim:
-        raise ValueError(f"states have dim {x.shape[0]} but policy expects {p.input_dim}")
-    return np.ascontiguousarray(x)
+    if x.shape[1] != p.input_dim:
+        raise ValueError(f"states have dim {x.shape[1]} but policy expects {p.input_dim}")
+    return np.ascontiguousarray(x.T)
 
 
 def forward_batch(p: MlpPolicy, states) -> np.ndarray:
-    """Evaluate the policy on a batch of states stored as columns.
+    """Evaluate the policy on a batch of states, one per row.
 
-    ``states`` is (input_dim, n); the result is (output_dim, n), with the
+    ``states`` is (n, input_dim); the result is (n, output_dim), with the
     same bits for any memory layout of ``states`` (see ``_columns``).  The
-    columns go through in the fewest blocks of at most ``_COLUMNS`` columns
-    that keep every layer's output within ``_BLOCK`` floats, so memory stays
-    bounded however many states there are; a batch that fits in one block is
-    a single call.  Block boundaries fall on whole ``_TILE``-column tiles,
-    spread evenly.
+    states go through in the fewest blocks that keep every layer's output
+    within ``_BLOCK`` floats, so memory stays bounded however many states
+    there are; a batch that fits in one block is a single call.  Block
+    boundaries fall on whole ``_TILE``-column tiles, spread evenly.
     """
     x = _columns(p, states)
     n = x.shape[1]
-    most = max(1, min(_BLOCK // max(layer.out_dim for layer in p.layers), _COLUMNS))
+    most = max(1, _BLOCK // max(512, *(layer.out_dim for layer in p.layers)))
     tile = min(_TILE, most)
     tiles = -(-n // tile)
     blocks = -(-tiles // (most // tile))
@@ -221,26 +221,22 @@ def forward_batch(p: MlpPolicy, states) -> np.ndarray:
     out = np.empty((p.output_dim, n))
     for lo, hi in zip(bounds, bounds[1:]):
         out[:, lo:hi] = _propagate(p, x[:, lo:hi])
-    return out
+    return out.T
 
 
-# floats per layer output in one block of ``forward_batch``: 8 MB.  The
-# blocks are nearly equal, so none is a thin remainder that falls under the
-# size where OpenBLAS switches to a small-matrix kernel that rounds
-# differently.  This is the smallest power of two that keeps the bits: at
-# 2**19 the blocks of width-512 and width-1024 batches no longer match the
-# single call (`test_blocks_keep_the_whole_batch_bits`).  At 2**20
-# `certify`'s audit stays under `prune`'s peak memory on the wide-sparsity
-# benchmark; on budget-inverse, in blocks of at most ``_COLUMNS``, it still
-# sets the peak, about 6 MB above `prune`'s in a fresh process.
+# floats per layer output in one block of ``forward_batch``: 8 MB, and
+# columns per block at most ``_BLOCK // 512``, so that a narrow policy's
+# audit holds 2 MB per layer output at width 128.  The blocks are nearly
+# equal, so none is a thin remainder that falls under the size where
+# OpenBLAS switches to a small-matrix kernel that rounds differently.  This
+# is the smallest power of two that keeps the bits: at 2**19 the blocks of
+# width-512 and width-1024 batches no longer match the single call
+# (`test_blocks_keep_the_whole_batch_bits`), which a lower column cap would
+# also break for width-512 batches at 10^4 states.  At 2**20 `certify`'s
+# audit stays under `prune`'s peak memory on the wide-sparsity benchmark; on
+# budget-inverse it still sets the peak, about 6 MB above `prune`'s in a
+# fresh process.
 _BLOCK = 2**20
-
-# columns per block of ``forward_batch`` at most, so that a narrow policy's
-# audit holds 2 MB per layer output at width 128.  Width-512 batches already
-# run in blocks this wide, so only batches whose widest layer is under 512
-# change blocks; a lower cap would split width-512 batches as a ``_BLOCK``
-# of 2**19 does, which loses their single-call bits at 10^4 states.
-_COLUMNS = _BLOCK // 512
 
 # columns per tile of ``forward_batch``'s block boundaries.  BLAS runs a
 # matmul in tiles of a few columns and rounds the last, partial tile with

@@ -4,10 +4,10 @@ Each layer's curvature is the shared block ``2 X X^T`` of its inputs on a
 calibration batch run through the unpruned policy, so scoring never needs
 gradients or labels.  Scoring and the OBS re-fit read a layer through that
 block alone, so ``collect_calibration`` keeps the blocks, each formed once
-in the one forward pass, and no activation.  ``rank_weights`` scores every
-nonzero selected weight at once and returns a ``Ranking`` of parallel arrays
-in removal order; no per-weight Python object is built between scoring and
-the plan.
+in the one forward pass, and the damping both add to them, but no
+activation.  ``rank_weights`` scores every nonzero selected weight at once
+and returns a ``Ranking`` of parallel arrays in removal order; no
+per-weight Python object is built between scoring and the plan.
 ``prune_to_budget`` is the one walk down that ranking, with or without a
 cap on each layer's delta norm; sparsity mode walks a prefix of the
 ranking uncapped.  A plan records, per pruned layer, the positions zeroed
@@ -41,16 +41,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CalibrationBatch:
-    """Per-layer curvature blocks of a calibration batch, read-only.
+    """Per-layer curvature blocks of a calibration batch and their damping,
+    read-only: the one curvature model that ranking and re-fitting share.
 
     ``curvature[k]`` is the square block ``2 X_k X_k^T`` (``linalg.gram``)
     of the (in_dim_k x n) matrix ``X_k`` feeding layer k, one column per
     calibration state, collected from the unpruned policy.  A block may hold
     inf or NaN where ``2 X X^T`` overflows: ranking or re-fitting that layer
-    rejects it, and a layer that is neither never reads it.
+    rejects it, and a layer that is neither never reads it.  ``damping`` is
+    a finite number >= 0, or ``"auto"`` for each block's ``auto_damping``;
+    any other is a ``ValueError`` (an infinite one scores every weight
+    alike, a NaN one every weight 0).
     """
 
     curvature: tuple[np.ndarray, ...]
+    damping: float | str = 0.0
 
     def __post_init__(self):
         blocks = tuple(np.asarray(h, dtype=float) for h in self.curvature)
@@ -63,6 +68,35 @@ class CalibrationBatch:
                     f"got shape {h.shape}"
                 )
         object.__setattr__(self, "curvature", tuple(_frozen(h) for h in blocks))
+        if self.damping != "auto":
+            if not 0.0 <= float(self.damping) < math.inf:
+                raise ValueError(
+                    f"damping must be 'auto' or a finite number >= 0, got {self.damping!r}"
+                )
+            object.__setattr__(self, "damping", float(self.damping))
+
+    def layer_damping(self, k: int) -> float:
+        """Layer ``k``'s damping: the batch's number, or ``auto_damping`` of
+        its block.  A block, or under auto damping its trace, past the float
+        range is a ``ValueError`` that names the layer, in every mode: the
+        layer's weights would all score inf and rank by position."""
+        h = self.curvature[k]
+        damping = self.damping
+        finite = np.isfinite(h).all()
+        if finite and damping == "auto":
+            damping = linalg.auto_damping(h)
+            finite = math.isfinite(damping)
+        if not finite:
+            raise ValueError(f"layer {k}: the calibration curvature 2 X X^T overflows")
+        return float(damping)
+
+    def layer_inverse(self, k: int) -> np.ndarray | None:
+        """Damped inverse of layer ``k``'s curvature block, or ``None`` for an
+        all-zero block under auto damping: a layer whose inputs are all zero
+        on the calibration batch, where removing any weight changes no output."""
+        lam = self.layer_damping(k)
+        h = self.curvature[k]
+        return None if self.damping == "auto" and not h.any() else linalg.damped_inverse(h, lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +204,20 @@ class PrunePlan:
             if not delta.any():
                 continue
             zeroed = (lo.weight != 0.0) & (lp.weight == 0.0)
-            off_mask = delta.copy()
-            off_mask[zeroed] = 0.0
             layers.append(
                 LayerPrune(
                     layer=k,
                     mask=np.argwhere(zeroed),
                     delta_spectral_norm=linalg.spectral_norm(delta),
-                    compensated=bool(off_mask.any()),
+                    compensated=bool(np.any(delta, where=~zeroed)),
                 )
             )
         return cls(layers=tuple(layers))
 
 
-def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
-    """Forward a set of states and keep each layer's curvature block.
+def collect_calibration(p: MlpPolicy, states, damping=0.0) -> CalibrationBatch:
+    """Forward a set of states and keep each layer's curvature block, under
+    ``damping`` (see ``CalibrationBatch``).
 
     ``states`` holds one state per row; layer 0 sees the raw states.  The
     one forward pass hands each layer's input ``X_k`` (column j is what
@@ -202,34 +235,8 @@ def collect_calibration(p: MlpPolicy, states) -> CalibrationBatch:
         h.setflags(write=False)  # a fresh array: the batch keeps it uncopied
         blocks.append(h)
 
-    _propagate(p, _columns(p, np.asarray(states, dtype=float).T), visit)
-    return CalibrationBatch(curvature=tuple(blocks))
-
-
-def _damping(h: np.ndarray, k: int, damping) -> float:
-    """The damping of layer ``k``'s curvature block ``h``: the number given
-    or ``auto_damping`` of the block.  Any other damping than ``"auto"`` or
-    a finite number >= 0 is a ``ValueError`` (an infinite one scores every
-    weight alike, a NaN one every weight 0), as is a block, or under auto
-    damping its trace, past the float range, which names the layer, in every
-    mode: the layer's weights would all score inf and rank by position."""
-    if damping != "auto" and not 0.0 <= float(damping) < math.inf:
-        raise ValueError(f"damping must be 'auto' or a finite number >= 0, got {damping!r}")
-    finite = np.isfinite(h).all()
-    if finite and damping == "auto":
-        damping = linalg.auto_damping(h)
-        finite = math.isfinite(damping)
-    if not finite:
-        raise ValueError(f"layer {k}: the calibration curvature 2 X X^T overflows")
-    return float(damping)
-
-
-def _layer_h_inv(h: np.ndarray, k: int, damping) -> np.ndarray | None:
-    """Damped inverse of layer ``k``'s curvature block ``h``, or ``None`` for
-    an all-zero block under auto damping: a layer whose inputs are all zero
-    on the calibration batch, where removing any weight changes no output."""
-    lam = _damping(h, k, damping)
-    return None if damping == "auto" and not h.any() else linalg.damped_inverse(h, lam)
+    _propagate(p, _columns(p, states), visit)
+    return CalibrationBatch(curvature=tuple(blocks), damping=damping)
 
 
 def _score(w: np.ndarray, d: np.ndarray, op) -> np.ndarray:
@@ -248,7 +255,6 @@ def rank_weights(
     p: MlpPolicy,
     calib: CalibrationBatch,
     layers: Iterable[int],
-    damping=0.0,
     diagonal: bool = False,
 ) -> Ranking:
     """Score every nonzero weight in the selected layers, ascending by
@@ -256,9 +262,9 @@ def rank_weights(
 
     The score divides each squared weight by the corresponding diagonal of
     the damped inverse curvature block; ``diagonal=True`` swaps in the
-    classic 1/H_qq approximation instead of the full inverse.  ``damping``
-    may be a number or ``"auto"``; under ``"auto"`` a layer whose inputs are
-    all zero on the calibration batch scores every weight 0.  A score whose
+    classic 1/H_qq approximation instead of the full inverse.  The damping
+    is the batch's; under ``"auto"`` a layer whose inputs are all zero on
+    the calibration batch scores every weight 0.  A score whose
     squared weight overflows comes out finite when the score itself is.
     Ties break on (layer, row, col) so rankings are reproducible.
     """
@@ -280,12 +286,12 @@ def rank_weights(
                 f"layer {k}: calibration rows {h.shape[0]} != weight columns {w.shape[1]}"
             )
         if diagonal:
-            hqq = np.diag(h) + _damping(h, k, damping)
+            hqq = np.diag(h) + calib.layer_damping(k)
             # 1/(H_qq) as the inverse diagonal; a zero H_qq means the input
             # coordinate never fires, so removal is free
             sal = np.where(hqq > 0.0, _score(w, hqq, np.multiply), 0.0)
         else:
-            h_inv = _layer_h_inv(h, k, damping)
+            h_inv = calib.layer_inverse(k)
             if h_inv is None:  # a dead block: each removal's exact loss is 0
                 sal = np.zeros(w.shape)
             elif (np.diag(h_inv) <= 0.0).any():
@@ -498,8 +504,6 @@ def prune_to_budget(
     p: MlpPolicy,
     ranking: Ranking,
     caps: Mapping[int, float] | None = None,
-    compensate: bool = False,
-    damping=0.0,
     calib: CalibrationBatch | None = None,
 ) -> tuple[MlpPolicy, PrunePlan]:
     """Prune each capped layer down its ranking as far as its cap permits.
@@ -515,10 +519,11 @@ def prune_to_budget(
     row per capped layer, ascending; its mask is the ``(row, col)`` of the
     layer's first ``len(mask)`` entries in ``ranking``, in that order.
 
-    Zero-only pruning just masks weights.  With ``compensate`` each pruned
-    row's surviving weights are re-fit over its whole removed set
-    (``obs_compensate`` from the row's original weights), so every masked
-    weight is 0 in the pruned policy.  Biases are never modified.
+    Without ``calib`` pruning just masks weights.  Given a calibration
+    batch, each pruned row's surviving weights are re-fit over its whole
+    removed set (``obs_compensate`` from the row's original weights, against
+    ``calib.layer_inverse``), so every masked weight is 0 in the pruned
+    policy.  Biases are never modified.
 
     An infinite cap needs no bound and no norm until the plan's own: a
     zero-only layer is masked in a single assignment, and a compensated one
@@ -537,8 +542,6 @@ def prune_to_budget(
     as it always did, and starts a new anchor.  So every decision, and with
     it the plan, is the one an exact norm per removal gives.
     """
-    if compensate and calib is None:
-        raise ValueError("compensation needs the calibration batch to build H^-1")
     if caps is None:
         # bincount rather than np.unique, whose first call imports numpy.ma
         caps = dict.fromkeys(np.flatnonzero(np.bincount(ranking.layer)).tolist(), math.inf)
@@ -549,7 +552,7 @@ def prune_to_budget(
     for k in sorted(caps):
         if not 0 <= k < p.num_layers:
             raise ValueError(f"layer index {k} out of range 0..{p.num_layers - 1}")
-        h_inv = _layer_h_inv(calib.curvature[k], k, damping) if compensate else None
+        h_inv = None if calib is None else calib.layer_inverse(k)
         work = _LayerWork(layers[k].weight, h_inv)
         # the layer's rows and columns alone, not its layer numbers and
         # saliencies, gathered into one read-only buffer whose head the mask views

@@ -54,9 +54,9 @@ def test_criterion_1_single_layer_soundness_sweep():
     cases = 0
     for _ in range(50):
         p = random_policy(rng, depth=int(rng.integers(1, 6)), max_width=32)
-        calib = collect_calibration(p, _calibration_states(rng, p.input_dim))
+        calib = collect_calibration(p, _calibration_states(rng, p.input_dim), "auto")
         k = int(rng.integers(p.num_layers))
-        entries = rank_weights(p, calib, [k], damping="auto")
+        entries = rank_weights(p, calib, [k])
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
@@ -80,10 +80,10 @@ def test_criterion_2_multi_layer_additivity_sweep():
     for _ in range(50):
         depth = int(rng.integers(2, 6))
         p = random_policy(rng, depth=depth, max_width=32)
-        calib = collect_calibration(p, _calibration_states(rng, p.input_dim))
+        calib = collect_calibration(p, _calibration_states(rng, p.input_dim), "auto")
         n_pruned = int(rng.integers(2, min(3, depth) + 1))
         layers = sorted(rng.choice(depth, size=n_pruned, replace=False).tolist())
-        entries = rank_weights(p, calib, layers, damping="auto")
+        entries = rank_weights(p, calib, layers)
         space = StateSpaceSpec(dim=p.input_dim, radius=radius)
         for frac in (0.1, 0.5, 0.9):
             count = int(round(frac * len(entries)))
@@ -127,7 +127,7 @@ def test_criterion_4_saliency_matches_exact_loss_ranking():
         x = np.zeros((d, d + 2))
         x[:, :d] = np.diag(rng.uniform(0.5, 2.0, size=d))
         calib = CalibrationBatch((gram(x),))
-        entries = rank_weights(p, calib, [0], damping=0.0)
+        entries = rank_weights(p, calib, [0])
         brute = []
         for r in range(w.shape[0]):
             for c in range(w.shape[1]):
@@ -186,7 +186,7 @@ def test_criterion_6_spectral_norm_oracle_and_lipschitz_probes():
         lip = math.prod(p.weight_spectral_norms)
         s = rng.normal(scale=2.0, size=(1000, p.input_dim))
         t = rng.normal(scale=2.0, size=(1000, p.input_dim))
-        num = np.linalg.norm(forward_batch(p, s.T) - forward_batch(p, t.T), axis=0)
+        num = np.linalg.norm(forward_batch(p, s) - forward_batch(p, t), axis=1)
         den = np.linalg.norm(s - t, axis=1)
         keep = den > 0
         probe_violations += int(
@@ -224,14 +224,14 @@ def test_criterion_8_budget_round_trip():
     for _ in range(20):
         depth = int(rng.integers(1, 5))
         p = random_policy(rng, depth=depth, max_width=16)
-        calib = collect_calibration(p, _calibration_states(rng, p.input_dim, radius=3.0))
+        calib = collect_calibration(p, _calibration_states(rng, p.input_dim, radius=3.0), "auto")
         n_layers = int(rng.integers(1, depth + 1))
         layers = sorted(rng.choice(depth, size=n_layers, replace=False).tolist())
         epsilon = float(rng.uniform(0.01, 1.0))
         space = StateSpaceSpec(dim=p.input_dim, radius=float(rng.uniform(0.5, 5.0)))
         caps = admissible_magnitude(p, layers, epsilon, space)
-        entries = rank_weights(p, calib, layers, damping="auto")
-        pruned, _ = prune_to_budget(p, entries, caps, damping="auto", calib=calib)
+        entries = rank_weights(p, calib, layers)
+        pruned, _ = prune_to_budget(p, entries, caps)
         cert = certify(p, pruned, space, n=100, seed=0)
         if not cert.budget <= epsilon + 1e-9:
             failures += 1

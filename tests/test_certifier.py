@@ -698,14 +698,14 @@ class TestSampleStates:
             def uniform(self, lo, hi, size):
                 return np.array(draws)
 
-        draws_norm = linalg.vector_norm(np.array(draws), axis=1)
+        draws_norm = linalg.vector_norm(np.array(draws))
         assert ((draws_norm > radius) & (draws_norm < radius * (1.0 + 1e-10))).all()
         space = StateSpaceSpec(dim=2, radius=radius, box=(np.zeros(2), np.full(2, radius / 2)))
         states = sample_states(space, len(draws), _OvershootRng())
-        assert (linalg.vector_norm(states, axis=1) <= radius).all()
+        assert (linalg.vector_norm(states) <= radius).all()
         assert all(linalg.vector_norm(s) <= radius for s in states)
         # pulled back onto the sphere, not into the ball's interior
-        np.testing.assert_allclose(linalg.vector_norm(states, axis=1), radius, rtol=1e-15)
+        np.testing.assert_allclose(linalg.vector_norm(states), radius, rtol=1e-15)
 
 
 class TestAuditBound:
@@ -732,9 +732,9 @@ class TestAuditBound:
         for _ in range(10):
             p = random_policy(rng, depth=int(rng.integers(1, 5)), max_width=12)
             states = [rng.normal(size=p.input_dim) for _ in range(16)]
-            calib = collect_calibration(p, states)
+            calib = collect_calibration(p, states, damping="auto")
             k = int(rng.integers(p.num_layers))
-            entries = rank_weights(p, calib, [k], damping="auto")
+            entries = rank_weights(p, calib, [k])
             pruned, _ = prune_to_budget(p, entries[: len(entries) // 2])
             space = StateSpaceSpec(dim=p.input_dim, radius=5.0)
             cert = certify(p, pruned, space, n=2000, seed=13)
@@ -746,8 +746,8 @@ class TestAuditBound:
         for _ in range(5):
             p = random_policy(rng, depth=4, max_width=10)
             states = [rng.normal(size=p.input_dim) for _ in range(16)]
-            calib = collect_calibration(p, states)
-            entries = rank_weights(p, calib, [0, 2], damping="auto")
+            calib = collect_calibration(p, states, damping="auto")
+            entries = rank_weights(p, calib, [0, 2])
             pruned, _ = prune_to_budget(p, entries[: len(entries) // 2])
             cert = certify(
                 p, pruned, StateSpaceSpec(dim=p.input_dim, radius=3.0), n=2000, seed=15
@@ -828,11 +828,11 @@ class TestAuditStates:
         # the batch forward the audit runs, against the loop oracle
         batch_o, batch_p = forward_batch(original, states), forward_batch(pruned, states)
         wnorms, bnorms = original.weight_spectral_norms, original.bias_norms
-        for i, s in enumerate(states.T):
+        for i, s in enumerate(states):
             out_o, out_p = naive_forward(original, s), naive_forward(pruned, s)
             scale = max(scaled_norm(out_o), scaled_norm(out_p), 1e-300)
-            np.testing.assert_allclose(batch_o[:, i], out_o, rtol=0, atol=1e-12 * scale)
-            np.testing.assert_allclose(batch_p[:, i], out_p, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(batch_o[i], out_o, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(batch_p[i], out_p, rtol=0, atol=1e-12 * scale)
             assert abs(audit.deviation[i] - scaled_norm(out_o - out_p)) <= 1e-12 * scale
             snorm = scaled_norm(s)
             assert audit.norm[i] == pytest.approx(snorm, rel=1e-15)
@@ -848,9 +848,9 @@ class TestAuditStates:
         for _ in range(20):
             original, pruned = self._pair(rng)
             # states well inside, on and far outside a unit ball
-            states = rng.normal(size=(original.input_dim, 12)) * rng.choice(
+            states = (rng.normal(size=(original.input_dim, 12)) * rng.choice(
                 [0.01, 1.0, 30.0], size=12
-            )
+            )).T
             audit = self._check_against_oracles(original, pruned, states)
             assert audit.deviation.shape == audit.bound.shape == audit.norm.shape == (12,)
 
@@ -859,7 +859,7 @@ class TestAuditStates:
         rng = np.random.default_rng(32)
         for _ in range(10):
             original, pruned = self._pair(rng, homogeneous=True)
-            states = rng.normal(size=(original.input_dim, 6)) * scale
+            states = (rng.normal(size=(original.input_dim, 6)) * scale).T
             audit = self._check_against_oracles(original, pruned, states)
             assert np.isfinite(audit.deviation).all() and (audit.norm > 0).all()
 
@@ -873,9 +873,9 @@ class TestAuditStates:
             MlpPolicy(layers=(Layer(weight=[[w]], bias=[0.0], activation=identity),))
             for w in (1.0, 2.0)
         )
-        states = np.array([[0.0, radius * 1e-6, radius / 3, -radius, radius]])
+        states = np.array([[0.0], [radius * 1e-6], [radius / 3], [-radius], [radius]])
         audit = audit_states(p, q, ((0, 0.0),), states)
-        np.testing.assert_array_equal(audit.deviation, np.abs(states[0]))
+        np.testing.assert_array_equal(audit.deviation, np.abs(states[:, 0]))
         np.testing.assert_array_equal(audit.bound, np.zeros(5))
         assert audit.violation.tolist() == [False, True, True, True, True]
         # a unit delta norm bounds every state: nothing is flagged
@@ -891,7 +891,7 @@ class TestAuditStates:
                 for w in (1e200, 1.5e200))
         dn = PrunePlan.from_policies(p, q).delta_norms()
         assert certifier._allowance(p, q, dn)[:2] == (math.inf, math.inf)
-        assert not audit_states(p, q, dn, np.zeros((2, 1))).violation.any()
+        assert not audit_states(p, q, dn, np.zeros((1, 2))).violation.any()
 
     def test_a_zero_state_carries_nothing_against_an_inf_norm(self):
         # ||W_0|| = inf and layer 1 halved: at s = 0 the deviation is 0.404
@@ -899,7 +899,7 @@ class TestAuditStates:
         p = inf_norm_policy()
         q = _perturbed(p, {1: -0.5 * p.layers[1].weight})
         dn = PrunePlan.from_policies(p, q).delta_norms()
-        audit = audit_states(p, q, dn, np.zeros((2, 1)))
+        audit = audit_states(p, q, dn, np.zeros((1, 2)))
         assert _within(audit.bound[0], Fraction(dn[0][1]) * Fraction(p.bias_norms[0]), 2)
         assert audit.deviation[0] == pytest.approx(0.404, abs=1e-3)
         assert audit.bound[0] >= audit.deviation[0]
@@ -939,12 +939,12 @@ class TestAuditStates:
             original = MlpPolicy(layers=layers)
             k = int(rng.integers(len(layers)))
             pruned = _perturbed(original, {k: rng.normal(size=layers[k].weight.shape) * 2.0**-20})
-            states = rng.normal(size=(dims[0], 20)) * scale
+            states = (rng.normal(size=(dims[0], 20)) * scale).T
             for factor in (1.0, 0.5):
                 dn = tuple((j, d * factor) for j, d in
                            PrunePlan.from_policies(original, pruned).delta_norms())
                 audit = audit_states(original, pruned, dn, states)
-                for i, s in enumerate(states.T):
+                for i, s in enumerate(states):
                     exact = self._exact_squared_deviation(original, pruned, s)
                     bound = Fraction(float(audit.bound[i]))
                     if audit.violation[i]:
@@ -969,6 +969,23 @@ class TestAuditStates:
         assert audit.deviation[0] <= audit_threshold(original, pruned, dn, 1.0, audit.bound[0])
         assert not audit.violation[0]
 
+    def test_the_underflow_term_passes_what_subnormal_products_could_explain(self):
+        # 256 weights of 0.75, all pruned, at the state of 256 smallest
+        # subnormals: each product 0.75 * 5e-324 rounds up to 5e-324, so the
+        # computed deviation is 256 of them where the exact one is 192,
+        # which the bound of 205 covers.  Only the allowance's underflow
+        # term covers the 2^-1075 each product may gain
+        identity = ActivationKind("identity")
+        original = MlpPolicy(layers=(Layer(np.full((1, 256), 0.75), [0.0], identity),))
+        pruned = MlpPolicy(layers=(Layer(np.zeros((1, 256)), [0.0], identity),))
+        dn = PrunePlan.from_policies(original, pruned).delta_norms()
+        states = np.full((1, 256), 5e-324)
+        audit = audit_states(original, pruned, dn, states)
+        assert (audit.deviation[0], audit.bound[0]) == (256 * 5e-324, 205 * 5e-324)
+        exact = self._exact_squared_deviation(original, pruned, states[0])
+        assert exact == (192 * Fraction(5e-324)) ** 2 <= Fraction(float(audit.bound[0])) ** 2
+        assert not audit.violation[0]
+
     def test_flags_match_the_oracle_rule_on_understated_deltas(self):
         rng = np.random.default_rng(33)
         flagged = 0
@@ -978,10 +995,10 @@ class TestAuditStates:
             dn = tuple(
                 (k, d / 3.0) for k, d in PrunePlan.from_policies(original, pruned).delta_norms()
             )
-            states = rng.normal(size=(original.input_dim, 30))
+            states = rng.normal(size=(original.input_dim, 30)).T
             audit = audit_states(original, pruned, dn, states)
             wnorms, bnorms = original.weight_spectral_norms, original.bias_norms
-            for i, s in enumerate(states.T):
+            for i, s in enumerate(states):
                 dev = scaled_norm(naive_forward(original, s) - naive_forward(pruned, s))
                 snorm = scaled_norm(s)
                 bound = 0.0
@@ -1002,7 +1019,7 @@ class TestAuditStates:
         pruned = _perturbed(p, {0: rng.normal(0.0, 0.3, size=(32, 8))})
         dn = PrunePlan.from_policies(p, pruned).delta_norms()
         for scale in (1.0, 1e200, 1e-200):
-            states = rng.normal(size=(8, 300)) * scale
+            states = (rng.normal(size=(8, 300)) * scale).T
             c, f = np.ascontiguousarray(states), np.asfortranarray(states)
             assert forward_batch(p, c).tobytes() == forward_batch(p, f).tobytes()
             a, b = audit_states(p, pruned, dn, c), audit_states(p, pruned, dn, f)
@@ -1035,9 +1052,9 @@ class TestGrownNorms:
         p = MlpPolicy(layers=(Layer([[1.0, 1.0], [1.0, -1.0]], np.zeros(2), identity),) * 2)
         space, epsilon = StateSpaceSpec(dim=2, radius=1.0), 2.9
         caps = admissible_magnitude(p, [0, 1], epsilon, space)
-        calib = collect_calibration(p, np.random.default_rng(0).normal(size=(16, 2)))
-        ranking = rank_weights(p, calib, [0, 1], damping="auto")
-        pruned, _ = prune_to_budget(p, ranking, caps, damping="auto", calib=calib)
+        calib = collect_calibration(p, np.random.default_rng(0).normal(size=(16, 2)), "auto")
+        ranking = rank_weights(p, calib, [0, 1])
+        pruned, _ = prune_to_budget(p, ranking, caps)
 
         def budget(below, above):
             # layer k's constant never reads N_k, so one hybrid tuple per layer

@@ -403,8 +403,8 @@ class TestPlanMemory:
     def pruned(self):
         rng = np.random.default_rng(18)
         p = random_policy(rng, dims=[8, 512, 512, 2])
-        calib = collect_calibration(p, rng.normal(size=(1024, 8)))
-        ranking = rank_weights(p, calib, range(p.num_layers), damping="auto")
+        calib = collect_calibration(p, rng.normal(size=(1024, 8)), damping="auto")
+        ranking = rank_weights(p, calib, range(p.num_layers))
         ranking = ranking[: round(0.5 * len(ranking))]
         return prune_to_budget(p, ranking, None)[1], ranking
 

@@ -459,8 +459,8 @@ def _pruned_pair(seed=1, fixture="pendulum_policy.json"):
     rng = np.random.default_rng(seed)
     p = load_policy(FIXTURES / fixture)
     states = [rng.uniform(-1.0, 1.0, size=2) for _ in range(16)]
-    calib = collect_calibration(p, states)
-    entries = rank_weights(p, calib, [0], damping="auto")
+    calib = collect_calibration(p, states, damping="auto")
+    entries = rank_weights(p, calib, [0])
     pruned, _ = prune_to_budget(p, entries[:2])  # 50% of layer 0
     return p, pruned
 
@@ -619,7 +619,7 @@ def _clipped_cycle():
 
 
 def _spy_audits(monkeypatch):
-    """Record the columns of every ``audit_states`` call ``deviation_audit`` makes."""
+    """Record the states of every ``audit_states`` call ``deviation_audit`` makes."""
     seen = []
 
     def spy(original, pruned, delta_norms, states):
@@ -659,28 +659,28 @@ class TestDistinctStateAudit:
         d, original, pruned, x0, T = _loop_case(case)
         cert = self._cert(original, pruned, len(x0), 5.0)
         seen = _spy_audits(monkeypatch)
-        forward_batch_columns = []
+        forward_batch_rows = []
         forward_batch = certifier.forward_batch
 
         def counted(p, states):
-            forward_batch_columns.append(states.shape[1])
+            forward_batch_rows.append(len(states))
             return forward_batch(p, states)
 
         monkeypatch.setattr(certifier, "forward_batch", counted)
         report = deviation_audit(d, original, pruned, cert, x0, T)
         assert len(seen) == 2
-        for loop, columns in zip(report.loops, seen, strict=True):
+        for loop, rows in zip(report.loops, seen, strict=True):
             repeat = _first_repeat(loop.states)
-            assert columns.shape[1] == (T + 1 if repeat is None else repeat) == loop.distinct
-            assert columns.T.tobytes() == loop.states[: loop.distinct].tobytes()
-        # both policies see each audited column once
-        assert forward_batch_columns == [c.shape[1] for c in seen for _ in range(2)]
+            assert len(rows) == (T + 1 if repeat is None else repeat) == loop.distinct
+            assert rows.tobytes() == loop.states[: loop.distinct].tobytes()
+        # both policies see each audited state once
+        assert forward_batch_rows == [len(s) for s in seen for _ in range(2)]
         if case == "fixed-point":
-            assert 1_000 < seen[0].shape[1] < 9_000
+            assert 1_000 < len(seen[0]) < 9_000
         elif case == "clipped-cycle":
-            assert [c.shape[1] for c in seen] == [4, 4]
+            assert [len(s) for s in seen] == [4, 4]
         else:
-            assert [c.shape[1] for c in seen] == [T + 1, T + 1]
+            assert [len(s) for s in seen] == [T + 1, T + 1]
 
     def test_a_violating_cycle_state_counts_once_per_visit(self):
         # bound 0.7 * |s| = 2.62 at each cycle state (|s| = sqrt 14), so only
@@ -693,7 +693,7 @@ class TestDistinctStateAudit:
         violations = inside = 0
         for label, loop in zip(("original", "pruned"), report.loops, strict=True):
             assert loop.label == label
-            full = audit_states(original, pruned, cert.delta_norms(), loop.states.T)
+            full = audit_states(original, pruned, cert.delta_norms(), loop.states)
             in_ball = full.norm <= cert.radius
             violations += int(np.count_nonzero(full.violation & in_ball))
             inside += int(in_ball.sum())
@@ -749,8 +749,8 @@ class TestDistinctStateAudit:
         seen = _spy_audits(monkeypatch)
         report = deviation_audit(d, p, p, cert, [1.0], 5_000)
         assert report.blowup == ("original", 1023)
-        for loop, columns in zip(report.loops, seen, strict=True):
+        for loop, rows in zip(report.loops, seen, strict=True):
             assert loop.source is None
-            assert columns.shape[1] == len(loop.states) == 1024
+            assert len(rows) == len(loop.states) == 1024
             assert loop.actions.shape == (1024, 1)
         assert report.in_ball_count + report.out_of_ball_count == 2 * 1024

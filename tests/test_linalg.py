@@ -182,41 +182,41 @@ class TestSpectralNorm:
 
 
 class TestFrobeniusNorm:
-    """``vector_norm`` of a whole matrix (``axis=None``) is its Frobenius norm."""
+    """``vector_norm`` of a matrix's entries, as one vector, is its Frobenius norm."""
 
     def test_zero(self):
-        assert vector_norm(np.zeros((3, 3))) == 0.0
+        assert vector_norm(np.zeros((3, 3)).ravel()) == 0.0
 
     def test_identity(self):
-        assert vector_norm(np.eye(2)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert vector_norm(np.eye(2).ravel()) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_three_four_five(self):
-        assert vector_norm([[3.0, 4.0]]) == 5.0
+        assert vector_norm(np.ravel([[3.0, 4.0]])) == 5.0
 
 
 class TestVectorNorm:
     def test_bit_identical_to_numpy_in_range(self):
-        # a vector alone, or in a batch along either axis, has the bits of
-        # numpy's 1-D norm of that vector
+        # a vector alone, or as a row of a batch in either layout, has the
+        # bits of numpy's 1-D norm of that vector
         rng = np.random.default_rng(21)
         a = rng.normal(size=(9, 300)) * np.exp2(rng.integers(-390, 390, size=300))
-        for axis, vectors in ((0, a.T), (1, a)):
-            got = vector_norm(a, axis=axis)
-            assert got.tolist() == [np.linalg.norm(v) for v in vectors]
+        for rows in (a.T, a):
+            got = vector_norm(rows)
+            assert got.tolist() == [np.linalg.norm(v) for v in rows]
         for v in a.T:
             assert vector_norm(v) == np.linalg.norm(v)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 2.0**-400, 2.0**400, 1e170, 1e300])
     def test_no_overflow_or_underflow(self, scale):
         # 3-4-5 triangles at the edges of the float range; a batch mixes them
-        # with in-range columns, which must keep numpy's bits
+        # with in-range rows, which must keep numpy's bits
         v = np.array([3.0, 4.0]) * scale
         assert vector_norm(v) == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps)
-        batch = np.column_stack([v, [3.0, 4.0], [0.0, 0.0]])
-        got = vector_norm(batch, axis=0)
+        batch = np.column_stack([v, [3.0, 4.0], [0.0, 0.0]]).T
+        got = vector_norm(batch)
         assert got[0] == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps)
         assert got[1:].tolist() == [5.0, 0.0]
-        assert vector_norm(batch.T, axis=1).tolist() == got.tolist()
+        assert vector_norm(np.ascontiguousarray(batch)).tolist() == got.tolist()
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_bits_do_not_depend_on_the_memory_layout(self, scale):
@@ -225,13 +225,12 @@ class TestVectorNorm:
         # layout; at 1e+-200 every vector is rescaled first
         rows = np.random.default_rng(22).normal(size=(2000, 8)) * scale
         cols = np.ascontiguousarray(rows.T)
-        got = vector_norm(rows, axis=1)
-        for batch, axis in ((rows.T, 0), (cols, 0), (cols.T, 1)):
-            assert np.array_equal(vector_norm(batch, axis=axis), got)
+        got = vector_norm(rows)
+        assert np.array_equal(vector_norm(cols.T), got)
 
     def test_subnormal_entries(self):
         assert vector_norm([5e-324, 0.0]) == 5e-324
-        assert vector_norm(np.array([[3.0], [4.0]]) * 5e-324, axis=0)[0] == 2.5e-323
+        assert vector_norm((np.array([[3.0], [4.0]]) * 5e-324).T)[0] == 2.5e-323
 
     def test_non_finite_stays_non_finite(self):
         assert vector_norm([np.inf, 1e300]) == np.inf
@@ -240,8 +239,8 @@ class TestVectorNorm:
 
 
 class TestRowNorms:
-    """``vector_norm`` of each vector of a batch, in every layout the batch
-    may come in: each norm has the bits of that vector's 1-D norm."""
+    """``vector_norm`` of each row of a batch, in every layout the batch may
+    come in: each norm has the bits of that row's 1-D norm."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64, 300])
     def test_bits_match_vector_norm_per_row(self, dim):
@@ -257,18 +256,17 @@ class TestRowNorms:
         wide = np.zeros((rows.shape[0], 2 * dim))
         wide[:, ::2] = rows
         cols = np.ascontiguousarray(rows.T)
-        # rows, their transposed view, C-ordered columns and its transposed
-        # view, and strided slices of a wider batch
-        for batch, axis in ((rows, 1), (rows.T, 0), (cols, 0), (cols.T, 1),
-                            (wide[:, ::2], 1), (wide.T[::2], 0)):
-            assert vector_norm(batch, axis=axis).tobytes() == alone, (batch.strides, axis)
-        got = vector_norm(rows, axis=1)
+        # C-ordered rows, the transposed view of C-ordered columns, and a
+        # strided slice of a wider batch
+        for batch in (rows, cols.T, wide[:, ::2]):
+            assert vector_norm(batch).tobytes() == alone, batch.strides
+        got = vector_norm(rows)
         assert got[0] == 0.0 and got[1] == 5e-324 and got[3] == np.inf
         assert got[2] == pytest.approx(1.5e308 * math.sqrt(dim))  # inf past the float range
 
     def test_in_range_bits_are_numpys_1d_norm(self):
         rows = np.random.default_rng(24).normal(size=(1000, 6))
-        assert vector_norm(rows, axis=1).tolist() == [np.linalg.norm(r) for r in rows]
+        assert vector_norm(rows).tolist() == [np.linalg.norm(r) for r in rows]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ class TestApplyActivation:
                 expected.append(x)
                 x = where_activation(layer.activation, layer.weight @ x + layer.bias[:, None])
             got = []
-            policy._propagate(p, policy._columns(p, states.T), visit=got.append)
+            policy._propagate(p, policy._columns(p, states), visit=got.append)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
             # calibration keeps each input's curvature block, bit for bit
             blocks = collect_calibration(p, list(states)).curvature
@@ -205,16 +205,17 @@ class TestForward:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)
         p = random_policy(rng, depth=3, max_width=8)
-        states = rng.normal(size=(p.input_dim, 17))
+        states = rng.normal(size=(p.input_dim, 17)).T
         batch = forward_batch(p, states)
         for j in range(17):
-            np.testing.assert_allclose(batch[:, j], forward(p, states[:, j]), atol=1e-14)
+            np.testing.assert_allclose(batch[j], forward(p, states[j]), atol=1e-14)
 
 
 class TestForwardBatchBlocks:
-    """``forward_batch`` runs the columns through ``_propagate`` in the fewest
-    blocks of at most ``_COLUMNS`` columns whose widest layer output holds at
-    most ``_BLOCK`` floats, with boundaries on whole ``_TILE``-column tiles."""
+    """``forward_batch`` runs the states, as columns, through ``_propagate`` in
+    the fewest blocks of at most ``_BLOCK // 512`` columns whose widest layer
+    output holds at most ``_BLOCK`` floats, with boundaries on whole
+    ``_TILE``-column tiles."""
 
     def _recorded(self, monkeypatch, p, n):
         calls = []
@@ -226,7 +227,7 @@ class TestForwardBatchBlocks:
 
         propagate = policy._propagate
         monkeypatch.setattr(policy, "_propagate", recording)
-        states = np.random.default_rng(14).normal(size=(p.input_dim, n))
+        states = np.random.default_rng(14).normal(size=(p.input_dim, n)).T
         return forward_batch(p, states), calls
 
     def test_wide_batch_runs_in_tile_aligned_blocks(self, monkeypatch):
@@ -235,16 +236,17 @@ class TestForwardBatchBlocks:
         out, calls = self._recorded(monkeypatch, p, 300)
         assert [width for width, _ in calls] == [64, 128, 108]
         joined = np.concatenate([block for _, block in calls], axis=1)
-        assert out.tobytes() == joined.tobytes()
+        assert out.T.tobytes() == joined.tobytes()
 
     def test_narrow_batch_runs_in_capped_blocks(self, monkeypatch):
-        # 128 wide, _BLOCK floats would take 8,192 columns: the column cap
-        # splits 10^4 states into five blocks of whole tiles, not two
+        # 128 wide, _BLOCK floats would take 8,192 columns: the cap of
+        # _BLOCK // 512 columns splits 10^4 states into five blocks of whole
+        # tiles, not two
         p = random_policy(np.random.default_rng(13), dims=[8, 128, 128, 2])
         out, calls = self._recorded(monkeypatch, p, 10_000)
         assert [width for width, _ in calls] == [1984, 1984, 2048, 1984, 2000]
         joined = np.concatenate([block for _, block in calls], axis=1)
-        assert out.tobytes() == joined.tobytes()
+        assert out.T.tobytes() == joined.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocks_keep_the_whole_batch_bits(self, order):
@@ -253,19 +255,21 @@ class TestForwardBatchBlocks:
         # and 128 at 10^4 states are the benchmark's audits; at a _BLOCK of
         # 2**19 the width-512 and width-1024 batches lose the single call's
         # bits, so 2**20 is the smallest block that keeps them.  The width-128
-        # and width-2 batches run in five blocks of at most _COLUMNS columns
+        # and width-2 batches run in five blocks of at most _BLOCK // 512
+        # columns.  The whole batch runs on the states' columns as they lie
         for seed, dims, n in ((16, [8, 1024, 2], 5000), (17, [8, 512, 512, 2], 10_000),
                               (18, [8, 128, 128, 2], 10_000), (19, [2, 2, 1], 10_000)):
             rng = np.random.default_rng(seed)
             p = random_policy(rng, dims=dims)
-            states = np.asarray(rng.uniform(-3.0, 3.0, size=(dims[0], n)), order=order)
-            assert forward_batch(p, states).tobytes() == policy._propagate(p, states).tobytes()
+            states = np.asarray(rng.uniform(-3.0, 3.0, size=(dims[0], n)).T, order=order)
+            whole = policy._propagate(p, states.T)
+            assert forward_batch(p, states).T.tobytes() == whole.tobytes()
 
     def test_batch_within_one_block_is_one_call(self, monkeypatch):
         p = random_policy(np.random.default_rng(13), dims=[2, policy._BLOCK // 128, 1])
         out, calls = self._recorded(monkeypatch, p, 128)
         assert [width for width, _ in calls] == [128]
-        assert out.tobytes() == calls[0][1].tobytes()
+        assert out.T.tobytes() == calls[0][1].tobytes()
 
     @pytest.mark.parametrize("name, width, bound", [
         pytest.param("relu", 512, 20, id="relu"),
@@ -286,7 +290,7 @@ class TestForwardBatchBlocks:
         pruned = MlpPolicy(tuple(Layer(np.where(rng.random(la.weight.shape) < 0.5, 0.0,
                                                 la.weight), la.bias, la.activation)
                                  for la in original.layers))
-        states = rng.normal(size=(8, 10_000))
+        states = rng.normal(size=(8, 10_000)).T
         peak = traced_peak(audit_states, original, pruned, ((0, 1.0), (1, 1.0), (2, 1.0)), states)
         assert peak < bound * 2**20
 
@@ -301,10 +305,10 @@ class TestRankingMemory:
         rng = np.random.default_rng(17)
         p = random_policy(rng, dims=[8, 512, 512, 2])
         p = MlpPolicy(tuple(Layer(la.weight, la.bias, ActivationKind("relu")) for la in p.layers))
-        calib = collect_calibration(p, rng.normal(size=(1024, 8)))
+        calib = collect_calibration(p, rng.normal(size=(1024, 8)), damping="auto")
         # the batch keeps one d x d block per layer, no activation
         assert sum(h.nbytes for h in calib.curvature) == (8 * 8 + 512 * 512 * 2) * 8
-        assert traced_peak(rank_weights, p, calib, [0, 1, 2], "auto") < 13 * 2**20
+        assert traced_peak(rank_weights, p, calib, [0, 1, 2]) < 13 * 2**20
 
 
 class TestLipschitzUpper:
@@ -335,9 +339,9 @@ class TestLipschitzUpper:
         lip = math.prod(p.weight_spectral_norms)
         s = rng.normal(size=(1000, p.input_dim))
         t = rng.normal(size=(1000, p.input_dim))
-        outs_s = forward_batch(p, s.T)
-        outs_t = forward_batch(p, t.T)
-        num = np.linalg.norm(outs_s - outs_t, axis=0)
+        outs_s = forward_batch(p, s)
+        outs_t = forward_batch(p, t)
+        num = np.linalg.norm(outs_s - outs_t, axis=1)
         den = np.linalg.norm(s - t, axis=1)
         keep = den > 0
         assert (num[keep] <= lip * den[keep] * (1.0 + 1e-9)).all()

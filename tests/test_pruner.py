@@ -194,8 +194,8 @@ class TestRankWeights:
                       activation=ActivationKind("relu")),
             )
         )
-        calib = CalibrationBatch((gram(np.zeros((2, 3))),))
-        ranking = rank_weights(p, calib, [0], damping="auto")
+        calib = CalibrationBatch((gram(np.zeros((2, 3))),), damping="auto")
+        ranking = rank_weights(p, calib, [0])
         assert ranking.saliency.tolist() == [0.0] * 3
         assert ranking.layer.tolist() == [0] * 3
         assert _positions(ranking) == [(0, 0), (1, 0), (1, 1)]
@@ -219,7 +219,7 @@ class TestRankWeights:
         )
         x = _diagonal_gram_states(rng, 4)
         calib = CalibrationBatch((gram(x),))
-        ranking = rank_weights(p, calib, [0], damping=0.0)
+        ranking = rank_weights(p, calib, [0])
         brute = sorted(
             (
                 (_zero_only_loss(w, r, c, x), 0, r, c)
@@ -233,17 +233,17 @@ class TestRankWeights:
         rng = np.random.default_rng(2)
         p = random_policy(rng, depth=2, max_width=8)
         states = [rng.normal(size=p.input_dim) for _ in range(12)]
-        calib = collect_calibration(p, states)
-        ranking = rank_weights(p, calib, range(p.num_layers), damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        ranking = rank_weights(p, calib, range(p.num_layers))
         assert (ranking.saliency >= 0.0).all()
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         p = random_policy(rng, depth=2, max_width=6)
         states = [rng.normal(size=p.input_dim) for _ in range(10)]
-        calib = collect_calibration(p, states)
-        a = rank_weights(p, calib, [0, 1], damping="auto")
-        b = rank_weights(p, calib, [0, 1], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        a = rank_weights(p, calib, [0, 1])
+        b = rank_weights(p, calib, [0, 1])
         assert ranking_tuples(a) == ranking_tuples(b)
 
     def test_singular_hessian_without_damping_raises(self):
@@ -252,11 +252,11 @@ class TestRankWeights:
                 Layer(weight=np.ones((1, 3)), bias=[0.0], activation=ActivationKind("relu")),
             )
         )
-        calib = CalibrationBatch((gram(np.ones((3, 1))),))  # rank-1 gram
+        blocks = (gram(np.ones((3, 1))),)  # rank-1 gram
         with pytest.raises(SingularMatrixError):
-            rank_weights(p, calib, [0], damping=0.0)
+            rank_weights(p, CalibrationBatch(blocks), [0])
         # damping (or auto) unblocks the same call
-        assert len(rank_weights(p, calib, [0], damping="auto")) == 3
+        assert len(rank_weights(p, CalibrationBatch(blocks, damping="auto"), [0])) == 3
 
     def test_dead_layer_under_auto_damping_scores_zero(self):
         relu = ActivationKind("relu")
@@ -266,25 +266,23 @@ class TestRankWeights:
                 Layer(weight=[[2.0, -3.0]], bias=[0.0], activation=relu),
             )
         )
-        calib = collect_calibration(p, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        calib = collect_calibration(p, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], damping="auto")
         assert not calib.curvature[1].any()  # layer 1's inputs are all zero
-        ranking = rank_weights(p, calib, [1], damping="auto")
+        ranking = rank_weights(p, calib, [1])
         assert ranking_tuples(ranking) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
         # a compensated removal there only zeroes the weight
-        pruned, plan = prune_to_budget(
-            p, ranking[:1], compensate=True, damping="auto", calib=calib
-        )
+        pruned, plan = prune_to_budget(p, ranking[:1], calib=calib)
         assert pruned.layers[1].weight.tolist() == [[0.0, -3.0]]
         assert plan.layers[0].delta_spectral_norm >= 2.0
         assert not plan.layers[0].compensated
 
     @staticmethod
-    def _overflowing(scale, states):
+    def _overflowing(scale, states, damping="auto"):
         # layer 1's inputs are layer 0's outputs, about ``scale`` times the states
         relu = ActivationKind("relu")
         p = MlpPolicy(layers=(Layer(np.eye(2) * scale, np.zeros(2), relu),
                               Layer([[1.0, -1.0]], [0.0], ActivationKind("identity"))))
-        return p, collect_calibration(p, states)
+        return p, collect_calibration(p, states, damping)
 
     @pytest.mark.parametrize(
         "damping, diagonal, compensate",
@@ -296,16 +294,15 @@ class TestRankWeights:
         # not; unrefused, a fixed diagonal damping would score layer 1 inf
         # and rank it by position alone
         states = np.random.default_rng(40).uniform(-1.0, 1.0, size=(16, 2))
-        p, calib = self._overflowing(1e300, states)
+        p, calib = self._overflowing(1e300, states, damping)
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"^layer 1: the calibration curvature 2 X X\^T overflows$"
         ):
             if compensate:  # the re-fit's block, with layer 0 alone ranked
-                ranking = rank_weights(p, calib, [0], damping=damping, diagonal=diagonal)
-                prune_to_budget(p, ranking, {0: math.inf, 1: math.inf}, compensate=True,
-                                damping=damping, calib=calib)
+                ranking = rank_weights(p, calib, [0], diagonal=diagonal)
+                prune_to_budget(p, ranking, {0: math.inf, 1: math.inf}, calib)
             else:
-                rank_weights(p, calib, [0, 1], damping=damping, diagonal=diagonal)
+                rank_weights(p, calib, [0, 1], diagonal=diagonal)
 
     @pytest.mark.parametrize("compensate", [False, True])
     def test_an_unranked_overflowing_block_is_never_read(self, compensate):
@@ -315,10 +312,8 @@ class TestRankWeights:
         states = np.random.default_rng(40).uniform(-1.0, 1.0, size=(16, 2))
         p, calib = self._overflowing(1e200, states)
         assert not np.isfinite(calib.curvature[1]).all()
-        ranking = rank_weights(p, calib, [0], damping="auto")
-        pruned, plan = prune_to_budget(
-            p, ranking[:2], compensate=compensate, damping="auto", calib=calib
-        )
+        ranking = rank_weights(p, calib, [0])
+        pruned, plan = prune_to_budget(p, ranking[:2], calib=calib if compensate else None)
         assert [(lp.layer, len(lp.mask)) for lp in plan.layers] == [(0, 2)]
         assert pruned.layers[1].weight is p.layers[1].weight
 
@@ -331,7 +326,7 @@ class TestRankWeights:
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"^layer 1: the calibration curvature 2 X X\^T overflows$"
         ):
-            rank_weights(p, calib, [1], damping="auto", diagonal=diagonal)
+            rank_weights(p, calib, [1], diagonal=diagonal)
 
     @pytest.mark.parametrize("damping", [math.inf, math.nan, -1.0])
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -341,9 +336,9 @@ class TestRankWeights:
         relu = ActivationKind("relu")
         p = MlpPolicy(layers=(Layer(np.eye(2), np.zeros(2), ActivationKind("identity")),
                               Layer([[1.0, -2.0]], [0.0], relu)))
-        calib = collect_calibration(p, np.ones((4, 2)))
         with pytest.raises(ValueError, match="^damping must be 'auto' or a finite number >= 0"):
-            rank_weights(p, calib, [1], damping=damping, diagonal=diagonal)
+            rank_weights(p, collect_calibration(p, np.ones((4, 2)), damping), [1],
+                         diagonal=diagonal)
 
     def test_overflowing_input_names_the_layer(self):
         # layer 1's output is inf - inf = NaN, which calibration never reads
@@ -364,9 +359,9 @@ class TestRankWeights:
                 Layer(weight=[[2e200, -3e300]], bias=[0.0], activation=relu),
             )
         )
-        calib = collect_calibration(p, list(rng.uniform(-1.0, 1.0, size=(6, 2))))
+        calib = collect_calibration(p, list(rng.uniform(-1.0, 1.0, size=(6, 2))), damping="auto")
         assert not calib.curvature[1].any()
-        ranking = rank_weights(p, calib, [0, 1], damping="auto")
+        ranking = rank_weights(p, calib, [0, 1])
         assert ranking_tuples(ranking[:2]) == [(0.0, 1, 0, 0), (0.0, 1, 0, 1)]
         assert np.isfinite(ranking.saliency).all()
 
@@ -381,7 +376,7 @@ class TestRankWeights:
 
         def ranked(weight):
             p = MlpPolicy(layers=(Layer(weight, np.zeros(3), ActivationKind("identity")),))
-            return rank_weights(p, collect_calibration(p, states), [0], "auto", diagonal)
+            return rank_weights(p, collect_calibration(p, states, "auto"), [0], diagonal)
 
         ranking, scaled = ranked(w), ranked(np.ldexp(w, -664))
         assert np.isfinite(ranking.saliency).all()
@@ -398,8 +393,8 @@ class TestRankWeights:
         )
         x = _diagonal_gram_states(rng, 3)
         calib = CalibrationBatch((gram(x),))
-        full = rank_weights(p, calib, [0], damping=0.0)
-        diag = rank_weights(p, calib, [0], damping=0.0, diagonal=True)
+        full = rank_weights(p, calib, [0])
+        diag = rank_weights(p, calib, [0], diagonal=True)
         assert _positions(full) == _positions(diag)
         assert list(full.saliency) == pytest.approx(list(diag.saliency), rel=1e-9)
 
@@ -524,8 +519,8 @@ class TestApplyPlan:
     def test_plan_lists_only_the_layers_the_prefix_touches(self):
         rng = np.random.default_rng(19)
         p = random_policy(rng, depth=3, max_width=6)
-        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(10)])
-        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(10)], "auto")
+        ranking = rank_weights(p, calib, [0, 1, 2])
         for count in range(len(ranking) + 1):
             head = ranking[:count]
             pruned, plan = prune_to_budget(p, head)
@@ -559,8 +554,8 @@ class TestApplyPlan:
         rng = np.random.default_rng(9)
         p = random_policy(rng, depth=3, max_width=8)
         states = [rng.normal(size=p.input_dim) for _ in range(16)]
-        calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, range(p.num_layers), damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        entries = rank_weights(p, calib, range(p.num_layers))
         count = len(entries) // 2
         pruned, plan = prune_to_budget(p, entries[:count])
         for lp in plan.layers:
@@ -587,11 +582,6 @@ class TestApplyPlan:
             s = rng.normal(size=p.input_dim)
             np.testing.assert_array_equal(forward(pruned, s), forward(rebuilt, s))
 
-    def test_compensation_requires_calibration(self):
-        _, p, _, _, entries = self._setup()
-        with pytest.raises(ValueError, match="calibration"):
-            prune_to_budget(p, entries[:2], compensate=True)
-
     def test_compensated_loss_never_worse_per_layer(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -605,9 +595,7 @@ class TestApplyPlan:
             entries = rank_weights(p, calib, [0])
             count = int(rng.integers(1, d))
             zero_p, _ = prune_to_budget(p, entries[:count])
-            comp_p, comp_plan = prune_to_budget(
-                p, entries[:count], compensate=True, calib=calib
-            )
+            comp_p, comp_plan = prune_to_budget(p, entries[:count], calib=calib)
             assert comp_plan.layers[0].compensated
             zero_loss = _output_loss(w, zero_p.layers[0].weight, x)
             comp_loss = _output_loss(w, comp_p.layers[0].weight, x)
@@ -617,8 +605,8 @@ class TestApplyPlan:
         rng = np.random.default_rng(12)
         p = random_policy(rng, depth=2, max_width=8)
         states = [rng.normal(size=p.input_dim) for _ in range(12)]
-        calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, [0, 1], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        entries = rank_weights(p, calib, [0, 1])
         pruned, plan = prune_to_budget(p, entries[: len(entries) // 3])
         for lp in plan.layers:
             delta = pruned.layers[lp.layer].weight - p.layers[lp.layer].weight
@@ -629,8 +617,8 @@ class TestApplyPlan:
     def test_one_norm_per_pruned_layer(self, monkeypatch, compensate):
         rng = np.random.default_rng(9)
         p = random_policy(rng, depth=3, max_width=6)
-        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(10)])
-        ranking = rank_weights(p, calib, [0, 2], damping="auto")
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(10)], "auto")
+        ranking = rank_weights(p, calib, [0, 2])
         calls = []
 
         def counted(m):
@@ -639,8 +627,7 @@ class TestApplyPlan:
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
         pruned, plan = prune_to_budget(
-            p, ranking[: len(ranking) * 2 // 3], compensate=compensate, damping="auto",
-            calib=calib,
+            p, ranking[: len(ranking) * 2 // 3], calib=calib if compensate else None
         )
         # the uncapped walk takes no norm per removal, only the plan's own
         assert [lp.layer for lp in plan.layers] == [0, 2]
@@ -660,14 +647,12 @@ class TestCompensatedPlanDescribesModel:
     def test_every_masked_weight_is_zero(self, seed, capped):
         rng = np.random.default_rng(seed)
         p = random_policy(rng, dims=[4, 7, 5, 2])
-        calib = collect_calibration(p, rng.uniform(-2.0, 2.0, (16, 4)))
-        ranking = rank_weights(p, calib, range(p.num_layers), damping="auto")
+        calib = collect_calibration(p, rng.uniform(-2.0, 2.0, (16, 4)), damping="auto")
+        ranking = rank_weights(p, calib, range(p.num_layers))
         caps = {k: 0.5 * spectral_norm(layer.weight) for k, layer in enumerate(p.layers)}
         if not capped:
             ranking, caps = ranking[:36], None
-        pruned, plan = prune_to_budget(
-            p, ranking, caps, compensate=True, damping="auto", calib=calib
-        )
+        pruned, plan = prune_to_budget(p, ranking, caps, calib)
         if not capped:
             assert sum(len(lp.mask) for lp in plan.layers) == 36
         recovered = {lp.layer: lp.mask for lp in PrunePlan.from_policies(p, pruned).layers}
@@ -702,8 +687,8 @@ class TestPrunePlanConstruction:
         rng = np.random.default_rng(13)
         p = random_policy(rng, depth=3, max_width=8)
         states = [rng.normal(size=p.input_dim) for _ in range(10)]
-        calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, [1], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        entries = rank_weights(p, calib, [1])
         pruned, plan = prune_to_budget(p, entries[: len(entries) // 2])
         recovered = PrunePlan.from_policies(p, pruned)
         assert [lp.layer for lp in recovered.layers] == [lp.layer for lp in plan.layers]
@@ -718,8 +703,8 @@ class TestPruneToBudget:
         rng = np.random.default_rng(14)
         p = random_policy(rng, depth=2, max_width=6)
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
-        calib = collect_calibration(p, states)
-        ranking = rank_weights(p, calib, [0], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        ranking = rank_weights(p, calib, [0])
         pruned, plan = prune_to_budget(p, ranking, {0: 0.0})
         assert plan.layers[0].mask.shape == (0, 2)
         np.testing.assert_array_equal(pruned.layers[0].weight, p.layers[0].weight)
@@ -728,8 +713,8 @@ class TestPruneToBudget:
         rng = np.random.default_rng(15)
         p = random_policy(rng, depth=2, max_width=8)
         states = [rng.normal(size=p.input_dim) for _ in range(10)]
-        calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, [0, 1], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        entries = rank_weights(p, calib, [0, 1])
         caps = {0: 0.15, 1: 0.05}
         _, plan = prune_to_budget(p, entries, caps)
         for lp in plan.layers:
@@ -740,8 +725,8 @@ class TestPruneToBudget:
         rng = np.random.default_rng(16)
         p = random_policy(rng, depth=1, max_width=5)
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
-        calib = collect_calibration(p, states)
-        entries = rank_weights(p, calib, [0], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        entries = rank_weights(p, calib, [0])
         calls, anchors = [], []
 
         def counted(m):
@@ -750,9 +735,7 @@ class TestPruneToBudget:
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
         monkeypatch.setattr(pruner, "_Anchor", lambda *args: anchors.append(args))
-        pruned, plan = prune_to_budget(
-            p, entries, {0: np.inf}, compensate=compensate, damping="auto", calib=calib
-        )
+        pruned, plan = prune_to_budget(p, entries, {0: np.inf}, calib if compensate else None)
         monkeypatch.undo()
         assert plan.layers[0].mask.tolist() == np.column_stack((entries.row, entries.col)).tolist()
         assert not pruned.layers[0].weight.any()
@@ -770,16 +753,16 @@ class TestPruneToBudget:
         # a NaN cap never compares above a delta norm, so it would cap nothing
         rng = np.random.default_rng(17)
         p = random_policy(rng, depth=2, max_width=5)
-        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
-        ranking = rank_weights(p, calib, [0, 1], damping="auto")
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)], "auto")
+        ranking = rank_weights(p, calib, [0, 1])
         with pytest.raises(ValueError, match="NaN"):
             prune_to_budget(p, ranking, {0: 0.5, 1: math.nan})
 
     def test_cap_on_a_missing_layer_rejected(self):
         rng = np.random.default_rng(18)
         p = random_policy(rng, depth=2, max_width=5)
-        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)])
-        ranking = rank_weights(p, calib, [0], damping="auto")
+        calib = collect_calibration(p, [rng.normal(size=p.input_dim) for _ in range(8)], "auto")
+        ranking = rank_weights(p, calib, [0])
         for k in (-1, 2):
             with pytest.raises(ValueError, match="out of range"):
                 prune_to_budget(p, ranking, {k: 1.0})
@@ -791,7 +774,7 @@ def _tied_policy(rng):
     coordinates.  The negative biases of layers 0 and 1 hold their outputs at
     0, so layers 1 and 2 are dead blocks under auto damping whose weights all
     score 0.  Layer 3 repeats one weight value along a row.  Returns the
-    policy, its calibration states and their batch."""
+    policy, its calibration states and their batch, under auto damping."""
     w0 = rng.normal(size=(5, 4))
     w0[2] = 0.0
     w0[:, 3] = w0[:, 1]
@@ -810,7 +793,7 @@ def _tied_policy(rng):
     )
     states = rng.normal(size=(12, 4))
     states[:, 3] = states[:, 1]
-    return p, states, collect_calibration(p, states)
+    return p, states, collect_calibration(p, states, damping="auto")
 
 
 def _reference_budget(p, entries, caps, states, damping, compensate):
@@ -856,14 +839,13 @@ def _reference_budget(p, entries, caps, states, damping, compensate):
 
 
 def _budget_matches_reference(p, states, calib, ranking, reference, caps, compensate):
-    """Run ``prune_to_budget`` on ``calib``, the batch of ``states``, and
-    ``_reference_budget`` on ``states`` with the same caps and check that
+    """Run ``prune_to_budget`` on ``calib``, the batch of ``states`` (re-fitting
+    only with ``compensate``), and ``_reference_budget`` on ``states`` with the
+    same caps and damping and check that
     both take, mask and leave the same weights; returns the pruned policy,
     the plan and the reference's taken entries."""
-    pruned, plan = prune_to_budget(
-        p, ranking, caps, compensate=compensate, damping="auto", calib=calib
-    )
-    work, expected = _reference_budget(p, reference, caps, states, "auto", compensate)
+    pruned, plan = prune_to_budget(p, ranking, caps, calib if compensate else None)
+    work, expected = _reference_budget(p, reference, caps, states, calib.damping, compensate)
     inputs = naive_inputs(p, states)
     assert sorted(caps) == [lp.layer for lp in plan.layers]
     for lp in plan.layers:
@@ -887,7 +869,7 @@ class TestRankingMatchesReference:
     @pytest.mark.parametrize("seed", [30, 31, 32])
     def test_tied_policy(self, seed, diagonal):
         p, states, calib = _tied_policy(np.random.default_rng(seed))
-        ranking = rank_weights(p, calib, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
+        ranking = rank_weights(p, calib, [0, 1, 2, 3], diagonal=diagonal)
         reference = reference_ranking(p, states, [0, 1, 2, 3], damping="auto", diagonal=diagonal)
         assert ranking_tuples(ranking) == reference
         # the ties are real: zero saliency spans the two dead layers, so every
@@ -901,7 +883,7 @@ class TestRankingMatchesReference:
         # widths 4 and 6 with two layers skipped, and 5 and 6 tied at zero:
         # each flat index maps back to its own layer, row and column
         for subset in ([0, 3], [1, 2]):
-            ranking = rank_weights(p, calib, subset, damping="auto", diagonal=diagonal)
+            ranking = rank_weights(p, calib, subset, diagonal=diagonal)
             reference = reference_ranking(p, states, subset, damping="auto", diagonal=diagonal)
             assert ranking_tuples(ranking) == reference
 
@@ -911,9 +893,9 @@ class TestRankingMatchesReference:
         for _ in range(10):
             p = random_policy(rng, depth=3, max_width=7)
             states = [rng.normal(size=p.input_dim) for _ in range(9)]
-            calib = collect_calibration(p, states)
+            calib = collect_calibration(p, states, damping=0.05)
             layers = [0, 2]
-            ranking = rank_weights(p, calib, layers, damping=0.05, diagonal=diagonal)
+            ranking = rank_weights(p, calib, layers, diagonal=diagonal)
             assert ranking_tuples(ranking) == reference_ranking(
                 p, states, layers, damping=0.05, diagonal=diagonal
             )
@@ -921,7 +903,7 @@ class TestRankingMatchesReference:
     @pytest.mark.parametrize("compensate", [False, True])
     def test_prune_to_budget_taken_matches_reference_loop(self, compensate):
         p, states, calib = _tied_policy(np.random.default_rng(34))
-        ranking = rank_weights(p, calib, [0, 1, 2, 3], damping="auto")
+        ranking = rank_weights(p, calib, [0, 1, 2, 3])
         reference = reference_ranking(p, states, [0, 1, 2, 3], damping="auto")
 
         def check(caps):
@@ -972,7 +954,7 @@ class TestRankingMatchesReference:
         rng = np.random.default_rng(seed)
         p = random_policy(rng, depth=3, max_width=6)
         states = [rng.normal(size=p.input_dim) for _ in range(8)]
-        calib = collect_calibration(p, states)
+        calib = collect_calibration(p, states, damping="auto")
         # an infinite fraction is the uncapped walk, checked against the same loop
         caps = {
             k: f if f == math.inf else f * spectral_norm(p.layers[k].weight)
@@ -980,7 +962,7 @@ class TestRankingMatchesReference:
             if f is not None
         }
         _, plan, _ = _budget_matches_reference(
-            p, states, calib, rank_weights(p, calib, [0, 1, 2], damping="auto"),
+            p, states, calib, rank_weights(p, calib, [0, 1, 2]),
             reference_ranking(p, states, [0, 1, 2], damping="auto"), caps, compensate,
         )
         for lp in plan.layers:
@@ -988,18 +970,14 @@ class TestRankingMatchesReference:
 
     def test_closed_layer_records_no_compensation(self):
         p, _, calib = _tied_policy(np.random.default_rng(35))
-        ranking = rank_weights(p, calib, [0, 3], damping="auto")
-        _, plan = prune_to_budget(
-            p, ranking, {0: 0.0, 3: np.inf}, compensate=True, damping="auto", calib=calib
-        )
+        ranking = rank_weights(p, calib, [0, 3])
+        _, plan = prune_to_budget(p, ranking, {0: 0.0, 3: np.inf}, calib)
         closed, wide_open = plan.layers
         assert (closed.mask.shape, closed.compensated) == ((0, 2), False)
         assert (len(wide_open.mask), wide_open.compensated) == (p.layers[3].weight.size, True)
         # a cap below the first removal's norm: that compensated removal is
         # tried and undone, so the layer keeps nothing and is not compensated
-        _, plan = prune_to_budget(
-            p, ranking, {3: 1e-300}, compensate=True, damping="auto", calib=calib
-        )
+        _, plan = prune_to_budget(p, ranking, {3: 1e-300}, calib)
         (undone,) = plan.layers
         assert (undone.mask.shape, undone.compensated) == ((0, 2), False)
         assert undone.delta_spectral_norm == 0.0
@@ -1102,8 +1080,8 @@ class TestPinnedNormCount:
             for d, e in zip(dims, dims[1:])
         ))
         states = list(rng.uniform(-1.0, 1.0, (64, 8)))
-        calib = collect_calibration(p, states)
-        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        ranking = rank_weights(p, calib, [0, 1, 2])
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in range(3)}
         calls = []
 
@@ -1112,9 +1090,7 @@ class TestPinnedNormCount:
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        _, plan = prune_to_budget(
-            p, ranking, caps, compensate=compensate, damping="auto", calib=calib
-        )
+        _, plan = prune_to_budget(p, ranking, caps, calib if compensate else None)
         monkeypatch.undo()
         # every layer closes at a refused removal, which was tried too
         sizes = [int((ranking.layer == lp.layer).sum()) for lp in plan.layers]
@@ -1147,8 +1123,8 @@ class TestOutOfRangeBound:
             Layer(w, rng.normal(0.0, 0.1, w.shape[0]), relu) for w in weights
         ))
         states = rng.uniform(-1.0, 1.0, (16, 4))
-        calib = collect_calibration(p, states)
-        ranking = rank_weights(p, calib, [0, 1, 2], damping="auto")
+        calib = collect_calibration(p, states, damping="auto")
+        ranking = rank_weights(p, calib, [0, 1, 2])
         caps = {k: 0.3 * spectral_norm(p.layers[k].weight) for k in range(3)}
         calls = []
 
@@ -1157,9 +1133,7 @@ class TestOutOfRangeBound:
             return spectral_norm(m)
 
         monkeypatch.setattr(linalg, "spectral_norm", counted)
-        _, plan = prune_to_budget(
-            p, ranking, caps, compensate=compensate, damping="auto", calib=calib
-        )
+        _, plan = prune_to_budget(p, ranking, caps, calib if compensate else None)
         monkeypatch.undo()
         out = plan.layers[2]
         assert 0 < len(out.mask) < int((ranking.layer == 2).sum())
