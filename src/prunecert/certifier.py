@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from prunecert import linalg
+from prunecert.linalg import _plus, _times, _up, _up_where
 from prunecert.policy import MlpPolicy, forward_batch
 from prunecert.pruner import PrunePlan
 from prunecert.schema import _certificate_fields, _read_json_bytes
@@ -158,17 +159,6 @@ def load_certificate(path) -> tuple[Certificate, bytes]:
 # bound constants
 # ---------------------------------------------------------------------------
 
-def _times(x: float, y: float) -> float:
-    """``x * y`` of two nonnegative bounds, one ulp up; 0 when either is 0,
-    even against inf, since a zero norm carries nothing."""
-    return linalg._up(x * y) if x and y else 0.0
-
-
-def _plus(x: float, y: float) -> float:
-    """``x + y`` of two nonnegative bounds, one ulp up; exact when either is 0."""
-    return linalg._up(x + y) if x and y else x + y
-
-
 def _affine(a: float, b: float, snorm):
     """``a ||s|| + b`` at the state norms ``snorm`` (or one), for ``a, b >= 0``, each step
     one ulp up under the zero rule of ``_times`` and ``_plus``: ``b`` at ``||s|| = 0``.
@@ -181,14 +171,6 @@ def _affine(a: float, b: float, snorm):
     with np.errstate(over="ignore"):
         out = _up_where(np.multiply(a, sn, out=np.zeros_like(sn), where=live), live)
         return _up_where(np.add(out, b, out=out), live) if b else out
-
-
-def _up_where(x: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """``np.nextafter(x, inf)`` in place where ``where`` holds, for ``x`` of +0 or
-    more: one more on the bits of a finite float, far cheaper; inf and NaN stay."""
-    bits = x.view(np.int64)
-    np.add(bits, 1, out=bits, where=where & (x < math.inf))
-    return x
 
 
 def _constants(norms: Sequence[float], biases: Sequence[float], layers: Iterable[int], snorm):
@@ -356,34 +338,33 @@ def _allowance(original: MlpPolicy, pruned: MlpPolicy, delta_norms) -> tuple[flo
        the grown tuple, so ``count 5e-324`` times those carries is added to
        ``a`` and to ``b``.
 
-    Every step rounds upward (``linalg._up``).  A zero norm carries 0, and
-    an overflow gives inf, never NaN, unless a delta norm is NaN, which
-    flags every state.  An output that overflows gives an inf or NaN
-    deviation, and a NaN bound fails the test too: the audit flags what it
-    cannot vouch for.
+    Every step rounds upward (``_times`` and ``_plus``).  A zero norm
+    carries 0, and an overflow gives inf, never NaN, unless a delta norm is
+    NaN, which flags every state.  An output that overflows gives an inf or
+    NaN deviation, and a NaN bound fails the test too: the audit flags what
+    it cannot vouch for.
     """
-    up = linalg._up
     grown = list(original.weight_spectral_norms)
     for k, dn in delta_norms:
-        grown[k] = up(grown[k] + dn)
+        grown[k] = _plus(grown[k], dn)
     n = max(max(layer.weight.shape) for layer in original.layers)
     gamma = (n + 4) * linalg._EPS
     a = b = 0.0
     for p, norms in ((original, original.weight_spectral_norms), (pruned, grown)):
         hs, h1, es, e1 = 1.0, 0.0, 0.0, 0.0
         for layer, nk, bk in zip(p.layers, norms, p.bias_norms):
-            g = _times(_times(gamma, up(math.sqrt(min(layer.weight.shape)))), nk)
-            ls, l1 = _times(g, hs), up(_times(g, h1) + _times(gamma, bk))
-            es, e1 = up(_times(nk, es) + ls), up(_times(nk, e1) + l1)
-            hs, h1 = up(_times(nk, hs) + ls), up(up(_times(nk, h1) + bk) + l1)
-        a, b = up(a + es), up(b + e1)
+            g = _times(_times(gamma, _up(math.sqrt(min(layer.weight.shape)))), nk)
+            ls, l1 = _times(g, hs), _plus(_times(g, h1), _times(gamma, bk))
+            es, e1 = _plus(_times(nk, es), ls), _plus(_times(nk, e1), l1)
+            hs, h1 = _plus(_times(nk, hs), ls), _plus(_plus(_times(nk, h1), bk), l1)
+        a, b = _plus(a, es), _plus(b, e1)
     L = len(grown)
     carry = max([1.0, *(dn for _, dn in delta_norms)])
     for nk in grown:
         carry = _times(carry, max(nk, 1.0))
     count = 2 * L * (n + 1) ** 2 + 4 * L * (L + 1) + 3
     under = _times(count * 5e-324, carry)
-    return up(a + under), up(b + under), 1.0 + (6 * L + 3 * n + 14) * linalg._EPS
+    return _plus(a, under), _plus(b, under), 1.0 + (6 * L + 3 * n + 14) * linalg._EPS
 
 
 def audit_states(original: MlpPolicy, pruned: MlpPolicy, delta_norms, states) -> StateAudit:

@@ -172,7 +172,7 @@ OPTIONS = {
     "state_box_lo": (_numbers(float), None, _SIM, "state clip box low bounds, comma separated"),
     "state_box_hi": (_numbers(float), None, _SIM, "state clip box high bounds, comma separated"),
     "paths": (_paths, REQUIRED, ("report",), "certificate JSON files"),
-    "seed": (_number(int, 0), 0, _ALL, "run seed (default 0)"),
+    "seed": (_number(int, 0), 0, _PRUNE + _AUDIT, "run seed (default 0)"),
     "out": (_text, None, _ALL, f"output directory (default ${ENV_OUTDIR} or '.')"),
 }
 

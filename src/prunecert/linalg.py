@@ -1,10 +1,11 @@
 """Dense matrix and vector primitives shared by the whole toolkit.
 
 Spectral norms are exact eigenvalue computations rounded outward, so every
-norm that feeds a certificate is a guaranteed upper bound.  A vector's
-Euclidean norm has the same bits alone or in any batch, in any memory
-layout.  The symmetric inverse accepts Tikhonov damping for rank-deficient
-curvature blocks.
+norm that feeds a certificate is a guaranteed upper bound; every outward
+step (``_up``, ``_times``, ``_plus``, ``_up_where``) and the one bound on a
+vector's norm (``_norm_bound``) live here.  A vector's Euclidean norm has the
+same bits alone or in any batch, in any memory layout.  The symmetric
+inverse accepts Tikhonov damping for rank-deficient curvature blocks.
 """
 
 from __future__ import annotations
@@ -63,6 +64,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _up(x: float) -> float:
     """One ulp outward from a rounded result, so it is at least the exact one."""
     return math.nextafter(x, math.inf)
+
+
+def _times(x: float, y: float) -> float:
+    """``x * y`` of two nonnegative bounds, one ulp up; 0 if either is 0, even against inf."""
+    return _up(x * y) if x and y else 0.0
+
+
+def _plus(x: float, y: float) -> float:
+    """``x + y``, one ulp up; exact when either is 0."""
+    return _up(x + y) if x and y else x + y
+
+
+def _up_where(x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``np.nextafter(x, inf)`` in place where ``where`` holds, for ``x`` of +0 or
+    more: one more on the bits of a finite float, far cheaper; inf and NaN stay."""
+    bits = x.view(np.int64)
+    np.add(bits, 1, out=bits, where=where & (x < math.inf))
+    return x
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -224,6 +243,27 @@ def vector_norm(a):
             exp = np.frexp(np.maximum(sub.max(axis=1), -sub.min(axis=1)))[1]
             out[redo] = np.ldexp(_row_dots(np.ldexp(sub, -exp[:, None])), exp)
     return out if v.ndim == 2 else out[0]
+
+
+def _norm_bound(v: np.ndarray) -> float:
+    """Upper bound on the 2-norm of a finite float vector ``v``, and of an
+    exact vector that ``v`` rounds once per entry; 0 for a zero vector.
+
+    The norm has ``vector_norm(v)``'s bits: ``sqrt(v @ v)`` for a C-contiguous
+    ``v`` when that lies in ``[2^-400, 2^400)``, else ``vector_norm``'s scaled
+    value.  With ``u = eps/2``, the dot product errs by at most
+    ``gamma_n ||v||^2`` in any summation order, fused multiply-add included
+    (Higham sec. 3.1), an underflowing square by ``2^-1075``, far below a sum
+    in range, and the root by ``u``; the exact vector's norm is at most
+    ``||v|| / (1 - u)``.  ``1 + (n + 4) eps`` covers all of it with room to
+    spare, and ``_times`` steps the product one ulp up, which also covers a
+    norm scaled back into the subnormal range.  A caller that may meet a
+    square past the float range ignores overflow in numpy's error state.
+    """
+    norm = math.sqrt(float(v @ v)) if v.flags.c_contiguous else 0.0
+    if not _NORM_LOW <= norm < _NORM_HIGH:
+        norm = float(vector_norm(v))
+    return _times(norm, 1.0 + (v.shape[0] + 4) * _EPS)
 
 
 def gram(x) -> np.ndarray:

@@ -153,11 +153,8 @@ class MlpPolicy:
 
     @cached_property
     def bias_norms(self) -> tuple[float, ...]:
-        # upper bounds (pruner._change_norm's argument): times 1 + (n + 4) eps, one ulp up
-        return tuple(
-            linalg._up(float(linalg.vector_norm(b)) * (1.0 + (b.size + 4) * linalg._EPS))
-            if b.any() else 0.0 for b in (layer.bias for layer in self.layers)
-        )
+        with np.errstate(over="ignore"):  # a square past the float range is taken scaled
+            return tuple(linalg._norm_bound(layer.bias) for layer in self.layers)
 
 
 def _propagate(p: MlpPolicy, x: np.ndarray, visit=None) -> np.ndarray:

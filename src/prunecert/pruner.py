@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from prunecert import linalg
-from prunecert.linalg import _EPS, _frozen, _up
+from prunecert.linalg import _EPS, _frozen, _norm_bound, _plus, _times
 from prunecert.policy import Layer, MlpPolicy, _columns, _propagate
 
 __all__ = [
@@ -356,24 +356,6 @@ def obs_compensate(row, cols, h_inv) -> np.ndarray:
     return out
 
 
-def _change_norm(v: np.ndarray) -> float:
-    """Upper bound on the 2-norm of the exact difference of two rows of the
-    computed delta ``fl(work - original)``, given ``v``, the difference as
-    computed.
-
-    ``v`` rounds once more, so the exact change is at most ``||v|| / (1 - u)``,
-    ``u = eps/2``.  ``np.linalg.norm(v)`` is ``sqrt(v @ v)``; the dot product
-    errs by at most ``gamma_n ||v||^2`` in any summation order, fused
-    multiply-add included (Higham sec. 3.1), plus ``2^-1075`` per
-    underflowing square, which the ``n 2^-1074`` term under the root
-    restores.  The add, root and multiply lose ``3u`` more, and
-    ``1 + (n + 4) eps`` covers all of it with room to spare.  A float row
-    ``v`` itself, with no rounding behind it, is covered all the more.
-    """
-    n = v.shape[0]
-    return math.sqrt(float(v @ v) + n * 5e-324) * (1.0 + (n + 4) * _EPS)
-
-
 class _Anchor:
     """A running bound on ``||delta||_2`` that starts again at each exact norm.
 
@@ -397,7 +379,7 @@ class _Anchor:
     """
 
     def __init__(self, norm: float, rows: int):
-        self.square = _up(norm * norm)  # at least s^2; inf on overflow
+        self.square = _times(norm, norm)  # at least s^2; inf on overflow
         self.kept: dict[int, np.ndarray] = {}  # D0_r of each changed row
         self.stale: set[int] = set()  # rows changed since their term was taken
         self.terms = np.zeros(rows)  # each changed row's term; 0 elsewhere
@@ -414,25 +396,25 @@ class _Anchor:
         the walk never takes as a bound.
 
         Each changed row's term is taken again from ``D0_r``, never adjusted.
-        ``||D0_r||`` and ``||E_r||`` are ``_change_norm`` of ``D0_r`` and of
-        ``v = fl(fl(work_r - original_r) - D0_r)``.  ``v`` errs by ``u = eps/2`` per entry,
-        and its computed dot product with ``D0_r`` by
-        ``gamma_n ||D0_r|| ||v||`` plus ``2^-1075`` per underflowing product,
-        so ``D0_r.E_r`` is at most the computed product plus
+        ``||D0_r||`` and ``||E_r||`` are ``_norm_bound`` of ``D0_r`` and of
+        ``v = fl(fl(work_r - original_r) - D0_r)``, which rounds ``E_r`` once
+        more: ``u = eps/2`` per entry.  Its computed dot product with ``D0_r``
+        errs by ``gamma_n ||D0_r|| ||v||`` plus ``2^-1075`` per underflowing
+        product, so ``D0_r.E_r`` is at most the computed product plus
         ``(n + 2) eps ||D0_r|| ||E_r|| + n 2^-1074``.  Every product and sum
-        of a term is stepped one ulp outward.  The terms are nonnegative, so
-        their sum with ``s^2``, in any order, is low by at most ``gamma_m``
-        relative, ``m`` the number of rows; the factor ``1 + (m + 3) eps``
-        covers that, the root and the multiply.
+        of a term rounds one ulp up (``_times``, ``_plus``).  The terms are
+        nonnegative, so their sum with ``s^2``, in any order, is low by at
+        most ``gamma_m`` relative, ``m`` the number of rows; the factor
+        ``1 + (m + 3) eps`` covers that, the root and the multiply.
         """
         for row in self.stale:
             d0 = self.kept[row]
             v = (work[row] - original[row]) - d0
             n = v.shape[0]
-            e = _change_norm(v)
-            ae = _up(_change_norm(d0) * e)
-            dot = _up(float(d0 @ v) + _up(_up((n + 2) * _EPS * ae) + n * 5e-324))
-            self.terms[row] = _up(_up(ae + dot) + _up(e * e))
+            e = _norm_bound(v)
+            ae = _times(_norm_bound(d0), e)
+            dot = _plus(float(d0 @ v), _plus(_times((n + 2) * _EPS, ae), n * 5e-324))
+            self.terms[row] = _plus(_plus(ae, dot), _times(e, e))
         self.stale.clear()
         total = self.square + float(self.terms.sum())
         return math.sqrt(total) * (1.0 + (self.terms.shape[0] + 3) * _EPS)

@@ -291,7 +291,7 @@ def test_criterion_9_closed_loop_cli_pipeline(tmp_path, system, fixture, dynamic
         code = main([
             "simulate", "--model", str(model), "--pruned", str(pruned),
             "--certificate", str(cert), *dynamics_flags,
-            "--x0", x0, "--horizon", "500", "--seed", "11", "--out", str(out),
+            "--x0", x0, "--horizon", "500", "--out", str(out),
         ])
         assert code == EXIT_OK
         reports.append(json.loads((out / "deviation_report.json").read_text()))

@@ -186,7 +186,7 @@ class TestBoundConstantState:
             acc = 0.0
             for row in cert.rows:
                 assert _within(row.c_max, exact_constant(wnorms, bnorms, row.layer, snorm), depth)
-                assert row.contribution == certifier._times(row.c_max, row.delta_spectral)
+                assert row.contribution == linalg._times(row.c_max, row.delta_spectral)
                 acc = acc + row.contribution
             assert cert.budget == acc
 
@@ -294,11 +294,11 @@ class TestConstantsFromTuples:
 
     def test_the_bit_step_is_nextafter(self):
         x = np.array([0.0, 5e-324, 1e-310, 2.0**-1022, 1.0, 1e300, np.finfo(float).max, math.inf])
-        stepped = certifier._up_where(x.copy(), np.ones(x.size, dtype=bool))
+        stepped = linalg._up_where(x.copy(), np.ones(x.size, dtype=bool))
         with np.errstate(over="ignore"):  # the largest float steps to inf
             assert stepped.tobytes() == np.nextafter(x, math.inf).tobytes()
         # where the mask is off, the value is left alone
-        assert certifier._up_where(x.copy(), np.zeros(x.size, dtype=bool)).tobytes() == x.tobytes()
+        assert linalg._up_where(x.copy(), np.zeros(x.size, dtype=bool)).tobytes() == x.tobytes()
 
 
 def _equality_fixture():
@@ -370,7 +370,7 @@ class TestMultiLayerBudget:
         cert = certify(p, pruned, StateSpaceSpec(dim=2, radius=0.0), n=10, seed=0)
         (row,) = cert.rows
         assert row.layer == 1 and _within(row.c_max, Fraction(p.bias_norms[0]), 2)
-        assert cert.budget == row.contribution == certifier._times(row.c_max, row.delta_spectral)
+        assert cert.budget == row.contribution == linalg._times(row.c_max, row.delta_spectral)
         assert cert.holds
 
     def test_a_zero_constant_carries_nothing_against_an_inf_delta_norm(self):
@@ -430,7 +430,7 @@ class TestMultiLayerBudget:
         radius, biases = float.fromhex("0x1.083114584f5b7p+0"), (0.0,) * len(norms)
         budget = 0.0
         for c, dn in zip(_constants(norms, biases, range(len(norms)), radius), deltas):
-            budget = budget + certifier._times(float(c), dn)
+            budget = budget + linalg._times(float(c), dn)
         exact = [exact_constant(norms, biases, k, radius) * Fraction(dn)
                  for k, dn in enumerate(deltas)]
         assert all(term < Fraction(math.ulp(4.0)) / 2 for term in exact[1:])
@@ -466,7 +466,7 @@ class TestMultiLayerBudget:
         )
         acc = 0.0
         for row in cert.rows:
-            assert row.contribution == certifier._times(row.c_max, row.delta_spectral)
+            assert row.contribution == linalg._times(row.c_max, row.delta_spectral)
             acc = acc + row.contribution
         assert acc == cert.budget  # bitwise: same summation order
 
@@ -796,6 +796,13 @@ class TestAuditBound:
         with pytest.raises(ValueError, match="layers"):
             certify(p, _diag_policy([2.0, 7.0]), StateSpaceSpec(dim=2, radius=1.0), n=10, seed=0)
 
+    def test_rejects_a_pair_whose_activations_differ(self):
+        # the weights agree, so no delta norm would show the change, and the
+        # theorem covers weight perturbations only
+        relu, identity = _diag_policy([1.0], kind="relu"), _diag_policy([1.0])
+        with pytest.raises(ValueError, match="^layer 0: activations differ$"):
+            certify(relu, identity, StateSpaceSpec(dim=2, radius=1.0), n=10, seed=0)
+
     def test_rejects_a_space_of_another_dimension(self):
         p = _three_layer_fixture()
         with pytest.raises(ValueError, match="state space dim"):
@@ -1061,7 +1068,7 @@ class TestGrownNorms:
             total = 0.0
             for k, dn in PrunePlan.from_policies(p, pruned).delta_norms():
                 (c,) = _constants(below[:k] + above[k:], p.bias_norms, [k], space.radius)
-                total = total + certifier._times(float(c), dn)
+                total = total + linalg._times(float(c), dn)
             return total
 
         norms, grown = p.weight_spectral_norms, pruned.weight_spectral_norms

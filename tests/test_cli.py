@@ -748,6 +748,20 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "layer 0" in err and "shape" in err
 
+    def test_activation_mismatch_is_a_usage_error(self, tmp_path, capsys):
+        def one_layer(kind, name):
+            p = MlpPolicy(layers=(Layer(weight=np.eye(2), bias=np.zeros(2),
+                                        activation=ActivationKind(kind)),))
+            save_policy(p, tmp_path / name)
+            return str(tmp_path / name)
+
+        out = tmp_path / "o"
+        assert _usage_error(capsys, [
+            "certify", "--model", one_layer("relu", "a.json"),
+            "--pruned", one_layer("identity", "b.json"), "--radius", "1", "--out", str(out),
+        ]) == "error: layer 0: activations differ"
+        assert not out.exists()
+
     def test_schema_keys(self, tmp_path, random_model):
         model, _ = random_model
         out = tmp_path / "cert"
@@ -2127,6 +2141,61 @@ class TestConfigValues:
         path.write_text(json.dumps({"paths": [str(run / "certificate.json")]}))
         assert main(["report", "--config", str(path), "--out", str(tmp_path / "r2")]) == EXIT_OK
         assert json.loads((tmp_path / "r2" / "summary.json").read_text())["count"] == 1
+
+
+class TestInputChecks:
+    """Each check on a calibration file, a layer list, a config file or the
+    dynamics' inputs, and each flag a command does not take, is one usage
+    error with its own message, and nothing is written."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("checks")
+        model = str(FIXTURES / "pendulum_policy.json")
+        _write_states_csv(tmp / "calib.csv", np.random.default_rng(0).uniform(-1, 1, (16, 2)))
+        _write_states_csv(tmp / "wide.csv", np.ones((4, 3)))
+        (tmp / "nan.csv").write_text("1,2\nnan,1\n")
+        (tmp / "empty.json").write_text(json.dumps({"layers": []}))
+        (tmp / "list.json").write_text(json.dumps([1, 2]))
+        assert main(["certify", "--model", model, "--pruned", model, "--radius", "1",
+                     "--samples", "5", "--out", str(tmp)]) == EXIT_OK
+        return {"model": model, "dir": str(tmp)}
+
+    PRUNE = ["prune", "--model", "{model}", "--calibration", "{dir}/calib.csv"]
+    SIMULATE = ["simulate", "--model", "{model}", "--pruned", "{model}",
+                "--certificate", "{dir}/certificate.json", "--x0", "0.5,0", "--horizon", "3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (PRUNE + ["--calibration", "{dir}/wide.csv", "--sparsity", "0.5"],
+             "{dir}/wide.csv: states have 3 columns but the model expects 2"),
+            (PRUNE + ["--calibration", "{dir}/nan.csv", "--sparsity", "0.5"],
+             "{dir}/nan.csv: states contain non-finite values"),
+            (PRUNE + ["--layers", "7", "--sparsity", "0.5"], "layer index 7 out of range 0..1"),
+            (PRUNE + ["--config", "{dir}/empty.json", "--sparsity", "0.5"],
+             "need at least one layer to rank"),
+            (PRUNE + ["--config", "{dir}/empty.json", "--epsilon", "0.5", "--radius", "1"],
+             "need at least one layer"),
+            (["certify", "--config", "{dir}/list.json", "--model", "{model}", "--pruned", "{model}",
+              "--radius", "1"], "{dir}/list.json: config must be a JSON object"),
+            # the certificate is read first, so a real one reaches the check
+            (SIMULATE + ["--dynamics", "linear"],
+             "linear dynamics need --system (JSON with A and B)"),
+            # rollouts and reports draw nothing, so they take no seed
+            (SIMULATE + ["--dynamics", "pendulum", "--seed", "3"],
+             "unrecognized arguments: --seed 3"),
+            (["report", "{dir}/certificate.json", "--seed", "3"],
+             "unrecognized arguments: --seed 3"),
+        ],
+        ids=["csv-columns", "csv-nan", "layer-range", "no-layers-sparsity", "no-layers-epsilon",
+             "config-list", "linear-without-system", "simulate-seed", "report-seed"],
+    )
+    def test_is_one_usage_error(self, paths, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+        assert _usage_error(capsys, argv) == "error: " + message.format(**paths)
+        assert not out.exists()
 
 
 # (command, key) for every option a command cannot run without

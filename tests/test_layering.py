@@ -1,5 +1,6 @@
-"""Each ``prunecert`` module imports only the modules below it, and only
-``schema`` reads or writes JSON.
+"""Each ``prunecert`` module imports only the modules below it, only
+``schema`` reads or writes JSON, and only ``linalg`` rounds a float outward
+by hand.
 
 ``LAYERS`` lists, bottom up, the package modules each module may import.
 A module may only name modules listed before it, so the imports form no
@@ -125,5 +126,51 @@ def test_only_schema_reads_or_writes_json(module):
     if module == "schema":
         # the reader's load and loads, and the writer's dumps of each scalar
         assert calls == {"load", "loads", "dumps"}
+    else:
+        assert calls == set()
+
+
+def rounding_calls(source: str) -> set[str]:
+    """The outward-rounding steps that ``source`` takes by hand:
+    ``nextafter`` from ``math`` or ``numpy``, called through the module, an
+    alias or a ``from`` import, and any ``.view(...)``, the way a float
+    array's bits are reinterpreted."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name in ("math", "numpy"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            names.update(a.asname or a.name for a in node.names if a.name == "nextafter")
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "view":
+            found.add("view")
+        elif (isinstance(f, ast.Attribute) and f.attr == "nextafter"
+              and isinstance(f.value, ast.Name) and f.value.id in modules):
+            found.add("nextafter")
+        elif isinstance(f, ast.Name) and f.id in names:
+            found.add("nextafter")
+    return found
+
+
+def test_the_rounding_check_reads_every_call_form():
+    assert rounding_calls("import math\nmath.nextafter(x, y)\n") == {"nextafter"}
+    assert rounding_calls("import numpy as np\nnp.nextafter(x, y)\n") == {"nextafter"}
+    assert rounding_calls("from math import nextafter as step\nstep(x, y)\n") == {"nextafter"}
+    assert rounding_calls("x.view(np.int64)\n") == {"view"}
+    assert rounding_calls("import math\nother.nextafter(x)\nmath.sqrt(x)\nx.copy()\n") == set()
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_only_linalg_rounds_outward_by_hand(module):
+    # every other module rounds up through linalg's _up, _times, _plus,
+    # _up_where and _norm_bound, so each step has one home and one proof
+    calls = rounding_calls((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    if module == "linalg":
+        assert calls == {"nextafter", "view"}
     else:
         assert calls == set()

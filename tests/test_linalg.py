@@ -418,6 +418,14 @@ class TestDampedInverse:
         with pytest.raises(SingularMatrixError):
             damped_inverse(h, 0.0)
 
+    def test_numerically_singular_without_damping_raises(self):
+        # LU inverts this one, to entries of 2^52; only the rcond screen
+        # sees that the matrix is singular to working precision
+        h = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+        assert np.isfinite(np.linalg.inv(h)).all()
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            damped_inverse(h, 0.0)
+
     def test_rank_deficient_with_damping_succeeds(self):
         h = gram(np.array([[1.0], [1.0]]))
         inv = damped_inverse(h, 1e-3)

@@ -365,6 +365,20 @@ class TestBiasNorms:
         p = MlpPolicy((Layer(np.zeros((n, 1)), [x] * n, ActivationKind("relu")),))
         assert Fraction(p.bias_norms[0]) ** 2 >= n * Fraction(x) ** 2
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_bias_norm_keeps_its_bits_in_any_layout(self, seed):
+        # a strided bias, shared by the layer since its owner is read-only;
+        # BLAS may round its dot with itself apart from its contiguous copy's
+        # (seed 3 does on an x86-64 OpenBLAS build)
+        owner = np.random.default_rng(seed).standard_normal((257, 3))
+        owner.setflags(write=False)
+        strided, contiguous = (
+            MlpPolicy((Layer(np.zeros((257, 1)), bias, ActivationKind("relu")),))
+            for bias in (owner[:, 0], owner[:, 0].copy())
+        )
+        assert not strided.layers[0].bias.flags.c_contiguous
+        assert strided.bias_norms == contiguous.bias_norms
+
 
 class TestStructuralValidation:
     def test_bias_dim_must_match_rows(self):
